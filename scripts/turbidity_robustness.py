@@ -26,19 +26,15 @@ from oasweep.simulator import (
     render_camera,
     render_sonar,
 )
-from oasweep.sweep import DepthMap, SweepConfig, run_pipeline
+from oasweep.sweep import SweepConfig, run_pipeline, to_full_frame
 
 
 def evaluate(rig, camera_image, sonar, gt, config):
     cam8 = (np.clip(camera_image, 0.0, 1.0) * 255).round().astype(np.uint8)
     prepared, window = prepare_camera(cam8, rig.intrinsics, rig.sonar, rig.extrinsics)
-    depth, _ = run_pipeline(prepared, sonar, rig, config, origin=(window.u0, window.v0))
-    full_depth = np.zeros_like(gt.depth)
-    full_valid = np.zeros_like(gt.valid)
-    sl = window.slice()
-    full_depth[sl] = depth.depth
-    full_valid[sl] = depth.valid
-    return compute_metrics(DepthMap(depth=full_depth, valid=full_valid), gt)
+    origin = (window.u0, window.v0)
+    depth, _ = run_pipeline(prepared, sonar, rig, config, origin=origin)
+    return compute_metrics(to_full_frame(depth, origin, gt.depth.shape), gt)
 
 
 def main() -> int:

@@ -17,7 +17,6 @@ from .geometry import (
     backproject_sonar_to_plane,
     build_warp_grid,
     cartesian_to_sonar_polar,
-    closed_form_camera_depth,
     ray_depth_to_euclidean,
     solve_ray_plane,
     spherical_to_cartesian,
@@ -33,7 +32,6 @@ __all__ = [
     "backproject_sonar_to_plane",
     "build_warp_grid",
     "cartesian_to_sonar_polar",
-    "closed_form_camera_depth",
     "default_rig",
     "ray_depth_to_euclidean",
     "solve_ray_plane",

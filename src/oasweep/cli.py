@@ -70,20 +70,19 @@ def _load_scene(path) -> Scene:
         raise CommandError(str(exc), EXIT_INPUT) from exc
 
 
-def _read_pfm(path, what: str) -> np.ndarray:
+def _read(reader, path, what: str) -> np.ndarray:
+    """Read an input file with a formats reader; FileFormatError exits 3 in main()."""
     _require_file(path, what)
-    try:
-        return formats.read_pfm(path)
-    except formats.FileFormatError as exc:
-        raise CommandError(str(exc), EXIT_INPUT) from exc
+    return reader(path)
 
 
-def _read_pgm(path, what: str) -> np.ndarray:
-    _require_file(path, what)
+def _load_sonar(path, spec) -> PolarSonarImage:
+    """A sonar PFM as a PolarSonarImage; shape and non-finite values are input errors."""
+    values = _read(formats.read_pfm, path, "sonar frame")
     try:
-        return formats.read_pgm(path)
-    except formats.FileFormatError as exc:
-        raise CommandError(str(exc), EXIT_INPUT) from exc
+        return PolarSonarImage(values=np.clip(values.astype(float), 0.0, 1.0), spec=spec)
+    except ValueError as exc:
+        raise CommandError(f"{path}: {exc}", EXIT_INPUT) from exc
 
 
 def _write_outputs(outputs) -> None:
@@ -92,10 +91,6 @@ def _write_outputs(outputs) -> None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
     for path, data in outputs:
         formats.atomic_write(path, data)
-
-
-def _json_bytes(data) -> bytes:
-    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +126,7 @@ def cmd_simulate(args) -> int:
         camera_image, gt = simulator.render_camera(scene, calibration.intrinsics,
                                                    calibration.extrinsics)
         clean = simulator.render_sonar(scene, spec)
-        outputs.append((out / "scene.json", _json_bytes(scene.to_dict())))
+        outputs.append((out / "scene.json", formats.encode_json(scene.to_dict())))
         outputs.append((out / "camera.pgm", formats.encode_pgm(camera_image)))
         outputs.append((out / "depth_gt.pfm", formats.encode_pfm(gt.depth)))
         outputs.append((out / "depth_gt_mask.pgm",
@@ -143,8 +138,8 @@ def cmd_simulate(args) -> int:
         name = "sonar.pfm" if k == 0 else f"sonar_{k:03d}.pfm"
         outputs.append((out / name, formats.encode_pfm(frame.values)))
 
-    outputs.append((out / "sonar.json", _json_bytes(sidecar)))
-    outputs.append((out / "calibration.json", _json_bytes(calibration.to_dict())))
+    outputs.append((out / "sonar.json", formats.encode_json(sidecar)))
+    outputs.append((out / "calibration.json", formats.encode_json(calibration.to_dict())))
     _write_outputs(outputs)
     print(f"dataset written to {out}")
     return EXIT_OK
@@ -163,14 +158,6 @@ def cmd_preprocess(args) -> int:
     out = Path(args.out)
     spec = calibration.sonar
 
-    def load_sonar(path):
-        values = _read_pfm(path, "sonar frame")
-        if values.shape != (spec.range_bins, spec.bearing_bins):
-            raise CommandError(
-                f"{path}: frame shape {values.shape} does not match calibration bins "
-                f"({spec.range_bins}, {spec.bearing_bins})", EXIT_INPUT)
-        return PolarSonarImage(values=np.clip(values.astype(float), 0.0, 1.0), spec=spec)
-
     frame_paths = sorted(frames_dir.glob("sonar*.pfm"))
     background_paths = sorted(background_dir.glob("sonar*.pfm"))
     if not frame_paths:
@@ -178,8 +165,8 @@ def cmd_preprocess(args) -> int:
     if not background_paths:
         raise CommandError(f"no sonar*.pfm frames in {background_dir}", EXIT_VALIDATION)
 
-    frames = [load_sonar(p) for p in frame_paths]
-    backgrounds = [load_sonar(p) for p in background_paths]
+    frames = [_load_sonar(p, spec) for p in frame_paths]
+    backgrounds = [_load_sonar(p, spec) for p in background_paths]
     cleaned = preprocess.preprocess_sonar_frames(frames, backgrounds, args.median_radius)
 
     outputs = []
@@ -187,7 +174,7 @@ def cmd_preprocess(args) -> int:
         outputs.append((out / path.name, formats.encode_pfm(frame.values)))
 
     for cam_path in sorted(frames_dir.glob("camera*.pgm")):
-        image = _read_pgm(cam_path, "camera image")
+        image = _read(formats.read_pgm, cam_path, "camera image")
         try:
             prepared, window = preprocess.prepare_camera(
                 image, calibration.intrinsics, spec, calibration.extrinsics)
@@ -196,7 +183,7 @@ def cmd_preprocess(args) -> int:
         except ValueError as exc:
             raise CommandError(f"{cam_path}: {exc}", EXIT_INPUT) from exc
         outputs.append((out / cam_path.name, formats.encode_pgm(prepared)))
-        outputs.append((out / f"{cam_path.stem}_crop.json", _json_bytes(window.to_dict())))
+        outputs.append((out / f"{cam_path.stem}_crop.json", formats.encode_json(window.to_dict())))
 
     _write_outputs(outputs)
     print(f"{len(cleaned)} sonar frame(s) preprocessed into {out}")
@@ -221,15 +208,9 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise CommandError(str(exc), EXIT_VALIDATION) from exc
 
-    camera = _read_pgm(dataset / "camera.pgm", "camera image")
-    sonar_path = Path(args.sonar) if args.sonar else dataset / "sonar.pfm"
-    sonar_values = _read_pfm(sonar_path, "sonar image")
+    camera = _read(formats.read_pgm, dataset / "camera.pgm", "camera image")
     spec = calibration.sonar
-    if sonar_values.shape != (spec.range_bins, spec.bearing_bins):
-        raise CommandError(
-            f"{sonar_path}: shape {sonar_values.shape} does not match calibration bins "
-            f"({spec.range_bins}, {spec.bearing_bins})", EXIT_INPUT)
-    sonar_image = PolarSonarImage(values=np.clip(sonar_values.astype(float), 0.0, 1.0), spec=spec)
+    sonar_image = _load_sonar(Path(args.sonar) if args.sonar else dataset / "sonar.pfm", spec)
 
     if camera.shape != (calibration.intrinsics.height, calibration.intrinsics.width):
         raise CommandError(
@@ -249,22 +230,19 @@ def cmd_sweep(args) -> int:
     depth, volume = sweep.run_pipeline(prepared, sonar_image, calibration, config,
                                        origin=(window.u0, window.v0))
 
-    full_depth = np.zeros((calibration.intrinsics.height, calibration.intrinsics.width))
-    full_valid = np.zeros(full_depth.shape, dtype=bool)
-    sl = window.slice()
-    full_depth[sl] = depth.depth
-    full_valid[sl] = depth.valid
+    full = sweep.to_full_frame(depth, (window.u0, window.v0),
+                               (calibration.intrinsics.height, calibration.intrinsics.width))
 
     outputs = [
-        (out / "depth.pfm", formats.encode_pfm(full_depth)),
-        (out / "depth_mask.pgm", formats.encode_pgm(full_valid.astype(np.uint8) * 255)),
-        (out / "crop.json", _json_bytes(window.to_dict())),
+        (out / "depth.pfm", formats.encode_pfm(full.depth)),
+        (out / "depth_mask.pgm", formats.encode_pgm(full.valid.astype(np.uint8) * 255)),
+        (out / "crop.json", formats.encode_json(window.to_dict())),
     ]
     if args.export_cost_volume:
         outputs.append((out / "cost_volume.sscv",
                         formats.encode_cost_volume(volume.costs, volume.valid)))
     _write_outputs(outputs)
-    print(f"depth map written to {out} ({int(full_valid.sum())} valid pixels)")
+    print(f"depth map written to {out} ({int(full.valid.sum())} valid pixels)")
     return EXIT_OK
 
 
@@ -273,9 +251,9 @@ def cmd_sweep(args) -> int:
 
 
 def _load_depth_map(values_path, mask_path, what: str) -> sweep.DepthMap:
-    values = _read_pfm(values_path, what).astype(float)
+    values = _read(formats.read_pfm, values_path, what).astype(float)
     if mask_path is not None:
-        mask = _read_pgm(mask_path, f"{what} mask") > 0
+        mask = _read(formats.read_pgm, mask_path, f"{what} mask") > 0
         if mask.shape != values.shape:
             raise CommandError(f"{mask_path}: mask shape {mask.shape} does not match "
                                f"depth {values.shape}", EXIT_INPUT)
@@ -299,7 +277,7 @@ def cmd_eval(args) -> int:
 
     outputs = []
     if args.json:
-        outputs.append((Path(args.json), report.to_json().encode()))
+        outputs.append((Path(args.json), formats.encode_json(report.to_dict())))
     if args.csv:
         if not args.bin_edges:
             raise CommandError("--csv requires --bin-edges", EXIT_VALIDATION)
@@ -334,7 +312,7 @@ def cmd_turbidity(args) -> int:
     if any(not 0 < t <= 1 for t in t1):
         raise CommandError(f"transmission rates must be in (0, 1], got {t1}", EXIT_VALIDATION)
 
-    gray = _read_pgm(args.input, "input image").astype(float) / 255.0
+    gray = _read(formats.read_pgm, args.input, "input image").astype(float) / 255.0
     # Grayscale path: replicate to RGB, attenuate per channel, take luma.
     rgb = np.repeat(gray[:, :, None], 3, axis=2)
     turbid = simulator.apply_turbidity(rgb, t1, (args.b, args.b, args.b), args.d)
@@ -453,11 +431,38 @@ def _apply_config_file(parser, args, argv) -> None:
 
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
                 for a in argv if a.startswith("--")}
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in commands.choices[args.command]._actions}
     for key, value in overrides.items():
         attr = key.replace("-", "_")
-        if attr in explicit or not hasattr(args, attr) or attr in ("config", "func", "command"):
+        if attr in explicit or attr not in flags or attr == "help":
             continue
-        setattr(args, attr, value)
+        setattr(args, attr, _config_value(key, value, flags[attr]))
+
+
+def _config_value(key: str, value, action):
+    """A --config value checked and converted as its flag's own parser would."""
+    def fits(item):
+        if action.choices is not None:
+            return item in action.choices
+        if action.type is int:
+            return type(item) is int  # JSON true/false are not integers
+        if action.type is float:
+            return type(item) in (int, float)
+        return isinstance(item, str)
+
+    if action.nargs == 0:
+        ok = isinstance(value, bool)
+    elif isinstance(action.nargs, int):
+        ok = isinstance(value, list) and len(value) == action.nargs and all(map(fits, value))
+    else:
+        ok = fits(value)
+    if not ok:
+        raise CommandError(f"config value {key}={value!r} does not fit flag "
+                           f"{action.option_strings[0]}", EXIT_VALIDATION)
+    if action.type is None:
+        return value
+    return [action.type(v) for v in value] if isinstance(value, list) else action.type(value)
 
 
 def main(argv=None) -> int:

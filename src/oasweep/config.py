@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .formats import atomic_write, encode_json
 from .geometry import CameraIntrinsics, PlaneHypothesisSet, RigidTransform, SonarSpec
 
 
@@ -98,7 +99,7 @@ class CalibrationBundle:
         return CalibrationBundle(intrinsics, extrinsics, sonar, planes)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        atomic_write(path, encode_json(self.to_dict()))
 
     @staticmethod
     def load(path) -> "CalibrationBundle":

@@ -1,6 +1,5 @@
 """Depth-map evaluation metrics and the error-versus-distance breakdown."""
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -33,9 +32,6 @@ class MetricsReport:
             "a1": self.a1,
             "valid_pixel_count": self.valid_pixel_count,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def format_table(self) -> str:
         header = f"{'Abs Rel':>10} {'Abs Diff':>10} {'RMSE':>10} {'a1':>10} {'pixels':>10}"

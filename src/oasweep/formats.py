@@ -12,6 +12,7 @@ Formats:
     flags in the same order.
 """
 
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -40,6 +41,11 @@ def atomic_write(path, data: bytes) -> None:
         raise
 
 
+def encode_json(data) -> bytes:
+    """Indented, key-sorted JSON bytes with a trailing newline."""
+    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+
+
 def encode_pgm(image: np.ndarray) -> bytes:
     """8-bit binary PGM bytes from a float image in [0, 1] or a uint8 image."""
     image = np.asarray(image)
@@ -63,6 +69,8 @@ def read_pgm(path) -> np.ndarray:
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     w, h, maxval = header
+    if w <= 0 or h <= 0:
+        raise FileFormatError(f"{path}: image dimensions must be positive, got {w}x{h}")
     if maxval != 255:
         raise FileFormatError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
     if len(image) < w * h:
@@ -119,6 +127,8 @@ def read_pfm(path) -> np.ndarray:
         scale = float(parts[2])
     except ValueError as exc:
         raise FileFormatError(f"{path}: malformed header: {exc}") from exc
+    if w <= 0 or h <= 0:
+        raise FileFormatError(f"{path}: map dimensions must be positive, got {w}x{h}")
     dtype = "<f4" if scale < 0 else ">f4"
     body = parts[3]
     if len(body) < w * h * 4:
@@ -139,10 +149,6 @@ def encode_cost_volume(costs: np.ndarray, valid: np.ndarray) -> bytes:
     cost_bytes = np.transpose(costs, (1, 0, 2)).astype("<f4").tobytes()
     valid_bytes = np.transpose(valid, (1, 0, 2)).astype(np.uint8).tobytes()
     return header + cost_bytes + valid_bytes
-
-
-def write_cost_volume(path, costs: np.ndarray, valid: np.ndarray) -> None:
-    atomic_write(path, encode_cost_volume(costs, valid))
 
 
 def read_cost_volume(path):

@@ -18,7 +18,7 @@ All angles are radians; degrees appear only at config/CLI boundaries.
 Every operation here is pure and safe to vectorize or share across threads.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +27,6 @@ import numpy as np
 DET_RTOL = 1e-12
 
 ORTHONORMALITY_TOL = 1e-9
-
-
-class SingularSystemError(ArithmeticError):
-    """Ray-plane linear system is singular (ray parallel to the plane)."""
-
-
-class DegenerateRayError(ArithmeticError):
-    """Viewing ray is parallel to the hypothesis plane family."""
 
 
 @dataclass(frozen=True)
@@ -159,9 +151,6 @@ class SonarSpec:
     def bearing_bin_size(self) -> float:
         return self.bearing_fov / self.bearing_bins
 
-    def range_bin_centers(self) -> np.ndarray:
-        return self.range_min + (np.arange(self.range_bins) + 0.5) * self.range_bin_size
-
     def bearing_bin_centers(self) -> np.ndarray:
         return -self.bearing_fov / 2 + (np.arange(self.bearing_bins) + 0.5) * self.bearing_bin_size
 
@@ -234,10 +223,6 @@ class PlaneHypothesisSet:
     def normal(self) -> np.ndarray:
         """Unit normal shared by every plane in the set (sonar frame)."""
         return np.array([0.0, np.cos(self.alpha), np.sin(self.alpha)])
-
-    def plane_offset(self, i: int) -> float:
-        """Right-hand side d_i * sin(alpha) of plane i's equation."""
-        return self.distance(i) * np.sin(self.alpha)
 
 
 def spherical_to_cartesian(d, theta, phi) -> np.ndarray:
@@ -320,12 +305,6 @@ def backproject_sonar_to_plane(d, theta, planes: PlaneHypothesisSet, i: int) -> 
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
 
-def plane_residual(points, planes: PlaneHypothesisSet, i: int) -> np.ndarray:
-    """Signed distance (meters) of sonar-frame points from hypothesis plane i."""
-    points = np.asarray(points, dtype=float)
-    return points @ planes.normal() - planes.plane_offset(i)
-
-
 def _inverse_3x3(a: np.ndarray):
     """Closed-form inverses of a stack of 3x3 matrices.
 
@@ -394,46 +373,25 @@ def _ray_plane_system(us, vs, intrinsics: CameraIntrinsics, extrinsics: RigidTra
     return base, col0, ok
 
 
-def solve_ray_plane(pixel, intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
-                    planes: PlaneHypothesisSet, i: int) -> np.ndarray:
-    """Intersect the viewing ray of a pixel with hypothesis plane i.
+def solve_ray_plane(us, vs, intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
+                    planes: PlaneHypothesisSet, indices):
+    """Intersect pixel viewing rays with hypothesis planes.
 
-    Solves the 3x3 linear system combining the plane constraint with the two
-    scale-eliminated projection constraints, so the returned sonar-frame
-    point lies on plane i and projects back to the pixel.
+    Solves, per pixel, the 3x3 linear system combining the plane constraint
+    with the two scale-eliminated projection constraints, so each returned
+    sonar-frame point lies on its plane and projects back to its pixel.
 
     Args:
-        pixel: (u, v) pixel coordinates.
+        us, vs: Pixel coordinates.
         intrinsics: Camera model.
         extrinsics: Sonar-to-camera transform.
         planes: Hypothesis set.
-        i: Plane index, 1-based.
-
-    Returns:
-        Sonar-frame intersection point, shape (3,).
-
-    Raises:
-        SingularSystemError: Ray parallel to the plane (relative determinant
-            below 1e-12).
-    """
-    u, v = pixel
-    base, col0, ok = _ray_plane_system(np.float64(u), np.float64(v), intrinsics, extrinsics, planes)
-    if not ok:
-        raise SingularSystemError(f"ray through pixel ({u}, {v}) is parallel to plane {i}")
-    return base + planes.plane_offset(i) * col0
-
-
-def solve_ray_plane_many(us, vs, intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
-                         planes: PlaneHypothesisSet, indices):
-    """Vectorized ray-plane intersection for scattered (pixel, plane) pairs.
-
-    Args:
-        us, vs: Pixel coordinate arrays of a common shape.
-        indices: 1-based plane indices, same shape.
+        indices: 1-based plane indices; broadcast against us and vs.
 
     Returns:
         (points, ok): sonar-frame intersections (..., 3) and a mask that is
-        False where the per-pixel system was singular.
+        False where the ray is parallel to the plane (relative determinant
+        below DET_RTOL), both at the broadcast shape.
     """
     indices = np.asarray(indices)
     if np.any((indices < 1) | (indices > planes.n)):
@@ -442,33 +400,20 @@ def solve_ray_plane_many(us, vs, intrinsics: CameraIntrinsics, extrinsics: Rigid
                                        intrinsics, extrinsics, planes)
     d = planes.d0 * planes.k ** (indices - 1)
     points = base + (d * np.sin(planes.alpha))[..., None] * col0
-    return points, ok
+    return points, np.broadcast_to(ok, points.shape[:-1])
 
 
-def closed_form_camera_depth(pixel, d_hat, intrinsics: CameraIntrinsics,
-                             extrinsics: RigidTransform, alpha: float) -> float:
-    """Camera-frame depth of the point on the viewing ray at plane distance d_hat.
+def camera_depth_field(us, vs, d_hat, intrinsics: CameraIntrinsics,
+                       extrinsics: RigidTransform, alpha: float):
+    """Camera-frame depth of the points on the viewing rays at plane distances d_hat.
 
     Substituting the ray P_c = Z_c K^-1 [u, v, 1]^T into the plane constraint
     gives the closed form
 
         Z_c = (d_hat sin(alpha) + (R n)^T t) / ((R n)^T K^-1 [u, v, 1]^T)
 
-    with n = [0, cos(alpha), sin(alpha)] the plane-family normal.
-
-    Raises:
-        DegenerateRayError: |denominator| < 1e-12 (ray parallel to the family).
-    """
-    u, v = pixel
-    z, ok = camera_depth_field(u, v, d_hat, intrinsics, extrinsics, alpha)
-    if not np.all(ok):
-        raise DegenerateRayError(f"viewing ray at pixel ({u}, {v}) is parallel to the plane family")
-    return float(z) if np.ndim(z) == 0 else z
-
-
-def camera_depth_field(us, vs, d_hat, intrinsics: CameraIntrinsics,
-                       extrinsics: RigidTransform, alpha: float):
-    """Vectorized closed-form camera depth; degenerate rays masked, not raised.
+    with n = [0, cos(alpha), sin(alpha)] the plane-family normal. Rays with
+    |denominator| < 1e-12 (parallel to the family) are masked.
 
     Returns:
         (z_c, ok) broadcast to the common shape of us, vs, d_hat.
@@ -499,19 +444,15 @@ class WarpGrid:
     """Per-pixel, per-plane sampling coordinates of the sweep.
 
     Attributes:
-        points: Sonar-frame intersection points, shape (H, W, N, 3).
         ranges, bearings: Polar lookup coordinates, shape (H, W, N).
         valid: False where the system was singular, the intersection fell
-            behind the camera, or the lookup left the sonar sector.
-        origin: (u0, v0) absolute pixel coordinate of grid element [0, 0]
-            (nonzero when the grid covers a crop window).
+            behind the camera, the lookup left the sonar sector, or the
+            candidate point sat outside the vertical aperture.
     """
 
-    points: np.ndarray
     ranges: np.ndarray
     bearings: np.ndarray
     valid: np.ndarray
-    origin: tuple = field(default=(0, 0))
 
     @property
     def shape(self):
@@ -520,22 +461,20 @@ class WarpGrid:
 
 def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
                     planes: PlaneHypothesisSet, spec: SonarSpec,
-                    shape: tuple | None = None, origin: tuple = (0, 0),
-                    gate_elevation: bool = False) -> WarpGrid:
+                    shape: tuple | None = None, origin: tuple = (0, 0)) -> WarpGrid:
     """Ray-plane intersections and sonar lookups for every (pixel, plane) pair.
+
+    A polar lookup only needs range and bearing, but a candidate point
+    outside the sonar's vertical aperture can never have produced an echo,
+    so such entries are gated out as inadmissible.
 
     Args:
         intrinsics: Camera model; also supplies the default grid shape.
         extrinsics: Sonar-to-camera transform.
         planes: Hypothesis set (N planes).
-        spec: Sonar geometry used for FOV gating of the lookups.
+        spec: Sonar geometry used for FOV and elevation gating.
         shape: (H, W) grid size; defaults to the full image.
         origin: (u0, v0) pixel of grid element [0, 0], for crop windows.
-        gate_elevation: Additionally require the candidate 3-D point to sit
-            inside the sonar's vertical aperture. Off by default: a polar
-            lookup only needs range and bearing, but candidates outside the
-            beam can never have produced an echo, so the matching pipeline
-            enables this admissibility gate.
 
     Returns:
         WarpGrid of shape (H, W, N). Singular systems and behind-camera
@@ -545,24 +484,12 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
         shape = (intrinsics.height, intrinsics.width)
     h, w = shape
     u0, v0 = origin
-    if h == 0 or w == 0:
-        empty = np.zeros((h, w, planes.n))
-        return WarpGrid(np.zeros((h, w, planes.n, 3)), empty, empty.copy(),
-                        np.zeros((h, w, planes.n), dtype=bool), origin=tuple(origin))
-
     vs, us = np.meshgrid(np.arange(h, dtype=float) + v0, np.arange(w, dtype=float) + u0,
                          indexing="ij")
-    base, col0, ok = _ray_plane_system(us, vs, intrinsics, extrinsics, planes)
-
-    offsets = planes.distances() * np.sin(planes.alpha)  # (N,)
-    points = base[:, :, None, :] + offsets[None, None, :, None] * col0[:, :, None, :]
-
-    cam_pts = extrinsics.apply(points)
-    in_front = cam_pts[..., 2] > 0.0
-
+    points, ok = solve_ray_plane(us[:, :, None], vs[:, :, None], intrinsics, extrinsics, planes,
+                                 np.arange(1, planes.n + 1))
+    in_front = extrinsics.apply(points)[..., 2] > 0.0
     ranges, bearings, in_fov = cartesian_to_sonar_polar(points, spec)
-    valid = ok[:, :, None] & in_front & in_fov
-    if gate_elevation:
-        elevation = np.arctan2(points[..., 2], ranges)
-        valid &= np.abs(elevation) <= spec.elevation_fov / 2
-    return WarpGrid(points, ranges, bearings, valid, origin=(int(u0), int(v0)))
+    elevation = np.arctan2(points[..., 2], ranges)
+    valid = ok & in_front & in_fov & (np.abs(elevation) <= spec.elevation_fov / 2)
+    return WarpGrid(ranges, bearings, valid)

@@ -9,9 +9,7 @@ Camera path: crop to the sonar's field of view, convert to grayscale, and
 histogram-equalize over the crop.
 """
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -51,13 +49,6 @@ class CropWindow:
     def from_dict(data: dict) -> "CropWindow":
         return CropWindow(u0=int(data["u0"]), v0=int(data["v0"]),
                           width=int(data["w"]), height=int(data["h"]))
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-
-    @staticmethod
-    def load(path) -> "CropWindow":
-        return CropWindow.from_dict(json.loads(Path(path).read_text()))
 
     def slice(self) -> tuple:
         return slice(self.v0, self.v0 + self.height), slice(self.u0, self.u0 + self.width)

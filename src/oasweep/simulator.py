@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import PlaneHypothesisSet, RigidTransform, SonarSpec, spherical_to_cartesian
+from .geometry import RigidTransform, SonarSpec, spherical_to_cartesian
 from .sweep import DepthMap
 
 _EPS = 1e-9
@@ -135,9 +135,6 @@ class Scene:
         except (KeyError, TypeError) as exc:
             raise SceneError(f"invalid scene data: {exc}") from exc
         return Scene(tuple(prims))
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     @staticmethod
     def load(path) -> "Scene":
@@ -405,14 +402,6 @@ def apply_turbidity(image: np.ndarray, transmission, ambient, distance) -> np.nd
         d = d[:, :, None]
     decay = t1**d
     return image * decay + (1.0 - decay) * b
-
-
-def hypothesis_plane_primitive(planes: PlaneHypothesisSet, i: int,
-                               reflectance: float = 0.8) -> PlanePrimitive:
-    """Scene plane that coincides exactly with hypothesis plane i of a sweep set."""
-    normal = planes.normal()
-    return PlanePrimitive(point=normal * planes.plane_offset(i), normal=normal,
-                          reflectance=reflectance)
 
 
 def default_scene() -> Scene:

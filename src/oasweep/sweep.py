@@ -28,6 +28,10 @@ METRICS = ("sad", "neg-dot", "neg-zncc")
 # Sentinel carried by invalid cost entries; never NaN.
 INVALID_COST = np.float32(1e9)
 
+# Planes warped and scored per step of the cost-volume builder; bounds the
+# (H, W, CHUNK_PLANES, F) float64 temporaries.
+CHUNK_PLANES = 8
+
 _NORM_EPS = 1e-9
 _VAR_EPS = 1e-12
 
@@ -164,32 +168,6 @@ def _bilinear_sample(values: np.ndarray, rows, cols) -> np.ndarray:
     return top * (1 - fr) + bot * fr
 
 
-def warp_sonar_features(grid: WarpGrid, sonar_features: np.ndarray, spec: SonarSpec) -> tuple:
-    """Sample sonar features at every (pixel, plane) lookup of the warp grid.
-
-    Bilinear interpolation in (range-bin, bearing-bin) space; lookups flagged
-    invalid by the grid produce masked (zeroed) outputs.
-
-    Args:
-        grid: Warp grid of shape (H, W, N).
-        sonar_features: (range_bins, bearing_bins, F) feature map.
-        spec: Sonar geometry the feature map is binned by.
-
-    Returns:
-        (warped, valid): (H, W, N, F) float32 and the (H, W, N) mask.
-    """
-    sonar_features = np.asarray(sonar_features)
-    if sonar_features.shape[:2] != (spec.range_bins, spec.bearing_bins):
-        raise ValueError(
-            f"sonar feature dims {sonar_features.shape[:2]} do not match spec bins "
-            f"({spec.range_bins}, {spec.bearing_bins})"
-        )
-    rb, bb = spec.polar_to_bin(grid.ranges, grid.bearings)
-    warped = _bilinear_sample(sonar_features, rb, bb).astype(np.float32)
-    warped[~grid.valid] = 0.0
-    return warped, grid.valid.copy()
-
-
 def _pair_cost(cam: np.ndarray, son: np.ndarray, metric: str):
     """Cost and definedness of camera/sonar feature pairs along the last axis."""
     if metric == "sad":
@@ -208,14 +186,19 @@ def _pair_cost(cam: np.ndarray, son: np.ndarray, metric: str):
     raise ValueError(f"unknown metric {metric!r}, want one of {METRICS}")
 
 
-def build_cost_volume(camera_features: np.ndarray, warped: np.ndarray,
-                      warped_valid: np.ndarray, metric: str = "neg-zncc") -> CostVolume:
-    """Score every (pixel, plane) pair by comparing camera and warped sonar features.
+def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
+                      grid: WarpGrid, spec: SonarSpec, metric: str) -> CostVolume:
+    """Warp sonar features through the grid and score them against the camera.
+
+    Each (pixel, plane) lookup samples the sonar feature map bilinearly in
+    (range-bin, bearing-bin) space, and the sample is compared with the
+    pixel's camera feature, CHUNK_PLANES planes at a time.
 
     Args:
         camera_features: (H, W, F).
-        warped: (H, W, N, F) warped sonar features.
-        warped_valid: (H, W, N) mask from the warp.
+        sonar_features: (range_bins, bearing_bins, F) feature map.
+        grid: Warp grid of shape (H, W, N).
+        spec: Sonar geometry the feature map is binned by.
         metric: One of sad, neg-dot, neg-zncc. Entries where the metric is
             undefined (degenerate vectors under neg-zncc) go invalid rather
             than fake a score.
@@ -224,31 +207,26 @@ def build_cost_volume(camera_features: np.ndarray, warped: np.ndarray,
         CostVolume with invalid entries carrying the sentinel cost.
     """
     camera_features = np.asarray(camera_features)
-    warped = np.asarray(warped)
-    if camera_features.shape[-1] != warped.shape[-1]:
+    sonar_features = np.asarray(sonar_features)
+    if sonar_features.shape[:2] != (spec.range_bins, spec.bearing_bins):
         raise ValueError(
-            f"feature channel mismatch: camera F={camera_features.shape[-1]}, sonar F={warped.shape[-1]}"
+            f"sonar feature dims {sonar_features.shape[:2]} do not match spec bins "
+            f"({spec.range_bins}, {spec.bearing_bins})"
         )
-    if camera_features.shape[:2] != warped.shape[:2]:
-        raise ValueError(f"grid mismatch: {camera_features.shape[:2]} vs {warped.shape[:2]}")
-    cost, defined = _pair_cost(camera_features[:, :, None, :].astype(np.float64),
-                               warped.astype(np.float64), metric)
-    valid = np.asarray(warped_valid, dtype=bool) & defined
-    costs = np.where(valid, cost, INVALID_COST).astype(np.float32)
-    return CostVolume(costs=costs, valid=valid)
-
-
-def _cost_volume_chunked(camera_features: np.ndarray, sonar_features: np.ndarray,
-                         grid: WarpGrid, spec: SonarSpec, metric: str,
-                         chunk: int = 8) -> CostVolume:
-    """Warp and score a handful of planes at a time to bound peak memory."""
-    h, w, n = grid.valid.shape
+    if camera_features.shape[-1] != sonar_features.shape[-1]:
+        raise ValueError(
+            f"feature channel mismatch: camera F={camera_features.shape[-1]}, "
+            f"sonar F={sonar_features.shape[-1]}"
+        )
+    if camera_features.shape[:2] != grid.shape[:2]:
+        raise ValueError(f"grid mismatch: {camera_features.shape[:2]} vs {grid.shape[:2]}")
+    h, w, n = grid.shape
     costs = np.empty((h, w, n), dtype=np.float32)
     valid = np.empty((h, w, n), dtype=bool)
     rb, bb = spec.polar_to_bin(grid.ranges, grid.bearings)
     cam = camera_features[:, :, None, :].astype(np.float64)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, CHUNK_PLANES):
+        hi = min(lo + CHUNK_PLANES, n)
         warped = _bilinear_sample(sonar_features, rb[:, :, lo:hi], bb[:, :, lo:hi])
         warped[~grid.valid[:, :, lo:hi]] = 0.0
         cost, defined = _pair_cost(cam, warped.astype(np.float64), metric)
@@ -336,13 +314,6 @@ def soft_argmin(volume: CostVolume, distances):
     return d_hat, probs, any_valid
 
 
-def argmin_planes(volume: CostVolume):
-    """Per-pixel index (0-based) of the lowest-cost valid plane; ties take the lowest index."""
-    costs = np.where(volume.valid, volume.costs, np.inf)
-    idx = np.argmin(costs, axis=2)
-    return idx, volume.valid.any(axis=2)
-
-
 def regress_depth_map(d_hat: np.ndarray, valid: np.ndarray, intrinsics: CameraIntrinsics,
                       extrinsics: RigidTransform, alpha: float,
                       origin: tuple = (0, 0)) -> DepthMap:
@@ -364,6 +335,16 @@ def regress_depth_map(d_hat: np.ndarray, valid: np.ndarray, intrinsics: CameraIn
     good = np.asarray(valid, dtype=bool) & ok & np.where(ok, z > 0, False)
     depth = np.where(good, ray_depth_to_euclidean(us, vs, np.where(good, z, 1.0), intrinsics), 0.0)
     return DepthMap(depth=depth, valid=good, plane_distance=d_hat.copy())
+
+
+def to_full_frame(depth: DepthMap, origin: tuple, shape: tuple) -> DepthMap:
+    """Paste a crop-sized depth map at origin (u0, v0) into a zero (H, W) frame."""
+    (u0, v0), (h, w) = origin, depth.depth.shape
+    full_depth = np.zeros(shape)
+    full_valid = np.zeros(shape, dtype=bool)
+    full_depth[v0:v0 + h, u0:u0 + w] = depth.depth
+    full_valid[v0:v0 + h, u0:u0 + w] = depth.valid
+    return DepthMap(depth=full_depth, valid=full_valid)
 
 
 def run_pipeline(camera_image: np.ndarray, sonar_image, calibration,
@@ -398,10 +379,9 @@ def run_pipeline(camera_image: np.ndarray, sonar_image, calibration,
         son_features = np.zeros_like(son_features)
 
     grid = build_warp_grid(calibration.intrinsics, calibration.extrinsics, calibration.planes,
-                           calibration.sonar, shape=camera_image.shape, origin=origin,
-                           gate_elevation=True)
-    volume = _cost_volume_chunked(cam_features, son_features, grid, calibration.sonar,
-                                  config.metric)
+                           calibration.sonar, shape=camera_image.shape, origin=origin)
+    volume = build_cost_volume(cam_features, son_features, grid, calibration.sonar,
+                               config.metric)
     volume = regularize_cost_volume(volume, config.box_radius, config.box_passes)
 
     d_hat, _, reg_valid = soft_argmin(scale_costs(volume, config.cost_scale), calibration.planes)

@@ -12,6 +12,7 @@ from oasweep.geometry import (
     RigidTransform,
     SonarSpec,
 )
+from oasweep.simulator import PlanePrimitive
 
 
 @pytest.fixture
@@ -58,6 +59,26 @@ def random_calibration(rng: np.random.Generator) -> CalibrationBundle:
         d0=rng.uniform(0.3, 0.8), k=rng.uniform(1.02, 1.08), n=int(rng.integers(8, 49)),
     )
     return CalibrationBundle(intrinsics, extrinsics, sonar, planes)
+
+
+def plane_residual(points, planes: PlaneHypothesisSet, i: int) -> np.ndarray:
+    """Signed distance (meters) of sonar-frame points from hypothesis plane i."""
+    points = np.asarray(points, dtype=float)
+    return points @ planes.normal() - planes.distance(i) * np.sin(planes.alpha)
+
+
+def hypothesis_plane_primitive(planes: PlaneHypothesisSet, i: int,
+                               reflectance: float = 0.8) -> PlanePrimitive:
+    """Scene plane that coincides exactly with hypothesis plane i of a sweep set."""
+    normal = planes.normal()
+    return PlanePrimitive(point=normal * (planes.distance(i) * np.sin(planes.alpha)),
+                          normal=normal, reflectance=reflectance)
+
+
+def argmin_planes(volume):
+    """Per-pixel index (0-based) of the lowest-cost valid plane; ties take the lowest index."""
+    costs = np.where(volume.valid, volume.costs, np.inf)
+    return np.argmin(costs, axis=2), volume.valid.any(axis=2)
 
 
 def ray_plane_bisection_oracle(us, vs, intrinsics, extrinsics, planes, indices,
@@ -113,7 +134,7 @@ def consecutive_projection_displacements(grid_pixels, intrinsics, extrinsics, pl
     from oasweep.geometry import (
         backproject_sonar_to_plane,
         cartesian_to_sonar_polar,
-        solve_ray_plane_many,
+        solve_ray_plane,
     )
 
     us, vs = grid_pixels
@@ -121,8 +142,7 @@ def consecutive_projection_displacements(grid_pixels, intrinsics, extrinsics, pl
     disp = np.zeros(us.shape + (n - 1, 2))
     ok = np.zeros(us.shape + (n - 1,), dtype=bool)
     for i in range(1, n):
-        pts, solvable = solve_ray_plane_many(us, vs, intrinsics, extrinsics, planes,
-                                             np.full(us.shape, i, dtype=int))
+        pts, solvable = solve_ray_plane(us, vs, intrinsics, extrinsics, planes, i)
         d, theta, _ = cartesian_to_sonar_polar(pts)
         lifted = backproject_sonar_to_plane(d, theta, planes, i + 1)
         cam = extrinsics.apply(lifted)

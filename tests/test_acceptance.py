@@ -20,7 +20,7 @@ from oasweep.evaluation import compute_metrics
 from oasweep.geometry import (
     PlaneHypothesisSet,
     RigidTransform,
-    solve_ray_plane_many,
+    solve_ray_plane,
 )
 from oasweep.preprocess import (
     average_background,
@@ -44,6 +44,7 @@ from oasweep.sweep import (
     run_pipeline,
     scale_costs,
     soft_argmin,
+    to_full_frame,
 )
 
 from conftest import (
@@ -79,13 +80,9 @@ def run_full_pipeline(rig, camera_image, sonar, config):
     """prepare + sweep + embed into the full frame; returns a DepthMap."""
     cam8 = (np.clip(camera_image, 0.0, 1.0) * 255).round().astype(np.uint8)
     prepared, window = prepare_camera(cam8, rig.intrinsics, rig.sonar, rig.extrinsics)
-    depth, _ = run_pipeline(prepared, sonar, rig, config, origin=(window.u0, window.v0))
-    full_depth = np.zeros((rig.intrinsics.height, rig.intrinsics.width))
-    full_valid = np.zeros(full_depth.shape, dtype=bool)
-    sl = window.slice()
-    full_depth[sl] = depth.depth
-    full_valid[sl] = depth.valid
-    return DepthMap(depth=full_depth, valid=full_valid)
+    origin = (window.u0, window.v0)
+    depth, _ = run_pipeline(prepared, sonar, rig, config, origin=origin)
+    return to_full_frame(depth, origin, (rig.intrinsics.height, rig.intrinsics.width))
 
 
 def test_ac1_warping_correctness():
@@ -101,7 +98,7 @@ def test_ac1_warping_correctness():
         vs = rng.uniform(0, intr.height - 1, size=pairs_per_calибration)
         idx = rng.integers(1, planes.n + 1, size=pairs_per_calибration)
 
-        points, ok = solve_ray_plane_many(us, vs, intr, extr, planes, idx)
+        points, ok = solve_ray_plane(us, vs, intr, extr, planes, idx)
         cam = extr.apply(points)
         use = ok & (cam[..., 2] > 0)
         total += int(use.sum())

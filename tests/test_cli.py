@@ -89,6 +89,25 @@ class TestSweep:
         assert code == 3
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("dims", [b"0 4", b"-3 4"])
+    def test_non_positive_dimensions_exit_3(self, dataset, tmp_path, capsys, dims):
+        bad = tmp_path / "bad.pfm"
+        bad.write_bytes(b"Pf\n" + dims + b"\n-1.0\n" + b"\x00" * 64)
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--dataset", dataset, "--out", out, "--sonar", bad) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_sonar_exits_3(self, dataset, tmp_path, capsys):
+        values = read_pfm(dataset / "sonar.pfm")
+        values[5, 7] = np.nan
+        write_pfm(tmp_path / "nan.pfm", values)
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--dataset", dataset, "--out", out,
+                       "--sonar", tmp_path / "nan.pfm") == 3
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic(self, dataset, tmp_path, sweep_out):
         again = tmp_path / "again"
         assert run_cli("sweep", "--dataset", dataset, "--out", again,
@@ -131,6 +150,12 @@ class TestEval:
 
 
 class TestTurbidity:
+    def test_non_positive_dimensions_exit_3(self, tmp_path):
+        (tmp_path / "in.pgm").write_bytes(b"P5\n-3 4\n255\n" + b"\x00" * 64)
+        assert run_cli("turbidity", "--input", tmp_path / "in.pgm",
+                       "--out", tmp_path / "out.pgm", "--type", "1C") == 3
+        assert not (tmp_path / "out.pgm").exists()
+
     def test_identity_at_zero_distance(self, tmp_path, rng):
         img = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
         write_pgm(tmp_path / "in.pgm", img)
@@ -193,6 +218,19 @@ class TestPreprocessCommand:
         expected = np.maximum(np.clip(base, 0, 1) - 0.25, 0.0).astype(np.float32)
         np.testing.assert_allclose(read_pfm(out / "sonar.pfm"), expected, atol=1e-7)
 
+    def test_nan_frame_exits_3(self, tmp_path, capsys):
+        frames, bg = tmp_path / "frames", tmp_path / "bg"
+        frames.mkdir()
+        bg.mkdir()
+        values = np.zeros((384, 224), dtype=np.float32)
+        write_pfm(bg / "sonar.pfm", values)
+        values[100, 50] = np.nan
+        write_pfm(frames / "sonar.pfm", values)
+        out = tmp_path / "out"
+        assert run_cli("preprocess", "--frames", frames, "--background", bg, "--out", out) == 3
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_prepares_camera_images(self, dataset, tmp_path):
         bg = tmp_path / "bg"
         assert run_cli("simulate", "--out", bg, "--background-only") == 0
@@ -218,6 +256,36 @@ class TestConfigFile:
         assert run_cli("--config", cfg, "turbidity", "--input", tmp_path / "in.pgm",
                        "--out", tmp_path / "o2.pgm", "--d", 2.5, "--b", 0.5) == 0
         assert not np.array_equal(read_pgm(tmp_path / "o2.pgm"), img)
+
+
+    def test_typed_values_are_converted(self, tmp_path, rng):
+        img = rng.integers(0, 256, (3, 3), dtype=np.uint8)
+        write_pgm(tmp_path / "in.pgm", img)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t1": [1, 1, 1], "d": 2, "b": 0.5}))
+        assert run_cli("--config", cfg, "turbidity", "--input", tmp_path / "in.pgm",
+                       "--out", tmp_path / "o.pgm") == 0
+        np.testing.assert_array_equal(read_pgm(tmp_path / "o.pgm"), img)
+
+    @pytest.mark.parametrize("values", [
+        {"box_radius": "3"}, {"box_radius": True}, {"box_radius": 2.5},
+        {"metric": "census"}, {"cost_scale": "20"}, {"no_prepare": 1}, {"sonar": 3},
+    ])
+    def test_mistyped_values_exit_2(self, dataset, tmp_path, capsys, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        assert run_cli("--config", cfg, "sweep", "--dataset", dataset, "--out", out) == 2
+        assert next(iter(values)) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mistyped_list_value_exits_2(self, tmp_path, rng):
+        write_pgm(tmp_path / "in.pgm", rng.integers(0, 256, (2, 2), dtype=np.uint8))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t1": [1, 1]}))
+        assert run_cli("--config", cfg, "turbidity", "--input", tmp_path / "in.pgm",
+                       "--out", tmp_path / "o.pgm") == 2
+        assert not (tmp_path / "o.pgm").exists()
 
 
 class TestSubprocessEntrypoint:

@@ -1,13 +1,19 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oasweep.config import CalibrationBundle
 from oasweep.formats import (
     FileFormatError,
+    atomic_write,
     encode_cost_volume,
+    encode_json,
     read_cost_volume,
     read_pfm,
     read_pgm,
-    write_cost_volume,
     write_pfm,
     write_pgm,
 )
@@ -43,6 +49,13 @@ class TestPGM:
         with pytest.raises(FileFormatError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("dims", [b"-3 4", b"0 4", b"3 -4", b"3 0", b"-3 -4"])
+    def test_non_positive_dimensions(self, tmp_path, dims):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n" + dims + b"\n255\n" + b"\x00" * 64)
+        with pytest.raises(FileFormatError):
+            read_pgm(path)
+
 
 class TestPFM:
     def test_round_trip(self, tmp_path, rng):
@@ -66,13 +79,20 @@ class TestPFM:
         with pytest.raises(FileFormatError):
             read_pfm(path)
 
+    @pytest.mark.parametrize("dims", [b"-3 4", b"0 4", b"3 -4", b"3 0", b"-3 -4"])
+    def test_non_positive_dimensions(self, tmp_path, dims):
+        path = tmp_path / "x.pfm"
+        path.write_bytes(b"Pf\n" + dims + b"\n-1.0\n" + b"\x00" * 256)
+        with pytest.raises(FileFormatError):
+            read_pfm(path)
+
 
 class TestCostVolume:
     def test_round_trip(self, tmp_path, rng):
         costs = rng.normal(size=(4, 6, 5)).astype(np.float32)
         valid = rng.random(size=(4, 6, 5)) > 0.3
         path = tmp_path / "x.sscv"
-        write_cost_volume(path, costs, valid)
+        atomic_write(path, encode_cost_volume(costs, valid))
         got_costs, got_valid = read_cost_volume(path)
         np.testing.assert_array_equal(got_costs, costs)
         np.testing.assert_array_equal(got_valid, valid)
@@ -99,3 +119,92 @@ class TestCostVolume:
         path.write_bytes(b"NOPE!" + b"\x00" * 32)
         with pytest.raises(FileFormatError):
             read_cost_volume(path)
+
+
+class TestJSON:
+    def test_bytes(self):
+        assert encode_json({"b": [1, 2.5], "a": "x"}) == (
+            b'{\n  "a": "x",\n  "b": [\n    1,\n    2.5\n  ]\n}\n')
+
+    def test_calibration_save_round_trip(self, tmp_path, rig):
+        path = tmp_path / "calibration.json"
+        rig.save(path)
+        assert path.read_bytes() == encode_json(rig.to_dict())
+        assert CalibrationBundle.load(path).to_dict() == json.loads(path.read_bytes())
+        assert [p.name for p in tmp_path.iterdir()] == ["calibration.json"]
+
+
+# Any byte string fed to a reader yields an array of the shape its header
+# declares or a FileFormatError; never another exception.
+
+def _header_file(magic: bytes, dims, fields, body_size: int):
+    return st.tuples(dims, st.sampled_from(fields), st.binary(max_size=body_size)).map(
+        lambda t: (magic + t[0][1] + t[1] + t[2], t[0][0]))
+
+
+def _dims(lo: int, hi: int, count: int):
+    """(declared shape, header text) with the shape listed in file order reversed."""
+    return st.lists(st.integers(lo, hi), min_size=count, max_size=count).map(
+        lambda d: (tuple(reversed(d)), " ".join(map(str, d)).encode() + b"\n"))
+
+
+_PGM_FILES = st.one_of(
+    st.binary(max_size=64).map(lambda b: (b, None)),
+    st.binary(max_size=64).map(lambda b: (b"P5" + b, None)),
+    _header_file(b"P5\n", _dims(-3, 6, 2), [b"255\n", b"65535\n", b"-1\n", b"x\n"], 48),
+)
+_PFM_FILES = st.one_of(
+    st.binary(max_size=64).map(lambda b: (b, None)),
+    st.binary(max_size=64).map(lambda b: (b"Pf" + b, None)),
+    _header_file(b"Pf\n", _dims(-3, 6, 2), [b"-1.0\n", b"1.0\n", b"nan\n", b"x\n"], 160),
+)
+_SSCV_FILES = st.one_of(
+    st.binary(max_size=64).map(lambda b: (b, None)),
+    st.tuples(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+              st.binary(max_size=400)).map(
+        lambda t: (b"SSCV1" + np.array(t[0], dtype="<u4").tobytes() + t[1], t[0])),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+def _read_or_reject(reader, path, data):
+    path.write_bytes(data)
+    try:
+        return reader(path)
+    except FileFormatError:
+        return None
+
+
+class TestArbitraryBytes:
+    @given(file=_PGM_FILES)
+    @settings(max_examples=300, deadline=None)
+    def test_read_pgm(self, fuzz_path, file):
+        data, shape = file
+        image = _read_or_reject(read_pgm, fuzz_path, data)
+        if image is not None:
+            assert image.dtype == np.uint8 and image.ndim == 2 and min(image.shape) > 0
+            assert shape is None or image.shape == shape
+
+    @given(file=_PFM_FILES)
+    @settings(max_examples=300, deadline=None)
+    def test_read_pfm(self, fuzz_path, file):
+        data, shape = file
+        values = _read_or_reject(read_pfm, fuzz_path, data)
+        if values is not None:
+            assert values.dtype == np.float32 and values.ndim == 2 and min(values.shape) > 0
+            assert shape is None or values.shape == shape
+
+    @given(file=_SSCV_FILES)
+    @settings(max_examples=300, deadline=None)
+    def test_read_cost_volume(self, fuzz_path, file):
+        data, shape = file
+        volume = _read_or_reject(read_cost_volume, fuzz_path, data)
+        if volume is not None:
+            costs, valid = volume
+            assert costs.dtype == np.float32 and valid.dtype == bool
+            assert costs.shape == valid.shape and costs.ndim == 3
+            assert shape is None or costs.shape == shape

@@ -5,25 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oasweep.config import camera_rotation
 from oasweep.geometry import (
     CameraIntrinsics,
-    DegenerateRayError,
     PlaneHypothesisSet,
     RigidTransform,
-    SingularSystemError,
     SonarSpec,
     backproject_sonar_to_plane,
     build_warp_grid,
+    camera_depth_field,
     cartesian_to_sonar_polar,
-    closed_form_camera_depth,
-    plane_residual,
     ray_depth_to_euclidean,
     solve_ray_plane,
-    solve_ray_plane_many,
     spherical_to_cartesian,
 )
 
-from conftest import ray_plane_bisection_oracle
+from conftest import plane_residual, ray_plane_bisection_oracle
 
 
 DEFAULT_PLANES = PlaneHypothesisSet(alpha=math.pi / 4, d0=0.5, k=1.05, n=48)
@@ -167,7 +164,8 @@ class TestSolveRayPlane:
         intr = rig.intrinsics
         ident = RigidTransform.identity()
         for i in (1, 24, 48):
-            p = solve_ray_plane((intr.cx, intr.cy), intr, ident, DEFAULT_PLANES, i)
+            p, ok = solve_ray_plane(intr.cx, intr.cy, intr, ident, DEFAULT_PLANES, i)
+            assert ok
             # On the optical axis: no lateral component, and on the plane.
             assert abs(p[0]) < 1e-9 and abs(p[1]) < 1e-9
             assert abs(plane_residual(p, DEFAULT_PLANES, i)) < 1e-9
@@ -179,7 +177,7 @@ class TestSolveRayPlane:
         us = rng.uniform(0, intr.width - 1, size=2000)
         vs = rng.uniform(0, intr.height - 1, size=2000)
         idx = rng.integers(1, planes.n + 1, size=2000)
-        pts, ok = solve_ray_plane_many(us, vs, intr, extr, planes, idx)
+        pts, ok = solve_ray_plane(us, vs, intr, extr, planes, idx)
         ref, ref_ok = ray_plane_bisection_oracle(us, vs, intr, extr, planes, idx)
         use = ok & ref_ok
         assert use.mean() > 0.99
@@ -190,7 +188,7 @@ class TestSolveRayPlane:
         us = rng.uniform(0, intr.width - 1, size=500)
         vs = rng.uniform(0, intr.height - 1, size=500)
         idx = rng.integers(1, planes.n + 1, size=500)
-        pts, ok = solve_ray_plane_many(us, vs, intr, extr, planes, idx)
+        pts, ok = solve_ray_plane(us, vs, intr, extr, planes, idx)
         res = pts @ planes.normal() - planes.distances()[idx - 1] * math.sin(planes.alpha)
         assert np.max(np.abs(res[ok])) < 1e-9
         cam = extr.apply(pts)
@@ -199,52 +197,70 @@ class TestSolveRayPlane:
         err = np.hypot(proj[:, 0] - us[front], proj[:, 1] - vs[front])
         assert np.max(err) < 1e-6
 
+    def test_indices_broadcast_against_pixels(self, rig, rng):
+        # A (P, 1) pixel column against (N,) plane indices gives every
+        # (pixel, plane) pair, matching the elementwise solve pair by pair.
+        intr, extr, planes = rig.intrinsics, rig.extrinsics, rig.planes
+        us = rng.uniform(0, intr.width - 1, size=(7, 1))
+        vs = rng.uniform(0, intr.height - 1, size=(7, 1))
+        idx = np.arange(1, planes.n + 1)
+        pts, ok = solve_ray_plane(us, vs, intr, extr, planes, idx)
+        assert pts.shape == (7, planes.n, 3) and ok.shape == (7, planes.n)
+        uu, vv, ii = np.broadcast_arrays(us, vs, idx)
+        ref, ref_ok = solve_ray_plane(uu, vv, intr, extr, planes, ii)
+        np.testing.assert_array_equal(pts, ref)
+        np.testing.assert_array_equal(ok, ref_ok)
+
+    def test_index_out_of_range(self, rig):
+        with pytest.raises(IndexError):
+            solve_ray_plane(0.0, 0.0, rig.intrinsics, rig.extrinsics, rig.planes, rig.planes.n + 1)
+
     def test_camera_depth_matches_closed_form(self, rig, rng):
         intr, extr, planes = rig.intrinsics, rig.extrinsics, rig.planes
         us = rng.uniform(0, intr.width - 1, size=500)
         vs = rng.uniform(0, intr.height - 1, size=500)
         idx = rng.integers(1, planes.n + 1, size=500)
-        pts, ok = solve_ray_plane_many(us, vs, intr, extr, planes, idx)
+        pts, ok = solve_ray_plane(us, vs, intr, extr, planes, idx)
         z_solve = extr.apply(pts)[..., 2]
         d_hat = planes.distances()[idx - 1]
-        for j in range(0, 500, 37):
-            if not ok[j]:
-                continue
-            z_cf = closed_form_camera_depth((us[j], vs[j]), d_hat[j], intr, extr, planes.alpha)
-            assert z_cf == pytest.approx(z_solve[j], abs=1e-9)
+        z_cf, cf_ok = camera_depth_field(us, vs, d_hat, intr, extr, planes.alpha)
+        assert np.array_equal(cf_ok, ok)
+        np.testing.assert_allclose(z_cf[ok], z_solve[ok], atol=1e-9)
 
-    def test_singular_ray_raises(self, rig):
+    def test_singular_ray_masked(self, rig):
         # Camera pitched down 45 deg: its axis ray runs parallel to the
-        # 45 deg plane family (zero normal component).
-        from oasweep.config import camera_rotation
-
+        # 45 deg plane family (zero normal component). Only that pixel fails.
         intr = rig.intrinsics
         extr = RigidTransform(camera_rotation(math.pi / 4), np.zeros(3))
-        with pytest.raises(SingularSystemError):
-            solve_ray_plane((intr.cx, intr.cy), intr, extr, DEFAULT_PLANES, 5)
+        us = np.array([intr.cx, intr.cx])
+        vs = np.array([intr.cy, intr.cy + 40.0])
+        _, ok = solve_ray_plane(us, vs, intr, extr, DEFAULT_PLANES, 5)
+        np.testing.assert_array_equal(ok, [False, True])
 
 
 class TestClosedFormDepth:
     def test_axis_pixel_identity_extrinsics(self, rig):
         intr = rig.intrinsics
-        z = closed_form_camera_depth((intr.cx, intr.cy), 1.0, intr,
-                                     RigidTransform.identity(), math.pi / 4)
+        z, ok = camera_depth_field(intr.cx, intr.cy, 1.0, intr, RigidTransform.identity(),
+                                   math.pi / 4)
+        assert ok
         assert z == pytest.approx(1.0, abs=1e-12)
 
     def test_homogeneous_in_d_hat_with_zero_translation(self, rig):
         intr = rig.intrinsics
         extr = RigidTransform(rig.extrinsics.rotation, np.zeros(3))
-        z1 = closed_form_camera_depth((100.0, 80.0), 1.3, intr, extr, 0.6)
-        z2 = closed_form_camera_depth((100.0, 80.0), 2.6, intr, extr, 0.6)
-        assert z2 == pytest.approx(2 * z1, rel=1e-12)
+        z, ok = camera_depth_field(100.0, 80.0, np.array([1.3, 2.6]), intr, extr, 0.6)
+        assert ok.all()
+        assert z[1] == pytest.approx(2 * z[0], rel=1e-12)
 
-    def test_degenerate_ray_raises(self, rig):
-        from oasweep.config import camera_rotation
-
+    def test_degenerate_ray_masked(self, rig):
         intr = rig.intrinsics
         extr = RigidTransform(camera_rotation(math.pi / 4), np.zeros(3))
-        with pytest.raises(DegenerateRayError):
-            closed_form_camera_depth((intr.cx, intr.cy), 1.0, intr, extr, math.pi / 4)
+        us = np.array([intr.cx, intr.cx])
+        vs = np.array([intr.cy, intr.cy + 40.0])
+        z, ok = camera_depth_field(us, vs, 1.0, intr, extr, math.pi / 4)
+        np.testing.assert_array_equal(ok, [False, True])
+        assert np.isnan(z[0]) and np.isfinite(z[1])
 
 
 class TestRayDepthToEuclidean:
@@ -267,26 +283,44 @@ class TestRayDepthToEuclidean:
 class TestWarpGrid:
     def test_zero_size_image(self, rig):
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar, shape=(0, 0))
-        assert grid.points.shape == (0, 0, rig.planes.n, 3)
+        assert grid.shape == (0, 0, rig.planes.n)
+        assert grid.ranges.shape == grid.bearings.shape == grid.shape
 
     def test_invariants_on_default_rig(self, rig):
+        # The grid's lookups are the polar coordinates of the ray-plane
+        # solutions, and every valid entry is an admissible candidate: solved,
+        # in front of the camera, inside the sector and the vertical aperture.
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
                                shape=(24, 32), origin=(100, 60))
         planes = rig.planes
         valid = grid.valid
         assert valid.any()
-        res = grid.points @ planes.normal() - planes.distances() * math.sin(planes.alpha)
-        assert np.max(np.abs(res[valid])) < 1e-9
-        cam = rig.extrinsics.apply(grid.points)
-        proj = rig.intrinsics.project(cam)
         vs, us = np.meshgrid(np.arange(24) + 60.0, np.arange(32) + 100.0, indexing="ij")
+        points, ok = solve_ray_plane(us[:, :, None], vs[:, :, None], rig.intrinsics,
+                                     rig.extrinsics, planes, np.arange(1, planes.n + 1))
+        ranges, bearings, in_fov = cartesian_to_sonar_polar(points, rig.sonar)
+        np.testing.assert_array_equal(grid.ranges, ranges)
+        np.testing.assert_array_equal(grid.bearings, bearings)
+        cam = rig.extrinsics.apply(points)
+        assert np.all((ok & in_fov & (cam[..., 2] > 0))[valid])
+        elevation = np.arctan2(points[..., 2], ranges)
+        assert np.all(np.abs(elevation[valid]) <= rig.sonar.elevation_fov / 2)
+        res = points @ planes.normal() - planes.distances() * math.sin(planes.alpha)
+        assert np.max(np.abs(res[valid])) < 1e-9
+        proj = rig.intrinsics.project(cam)
         err = np.hypot(proj[..., 0] - us[:, :, None], proj[..., 1] - vs[:, :, None])
         assert np.max(err[valid]) < 1e-6
 
-    def test_mid_plane_mostly_valid(self, rig):
+    def test_mid_plane_gated_band(self, rig):
+        # The 12 degree vertical beam cuts plane 24 in a slab that crosses
+        # each image column once: a quarter of the pixels (0.260 measured;
+        # 0.956 before the elevation gate), in one run of rows per column.
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
-        mid = rig.planes.n // 2
-        assert grid.valid[:, :, mid].mean() >= 0.9
+        mid = grid.valid[:, :, rig.planes.n // 2]
+        assert mid.mean() >= 0.25
+        for column in mid.T:
+            rows = np.flatnonzero(column)
+            assert rows.size == 0 or rows[-1] - rows[0] + 1 == rows.size
 
     def test_validity_monotone_in_bearing_fov(self, rig):
         narrow_spec = SonarSpec(

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from oasweep.formats import encode_json
 from oasweep.preprocess import (
     BackgroundModel,
     CropWindow,
@@ -194,8 +197,6 @@ class TestPrepareCamera:
         with pytest.raises(SensorOverlapError):
             sonar_frustum_crop(rig.intrinsics, rig.sonar, extr)
 
-    def test_window_round_trip(self, tmp_path):
+    def test_window_round_trip(self):
         w = CropWindow(u0=3, v0=7, width=20, height=10)
-        path = tmp_path / "crop.json"
-        w.save(path)
-        assert CropWindow.load(path) == w
+        assert CropWindow.from_dict(json.loads(encode_json(w.to_dict()))) == w

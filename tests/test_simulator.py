@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oasweep.formats import encode_json
 from oasweep.geometry import RigidTransform, SonarSpec, cartesian_to_sonar_polar
 from oasweep.simulator import (
     JERLOV_TRANSMISSION,
@@ -16,12 +18,13 @@ from oasweep.simulator import (
     add_sonar_noise,
     apply_turbidity,
     default_scene,
-    hypothesis_plane_primitive,
     intersect_rays,
     render_camera,
     render_sonar,
     render_sonar_energy,
 )
+
+from conftest import hypothesis_plane_primitive, plane_residual
 
 
 def frontal_plane(distance: float, reflectance: float = 0.8) -> PlanePrimitive:
@@ -43,15 +46,13 @@ class TestScene:
         with pytest.raises(SceneError):
             PlanePrimitive(point=[0, 2, 0], normal=[0, -2, 0], reflectance=0.5)
 
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         scene = Scene(primitives=(
             frontal_plane(2.5),
             SpherePrimitive(center=[0.1, 1.5, -0.1], radius=0.25, reflectance=0.4),
             BoxPrimitive(lo=[-1, 1, -1], hi=[1, 2, 1], reflectance=0.6),
         ))
-        path = tmp_path / "scene.json"
-        scene.save(path)
-        loaded = Scene.load(path)
+        loaded = Scene.from_dict(json.loads(encode_json(scene.to_dict())))
         assert len(loaded.primitives) == 3
         np.testing.assert_allclose(loaded.primitives[0].point, [0, 2.5, 0])
         assert loaded.primitives[2].reflectance == 0.6
@@ -286,8 +287,6 @@ class TestCrossModalConsistency:
 
 class TestHypothesisPlanePrimitive:
     def test_lies_on_hypothesis_plane(self, rig):
-        from oasweep.geometry import plane_residual
-
         prim = hypothesis_plane_primitive(rig.planes, 10)
         assert abs(plane_residual(prim.point, rig.planes, 10)) < 1e-12
         np.testing.assert_allclose(prim.normal, rig.planes.normal())

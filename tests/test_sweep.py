@@ -6,21 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oasweep.config import default_rig
-from oasweep.geometry import RigidTransform, WarpGrid, build_warp_grid
-from oasweep.simulator import (
-    Scene,
-    default_scene,
-    hypothesis_plane_primitive,
-    render_camera,
-    render_sonar,
-)
+from oasweep.geometry import RigidTransform, WarpGrid
+from scipy import ndimage
+
+from oasweep.simulator import Scene, default_scene, render_camera, render_sonar
 from oasweep.preprocess import prepare_camera
 from oasweep.sweep import (
+    CHUNK_PLANES,
     INVALID_COST,
     CostVolume,
     DepthMap,
     SweepConfig,
-    argmin_planes,
     build_cost_volume,
     extract_features,
     regress_depth_map,
@@ -28,8 +24,10 @@ from oasweep.sweep import (
     run_pipeline,
     scale_costs,
     soft_argmin,
-    warp_sonar_features,
+    to_full_frame,
 )
+
+from conftest import argmin_planes, hypothesis_plane_primitive
 
 
 class TestExtractFeatures:
@@ -67,96 +65,133 @@ class TestExtractFeatures:
 
 
 def tiny_grid(ranges, bearings, valid=None):
-    """WarpGrid stub for warp tests; geometry fields unused by the sampler."""
+    """WarpGrid stub with explicit polar lookups."""
     ranges = np.asarray(ranges, dtype=float)
-    bearings = np.asarray(bearings, dtype=float)
     if valid is None:
         valid = np.ones(ranges.shape, dtype=bool)
-    points = np.zeros(ranges.shape + (3,))
-    return WarpGrid(points=points, ranges=ranges, bearings=bearings,
+    return WarpGrid(ranges=ranges, bearings=np.asarray(bearings, dtype=float),
                     valid=np.asarray(valid, dtype=bool))
+
+
+def bin_grid(spec, range_bins, bearing_bins, valid=None):
+    """WarpGrid stub looking up the given (range-bin, bearing-bin) coordinates;
+    integer coordinates are bin centers."""
+    ranges = spec.range_min + (np.asarray(range_bins) + 0.5) * spec.range_bin_size
+    bearings = -spec.bearing_fov / 2 + (np.asarray(bearing_bins) + 0.5) * spec.bearing_bin_size
+    return tiny_grid(ranges, bearings, valid)
+
+
+def warp_values(grid, sonar_map, spec):
+    """Warped sonar intensities read through the builder: -cost under neg-dot
+    with unit intensity camera features."""
+    camera = np.ones(grid.shape[:2] + (1,), dtype=np.float32)
+    vol = build_cost_volume(camera, sonar_map[:, :, None], grid, spec, "neg-dot")
+    return -vol.costs, vol.valid
 
 
 class TestWarpSonarFeatures:
     def test_lookup_at_bin_center(self, rig):
         spec = rig.sonar
-        features = np.zeros((spec.range_bins, spec.bearing_bins, 1), dtype=np.float32)
-        features[10, 5, 0] = 0.75
-        d = spec.range_min + 10.5 * spec.range_bin_size
-        th = -spec.bearing_fov / 2 + 5.5 * spec.bearing_bin_size
-        grid = tiny_grid([[[d]]], [[[th]]])
-        warped, valid = warp_sonar_features(grid, features, spec)
+        sonar_map = np.zeros((spec.range_bins, spec.bearing_bins), dtype=np.float32)
+        sonar_map[10, 5] = 0.75
+        warped, valid = warp_values(bin_grid(spec, [[[10]]], [[[5]]]), sonar_map, spec)
         assert valid[0, 0, 0]
-        assert warped[0, 0, 0, 0] == pytest.approx(0.75, abs=1e-6)
+        assert warped[0, 0, 0] == pytest.approx(0.75, abs=1e-6)
 
     def test_midpoint_averages_two_bins(self, rig):
         spec = rig.sonar
-        features = np.zeros((spec.range_bins, spec.bearing_bins, 1), dtype=np.float32)
-        features[10, 5, 0] = 0.2
-        features[11, 5, 0] = 0.6
+        sonar_map = np.zeros((spec.range_bins, spec.bearing_bins), dtype=np.float32)
+        sonar_map[10, 5] = 0.2
+        sonar_map[11, 5] = 0.6
         d = spec.range_min + 11.0 * spec.range_bin_size  # midway between centers 10 and 11
         th = -spec.bearing_fov / 2 + 5.5 * spec.bearing_bin_size
-        grid = tiny_grid([[[d]]], [[[th]]])
-        warped, _ = warp_sonar_features(grid, features, spec)
-        assert warped[0, 0, 0, 0] == pytest.approx(0.4, abs=1e-6)
+        warped, _ = warp_values(tiny_grid([[[d]]], [[[th]]]), sonar_map, spec)
+        assert warped[0, 0, 0] == pytest.approx(0.4, abs=1e-6)
 
     def test_constant_map_warps_constant(self, rig, rng):
         spec = rig.sonar
-        features = np.full((spec.range_bins, spec.bearing_bins, 3), 0.31, dtype=np.float32)
+        sonar_map = np.full((spec.range_bins, spec.bearing_bins), 0.31, dtype=np.float32)
         d = rng.uniform(spec.range_min, spec.range_max, size=(4, 5, 6))
         th = rng.uniform(-spec.bearing_fov / 2, spec.bearing_fov / 2, size=(4, 5, 6))
-        grid = tiny_grid(d, th)
-        warped, valid = warp_sonar_features(grid, features, spec)
-        np.testing.assert_allclose(warped[valid], 0.31, atol=1e-6)
+        warped, valid = warp_values(tiny_grid(d, th), sonar_map, spec)
+        assert valid.all()
+        np.testing.assert_allclose(warped, 0.31, atol=1e-6)
 
-    def test_masked_entries_zeroed(self, rig):
+    def test_matches_map_coordinates_across_chunks(self, rig, rng):
+        # Bilinear sampling checked against scipy's order-1 interpolation on
+        # more planes than one chunk holds, so chunk seams are covered.
         spec = rig.sonar
-        features = np.ones((spec.range_bins, spec.bearing_bins, 2), dtype=np.float32)
-        grid = tiny_grid([[[1.0, 2.0]]], [[[0.0, 0.0]]], valid=[[[True, False]]])
-        warped, valid = warp_sonar_features(grid, features, spec)
-        assert warped[0, 0, 1].sum() == 0.0
-        assert not valid[0, 0, 1]
+        n = 2 * CHUNK_PLANES + 3
+        sonar_map = rng.random((spec.range_bins, spec.bearing_bins)).astype(np.float32)
+        rb = rng.uniform(0, spec.range_bins - 1, size=(3, 4, n))
+        bb = rng.uniform(0, spec.bearing_bins - 1, size=(3, 4, n))
+        warped, _ = warp_values(bin_grid(spec, rb, bb), sonar_map, spec)
+        expected = ndimage.map_coordinates(sonar_map.astype(np.float64), [rb, bb], order=1)
+        np.testing.assert_allclose(warped, expected, atol=1e-5)
 
     def test_dimension_mismatch(self, rig):
         grid = tiny_grid([[[1.0]]], [[[0.0]]])
         with pytest.raises(ValueError):
-            warp_sonar_features(grid, np.ones((4, 4, 1)), rig.sonar)
+            build_cost_volume(np.ones((1, 1, 1)), np.ones((4, 4, 1)), grid, rig.sonar, "sad")
 
 
 class TestBuildCostVolume:
-    def test_sad_identical_is_zero(self, rng):
-        f = rng.random((3, 4, 5)).astype(np.float32)
-        warped = f[:, :, None, :].repeat(2, axis=2)
-        vol = build_cost_volume(f, warped, np.ones((3, 4, 2), bool), "sad")
-        np.testing.assert_allclose(vol.costs, 0.0, atol=1e-6)
+    def test_sad_identical_is_zero(self, rig, rng):
+        # Each pixel's two planes look up bins holding its own camera feature.
+        spec = rig.sonar
+        sonar = rng.random((spec.range_bins, spec.bearing_bins, 5)).astype(np.float32)
+        rbins = rng.integers(0, spec.range_bins, size=(3, 4, 1)).repeat(2, axis=2)
+        bbins = rng.integers(0, spec.bearing_bins, size=(3, 4, 1)).repeat(2, axis=2)
+        camera = sonar[rbins[..., 0], bbins[..., 0]]
+        vol = build_cost_volume(camera, sonar, bin_grid(spec, rbins, bbins), spec, "sad")
+        assert vol.valid.all()
+        np.testing.assert_allclose(vol.costs, 0.0, atol=1e-5)
 
-    def test_neg_dot_extremes(self):
-        cam = np.zeros((1, 1, 2), dtype=np.float32)
-        cam[0, 0] = [1.0, 0.0]
-        warped = np.zeros((1, 1, 2, 2), dtype=np.float32)
-        warped[0, 0, 0] = [0.0, 1.0]   # orthogonal
-        warped[0, 0, 1] = [1.0, 0.0]   # parallel
-        vol = build_cost_volume(cam, warped, np.ones((1, 1, 2), bool), "neg-dot")
-        assert vol.costs[0, 0, 0] == pytest.approx(0.0)
-        assert vol.costs[0, 0, 1] == pytest.approx(-1.0)
+    def test_neg_dot_extremes(self, rig):
+        spec = rig.sonar
+        camera = np.array([[[1.0, 0.0]]], dtype=np.float32)
+        sonar = np.zeros((spec.range_bins, spec.bearing_bins, 2), dtype=np.float32)
+        sonar[3, 4] = [0.0, 1.0]   # orthogonal
+        sonar[7, 8] = [1.0, 0.0]   # parallel
+        grid = bin_grid(spec, [[[3, 7]]], [[[4, 8]]])
+        vol = build_cost_volume(camera, sonar, grid, spec, "neg-dot")
+        assert vol.costs[0, 0, 0] == pytest.approx(0.0, abs=1e-6)
+        assert vol.costs[0, 0, 1] == pytest.approx(-1.0, abs=1e-6)
 
-    def test_neg_zncc_undefined_for_degenerate(self):
-        cam = np.ones((1, 1, 1), dtype=np.float32)  # F=1 has zero variance
-        warped = np.ones((1, 1, 1, 1), dtype=np.float32)
-        vol = build_cost_volume(cam, warped, np.ones((1, 1, 1), bool), "neg-zncc")
+    def test_neg_zncc_undefined_for_degenerate(self, rig):
+        spec = rig.sonar
+        camera = np.ones((1, 1, 1), dtype=np.float32)  # F=1 has zero variance
+        sonar = np.ones((spec.range_bins, spec.bearing_bins, 1), dtype=np.float32)
+        vol = build_cost_volume(camera, sonar, bin_grid(spec, [[[3]]], [[[4]]]), spec,
+                                "neg-zncc")
         assert not vol.valid[0, 0, 0]
         assert vol.costs[0, 0, 0] == INVALID_COST
 
-    def test_channel_mismatch(self):
+    def test_channel_mismatch(self, rig):
+        spec = rig.sonar
         with pytest.raises(ValueError):
-            build_cost_volume(np.ones((2, 2, 3), np.float32), np.ones((2, 2, 1, 4), np.float32),
-                              np.ones((2, 2, 1), bool), "sad")
+            build_cost_volume(np.ones((1, 1, 3), np.float32),
+                              np.ones((spec.range_bins, spec.bearing_bins, 4), np.float32),
+                              tiny_grid([[[1.0]]], [[[0.0]]]), spec, "sad")
 
-    def test_invalid_entries_carry_sentinel(self):
-        cam = np.ones((1, 1, 2), dtype=np.float32)
-        warped = np.ones((1, 1, 1, 2), dtype=np.float32)
-        vol = build_cost_volume(cam, warped, np.zeros((1, 1, 1), bool), "sad")
-        assert vol.costs[0, 0, 0] == INVALID_COST
+    def test_grid_mismatch(self, rig):
+        spec = rig.sonar
+        with pytest.raises(ValueError):
+            build_cost_volume(np.ones((2, 2, 1), np.float32),
+                              np.ones((spec.range_bins, spec.bearing_bins, 1), np.float32),
+                              tiny_grid([[[1.0]]], [[[0.0]]]), spec, "sad")
+
+    def test_invalid_entries_carry_sentinel(self, rig):
+        # A masked grid entry goes invalid with the sentinel even where the
+        # features would score; its unmasked neighbor is scored.
+        spec = rig.sonar
+        camera = np.ones((1, 1, 2), dtype=np.float32)
+        sonar = np.ones((spec.range_bins, spec.bearing_bins, 2), dtype=np.float32)
+        grid = tiny_grid([[[1.0, 2.0]]], [[[0.0, 0.0]]], valid=[[[True, False]]])
+        vol = build_cost_volume(camera, sonar, grid, spec, "sad")
+        np.testing.assert_array_equal(vol.valid, [[[True, False]]])
+        assert vol.costs[0, 0, 0] == pytest.approx(0.0, abs=1e-6)
+        assert vol.costs[0, 0, 1] == INVALID_COST
         assert np.all(np.isfinite(vol.costs))
 
 
@@ -290,6 +325,17 @@ class TestArgminPlanes:
         vol = CostVolume(costs=costs, valid=np.ones((1, 1, 3), bool))
         idx, ok = argmin_planes(vol)
         assert ok[0, 0] and idx[0, 0] == 1
+
+
+class TestToFullFrame:
+    def test_pastes_crop_at_origin(self):
+        crop = DepthMap(depth=np.array([[1.0, 2.0], [3.0, 0.0]]),
+                        valid=np.array([[True, True], [True, False]]))
+        full = to_full_frame(crop, (3, 1), (4, 6))
+        assert full.depth.shape == full.valid.shape == (4, 6)
+        np.testing.assert_array_equal(full.depth[1:3, 3:5], crop.depth)
+        np.testing.assert_array_equal(full.valid[1:3, 3:5], crop.valid)
+        assert full.valid.sum() == 3 and full.depth.sum() == 6.0
 
 
 class TestRegressDepthMap:
