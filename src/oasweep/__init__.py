@@ -14,7 +14,6 @@ from .geometry import (
     RigidTransform,
     SonarSpec,
     WarpGrid,
-    backproject_sonar_to_plane,
     build_warp_grid,
     cartesian_to_sonar_polar,
     ray_depth_to_euclidean,
@@ -29,7 +28,6 @@ __all__ = [
     "RigidTransform",
     "SonarSpec",
     "WarpGrid",
-    "backproject_sonar_to_plane",
     "build_warp_grid",
     "cartesian_to_sonar_polar",
     "default_rig",

@@ -101,8 +101,6 @@ def cmd_simulate(args) -> int:
     calibration = _load_calibration(args.calibration)
     out = Path(args.out)
 
-    if args.speckle < 0:
-        raise CommandError(f"--speckle must be >= 0, got {args.speckle}", EXIT_VALIDATION)
     if not 0 <= args.background <= 1:
         raise CommandError(f"--background must be in [0, 1], got {args.background}", EXIT_VALIDATION)
     if args.frames < 1:
@@ -133,8 +131,11 @@ def cmd_simulate(args) -> int:
                         formats.encode_pgm(gt.valid.astype(np.uint8) * 255)))
 
     for k in range(args.frames):
-        frame = simulator.add_sonar_noise(clean, args.speckle, args.background,
-                                          seed=args.seed + k)
+        try:
+            frame = simulator.add_sonar_noise(clean, args.speckle, args.background,
+                                              seed=args.seed + k)
+        except ValueError as exc:
+            raise CommandError(f"--speckle: {exc}", EXIT_VALIDATION) from exc
         name = "sonar.pfm" if k == 0 else f"sonar_{k:03d}.pfm"
         outputs.append((out / name, formats.encode_pfm(frame.values)))
 
@@ -305,17 +306,14 @@ def cmd_turbidity(args) -> int:
         t1 = JERLOV_TRANSMISSION[args.type]
     else:
         t1 = tuple(args.t1)
-    if args.d < 0:
-        raise CommandError(f"--d must be >= 0, got {args.d}", EXIT_VALIDATION)
-    if not 0 <= args.b <= 1:
-        raise CommandError(f"--b must be in [0, 1], got {args.b}", EXIT_VALIDATION)
-    if any(not 0 < t <= 1 for t in t1):
-        raise CommandError(f"transmission rates must be in (0, 1], got {t1}", EXIT_VALIDATION)
 
     gray = _read(formats.read_pgm, args.input, "input image").astype(float) / 255.0
     # Grayscale path: replicate to RGB, attenuate per channel, take luma.
     rgb = np.repeat(gray[:, :, None], 3, axis=2)
-    turbid = simulator.apply_turbidity(rgb, t1, (args.b, args.b, args.b), args.d)
+    try:
+        turbid = simulator.apply_turbidity(rgb, t1, (args.b, args.b, args.b), args.d)
+    except ValueError as exc:
+        raise CommandError(str(exc), EXIT_VALIDATION) from exc
     out_gray = preprocess.to_grayscale(turbid)
     _write_outputs([(Path(args.out), formats.encode_pgm(out_gray))])
     print(f"turbid image written to {args.out}")

@@ -82,15 +82,16 @@ def error_vs_distance(pred: DepthMap, gt: DepthMap, bin_edges):
     upper edge so a full-cover binning loses no pixel.
 
     Args:
-        bin_edges: Strictly increasing edges, length B+1.
+        bin_edges: Finite, strictly increasing edges, length B+1.
 
     Returns:
         (mae, counts): per-bin mean |pred - gt| (NaN flags an empty bin) and
         per-bin pixel counts.
     """
     edges = np.asarray(bin_edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("bin edges must be strictly increasing with at least two entries")
+    if (edges.ndim != 1 or edges.size < 2 or not np.all(np.isfinite(edges))
+            or np.any(np.diff(edges) <= 0)):
+        raise ValueError("bin edges must be finite and strictly increasing with at least two entries")
     mask = _joint_mask(pred, gt)
     g = gt.depth[mask]
     err = np.abs(pred.depth[mask] - g)

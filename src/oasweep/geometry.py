@@ -1,4 +1,4 @@
-"""Coordinate frames, projection models, and the ray/plane machinery of the sweep.
+"""Coordinate frames, projection models, and the closed-form ray/plane intersection.
 
 Frame conventions used throughout the package:
 
@@ -22,10 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# |det A| below DET_RTOL times the max-abs entry of A marks the 3x3 ray-plane
-# system as singular (grazing ray); handled as a per-entry soft failure.
-DET_RTOL = 1e-12
-
 ORTHONORMALITY_TOL = 1e-9
 
 
@@ -47,19 +43,14 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValueError(
+                f"focal lengths must be positive and finite, got fx={self.fx}, fy={self.fy}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError(
                 f"principal point ({self.cx}, {self.cy}) outside image "
                 f"{self.width}x{self.height}"
             )
-
-    def matrix(self) -> np.ndarray:
-        """3x3 projection matrix K."""
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
 
     def ray_directions(self, u, v) -> np.ndarray:
         """Unnormalized camera-frame ray K^-1 [u, v, 1]^T for pixel(s) (u, v).
@@ -97,6 +88,8 @@ class RigidTransform:
         t = np.asarray(self.translation, dtype=float).reshape(3)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
+            raise ValueError("rotation and translation must be finite")
         if np.max(np.abs(r.T @ r - np.eye(3))) > ORTHONORMALITY_TOL:
             raise ValueError("rotation matrix is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > ORTHONORMALITY_TOL:
@@ -134,8 +127,8 @@ class SonarSpec:
     bearing_bins: int
 
     def __post_init__(self):
-        if not (0 < self.range_min < self.range_max):
-            raise ValueError(f"need 0 < range_min < range_max, got [{self.range_min}, {self.range_max}]")
+        if not (0 < self.range_min < self.range_max < np.inf):
+            raise ValueError(f"need 0 < range_min < range_max < inf, got [{self.range_min}, {self.range_max}]")
         if not (0 < self.bearing_fov < np.pi):
             raise ValueError(f"bearing_fov must be in (0, pi), got {self.bearing_fov}")
         if not (0 < self.elevation_fov < np.pi):
@@ -203,12 +196,15 @@ class PlaneHypothesisSet:
     def __post_init__(self):
         if not (0 < self.alpha < np.pi / 2):
             raise ValueError(f"alpha must be in (0, pi/2), got {self.alpha}")
-        if self.d0 <= 0:
-            raise ValueError(f"d0 must be positive, got {self.d0}")
-        if self.k <= 1:
-            raise ValueError(f"k must be > 1, got {self.k}")
+        if not 0 < self.d0 < np.inf:
+            raise ValueError(f"d0 must be positive and finite, got {self.d0}")
+        if not 1 < self.k < np.inf:
+            raise ValueError(f"k must be > 1 and finite, got {self.k}")
         if self.n < 2:
             raise ValueError(f"need at least 2 planes, got {self.n}")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.d0 * np.float64(self.k) ** (self.n - 1)):
+                raise ValueError(f"last plane distance d0 * k**(n-1) overflows (k={self.k}, n={self.n})")
 
     def distance(self, i: int) -> float:
         """Distance parameter d_i = d0 * k**(i-1) of plane i (1-based)."""
@@ -273,136 +269,6 @@ def cartesian_to_sonar_polar(points, spec: SonarSpec | None = None):
     return ranges, bearings, ok
 
 
-def backproject_sonar_to_plane(d, theta, planes: PlaneHypothesisSet, i: int) -> np.ndarray:
-    """Lift a polar sonar measurement onto candidate sheet i.
-
-    The horizontal position comes directly from the measurement; the
-    unobserved elevation is fixed by the sheet geometry:
-
-        lateral  = d sin(theta)
-        forward  = d cos(theta)
-        up       = (d_i - d cos(theta)) * tan(alpha)
-
-    The lifted sheet crosses the acoustic axis at range d_i and coincides
-    with hypothesis plane i of the sweep at alpha = 45 degrees (the default
-    configuration).
-
-    Args:
-        d: Range(s) in meters.
-        theta: Bearing(s) in radians.
-        planes: Hypothesis set supplying alpha and d_i.
-        i: Plane index, 1-based.
-
-    Returns:
-        Sonar-frame point(s), shape (..., 3).
-    """
-    d_i = planes.distance(i)
-    d = np.asarray(d, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    x = d * np.sin(theta)
-    y = d * np.cos(theta)
-    z = (d_i - y) * np.tan(planes.alpha)
-    return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
-
-
-def _inverse_3x3(a: np.ndarray):
-    """Closed-form inverses of a stack of 3x3 matrices.
-
-    Args:
-        a: Array of shape (..., 3, 3).
-
-    Returns:
-        (inv, ok): inverses (garbage where not ok) and a validity mask
-        flagging determinants below DET_RTOL relative to the max-abs entry.
-    """
-    a = np.asarray(a, dtype=float)
-    c00 = a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1]
-    c01 = a[..., 1, 2] * a[..., 2, 0] - a[..., 1, 0] * a[..., 2, 2]
-    c02 = a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]
-    det = a[..., 0, 0] * c00 + a[..., 0, 1] * c01 + a[..., 0, 2] * c02
-
-    scale = np.max(np.abs(a), axis=(-2, -1))
-    ok = (scale > 0) & (np.abs(det) >= DET_RTOL * scale)
-
-    inv = np.empty_like(a)
-    inv[..., 0, 0] = c00
-    inv[..., 1, 0] = c01
-    inv[..., 2, 0] = c02
-    inv[..., 0, 1] = a[..., 0, 2] * a[..., 2, 1] - a[..., 0, 1] * a[..., 2, 2]
-    inv[..., 1, 1] = a[..., 0, 0] * a[..., 2, 2] - a[..., 0, 2] * a[..., 2, 0]
-    inv[..., 2, 1] = a[..., 0, 1] * a[..., 2, 0] - a[..., 0, 0] * a[..., 2, 1]
-    inv[..., 0, 2] = a[..., 0, 1] * a[..., 1, 2] - a[..., 0, 2] * a[..., 1, 1]
-    inv[..., 1, 2] = a[..., 0, 2] * a[..., 1, 0] - a[..., 0, 0] * a[..., 1, 2]
-    inv[..., 2, 2] = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    safe_det = np.where(ok, det, 1.0)
-    inv /= safe_det[..., None, None]
-    return inv, ok
-
-
-def _ray_plane_system(us, vs, intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
-                      planes: PlaneHypothesisSet):
-    """Assemble the per-pixel 3x3 system shared by all N planes.
-
-    Row 1 is the plane constraint; rows 2 and 3 eliminate the camera
-    projection scale using M = K R and C = K t. Only the first entry of the
-    right-hand side depends on the plane index, so the solution is affine in
-    d_i: P(i) = base + d_i sin(alpha) * col0.
-
-    Returns:
-        (base, col0, ok) with shapes (..., 3), (..., 3), (...,).
-    """
-    us = np.asarray(us, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    m = intrinsics.matrix() @ extrinsics.rotation
-    c = intrinsics.matrix() @ extrinsics.translation
-    normal = planes.normal()
-
-    shape = np.broadcast_shapes(us.shape, vs.shape)
-    a = np.empty(shape + (3, 3))
-    a[..., 0, :] = normal
-    a[..., 1, :] = us[..., None] * m[2] - m[0]
-    a[..., 2, :] = vs[..., None] * m[2] - m[1]
-    inv, ok = _inverse_3x3(a)
-
-    b_rest = np.empty(shape + (3,))
-    b_rest[..., 0] = 0.0
-    b_rest[..., 1] = c[0] - us * c[2]
-    b_rest[..., 2] = c[1] - vs * c[2]
-    base = np.einsum("...ij,...j->...i", inv, b_rest)
-    col0 = inv[..., :, 0]
-    return base, col0, ok
-
-
-def solve_ray_plane(us, vs, intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
-                    planes: PlaneHypothesisSet, indices):
-    """Intersect pixel viewing rays with hypothesis planes.
-
-    Solves, per pixel, the 3x3 linear system combining the plane constraint
-    with the two scale-eliminated projection constraints, so each returned
-    sonar-frame point lies on its plane and projects back to its pixel.
-
-    Args:
-        us, vs: Pixel coordinates.
-        intrinsics: Camera model.
-        extrinsics: Sonar-to-camera transform.
-        planes: Hypothesis set.
-        indices: 1-based plane indices; broadcast against us and vs.
-
-    Returns:
-        (points, ok): sonar-frame intersections (..., 3) and a mask that is
-        False where the ray is parallel to the plane (relative determinant
-        below DET_RTOL), both at the broadcast shape.
-    """
-    indices = np.asarray(indices)
-    if np.any((indices < 1) | (indices > planes.n)):
-        raise IndexError(f"plane indices out of range 1..{planes.n}")
-    base, col0, ok = _ray_plane_system(np.asarray(us, dtype=float), np.asarray(vs, dtype=float),
-                                       intrinsics, extrinsics, planes)
-    d = planes.d0 * planes.k ** (indices - 1)
-    points = base + (d * np.sin(planes.alpha))[..., None] * col0
-    return points, np.broadcast_to(ok, points.shape[:-1])
-
-
 def camera_depth_field(us, vs, d_hat, intrinsics: CameraIntrinsics,
                        extrinsics: RigidTransform, alpha: float):
     """Camera-frame depth of the points on the viewing rays at plane distances d_hat.
@@ -416,7 +282,8 @@ def camera_depth_field(us, vs, d_hat, intrinsics: CameraIntrinsics,
     |denominator| < 1e-12 (parallel to the family) are masked.
 
     Returns:
-        (z_c, ok) broadcast to the common shape of us, vs, d_hat.
+        (z_c, ok) broadcast to the common shape of us, vs, d_hat; z_c is NaN
+        where not ok.
     """
     normal = np.array([0.0, np.cos(alpha), np.sin(alpha)])
     n_cam = extrinsics.rotation @ normal
@@ -426,7 +293,38 @@ def camera_depth_field(us, vs, d_hat, intrinsics: CameraIntrinsics,
     ok = np.abs(denom) >= 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(ok, numer / np.where(ok, denom, 1.0), np.nan)
-    return z, ok
+    return z, np.broadcast_to(ok, z.shape)
+
+
+def solve_ray_plane(us, vs, intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
+                    planes: PlaneHypothesisSet, indices):
+    """Intersect pixel viewing rays with hypothesis planes.
+
+    Lifts the closed-form camera depth of :func:`camera_depth_field` back to
+    the sonar frame, P_s = R^T (Z_c K^-1 [u, v, 1]^T - t), so each returned
+    point lies on its plane and projects back to its pixel.
+
+    Args:
+        us, vs: Pixel coordinates.
+        intrinsics: Camera model.
+        extrinsics: Sonar-to-camera transform.
+        planes: Hypothesis set.
+        indices: 1-based plane indices; broadcast against us and vs.
+
+    Returns:
+        (points, ok): sonar-frame intersections (..., 3) and a mask that is
+        False where the ray is parallel to the plane family, both at the
+        broadcast shape. Masked entries hold the camera center, so every
+        returned coordinate stays finite.
+    """
+    indices = np.asarray(indices)
+    if np.any((indices < 1) | (indices > planes.n)):
+        raise IndexError(f"plane indices out of range 1..{planes.n}")
+    z, ok = camera_depth_field(us, vs, planes.distances()[indices - 1], intrinsics, extrinsics,
+                               planes.alpha)
+    points = np.where(ok, z, 0.0)[..., None] * intrinsics.ray_directions(us, vs)
+    points -= extrinsics.translation
+    return points @ extrinsics.rotation, ok
 
 
 def ray_depth_to_euclidean(us, vs, z_c, intrinsics: CameraIntrinsics):
@@ -445,9 +343,9 @@ class WarpGrid:
 
     Attributes:
         ranges, bearings: Polar lookup coordinates, shape (H, W, N).
-        valid: False where the system was singular, the intersection fell
-            behind the camera, the lookup left the sonar sector, or the
-            candidate point sat outside the vertical aperture.
+        valid: False where the ray ran parallel to the plane, the
+            intersection fell behind the camera, the lookup left the sonar
+            sector, or the candidate point sat outside the vertical aperture.
     """
 
     ranges: np.ndarray
@@ -477,7 +375,7 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
         origin: (u0, v0) pixel of grid element [0, 0], for crop windows.
 
     Returns:
-        WarpGrid of shape (H, W, N). Singular systems and behind-camera
+        WarpGrid of shape (H, W, N). Parallel rays and behind-camera
         intersections are flagged invalid per entry, never raised.
     """
     if shape is None:

@@ -49,8 +49,8 @@ class PlanePrimitive:
     reflectance: float
 
     def __post_init__(self):
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=float).reshape(3))
-        n = np.asarray(self.normal, dtype=float).reshape(3)
+        object.__setattr__(self, "point", _finite_point(self.point, "plane point"))
+        n = _finite_point(self.normal, "plane normal")
         if abs(np.linalg.norm(n) - 1.0) > 1e-9:
             raise SceneError(f"plane normal must be unit length, got |n|={np.linalg.norm(n)}")
         object.__setattr__(self, "normal", n)
@@ -64,9 +64,9 @@ class SpherePrimitive:
     reflectance: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(3))
-        if self.radius <= 0:
-            raise SceneError(f"sphere radius must be positive, got {self.radius}")
+        object.__setattr__(self, "center", _finite_point(self.center, "sphere center"))
+        if not 0 < self.radius < np.inf:
+            raise SceneError(f"sphere radius must be positive and finite, got {self.radius}")
         _check_reflectance(self.reflectance)
 
 
@@ -77,13 +77,20 @@ class BoxPrimitive:
     reflectance: float
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float).reshape(3)
-        hi = np.asarray(self.hi, dtype=float).reshape(3)
+        lo = _finite_point(self.lo, "box min")
+        hi = _finite_point(self.hi, "box max")
         if not np.all(lo < hi):
             raise SceneError("box min must be strictly below box max on every axis")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         _check_reflectance(self.reflectance)
+
+
+def _finite_point(value, what: str) -> np.ndarray:
+    v = np.asarray(value, dtype=float).reshape(3)
+    if not np.all(np.isfinite(v)):
+        raise SceneError(f"{what} must be finite, got {v.tolist()}")
+    return v
 
 
 def _check_reflectance(r):
@@ -355,8 +362,8 @@ def add_sonar_noise(image: PolarSonarImage, speckle_sigma: float, background: fl
     Deterministic for a fixed seed. speckle_sigma = 0 and background = 0 is
     the identity.
     """
-    if speckle_sigma < 0:
-        raise ValueError(f"speckle sigma must be >= 0, got {speckle_sigma}")
+    if not 0 <= speckle_sigma < np.inf:
+        raise ValueError(f"speckle sigma must be >= 0 and finite, got {speckle_sigma}")
     values = image.values
     if speckle_sigma > 0:
         rng = np.random.default_rng(seed)
@@ -388,12 +395,12 @@ def apply_turbidity(image: np.ndarray, transmission, ambient, distance) -> np.nd
     t1 = np.asarray(transmission, dtype=float)
     b = np.asarray(ambient, dtype=float)
     d = np.asarray(distance, dtype=float)
-    if np.any(t1 <= 0) or np.any(t1 > 1):
+    if not np.all((t1 > 0) & (t1 <= 1)):
         raise ValueError(f"transmission must be in (0, 1], got {transmission}")
-    if np.any(b < 0) or np.any(b > 1):
+    if not np.all((b >= 0) & (b <= 1)):
         raise ValueError(f"ambient light must be in [0, 1], got {ambient}")
-    if np.any(d < 0):
-        raise ValueError("distance must be >= 0")
+    if not np.all((d >= 0) & (d < np.inf)):
+        raise ValueError("distance must be >= 0 and finite")
 
     if image.ndim == 3 and t1.ndim == 1:
         t1 = t1.reshape(1, 1, -1)

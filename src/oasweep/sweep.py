@@ -65,13 +65,10 @@ class DepthMap:
     Attributes:
         depth: Meters, shape (H, W); zero on masked pixels, never NaN.
         valid: Pixel validity mask.
-        plane_distance: Optional regressed plane-distance field d-hat that
-            produced the depth.
     """
 
     depth: np.ndarray
     valid: np.ndarray
-    plane_distance: np.ndarray | None = None
 
     def __post_init__(self):
         depth = np.asarray(self.depth, dtype=float)
@@ -112,8 +109,8 @@ class SweepConfig:
             raise ValueError(f"unknown metric {self.metric!r}, want one of {METRICS}")
         if self.patch_radius < 0 or self.box_radius < 0 or self.box_passes < 0:
             raise ValueError("radii and passes must be >= 0")
-        if self.cost_scale <= 0:
-            raise ValueError("cost_scale must be positive")
+        if not 0 < self.cost_scale < np.inf:
+            raise ValueError(f"cost_scale must be positive and finite, got {self.cost_scale}")
 
 
 def extract_features(image: np.ndarray, kind: str = "zncc-patch", patch_radius: int = 2) -> np.ndarray:
@@ -248,19 +245,14 @@ def regularize_cost_volume(volume: CostVolume, radius: int = 1, passes: int = 1)
         raise ValueError(f"radius must be >= 0, got {radius}")
     if radius == 0 or passes == 0:
         return volume
-    size = 2 * radius + 1
-    costs = volume.costs.astype(np.float64)
+    size = (2 * radius + 1, 2 * radius + 1, 1)
+    area = size[0] * size[1]
     valid = volume.valid
-    vmask = valid.astype(np.float64)
-    filtered = np.where(valid, costs, 0.0)
+    cnts = ndimage.uniform_filter(valid.astype(np.float64), size=size,
+                                  mode="constant", cval=0.0) * area
+    filtered = np.where(valid, volume.costs.astype(np.float64), 0.0)
     for _ in range(passes):
-        sums = np.empty_like(filtered)
-        cnts = np.empty_like(filtered)
-        for i in range(filtered.shape[2]):
-            sums[:, :, i] = ndimage.uniform_filter(filtered[:, :, i], size=size,
-                                                   mode="constant", cval=0.0) * size * size
-            cnts[:, :, i] = ndimage.uniform_filter(vmask[:, :, i], size=size,
-                                                   mode="constant", cval=0.0) * size * size
+        sums = ndimage.uniform_filter(filtered, size=size, mode="constant", cval=0.0) * area
         filtered = np.where(valid, sums / np.maximum(cnts, 1.0), 0.0)
     costs_out = np.where(valid, filtered, INVALID_COST).astype(np.float32)
     return CostVolume(costs=costs_out, valid=valid.copy())
@@ -268,8 +260,8 @@ def regularize_cost_volume(volume: CostVolume, radius: int = 1, passes: int = 1)
 
 def scale_costs(volume: CostVolume, gain: float) -> CostVolume:
     """Multiply valid costs by a positive gain (softmax sharpening)."""
-    if gain <= 0:
-        raise ValueError(f"gain must be positive, got {gain}")
+    if not 0 < gain < np.inf:
+        raise ValueError(f"gain must be positive and finite, got {gain}")
     costs = np.where(volume.valid, volume.costs * np.float32(gain), INVALID_COST)
     return CostVolume(costs=costs.astype(np.float32), valid=volume.valid.copy())
 
@@ -334,7 +326,7 @@ def regress_depth_map(d_hat: np.ndarray, valid: np.ndarray, intrinsics: CameraIn
     z, ok = camera_depth_field(us, vs, d_hat, intrinsics, extrinsics, alpha)
     good = np.asarray(valid, dtype=bool) & ok & np.where(ok, z > 0, False)
     depth = np.where(good, ray_depth_to_euclidean(us, vs, np.where(good, z, 1.0), intrinsics), 0.0)
-    return DepthMap(depth=depth, valid=good, plane_distance=d_hat.copy())
+    return DepthMap(depth=depth, valid=good)
 
 
 def to_full_frame(depth: DepthMap, origin: tuple, shape: tuple) -> DepthMap:

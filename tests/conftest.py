@@ -75,6 +75,32 @@ def hypothesis_plane_primitive(planes: PlaneHypothesisSet, i: int,
                           normal=normal, reflectance=reflectance)
 
 
+def backproject_sonar_to_plane(d, theta, planes: PlaneHypothesisSet, i: int) -> np.ndarray:
+    """Lift a polar sonar measurement onto candidate sheet i.
+
+    The horizontal position comes directly from the measurement; the
+    unobserved elevation is fixed by the sheet geometry:
+
+        lateral  = d sin(theta)
+        forward  = d cos(theta)
+        up       = (d_i - d cos(theta)) * tan(alpha)
+
+    The lifted sheet crosses the acoustic axis at range d_i and coincides
+    with hypothesis plane i of the sweep at alpha = 45 degrees (the default
+    configuration).
+
+    Returns:
+        Sonar-frame point(s), shape (..., 3).
+    """
+    d_i = planes.distance(i)
+    d = np.asarray(d, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    x = d * np.sin(theta)
+    y = d * np.cos(theta)
+    z = (d_i - y) * np.tan(planes.alpha)
+    return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+
+
 def argmin_planes(volume):
     """Per-pixel index (0-based) of the lowest-cost valid plane; ties take the lowest index."""
     costs = np.where(volume.valid, volume.costs, np.inf)
@@ -131,11 +157,7 @@ def consecutive_projection_displacements(grid_pixels, intrinsics, extrinsics, pl
     Returns:
         (disp, ok): arrays of shape (P, N-1, 2) and (P, N-1).
     """
-    from oasweep.geometry import (
-        backproject_sonar_to_plane,
-        cartesian_to_sonar_polar,
-        solve_ray_plane,
-    )
+    from oasweep.geometry import cartesian_to_sonar_polar, solve_ray_plane
 
     us, vs = grid_pixels
     n = planes.n

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oasweep.cli import main
+from oasweep.config import default_rig
 from oasweep.formats import read_cost_volume, read_pfm, read_pgm, write_pfm, write_pgm
 
 
@@ -286,6 +287,66 @@ class TestConfigFile:
         assert run_cli("--config", cfg, "turbidity", "--input", tmp_path / "in.pgm",
                        "--out", tmp_path / "o.pgm") == 2
         assert not (tmp_path / "o.pgm").exists()
+
+
+def _with_calibration(section, key, value):
+    """Argv maker: sweep the dataset with one calibration value replaced."""
+    def make(dataset, tmp_path, out):
+        data = default_rig().to_dict()
+        data[section][key] = value
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps(data))  # writes NaN / Infinity literals
+        return ["sweep", "--dataset", dataset, "--calibration", path, "--out", out]
+    return make
+
+
+def _scene_radius_nan(dataset, tmp_path, out):
+    scene = json.loads((dataset / "scene.json").read_text())
+    sphere = next(p for p in scene["primitives"] if p["type"] == "sphere")
+    sphere["radius"] = float("nan")
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    return ["simulate", "--scene", tmp_path / "scene.json", "--out", out]
+
+
+def _turbidity_d_nan(dataset, tmp_path, out):
+    write_pgm(tmp_path / "in.pgm", np.full((2, 2), 128, dtype=np.uint8))
+    return ["turbidity", "--input", tmp_path / "in.pgm", "--out", out / "t.pgm", "--type", "1C",
+            "--d", "nan"]
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(lambda ds, tmp, out: ["sweep", "--dataset", ds, "--out", out,
+                                           "--cost-scale", "nan"], 2, id="sweep-cost-scale-nan"),
+        pytest.param(lambda ds, tmp, out: ["sweep", "--dataset", ds, "--out", out,
+                                           "--cost-scale", "inf"], 2, id="sweep-cost-scale-inf"),
+        pytest.param(lambda ds, tmp, out: ["simulate", "--out", out, "--speckle", "nan"], 2,
+                     id="simulate-speckle-nan"),
+        pytest.param(_turbidity_d_nan, 2, id="turbidity-d-nan"),
+        pytest.param(_scene_radius_nan, 3, id="scene-radius-nan"),
+        pytest.param(lambda ds, tmp, out: ["eval", "--pred", ds / "depth_gt.pfm",
+                                           "--gt", ds / "depth_gt.pfm", "--json", out / "m.json",
+                                           "--csv", out / "bins.csv", "--bin-edges", "0,nan,5"],
+                     2, id="eval-bin-edges-nan"),
+        pytest.param(_with_calibration("extrinsics", "translation", [float("nan"), 0.0, 0.0]), 3,
+                     id="calibration-translation-nan"),
+        pytest.param(_with_calibration("extrinsics", "rotation",
+                                       [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0],
+                                        [0.0, 0.0, 1.0]]), 3, id="calibration-rotation-nan"),
+        pytest.param(_with_calibration("intrinsics", "fx", float("inf")), 3,
+                     id="calibration-fx-inf"),
+        pytest.param(_with_calibration("planes", "d0", float("inf")), 3, id="calibration-d0-inf"),
+        pytest.param(_with_calibration("planes", "k", float("inf")), 3, id="calibration-k-inf"),
+        pytest.param(_with_calibration("sonar", "range_max", float("inf")), 3,
+                     id="calibration-range-max-inf"),
+        pytest.param(_with_calibration("planes", "k", 1e10), 3, id="calibration-k-overflow"),
+    ])
+    def test_rejected_without_traceback_or_output(self, dataset, tmp_path, capsys, argv, code):
+        out = tmp_path / "out"
+        assert run_cli(*argv(dataset, tmp_path, out)) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSubprocessEntrypoint:

@@ -133,6 +133,11 @@ class TestErrorVsDistance:
         with pytest.raises(ValueError):
             error_vs_distance(depth_map([[1.0]]), depth_map([[1.0]]), [2.0, 1.0])
 
+    @pytest.mark.parametrize("edges", [[0.0, np.nan, 5.0], [np.nan, 1.0], [0.0, np.inf]])
+    def test_non_finite_edges_rejected(self, edges):
+        with pytest.raises(ValueError):
+            error_vs_distance(depth_map([[1.0]]), depth_map([[1.0]]), edges)
+
     def test_csv_format(self):
         csv = error_bins_csv([0.0, 1.0, 2.0], np.array([0.5, np.nan]), np.array([3, 0]))
         lines = csv.strip().splitlines()

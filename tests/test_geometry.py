@@ -11,7 +11,6 @@ from oasweep.geometry import (
     PlaneHypothesisSet,
     RigidTransform,
     SonarSpec,
-    backproject_sonar_to_plane,
     build_warp_grid,
     camera_depth_field,
     cartesian_to_sonar_polar,
@@ -20,7 +19,7 @@ from oasweep.geometry import (
     spherical_to_cartesian,
 )
 
-from conftest import plane_residual, ray_plane_bisection_oracle
+from conftest import backproject_sonar_to_plane, plane_residual, ray_plane_bisection_oracle
 
 
 DEFAULT_PLANES = PlaneHypothesisSet(alpha=math.pi / 4, d0=0.5, k=1.05, n=48)
@@ -252,6 +251,16 @@ class TestClosedFormDepth:
         z, ok = camera_depth_field(100.0, 80.0, np.array([1.3, 2.6]), intr, extr, 0.6)
         assert ok.all()
         assert z[1] == pytest.approx(2 * z[0], rel=1e-12)
+
+    def test_ok_broadcast_to_depth_shape(self, rig, rng):
+        # A (P, 1) pixel column against (N,) plane distances: the mask has
+        # the shape of the depths, not of the pixels.
+        intr, extr, planes = rig.intrinsics, rig.extrinsics, rig.planes
+        us = rng.uniform(0, intr.width - 1, size=(7, 1))
+        vs = rng.uniform(0, intr.height - 1, size=(7, 1))
+        z, ok = camera_depth_field(us, vs, planes.distances(), intr, extr, planes.alpha)
+        assert z.shape == (7, planes.n)
+        assert ok.shape == z.shape
 
     def test_degenerate_ray_masked(self, rig):
         intr = rig.intrinsics

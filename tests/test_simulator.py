@@ -12,6 +12,7 @@ from oasweep.simulator import (
     JERLOV_TRANSMISSION,
     BoxPrimitive,
     PlanePrimitive,
+    PolarSonarImage,
     Scene,
     SceneError,
     SpherePrimitive,
@@ -45,6 +46,18 @@ class TestScene:
     def test_rejects_non_unit_normal(self):
         with pytest.raises(SceneError):
             PlanePrimitive(point=[0, 2, 0], normal=[0, -2, 0], reflectance=0.5)
+
+    @pytest.mark.parametrize("make", [
+        lambda: SpherePrimitive(center=[0, 2, 0], radius=np.nan, reflectance=0.5),
+        lambda: SpherePrimitive(center=[0, 2, 0], radius=np.inf, reflectance=0.5),
+        lambda: SpherePrimitive(center=[np.nan, 2, 0], radius=0.3, reflectance=0.5),
+        lambda: PlanePrimitive(point=[np.nan, 2, 0], normal=[0, -1, 0], reflectance=0.5),
+        lambda: PlanePrimitive(point=[0, 2, 0], normal=[np.nan, -1, 0], reflectance=0.5),
+        lambda: BoxPrimitive(lo=[-np.inf, 0, 0], hi=[1, 1, 1], reflectance=0.5),
+    ])
+    def test_rejects_non_finite_geometry(self, make):
+        with pytest.raises(SceneError):
+            make()
 
     def test_json_round_trip(self):
         scene = Scene(primitives=(
@@ -178,6 +191,13 @@ class TestRenderSonar:
 
 
 class TestSonarNoise:
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+    def test_speckle_sigma_rejected(self, rig, sigma):
+        img = PolarSonarImage(values=np.zeros((rig.sonar.range_bins, rig.sonar.bearing_bins)),
+                              spec=rig.sonar)
+        with pytest.raises(ValueError):
+            add_sonar_noise(img, speckle_sigma=sigma, background=0.0, seed=3)
+
     def test_identity_without_noise(self, rig):
         img = render_sonar(default_scene(), rig.sonar)
         out = add_sonar_noise(img, speckle_sigma=0.0, background=0.0, seed=3)
@@ -248,6 +268,13 @@ class TestTurbidity:
             apply_turbidity(np.ones((2, 2)), 0.7, 1.2, 1.0)
         with pytest.raises(ValueError):
             apply_turbidity(np.ones((2, 2)), 0.7, 0.5, -1.0)
+
+    @pytest.mark.parametrize("t1, b, d", [
+        (np.nan, 0.5, 1.0), (0.7, np.nan, 1.0), (0.7, 0.5, np.nan), (0.7, 0.5, np.inf),
+    ])
+    def test_non_finite_rejected(self, t1, b, d):
+        with pytest.raises(ValueError):
+            apply_turbidity(np.ones((2, 2)), t1, b, d)
 
 
 class TestCrossModalConsistency:

@@ -30,6 +30,13 @@ from oasweep.sweep import (
 from conftest import argmin_planes, hypothesis_plane_primitive
 
 
+class TestSweepConfig:
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_cost_scale_positive_and_finite(self, value):
+        with pytest.raises(ValueError):
+            SweepConfig(cost_scale=value)
+
+
 class TestExtractFeatures:
     def test_intensity_passthrough(self, rng):
         img = rng.random((6, 9))
