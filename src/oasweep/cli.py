@@ -108,14 +108,6 @@ def cmd_simulate(args) -> int:
 
     outputs = []
     spec = calibration.sonar
-    sidecar = {
-        "range_min": spec.range_min,
-        "range_max": spec.range_max,
-        "bearing_fov_deg": float(np.degrees(spec.bearing_fov)),
-        "elevation_fov_deg": float(np.degrees(spec.elevation_fov)),
-        "range_bins": spec.range_bins,
-        "bearing_bins": spec.bearing_bins,
-    }
 
     if args.background_only:
         clean = PolarSonarImage(values=np.zeros((spec.range_bins, spec.bearing_bins)), spec=spec)
@@ -139,8 +131,9 @@ def cmd_simulate(args) -> int:
         name = "sonar.pfm" if k == 0 else f"sonar_{k:03d}.pfm"
         outputs.append((out / name, formats.encode_pfm(frame.values)))
 
-    outputs.append((out / "sonar.json", formats.encode_json(sidecar)))
-    outputs.append((out / "calibration.json", formats.encode_json(calibration.to_dict())))
+    record = calibration.to_dict()
+    outputs.append((out / "sonar.json", formats.encode_json(record["sonar"])))
+    outputs.append((out / "calibration.json", formats.encode_json(record)))
     _write_outputs(outputs)
     print(f"dataset written to {out}")
     return EXIT_OK

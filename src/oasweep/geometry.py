@@ -104,9 +104,6 @@ class RigidTransform:
         points = np.asarray(points, dtype=float)
         return points @ self.rotation.T + self.translation
 
-    def inverse(self) -> "RigidTransform":
-        return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
-
 
 @dataclass(frozen=True)
 class SonarSpec:
@@ -278,8 +275,10 @@ def camera_depth_field(us, vs, d_hat, intrinsics: CameraIntrinsics,
 
         Z_c = (d_hat sin(alpha) + (R n)^T t) / ((R n)^T K^-1 [u, v, 1]^T)
 
-    with n = [0, cos(alpha), sin(alpha)] the plane-family normal. Rays with
-    |denominator| < 1e-12 (parallel to the family) are masked.
+    with n = [0, cos(alpha), sin(alpha)] the plane-family normal. This is the
+    one admissibility test of the ray/plane geometry: an entry is ok where the
+    ray meets the plane in front of the camera, Z_c > 0; rays with
+    |denominator| < 1e-12 (parallel to the family) are never ok.
 
     Returns:
         (z_c, ok) broadcast to the common shape of us, vs, d_hat; z_c is NaN
@@ -290,10 +289,9 @@ def camera_depth_field(us, vs, d_hat, intrinsics: CameraIntrinsics,
     rays = intrinsics.ray_directions(us, vs)
     denom = rays @ n_cam
     numer = np.asarray(d_hat, dtype=float) * np.sin(alpha) + n_cam @ extrinsics.translation
-    ok = np.abs(denom) >= 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(ok, numer / np.where(ok, denom, 1.0), np.nan)
-    return z, np.broadcast_to(ok, z.shape)
+    z = numer / np.where(np.abs(denom) >= 1e-12, denom, np.nan)
+    ok = z > 0
+    return np.where(ok, z, np.nan), ok
 
 
 def solve_ray_plane(us, vs, intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
@@ -312,10 +310,10 @@ def solve_ray_plane(us, vs, intrinsics: CameraIntrinsics, extrinsics: RigidTrans
         indices: 1-based plane indices; broadcast against us and vs.
 
     Returns:
-        (points, ok): sonar-frame intersections (..., 3) and a mask that is
-        False where the ray is parallel to the plane family, both at the
-        broadcast shape. Masked entries hold the camera center, so every
-        returned coordinate stays finite.
+        (points, ok): sonar-frame intersections (..., 3) and the mask of
+        :func:`camera_depth_field` (the ray meets the plane in front of the
+        camera), both at the broadcast shape. Masked entries hold the camera
+        center, so every returned coordinate stays finite.
     """
     indices = np.asarray(indices)
     if np.any((indices < 1) | (indices > planes.n)):
@@ -386,8 +384,7 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
                          indexing="ij")
     points, ok = solve_ray_plane(us[:, :, None], vs[:, :, None], intrinsics, extrinsics, planes,
                                  np.arange(1, planes.n + 1))
-    in_front = extrinsics.apply(points)[..., 2] > 0.0
     ranges, bearings, in_fov = cartesian_to_sonar_polar(points, spec)
     elevation = np.arctan2(points[..., 2], ranges)
-    valid = ok & in_front & in_fov & (np.abs(elevation) <= spec.elevation_fov / 2)
+    valid = ok & in_fov & (np.abs(elevation) <= spec.elevation_fov / 2)
     return WarpGrid(ranges, bearings, valid)

@@ -284,9 +284,12 @@ def render_camera(scene: Scene, intrinsics, pose: RigidTransform):
     return image, DepthMap(depth=depth, valid=hit)
 
 
-def render_sonar_energy(scene: Scene, spec: SonarSpec, pose: RigidTransform | None = None,
+def render_sonar_energy(scene: Scene, spec: SonarSpec,
                         elevation_rays: int = DEFAULT_ELEVATION_RAYS) -> np.ndarray:
     """Raw (unnormalized) deposited sonar energy per (range, bearing) bin.
+
+    The scene is expressed in the sonar frame, so every ray starts at the
+    origin.
 
     For every bearing bin, ``elevation_rays`` stratified rays fan across the
     vertical aperture; each hit deposits its primitive's reflectance into the
@@ -298,20 +301,10 @@ def render_sonar_energy(scene: Scene, spec: SonarSpec, pose: RigidTransform | No
     half = spec.elevation_fov / 2
     elevations = -half + (np.arange(elevation_rays) + 0.5) * (spec.elevation_fov / elevation_rays)
 
-    if pose is None:
-        origin = np.zeros(3)
-        to_scene = None
-    else:
-        inv = pose.inverse()
-        origin = inv.translation
-        to_scene = inv.rotation
-
     bins = np.zeros((spec.range_bins, spec.bearing_bins))
     for phi in elevations:
         dirs = spherical_to_cartesian(1.0, bearings, phi)
-        if to_scene is not None:
-            dirs = dirs @ to_scene.T
-        t, _, refl, hit = intersect_rays(origin, dirs, scene)
+        t, _, refl, hit = intersect_rays(np.zeros(3), dirs, scene)
         in_range = hit & (t >= spec.range_min) & (t <= spec.range_max)
         _deposit_range_energy(bins, t[in_range], refl[in_range],
                               np.nonzero(in_range)[0], spec)
@@ -334,7 +327,7 @@ def _deposit_range_energy(bins, slant, weight, bearing_idx, spec: SonarSpec) -> 
     np.add.at(bins, (r1, bearing_idx), weight * frac)
 
 
-def render_sonar(scene: Scene, spec: SonarSpec, pose: RigidTransform | None = None,
+def render_sonar(scene: Scene, spec: SonarSpec,
                  elevation_rays: int = DEFAULT_ELEVATION_RAYS) -> PolarSonarImage:
     """Render the polar sonar scan of a scene, normalized to [0, 1].
 
@@ -342,13 +335,11 @@ def render_sonar(scene: Scene, spec: SonarSpec, pose: RigidTransform | None = No
     image maximum; an all-zero scan stays zero.
 
     Args:
-        scene: Scene geometry.
+        scene: Scene geometry, in the sonar frame.
         spec: Sonar geometry and bin counts.
-        pose: Scene-to-sonar transform; identity when the scene is already
-            expressed in the sonar frame (the default).
         elevation_rays: Vertical stratification count.
     """
-    bins = render_sonar_energy(scene, spec, pose, elevation_rays)
+    bins = render_sonar_energy(scene, spec, elevation_rays)
     peak = bins.max()
     if peak > 0:
         bins = bins / peak

@@ -28,10 +28,6 @@ METRICS = ("sad", "neg-dot", "neg-zncc")
 # Sentinel carried by invalid cost entries; never NaN.
 INVALID_COST = np.float32(1e9)
 
-# Planes warped and scored per step of the cost-volume builder; bounds the
-# (H, W, CHUNK_PLANES, F) float64 temporaries.
-CHUNK_PLANES = 8
-
 _NORM_EPS = 1e-9
 _VAR_EPS = 1e-12
 
@@ -148,18 +144,15 @@ def extract_features(image: np.ndarray, kind: str = "zncc-patch", patch_radius: 
 
 
 def _bilinear_sample(values: np.ndarray, rows, cols) -> np.ndarray:
-    """Bilinear lookup with edge clamping; values is (R, C) or (R, C, F)."""
+    """Bilinear lookup with edge clamping of an (R, C, F) map; returns (..., F)."""
     rows = np.clip(rows, 0.0, values.shape[0] - 1.0)
     cols = np.clip(cols, 0.0, values.shape[1] - 1.0)
     r0 = np.floor(rows).astype(int)
     c0 = np.floor(cols).astype(int)
     r1 = np.minimum(r0 + 1, values.shape[0] - 1)
     c1 = np.minimum(c0 + 1, values.shape[1] - 1)
-    fr = rows - r0
-    fc = cols - c0
-    if values.ndim == 3:
-        fr = fr[..., None]
-        fc = fc[..., None]
+    fr = (rows - r0)[..., None]
+    fc = (cols - c0)[..., None]
     top = values[r0, c0] * (1 - fc) + values[r0, c1] * fc
     bot = values[r1, c0] * (1 - fc) + values[r1, c1] * fc
     return top * (1 - fr) + bot * fr
@@ -187,9 +180,11 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
                       grid: WarpGrid, spec: SonarSpec, metric: str) -> CostVolume:
     """Warp sonar features through the grid and score them against the camera.
 
-    Each (pixel, plane) lookup samples the sonar feature map bilinearly in
-    (range-bin, bearing-bin) space, and the sample is compared with the
-    pixel's camera feature, CHUNK_PLANES planes at a time.
+    Only the entries the warp grid admits are touched: plane by plane, each
+    admissible (pixel, plane) lookup samples the sonar feature map bilinearly
+    in (range-bin, bearing-bin) space and is scored, in float64, against that
+    pixel's camera feature. Every other entry keeps the sentinel, and the
+    grid's ranges and bearings there are never read.
 
     Args:
         camera_features: (H, W, F).
@@ -217,19 +212,15 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
         )
     if camera_features.shape[:2] != grid.shape[:2]:
         raise ValueError(f"grid mismatch: {camera_features.shape[:2]} vs {grid.shape[:2]}")
-    h, w, n = grid.shape
-    costs = np.empty((h, w, n), dtype=np.float32)
-    valid = np.empty((h, w, n), dtype=bool)
-    rb, bb = spec.polar_to_bin(grid.ranges, grid.bearings)
-    cam = camera_features[:, :, None, :].astype(np.float64)
-    for lo in range(0, n, CHUNK_PLANES):
-        hi = min(lo + CHUNK_PLANES, n)
-        warped = _bilinear_sample(sonar_features, rb[:, :, lo:hi], bb[:, :, lo:hi])
-        warped[~grid.valid[:, :, lo:hi]] = 0.0
-        cost, defined = _pair_cost(cam, warped.astype(np.float64), metric)
-        ok = grid.valid[:, :, lo:hi] & defined
-        costs[:, :, lo:hi] = np.where(ok, cost, INVALID_COST).astype(np.float32)
-        valid[:, :, lo:hi] = ok
+    costs = np.full(grid.shape, INVALID_COST, dtype=np.float32)
+    valid = np.zeros(grid.shape, dtype=bool)
+    for i in range(grid.shape[2]):
+        v, u = np.nonzero(grid.valid[:, :, i])
+        rb, bb = spec.polar_to_bin(grid.ranges[v, u, i], grid.bearings[v, u, i])
+        cost, defined = _pair_cost(camera_features[v, u].astype(np.float64),
+                                   _bilinear_sample(sonar_features, rb, bb), metric)
+        costs[v[defined], u[defined], i] = cost[defined]
+        valid[v, u, i] = defined
     return CostVolume(costs=costs, valid=valid)
 
 
@@ -312,7 +303,8 @@ def regress_depth_map(d_hat: np.ndarray, valid: np.ndarray, intrinsics: CameraIn
     """Turn a regressed plane-distance field into metric Euclidean depth.
 
     Applies the closed-form camera depth followed by the ray-norm conversion
-    per pixel; degenerate rays and behind-camera solutions are masked.
+    per pixel; pixels the camera depth field rejects (parallel rays,
+    behind-camera solutions) are masked.
 
     Args:
         d_hat: (H, W) plane distances.
@@ -324,7 +316,7 @@ def regress_depth_map(d_hat: np.ndarray, valid: np.ndarray, intrinsics: CameraIn
     vs, us = np.meshgrid(np.arange(h, dtype=float) + origin[1],
                          np.arange(w, dtype=float) + origin[0], indexing="ij")
     z, ok = camera_depth_field(us, vs, d_hat, intrinsics, extrinsics, alpha)
-    good = np.asarray(valid, dtype=bool) & ok & np.where(ok, z > 0, False)
+    good = np.asarray(valid, dtype=bool) & ok
     depth = np.where(good, ray_depth_to_euclidean(us, vs, np.where(good, z, 1.0), intrinsics), 0.0)
     return DepthMap(depth=depth, valid=good)
 

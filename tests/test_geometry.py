@@ -152,11 +152,6 @@ class TestRigidTransform:
         with pytest.raises(ValueError):
             RigidTransform(r, np.zeros(3))
 
-    def test_inverse_round_trip(self, rig, rng):
-        pts = rng.normal(size=(10, 3))
-        t = rig.extrinsics
-        np.testing.assert_allclose(t.inverse().apply(t.apply(pts)), pts, atol=1e-12)
-
 
 class TestSolveRayPlane:
     def test_axis_ray_identity_extrinsics(self, rig):
@@ -190,10 +185,10 @@ class TestSolveRayPlane:
         pts, ok = solve_ray_plane(us, vs, intr, extr, planes, idx)
         res = pts @ planes.normal() - planes.distances()[idx - 1] * math.sin(planes.alpha)
         assert np.max(np.abs(res[ok])) < 1e-9
-        cam = extr.apply(pts)
-        front = ok & (cam[..., 2] > 0)
-        proj = intr.project(cam[front])
-        err = np.hypot(proj[:, 0] - us[front], proj[:, 1] - vs[front])
+        cam = extr.apply(pts[ok])
+        assert np.all(cam[:, 2] > 0)  # ok means in front of the camera
+        proj = intr.project(cam)
+        err = np.hypot(proj[:, 0] - us[ok], proj[:, 1] - vs[ok])
         assert np.max(err) < 1e-6
 
     def test_indices_broadcast_against_pixels(self, rig, rng):
@@ -228,13 +223,16 @@ class TestSolveRayPlane:
 
     def test_singular_ray_masked(self, rig):
         # Camera pitched down 45 deg: its axis ray runs parallel to the
-        # 45 deg plane family (zero normal component). Only that pixel fails.
+        # 45 deg plane family (zero normal component), the ray 40 px above it
+        # meets the plane in front of the camera and the ray 40 px below it
+        # meets the plane behind the camera.
         intr = rig.intrinsics
         extr = RigidTransform(camera_rotation(math.pi / 4), np.zeros(3))
-        us = np.array([intr.cx, intr.cx])
-        vs = np.array([intr.cy, intr.cy + 40.0])
-        _, ok = solve_ray_plane(us, vs, intr, extr, DEFAULT_PLANES, 5)
-        np.testing.assert_array_equal(ok, [False, True])
+        us = np.full(3, intr.cx)
+        vs = np.array([intr.cy, intr.cy - 40.0, intr.cy + 40.0])
+        points, ok = solve_ray_plane(us, vs, intr, extr, DEFAULT_PLANES, 5)
+        np.testing.assert_array_equal(ok, [False, True, False])
+        assert np.all(np.isfinite(points))
 
 
 class TestClosedFormDepth:
@@ -263,13 +261,15 @@ class TestClosedFormDepth:
         assert ok.shape == z.shape
 
     def test_degenerate_ray_masked(self, rig):
+        # Parallel axis ray, a ray meeting the plane in front of the camera and
+        # one meeting it behind: only the middle one is ok, the others are NaN.
         intr = rig.intrinsics
         extr = RigidTransform(camera_rotation(math.pi / 4), np.zeros(3))
-        us = np.array([intr.cx, intr.cx])
-        vs = np.array([intr.cy, intr.cy + 40.0])
+        us = np.full(3, intr.cx)
+        vs = np.array([intr.cy, intr.cy - 40.0, intr.cy + 40.0])
         z, ok = camera_depth_field(us, vs, 1.0, intr, extr, math.pi / 4)
-        np.testing.assert_array_equal(ok, [False, True])
-        assert np.isnan(z[0]) and np.isfinite(z[1])
+        np.testing.assert_array_equal(ok, [False, True, False])
+        assert np.isnan(z[0]) and z[1] > 0 and np.isnan(z[2])
 
 
 class TestRayDepthToEuclidean:

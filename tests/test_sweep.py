@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oasweep.config import default_rig
-from oasweep.geometry import RigidTransform, WarpGrid
+from oasweep.geometry import RigidTransform, WarpGrid, build_warp_grid
 from scipy import ndimage
 
 from oasweep.simulator import Scene, default_scene, render_camera, render_sonar
 from oasweep.preprocess import prepare_camera
 from oasweep.sweep import (
-    CHUNK_PLANES,
     INVALID_COST,
+    METRICS,
     CostVolume,
     DepthMap,
     SweepConfig,
@@ -124,11 +124,10 @@ class TestWarpSonarFeatures:
         assert valid.all()
         np.testing.assert_allclose(warped, 0.31, atol=1e-6)
 
-    def test_matches_map_coordinates_across_chunks(self, rig, rng):
-        # Bilinear sampling checked against scipy's order-1 interpolation on
-        # more planes than one chunk holds, so chunk seams are covered.
+    def test_matches_map_coordinates(self, rig, rng):
+        # Bilinear sampling checked against scipy's order-1 interpolation.
         spec = rig.sonar
-        n = 2 * CHUNK_PLANES + 3
+        n = 19
         sonar_map = rng.random((spec.range_bins, spec.bearing_bins)).astype(np.float32)
         rb = rng.uniform(0, spec.range_bins - 1, size=(3, 4, n))
         bb = rng.uniform(0, spec.bearing_bins - 1, size=(3, 4, n))
@@ -200,6 +199,23 @@ class TestBuildCostVolume:
         assert vol.costs[0, 0, 0] == pytest.approx(0.0, abs=1e-6)
         assert vol.costs[0, 0, 1] == INVALID_COST
         assert np.all(np.isfinite(vol.costs))
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_inadmissible_lookups_never_read(self, rig, rng, metric):
+        # The builder reads ranges and bearings only where the grid is valid:
+        # NaN everywhere else leaves the volume unchanged.
+        spec = rig.sonar
+        grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, spec,
+                               shape=(6, 8), origin=(156, 116))
+        assert grid.valid.any() and not grid.valid.all()
+        holed = WarpGrid(ranges=np.where(grid.valid, grid.ranges, np.nan),
+                         bearings=np.where(grid.valid, grid.bearings, np.nan), valid=grid.valid)
+        camera = rng.random((6, 8, 3)).astype(np.float32)
+        sonar = rng.random((spec.range_bins, spec.bearing_bins, 3)).astype(np.float32)
+        want = build_cost_volume(camera, sonar, grid, spec, metric)
+        got = build_cost_volume(camera, sonar, holed, spec, metric)
+        np.testing.assert_array_equal(got.valid, want.valid)
+        np.testing.assert_array_equal(got.costs, want.costs)
 
 
 class TestRegularizeCostVolume:
