@@ -221,6 +221,15 @@ def cmd_sweep(args) -> int:
         except preprocess.SensorOverlapError as exc:
             raise CommandError(str(exc), EXIT_NUMERICAL) from exc
 
+    # A patch wider than the image it tiles only edge-pads, and its window
+    # array grows as (2r+1)^2 per pixel.
+    side = 2 * config.patch_radius + 1
+    if config.extractor == "zncc-patch" and side > min(prepared.shape + sonar_image.values.shape):
+        raise CommandError(
+            f"--patch-radius {config.patch_radius}: a {side}x{side} patch exceeds the "
+            f"{prepared.shape[0]}x{prepared.shape[1]} camera crop or the "
+            f"{spec.range_bins}x{spec.bearing_bins} sonar map", EXIT_VALIDATION)
+
     depth, volume = sweep.run_pipeline(prepared, sonar_image, calibration, config,
                                        origin=(window.u0, window.v0))
 

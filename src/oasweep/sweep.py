@@ -186,6 +186,12 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
     pixel's camera feature. Every other entry keeps the sentinel, and the
     grid's ranges and bearings there are never read.
 
+    A lookup whose bilinear cell has four +0.0 corners samples exactly the
+    zero vector, so it takes its pixel's zero-sample cost, scored once per
+    pixel before the plane loop; only lookups whose cell touches a bin
+    holding anything else are gathered and scored. The result is the same
+    bit for bit as scoring every lookup.
+
     Args:
         camera_features: (H, W, F).
         sonar_features: (range_bins, bearing_bins, F) feature map.
@@ -212,13 +218,24 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
         )
     if camera_features.shape[:2] != grid.shape[:2]:
         raise ValueError(f"grid mismatch: {camera_features.shape[:2]} vs {grid.shape[:2]}")
+    cost0, defined0 = _pair_cost(camera_features.astype(np.float64),
+                                 np.zeros(sonar_features.shape[-1]), metric)
+    # A -0.0 bin counts as held: only +0.0 corners surely blend to a +0.0 sample.
+    held = np.any((sonar_features != 0) | np.signbit(sonar_features), axis=-1)
+    # Cell (r, c) blends corners [r, r+1] x [c, c+1], edge-clamped as in _bilinear_sample.
+    held = np.pad(held, ((0, 1), (0, 1)), mode="edge")
+    live = held[:-1, :-1] | held[1:, :-1] | held[:-1, 1:] | held[1:, 1:]
     costs = np.full(grid.shape, INVALID_COST, dtype=np.float32)
     valid = np.zeros(grid.shape, dtype=bool)
     for i in range(grid.shape[2]):
         v, u = np.nonzero(grid.valid[:, :, i])
         rb, bb = spec.polar_to_bin(grid.ranges[v, u, i], grid.bearings[v, u, i])
-        cost, defined = _pair_cost(camera_features[v, u].astype(np.float64),
-                                   _bilinear_sample(sonar_features, rb, bb), metric)
+        hit = live[np.floor(np.clip(rb, 0.0, live.shape[0] - 1.0)).astype(int),
+                   np.floor(np.clip(bb, 0.0, live.shape[1] - 1.0)).astype(int)]
+        cost, defined = cost0[v, u], defined0[v, u]
+        cost[hit], defined[hit] = _pair_cost(camera_features[v[hit], u[hit]].astype(np.float64),
+                                             _bilinear_sample(sonar_features, rb[hit], bb[hit]),
+                                             metric)
         costs[v[defined], u[defined], i] = cost[defined]
         valid[v, u, i] = defined
     return CostVolume(costs=costs, valid=valid)
@@ -280,17 +297,16 @@ def soft_argmin(volume: CostVolume, distances):
     if distances.shape != (volume.shape[2],):
         raise ValueError(f"distances shape {distances.shape} does not match N={volume.shape[2]}")
 
-    costs = volume.costs.astype(np.float64)
-    valid = volume.valid
-    any_valid = valid.any(axis=2)
-
-    neg = np.where(valid, -costs, -np.inf)
-    peak = np.max(neg, axis=2, keepdims=True)
+    any_valid = volume.valid.any(axis=2)
+    # One float64 buffer carries -cost, the weights and then the probabilities.
+    probs = np.negative(volume.costs, dtype=np.float64)
+    probs[~volume.valid] = -np.inf
+    peak = np.max(probs, axis=2, keepdims=True)
     peak = np.where(np.isfinite(peak), peak, 0.0)
-    weights = np.exp(neg - peak)
-    weights[~valid] = 0.0
-    total = weights.sum(axis=2)
-    probs = weights / np.where(any_valid, total, 1.0)[:, :, None]
+    np.subtract(probs, peak, out=probs)
+    np.exp(probs, out=probs)  # exp(-inf) = 0 on invalid entries
+    total = probs.sum(axis=2)
+    np.divide(probs, np.where(any_valid, total, 1.0)[:, :, None], out=probs)
     d_hat = probs @ distances
     d_hat[~any_valid] = 0.0
     probs[~any_valid] = 0.0

@@ -13,6 +13,7 @@ from oasweep.geometry import (
     SonarSpec,
 )
 from oasweep.simulator import PlanePrimitive
+from oasweep.sweep import INVALID_COST, CostVolume, _bilinear_sample, _pair_cost
 
 
 @pytest.fixture
@@ -99,6 +100,21 @@ def backproject_sonar_to_plane(d, theta, planes: PlaneHypothesisSet, i: int) -> 
     y = d * np.cos(theta)
     z = (d_i - y) * np.tan(planes.alpha)
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+
+
+def dense_cost_volume(camera_features, sonar_features, grid, spec, metric) -> CostVolume:
+    """Oracle for the cost-volume builder: gather and score every admissible
+    lookup, whether or not its bilinear cell touches a non-zero sonar bin."""
+    costs = np.full(grid.shape, INVALID_COST, dtype=np.float32)
+    valid = np.zeros(grid.shape, dtype=bool)
+    for i in range(grid.shape[2]):
+        v, u = np.nonzero(grid.valid[:, :, i])
+        rb, bb = spec.polar_to_bin(grid.ranges[v, u, i], grid.bearings[v, u, i])
+        cost, defined = _pair_cost(camera_features[v, u].astype(np.float64),
+                                   _bilinear_sample(sonar_features, rb, bb), metric)
+        costs[v[defined], u[defined], i] = cost[defined]
+        valid[v, u, i] = defined
+    return CostVolume(costs=costs, valid=valid)
 
 
 def argmin_planes(volume):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oasweep import sweep
 from oasweep.cli import main
 from oasweep.config import default_rig
 from oasweep.formats import read_cost_volume, read_pfm, read_pgm, write_pfm, write_pgm
@@ -118,6 +119,26 @@ class TestSweep:
     def test_bad_flag_value_exits_2(self, dataset, tmp_path):
         assert run_cli("sweep", "--dataset", dataset, "--out", tmp_path / "x",
                        "--cost-scale", 0) == 2
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_patch_wider_than_inputs_exits_2(self, dataset, tmp_path, capsys, monkeypatch, route):
+        # A 1001x1001 patch would ask for a ~557 GiB window array: the check
+        # must fire before any feature is built.
+        def no_features(*args, **kwargs):
+            raise AssertionError("features built despite an oversized patch")
+        monkeypatch.setattr(sweep, "extract_features", no_features)
+        out = tmp_path / "out"
+        argv = ["sweep", "--dataset", dataset, "--out", out]
+        if route == "flag":
+            argv += ["--patch-radius", 500]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"patch_radius": 500}))
+            argv = ["--config", cfg] + argv
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--patch-radius 500" in err
+        assert not out.exists()
 
 
 class TestEval:

@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oasweep.config import CalibrationBundle
 from oasweep.formats import (
@@ -11,6 +12,8 @@ from oasweep.formats import (
     atomic_write,
     encode_cost_volume,
     encode_json,
+    encode_pfm,
+    encode_pgm,
     read_cost_volume,
     read_pfm,
     read_pgm,
@@ -208,3 +211,53 @@ class TestArbitraryBytes:
             assert costs.dtype == np.float32 and valid.dtype == bool
             assert costs.shape == valid.shape and costs.ndim == 3
             assert shape is None or costs.shape == shape
+
+
+# Exact round trips at arbitrary small shapes (every side 1..5, so 1x1 and 1xN
+# occur; the examples pin them). Bytes are compared, so -0.0 must survive too.
+
+_FINITE_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+def _shapes(dims: int):
+    return hnp.array_shapes(min_dims=dims, max_dims=dims, min_side=1, max_side=5)
+
+
+_VOLUMES = _shapes(3).flatmap(lambda shape: st.tuples(
+    hnp.arrays(np.float32, shape, elements=_FINITE_F32), hnp.arrays(np.bool_, shape)))
+
+
+class TestExactRoundTrips:
+    @given(values=hnp.arrays(np.float32, _shapes(2), elements=_FINITE_F32))
+    @example(values=np.array([[-0.0]], dtype=np.float32))
+    @example(values=np.array([[3.4e38, -1e-45, 0.0, -2.5]], dtype=np.float32))
+    @settings(max_examples=200, deadline=None)
+    def test_pfm(self, fuzz_path, values):
+        fuzz_path.write_bytes(encode_pfm(values))
+        got = read_pfm(fuzz_path)
+        assert got.dtype == np.float32 and got.shape == values.shape
+        assert got.tobytes() == values.tobytes()
+
+    @given(image=hnp.arrays(np.uint8, _shapes(2)))
+    @example(image=np.array([[255]], dtype=np.uint8))
+    @example(image=np.array([[0, 10, 32, 255]], dtype=np.uint8))
+    @settings(max_examples=200, deadline=None)
+    def test_pgm(self, fuzz_path, image):
+        fuzz_path.write_bytes(encode_pgm(image))
+        got = read_pgm(fuzz_path)
+        assert got.dtype == np.uint8 and got.shape == image.shape
+        assert got.tobytes() == image.tobytes()
+
+    @given(volume=_VOLUMES)
+    @example(volume=(np.array([[[-0.0]]], dtype=np.float32), np.array([[[True]]])))
+    @example(volume=(np.array([[[1.0], [2.0], [-3.0]]], dtype=np.float32),
+                     np.array([[[True], [False], [True]]])))
+    @settings(max_examples=200, deadline=None)
+    def test_cost_volume(self, fuzz_path, volume):
+        costs, valid = volume
+        fuzz_path.write_bytes(encode_cost_volume(costs, valid))
+        got_costs, got_valid = read_cost_volume(fuzz_path)
+        assert got_costs.dtype == np.float32 and got_costs.shape == costs.shape
+        assert got_costs.tobytes() == costs.tobytes()
+        np.testing.assert_array_equal(got_valid, valid)
+        assert got_valid.dtype == bool

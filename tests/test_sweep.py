@@ -6,11 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oasweep.config import default_rig
-from oasweep.geometry import RigidTransform, WarpGrid, build_warp_grid
+from oasweep.geometry import RigidTransform, SonarSpec, WarpGrid, build_warp_grid
 from scipy import ndimage
 
-from oasweep.simulator import Scene, default_scene, render_camera, render_sonar
-from oasweep.preprocess import prepare_camera
+from oasweep.simulator import (
+    PolarSonarImage,
+    Scene,
+    add_sonar_noise,
+    default_scene,
+    render_camera,
+    render_sonar,
+)
+from oasweep.preprocess import prepare_camera, preprocess_sonar_frames
 from oasweep.sweep import (
     INVALID_COST,
     METRICS,
@@ -27,7 +34,7 @@ from oasweep.sweep import (
     to_full_frame,
 )
 
-from conftest import argmin_planes, hypothesis_plane_primitive
+from conftest import argmin_planes, dense_cost_volume, hypothesis_plane_primitive
 
 
 class TestSweepConfig:
@@ -94,6 +101,35 @@ def warp_values(grid, sonar_map, spec):
     camera = np.ones(grid.shape[:2] + (1,), dtype=np.float32)
     vol = build_cost_volume(camera, sonar_map[:, :, None], grid, spec, "neg-dot")
     return -vol.costs, vol.valid
+
+
+# 16 x 8 bins of 1 m x 0.25 rad: every quarter-bin lookup converts to exact
+# bin coordinates, so bin centers carry bilinear weights of exactly 0.
+SPARSE_SPEC = SonarSpec(range_min=0.5, range_max=16.5, bearing_fov=2.0,
+                        elevation_fov=0.2, range_bins=16, bearing_bins=8)
+
+
+def sparse_sonar(case, rng):
+    """A 3-channel SPARSE_SPEC feature map, +0.0 except at the bins the case names."""
+    r, b = SPARSE_SPEC.range_bins, SPARSE_SPEC.bearing_bins
+    sonar = np.zeros((r, b, 3), dtype=np.float32)
+    if case == "single":
+        sonar[7, 3] = rng.uniform(0.5, 1.0, size=3)
+    elif case == "last-range-row":
+        sonar[r - 1, 3] = rng.uniform(0.5, 1.0, size=3)
+    elif case == "last-bearing-column":
+        sonar[7, b - 1] = rng.uniform(0.5, 1.0, size=3)
+    elif case == "last-corner":
+        sonar[r - 1, b - 1] = rng.uniform(0.5, 1.0, size=3)
+    elif case == "all-nonzero":
+        sonar[:] = rng.uniform(0.5, 1.0, size=sonar.shape) * rng.choice([-1, 1], size=sonar.shape)
+    elif case == "negative-zero":
+        sonar[7:9, 3:5] = -0.0
+        sonar[r - 1, b - 1] = -0.0
+        sonar[2, 1] = [-0.0, 0.5, 0.0]
+    else:
+        assert case == "all-zero"
+    return sonar
 
 
 class TestWarpSonarFeatures:
@@ -216,6 +252,60 @@ class TestBuildCostVolume:
         got = build_cost_volume(camera, sonar, holed, spec, metric)
         np.testing.assert_array_equal(got.valid, want.valid)
         np.testing.assert_array_equal(got.costs, want.costs)
+
+    @pytest.mark.parametrize("case", ["single", "last-range-row", "last-bearing-column",
+                                      "last-corner", "all-zero", "all-nonzero",
+                                      "negative-zero"])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_sparse_sonar_matches_dense_oracle(self, rng, metric, case):
+        # Every quarter-bin lookup over bin coordinates [-1, R + 1] x [-1, B + 1]
+        # (clamped lookups included), one per pixel. Plane j shifts the
+        # lookups by j pixels, so each one meets a camera feature of each
+        # kind: zero, constant, negative, -0.0 and generic; some are masked.
+        spec = SPARSE_SPEC
+        rb, bb = np.meshgrid(np.arange(-4, 4 * spec.range_bins + 5) / 4,
+                             np.arange(-4, 4 * spec.bearing_bins + 5) / 4, indexing="ij")
+        camera = rng.normal(size=rb.shape + (3,)).astype(np.float32)
+        kind = np.arange(rb.size).reshape(rb.shape) % 5
+        camera[kind == 0] = 0.0
+        camera[kind == 1] = 1.0
+        camera[kind == 2] = -np.abs(camera[kind == 2])
+        camera[kind == 3] = -0.0
+        grid = bin_grid(spec, np.stack([np.roll(rb, j) for j in range(5)], axis=-1),
+                        np.stack([np.roll(bb, j) for j in range(5)], axis=-1),
+                        valid=rng.random(rb.shape + (5,)) < 0.9)
+        sonar = sparse_sonar(case, rng)
+        got = build_cost_volume(camera, sonar, grid, spec, metric)
+        want = dense_cost_volume(camera, sonar, grid, spec, metric)
+        assert got.costs.tobytes() == want.costs.tobytes()
+        np.testing.assert_array_equal(got.valid, want.valid)
+
+    @pytest.mark.parametrize("config", [SweepConfig(),
+                                        SweepConfig(metric="neg-dot", zero_sonar_features=True)],
+                             ids=["default", "neg-dot-ablation"])
+    def test_stock_crop_matches_dense_oracle(self, rig, config):
+        # The stock scene's camera crop against a background-subtracted noisy
+        # frame (speckle 0.15, background 0.03), as the benchmark sweeps it.
+        scene = default_scene()
+        camera, _ = render_camera(scene, rig.intrinsics, rig.extrinsics)
+        prepared, window = prepare_camera(camera, rig.intrinsics, rig.sonar, rig.extrinsics)
+        clean = render_sonar(scene, rig.sonar)
+        empty = PolarSonarImage(values=np.zeros_like(clean.values), spec=rig.sonar)
+        frame, = preprocess_sonar_frames(
+            [add_sonar_noise(clean, 0.15, 0.03, seed=1000)],
+            [add_sonar_noise(empty, 0.15, 0.03, seed=500 + i) for i in range(8)])
+        cam = extract_features(prepared.astype(np.float64) / 255.0, config.extractor,
+                               config.patch_radius)
+        son = extract_features(frame.values, config.extractor, config.patch_radius)
+        if config.zero_sonar_features:
+            son = np.zeros_like(son)
+        grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
+                               shape=prepared.shape, origin=(window.u0, window.v0))
+        got = build_cost_volume(cam, son, grid, rig.sonar, config.metric)
+        want = dense_cost_volume(cam, son, grid, rig.sonar, config.metric)
+        assert got.valid.any()
+        assert got.costs.tobytes() == want.costs.tobytes()
+        np.testing.assert_array_equal(got.valid, want.valid)
 
 
 class TestRegularizeCostVolume:
