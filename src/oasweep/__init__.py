@@ -7,33 +7,4 @@ with a synthetic opti-acoustic simulator, a preprocessing pipeline, an
 evaluation harness, and a CLI binding it all together.
 """
 
-from .config import CalibrationBundle, default_rig
-from .geometry import (
-    CameraIntrinsics,
-    PlaneHypothesisSet,
-    RigidTransform,
-    SonarSpec,
-    WarpGrid,
-    build_warp_grid,
-    cartesian_to_sonar_polar,
-    ray_depth_to_euclidean,
-    solve_ray_plane,
-    spherical_to_cartesian,
-)
-
-__all__ = [
-    "CalibrationBundle",
-    "CameraIntrinsics",
-    "PlaneHypothesisSet",
-    "RigidTransform",
-    "SonarSpec",
-    "WarpGrid",
-    "build_warp_grid",
-    "cartesian_to_sonar_polar",
-    "default_rig",
-    "ray_depth_to_euclidean",
-    "solve_ray_plane",
-    "spherical_to_cartesian",
-]
-
 __version__ = "0.1.0"

@@ -8,10 +8,12 @@ Exit codes: 0 success, 2 validation error (bad flags, missing files),
 3 input-data error (corrupt or mismatched files), 4 numerical failure.
 
 A JSON config file (``--config``) may supply any long flag's value under its
-flag name with dashes as underscores; explicit command-line flags win.
+flag name with dashes as underscores; explicit command-line flags win, and
+are never abbreviated.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -53,21 +55,13 @@ def _require_dir(path, what: str) -> Path:
 def _load_calibration(path) -> CalibrationBundle:
     if path is None:
         return default_rig()
-    _require_file(path, "calibration file")
-    try:
-        return CalibrationBundle.load(path)
-    except ConfigError as exc:
-        raise CommandError(str(exc), EXIT_INPUT) from exc
+    return CalibrationBundle.load(_require_file(path, "calibration file"))
 
 
 def _load_scene(path) -> Scene:
     if path is None:
         return simulator.default_scene()
-    _require_file(path, "scene file")
-    try:
-        return Scene.load(path)
-    except SceneError as exc:
-        raise CommandError(str(exc), EXIT_INPUT) from exc
+    return Scene.load(_require_file(path, "scene file"))
 
 
 def _read(reader, path, what: str) -> np.ndarray:
@@ -263,7 +257,10 @@ def _load_depth_map(values_path, mask_path, what: str) -> sweep.DepthMap:
     else:
         mask = values > 0
     mask = mask & (values > 0)
-    return sweep.DepthMap(depth=np.where(mask, values, 0.0), valid=mask)
+    try:
+        return sweep.DepthMap(depth=np.where(mask, values, 0.0), valid=mask)
+    except ValueError as exc:
+        raise CommandError(f"{values_path}: {exc}", EXIT_INPUT) from exc
 
 
 def cmd_eval(args) -> int:
@@ -280,7 +277,7 @@ def cmd_eval(args) -> int:
 
     outputs = []
     if args.json:
-        outputs.append((Path(args.json), formats.encode_json(report.to_dict())))
+        outputs.append((Path(args.json), formats.encode_json(dataclasses.asdict(report))))
     if args.csv:
         if not args.bin_edges:
             raise CommandError("--csv requires --bin-edges", EXIT_VALIDATION)
@@ -330,13 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oasweep",
         description="Opti-acoustic plane-sweep depth estimation toolkit.",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", metavar="JSON",
                         help="JSON file supplying defaults for any long flag "
                              "(underscored names); explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="render a synthetic opti-acoustic dataset")
+    p = sub.add_parser("simulate", allow_abbrev=False,
+                       help="render a synthetic opti-acoustic dataset")
     p.add_argument("--scene", metavar="JSON", help="scene file (default: built-in wall+sphere)")
     p.add_argument("--calibration", metavar="JSON", help="calibration file (default: built-in rig)")
     p.add_argument("--out", required=True, metavar="DIR", help="output dataset directory")
@@ -351,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="render noise-only frames without scene objects")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("preprocess", help="background-subtract sonar frames, prepare camera images")
+    p = sub.add_parser("preprocess", allow_abbrev=False,
+                       help="background-subtract sonar frames, prepare camera images")
     p.add_argument("--frames", required=True, metavar="DIR",
                    help="directory with sonar*.pfm target frames (camera*.pgm optional)")
     p.add_argument("--background", required=True, metavar="DIR",
@@ -362,32 +362,35 @@ def build_parser() -> argparse.ArgumentParser:
                    help="median filter radius in bins, 0 disables (default 1)")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("sweep", help="run the plane-sweep pipeline on a dataset")
+    p = sub.add_parser("sweep", allow_abbrev=False,
+                       help="run the plane-sweep pipeline on a dataset")
     p.add_argument("--dataset", required=True, metavar="DIR",
                    help="dataset directory from `simulate`")
     p.add_argument("--out", required=True, metavar="DIR", help="output directory")
     p.add_argument("--calibration", metavar="JSON",
                    help="override the dataset calibration file")
     p.add_argument("--sonar", metavar="PFM", help="override the sonar frame (e.g. preprocessed)")
-    p.add_argument("--extractor", choices=sweep.EXTRACTORS, default="zncc-patch",
-                   help="feature extractor (default zncc-patch)")
-    p.add_argument("--patch-radius", type=int, default=2,
-                   help="patch radius in pixels/bins for zncc-patch (default 2)")
-    p.add_argument("--metric", choices=sweep.METRICS, default="neg-zncc",
-                   help="matching cost (default neg-zncc)")
-    p.add_argument("--box-radius", type=int, default=3,
-                   help="cost box-filter radius in pixels, 0 disables (default 3)")
-    p.add_argument("--box-passes", type=int, default=2,
-                   help="cost box-filter passes (default 2)")
-    p.add_argument("--cost-scale", type=float, default=20.0,
-                   help="matcher gain before the softmax, unitless (default 20)")
+    defaults = sweep.SweepConfig()
+    p.add_argument("--extractor", choices=sweep.EXTRACTORS, default=defaults.extractor,
+                   help="feature extractor (default %(default)s)")
+    p.add_argument("--patch-radius", type=int, default=defaults.patch_radius,
+                   help="patch radius in pixels/bins for zncc-patch (default %(default)s)")
+    p.add_argument("--metric", choices=sweep.METRICS, default=defaults.metric,
+                   help="matching cost (default %(default)s)")
+    p.add_argument("--box-radius", type=int, default=defaults.box_radius,
+                   help="cost box-filter radius in pixels, 0 disables (default %(default)s)")
+    p.add_argument("--box-passes", type=int, default=defaults.box_passes,
+                   help="cost box-filter passes (default %(default)s)")
+    p.add_argument("--cost-scale", type=float, default=defaults.cost_scale,
+                   help="matcher gain before the softmax, unitless (default %(default)s)")
     p.add_argument("--no-prepare", action="store_true",
                    help="skip the crop + equalization camera preparation")
     p.add_argument("--export-cost-volume", action="store_true",
                    help="also write the regularized cost volume as SSCV1")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("eval", help="compare a depth map against ground truth")
+    p = sub.add_parser("eval", allow_abbrev=False,
+                       help="compare a depth map against ground truth")
     p.add_argument("--pred", required=True, metavar="PFM", help="predicted depth map, meters")
     p.add_argument("--pred-mask", metavar="PGM", help="validity mask (default: depth > 0)")
     p.add_argument("--gt", required=True, metavar="PFM", help="ground-truth depth map, meters")
@@ -398,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="strictly increasing bin edges in meters for --csv")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("turbidity", help="synthesize turbid water on a camera image")
+    p = sub.add_parser("turbidity", allow_abbrev=False,
+                       help="synthesize turbid water on a camera image")
     p.add_argument("--input", required=True, metavar="PGM", help="clear grayscale image")
     p.add_argument("--out", required=True, metavar="PGM", help="output image path")
     p.add_argument("--type", choices=sorted(JERLOV_TRANSMISSION),

@@ -24,15 +24,6 @@ class MetricsReport:
     a1: float
     valid_pixel_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "abs_rel": self.abs_rel,
-            "abs_diff": self.abs_diff,
-            "rmse": self.rmse,
-            "a1": self.a1,
-            "valid_pixel_count": self.valid_pixel_count,
-        }
-
     def format_table(self) -> str:
         header = f"{'Abs Rel':>10} {'Abs Diff':>10} {'RMSE':>10} {'a1':>10} {'pixels':>10}"
         row = (

@@ -95,10 +95,6 @@ class RigidTransform:
         if abs(np.linalg.det(r) - 1.0) > ORTHONORMALITY_TOL:
             raise ValueError("rotation matrix determinant is not +1 within 1e-9")
 
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform points of shape (..., 3)."""
         points = np.asarray(points, dtype=float)
@@ -203,19 +199,9 @@ class PlaneHypothesisSet:
             if not np.isfinite(self.d0 * np.float64(self.k) ** (self.n - 1)):
                 raise ValueError(f"last plane distance d0 * k**(n-1) overflows (k={self.k}, n={self.n})")
 
-    def distance(self, i: int) -> float:
-        """Distance parameter d_i = d0 * k**(i-1) of plane i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"plane index {i} out of range 1..{self.n}")
-        return self.d0 * self.k ** (i - 1)
-
     def distances(self) -> np.ndarray:
         """All N distance parameters, strictly increasing."""
         return self.d0 * self.k ** np.arange(self.n)
-
-    def normal(self) -> np.ndarray:
-        """Unit normal shared by every plane in the set (sonar frame)."""
-        return np.array([0.0, np.cos(self.alpha), np.sin(self.alpha)])
 
 
 def spherical_to_cartesian(d, theta, phi) -> np.ndarray:
@@ -239,7 +225,7 @@ def spherical_to_cartesian(d, theta, phi) -> np.ndarray:
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
 
-def cartesian_to_sonar_polar(points, spec: SonarSpec | None = None):
+def cartesian_to_sonar_polar(points):
     """Orthographic sonar projection: range and bearing from horizontal components.
 
     The vertical beam is narrow, so cos(phi) is treated as 1 and the
@@ -248,22 +234,12 @@ def cartesian_to_sonar_polar(points, spec: SonarSpec | None = None):
 
     Args:
         points: Sonar-frame points, shape (..., 3).
-        spec: Optional sonar geometry for the in-FOV flag. Without it the
-            flag is True everywhere.
 
     Returns:
-        (ranges, bearings, in_fov) arrays of shape (...,). The flag checks
-        range bounds and the bearing aperture only; elevation is not gated
-        (the orthographic model cannot observe it).
+        (ranges, bearings) arrays of shape (...,).
     """
     points = np.asarray(points, dtype=float)
-    ranges = np.hypot(points[..., 0], points[..., 1])
-    bearings = np.arctan2(points[..., 0], points[..., 1])
-    if spec is None:
-        ok = np.ones_like(ranges, dtype=bool)
-    else:
-        ok = spec.in_fov(ranges, bearings)
-    return ranges, bearings, ok
+    return np.hypot(points[..., 0], points[..., 1]), np.arctan2(points[..., 0], points[..., 1])
 
 
 def camera_depth_field(us, vs, d_hat, intrinsics: CameraIntrinsics,
@@ -384,7 +360,7 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
                          indexing="ij")
     points, ok = solve_ray_plane(us[:, :, None], vs[:, :, None], intrinsics, extrinsics, planes,
                                  np.arange(1, planes.n + 1))
-    ranges, bearings, in_fov = cartesian_to_sonar_polar(points, spec)
+    ranges, bearings = cartesian_to_sonar_polar(points)
     elevation = np.arctan2(points[..., 2], ranges)
-    valid = ok & in_fov & (np.abs(elevation) <= spec.elevation_fov / 2)
+    valid = ok & spec.in_fov(ranges, bearings) & (np.abs(elevation) <= spec.elevation_fov / 2)
     return WarpGrid(ranges, bearings, valid)

@@ -26,14 +26,6 @@ class SensorOverlapError(ValueError):
 
 
 @dataclass(frozen=True)
-class BackgroundModel:
-    """Mean polar scan over M object-free frames."""
-
-    image: PolarSonarImage
-    frame_count: int
-
-
-@dataclass(frozen=True)
 class CropWindow:
     """Axis-aligned camera crop; u0/v0 are the top-left pixel."""
 
@@ -45,16 +37,11 @@ class CropWindow:
     def to_dict(self) -> dict:
         return {"u0": self.u0, "v0": self.v0, "w": self.width, "h": self.height}
 
-    @staticmethod
-    def from_dict(data: dict) -> "CropWindow":
-        return CropWindow(u0=int(data["u0"]), v0=int(data["v0"]),
-                          width=int(data["w"]), height=int(data["h"]))
-
     def slice(self) -> tuple:
         return slice(self.v0, self.v0 + self.height), slice(self.u0, self.u0 + self.width)
 
 
-def average_background(frames) -> BackgroundModel:
+def average_background(frames) -> PolarSonarImage:
     """Per-bin arithmetic mean of object-free polar scans."""
     frames = list(frames)
     if not frames:
@@ -64,7 +51,7 @@ def average_background(frames) -> BackgroundModel:
         if f.values.shape != frames[0].values.shape:
             raise ValueError(f"frame shape mismatch: {f.values.shape} vs {frames[0].values.shape}")
     mean = np.mean([f.values for f in frames], axis=0)
-    return BackgroundModel(image=PolarSonarImage(values=mean, spec=spec), frame_count=len(frames))
+    return PolarSonarImage(values=mean, spec=spec)
 
 
 def denoise(image: PolarSonarImage, radius: int = 1) -> PolarSonarImage:
@@ -77,10 +64,8 @@ def denoise(image: PolarSonarImage, radius: int = 1) -> PolarSonarImage:
     return PolarSonarImage(values=filtered, spec=image.spec)
 
 
-def subtract_background(frame: PolarSonarImage, background) -> PolarSonarImage:
+def subtract_background(frame: PolarSonarImage, background: PolarSonarImage) -> PolarSonarImage:
     """Remove the static background; negative residuals clamp to zero."""
-    if isinstance(background, BackgroundModel):
-        background = background.image
     if frame.values.shape != background.values.shape:
         raise ValueError(f"frame/background shape mismatch: {frame.values.shape} vs {background.values.shape}")
     return PolarSonarImage(values=np.maximum(frame.values - background.values, 0.0), spec=frame.spec)
@@ -88,8 +73,7 @@ def subtract_background(frame: PolarSonarImage, background) -> PolarSonarImage:
 
 def preprocess_sonar_frames(frames, background_frames, radius: int = 1):
     """The full sonar cleanup: model, denoise both sides, subtract."""
-    model = average_background(background_frames)
-    clean_background = denoise(model.image, radius)
+    clean_background = denoise(average_background(background_frames), radius)
     return [subtract_background(denoise(f, radius), clean_background) for f in frames]
 
 
@@ -123,19 +107,19 @@ def equalize_histogram(gray_uint8: np.ndarray) -> np.ndarray:
 
 
 def sonar_frustum_crop(intrinsics: CameraIntrinsics, spec: SonarSpec,
-                       extrinsics: RigidTransform, samples: int = 15) -> CropWindow:
+                       extrinsics: RigidTransform) -> CropWindow:
     """Camera crop window covering the sonar frustum's image-plane projection.
 
-    Samples the frustum volume on a (range x bearing x elevation) grid,
-    projects the points that land in front of the camera, and intersects the
-    axis-aligned bounding box with the image.
+    Samples the frustum volume on a 15 x 31 x 15 (range x bearing x elevation)
+    grid, projects the points that land in front of the camera, and intersects
+    the axis-aligned bounding box with the image.
 
     Raises:
         SensorOverlapError: The projection misses the image entirely.
     """
-    r = np.linspace(spec.range_min, spec.range_max, samples)
-    th = np.linspace(-spec.bearing_fov / 2, spec.bearing_fov / 2, 2 * samples + 1)
-    ph = np.linspace(-spec.elevation_fov / 2, spec.elevation_fov / 2, samples)
+    r = np.linspace(spec.range_min, spec.range_max, 15)
+    th = np.linspace(-spec.bearing_fov / 2, spec.bearing_fov / 2, 31)
+    ph = np.linspace(-spec.elevation_fov / 2, spec.elevation_fov / 2, 15)
     rr, tt, pp = np.meshgrid(r, th, ph, indexing="ij")
     points = spherical_to_cartesian(rr, tt, pp).reshape(-1, 3)
     cam = extrinsics.apply(points)

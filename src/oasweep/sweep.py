@@ -13,7 +13,6 @@ from scipy import ndimage
 
 from .geometry import (
     CameraIntrinsics,
-    PlaneHypothesisSet,
     RigidTransform,
     SonarSpec,
     WarpGrid,
@@ -284,15 +283,12 @@ def soft_argmin(volume: CostVolume, distances):
 
     Args:
         volume: Cost volume (H, W, N).
-        distances: Plane distances, either an (N,) array or a
-            PlaneHypothesisSet.
+        distances: (N,) plane distances.
 
     Returns:
         (d_hat, probs, valid): (H, W) regression, (H, W, N) probabilities
         (zero rows on masked pixels), and the per-pixel mask.
     """
-    if isinstance(distances, PlaneHypothesisSet):
-        distances = distances.distances()
     distances = np.asarray(distances, dtype=np.float64)
     if distances.shape != (volume.shape[2],):
         raise ValueError(f"distances shape {distances.shape} does not match N={volume.shape[2]}")
@@ -384,7 +380,8 @@ def run_pipeline(camera_image: np.ndarray, sonar_image, calibration,
                                config.metric)
     volume = regularize_cost_volume(volume, config.box_radius, config.box_passes)
 
-    d_hat, _, reg_valid = soft_argmin(scale_costs(volume, config.cost_scale), calibration.planes)
+    d_hat, _, reg_valid = soft_argmin(scale_costs(volume, config.cost_scale),
+                                      calibration.planes.distances())
     depth = regress_depth_map(d_hat, reg_valid, calibration.intrinsics, calibration.extrinsics,
                               calibration.planes.alpha, origin=origin)
     return depth, volume

@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -62,17 +63,43 @@ def random_calibration(rng: np.random.Generator) -> CalibrationBundle:
     return CalibrationBundle(intrinsics, extrinsics, sonar, planes)
 
 
+def identity_transform() -> RigidTransform:
+    """The identity rigid motion, P_out = P_in."""
+    return RigidTransform(np.eye(3), np.zeros(3))
+
+
+def plane_normal(planes: PlaneHypothesisSet) -> np.ndarray:
+    """Unit normal [0, cos(alpha), sin(alpha)] shared by every plane of the set (sonar frame)."""
+    return np.array([0.0, np.cos(planes.alpha), np.sin(planes.alpha)])
+
+
+def plane_distance(planes: PlaneHypothesisSet, i: int) -> float:
+    """Distance parameter d_i = d0 * k**(i-1) of plane i (1-based)."""
+    return planes.d0 * planes.k ** (i - 1)
+
+
+def turned_camera(rig: CalibrationBundle) -> CalibrationBundle:
+    """The rig with its camera turned 180 degrees about its own vertical axis.
+
+    The camera then faces away from the sonar, so no (pixel, plane) entry is
+    admissible and the sonar frustum lies behind the camera.
+    """
+    turn = np.diag([-1.0, 1.0, -1.0])
+    extrinsics = RigidTransform(turn @ rig.extrinsics.rotation, turn @ rig.extrinsics.translation)
+    return dataclasses.replace(rig, extrinsics=extrinsics)
+
+
 def plane_residual(points, planes: PlaneHypothesisSet, i: int) -> np.ndarray:
     """Signed distance (meters) of sonar-frame points from hypothesis plane i."""
     points = np.asarray(points, dtype=float)
-    return points @ planes.normal() - planes.distance(i) * np.sin(planes.alpha)
+    return points @ plane_normal(planes) - plane_distance(planes, i) * np.sin(planes.alpha)
 
 
 def hypothesis_plane_primitive(planes: PlaneHypothesisSet, i: int,
                                reflectance: float = 0.8) -> PlanePrimitive:
     """Scene plane that coincides exactly with hypothesis plane i of a sweep set."""
-    normal = planes.normal()
-    return PlanePrimitive(point=normal * (planes.distance(i) * np.sin(planes.alpha)),
+    normal = plane_normal(planes)
+    return PlanePrimitive(point=normal * (plane_distance(planes, i) * np.sin(planes.alpha)),
                           normal=normal, reflectance=reflectance)
 
 
@@ -93,7 +120,7 @@ def backproject_sonar_to_plane(d, theta, planes: PlaneHypothesisSet, i: int) -> 
     Returns:
         Sonar-frame point(s), shape (..., 3).
     """
-    d_i = planes.distance(i)
+    d_i = plane_distance(planes, i)
     d = np.asarray(d, dtype=float)
     theta = np.asarray(theta, dtype=float)
     x = d * np.sin(theta)
@@ -141,7 +168,7 @@ def ray_plane_bisection_oracle(us, vs, intrinsics, extrinsics, planes, indices,
 
     center = -extrinsics.rotation.T @ extrinsics.translation
     dirs = intrinsics.ray_directions(us, vs) @ extrinsics.rotation  # R^T applied per row
-    normal = planes.normal()
+    normal = plane_normal(planes)
     offsets = planes.d0 * planes.k ** (indices - 1) * np.sin(planes.alpha)
 
     def f(s):
@@ -181,7 +208,7 @@ def consecutive_projection_displacements(grid_pixels, intrinsics, extrinsics, pl
     ok = np.zeros(us.shape + (n - 1,), dtype=bool)
     for i in range(1, n):
         pts, solvable = solve_ray_plane(us, vs, intrinsics, extrinsics, planes, i)
-        d, theta, _ = cartesian_to_sonar_polar(pts)
+        d, theta = cartesian_to_sonar_polar(pts)
         lifted = backproject_sonar_to_plane(d, theta, planes, i + 1)
         cam = extrinsics.apply(lifted)
         proj = intrinsics.project(cam)

@@ -11,6 +11,8 @@ from oasweep.cli import main
 from oasweep.config import default_rig
 from oasweep.formats import read_cost_volume, read_pfm, read_pgm, write_pfm, write_pgm
 
+from conftest import turned_camera
+
 
 def run_cli(*args):
     """In-process invocation; returns the exit code."""
@@ -301,6 +303,17 @@ class TestConfigFile:
         assert next(iter(values)) in capsys.readouterr().err
         assert not out.exists()
 
+    def test_abbreviated_flag_exits_2(self, dataset, tmp_path):
+        # An abbreviation is not recognised as explicit, so the config value
+        # would silently win; abbreviations are refused instead.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"box_radius": 1}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--config", cfg, "sweep", "--dataset", dataset, "--out", out, "--box-rad", 5)
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_mistyped_list_value_exits_2(self, tmp_path, rng):
         write_pgm(tmp_path / "in.pgm", rng.integers(0, 256, (2, 2), dtype=np.uint8))
         cfg = tmp_path / "cfg.json"
@@ -335,6 +348,19 @@ def _turbidity_d_nan(dataset, tmp_path, out):
             "--d", "nan"]
 
 
+def _eval_with_inf(side):
+    """Argv maker: evaluate the ground truth against itself, +inf at one pixel of one side."""
+    def make(dataset, tmp_path, out):
+        depth = read_pfm(dataset / "depth_gt.pfm")
+        depth[120, 160] = np.inf
+        write_pfm(tmp_path / "inf.pfm", depth)
+        paths = {"pred": dataset / "depth_gt.pfm", "gt": dataset / "depth_gt.pfm",
+                 side: tmp_path / "inf.pfm"}
+        return ["eval", "--pred", paths["pred"], "--gt", paths["gt"], "--json", out / "m.json",
+                "--csv", out / "bins.csv", "--bin-edges", "0,2,5"]
+    return make
+
+
 class TestNonFiniteValues:
     @pytest.mark.parametrize("argv, code", [
         pytest.param(lambda ds, tmp, out: ["sweep", "--dataset", ds, "--out", out,
@@ -349,6 +375,8 @@ class TestNonFiniteValues:
                                            "--gt", ds / "depth_gt.pfm", "--json", out / "m.json",
                                            "--csv", out / "bins.csv", "--bin-edges", "0,nan,5"],
                      2, id="eval-bin-edges-nan"),
+        pytest.param(_eval_with_inf("pred"), 3, id="eval-pred-inf"),
+        pytest.param(_eval_with_inf("gt"), 3, id="eval-gt-inf"),
         pytest.param(_with_calibration("extrinsics", "translation", [float("nan"), 0.0, 0.0]), 3,
                      id="calibration-translation-nan"),
         pytest.param(_with_calibration("extrinsics", "rotation",
@@ -368,6 +396,39 @@ class TestNonFiniteValues:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
+
+
+class TestDegenerateRig:
+    """A camera facing away from the sonar, and a camera image with no texture."""
+
+    @pytest.fixture
+    def turned(self, tmp_path):
+        path = tmp_path / "turned.json"
+        turned_camera(default_rig()).save(path)
+        return path
+
+    def test_camera_facing_away_exits_4(self, dataset, turned, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--dataset", dataset, "--calibration", turned, "--out", out) == 4
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_camera_facing_away_unprepared_no_valid_pixel(self, dataset, turned, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--dataset", dataset, "--calibration", turned, "--out", out,
+                       "--no-prepare") == 0
+        assert "(0 valid pixels)" in capsys.readouterr().out
+        assert not read_pgm(out / "depth_mask.pgm").any()
+        assert not read_pfm(out / "depth.pfm").any()
+
+    def test_textureless_camera_empty_mask(self, dataset, tmp_path):
+        ds, out = tmp_path / "ds", tmp_path / "out"
+        ds.mkdir()
+        for name in ("calibration.json", "sonar.pfm"):
+            (ds / name).write_bytes((dataset / name).read_bytes())
+        write_pgm(ds / "camera.pgm", np.full(read_pgm(dataset / "camera.pgm").shape, 128, np.uint8))
+        assert run_cli("sweep", "--dataset", ds, "--out", out) == 0
+        assert not read_pgm(out / "depth_mask.pgm").any()
 
 
 class TestSubprocessEntrypoint:

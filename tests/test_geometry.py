@@ -19,7 +19,13 @@ from oasweep.geometry import (
     spherical_to_cartesian,
 )
 
-from conftest import backproject_sonar_to_plane, plane_residual, ray_plane_bisection_oracle
+from conftest import (
+    backproject_sonar_to_plane,
+    identity_transform,
+    plane_normal,
+    plane_residual,
+    ray_plane_bisection_oracle,
+)
 
 
 DEFAULT_PLANES = PlaneHypothesisSet(alpha=math.pi / 4, d0=0.5, k=1.05, n=48)
@@ -48,25 +54,20 @@ class TestSphericalToCartesian:
 
 class TestPlaneHypothesisSet:
     def test_first_distance(self):
-        assert DEFAULT_PLANES.distance(1) == 0.5
+        assert DEFAULT_PLANES.distances()[0] == 0.5
 
     def test_last_distance_spans_sensing_range(self):
         # 0.5 * 1.05**47, frozen by direct evaluation
-        assert DEFAULT_PLANES.distance(48) == pytest.approx(4.952985546162919, abs=1e-12)
+        assert DEFAULT_PLANES.distances()[47] == pytest.approx(4.952985546162919, abs=1e-12)
 
     def test_consecutive_ratio_is_k(self):
-        assert DEFAULT_PLANES.distance(2) / DEFAULT_PLANES.distance(1) == pytest.approx(1.05, rel=1e-15)
+        d = DEFAULT_PLANES.distances()
+        assert d[1] / d[0] == pytest.approx(1.05, rel=1e-15)
 
     def test_distances_strictly_increasing(self):
         d = DEFAULT_PLANES.distances()
         assert d.shape == (48,)
         assert np.all(np.diff(d) > 0)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            DEFAULT_PLANES.distance(0)
-        with pytest.raises(IndexError):
-            DEFAULT_PLANES.distance(49)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -115,31 +116,27 @@ class TestBackprojection:
     def test_polar_round_trip(self, d, theta, alpha, i):
         planes = PlaneHypothesisSet(alpha=alpha, d0=0.4, k=1.06, n=16)
         p = backproject_sonar_to_plane(d, theta, planes, i)
-        d_back, theta_back, _ = cartesian_to_sonar_polar(p)
+        d_back, theta_back = cartesian_to_sonar_polar(p)
         assert d_back == pytest.approx(d, rel=1e-12)
         assert theta_back == pytest.approx(theta, abs=1e-12)
 
 
 class TestCartesianToSonarPolar:
     def test_on_axis(self):
-        d, theta, _ = cartesian_to_sonar_polar([0.0, 1.0, 0.0])
+        d, theta = cartesian_to_sonar_polar([0.0, 1.0, 0.0])
         assert d == 1.0 and theta == 0.0
 
     def test_elevation_ignored(self):
-        d, theta, _ = cartesian_to_sonar_polar([1.0, 1.0, 5.0])
+        d, theta = cartesian_to_sonar_polar([1.0, 1.0, 5.0])
         assert d == pytest.approx(math.sqrt(2.0), rel=1e-15)
         assert theta == pytest.approx(math.pi / 4, rel=1e-15)
 
     def test_fov_flag(self, rig):
         spec = rig.sonar
-        _, _, ok = cartesian_to_sonar_polar([0.0, 2.0, 0.0], spec)
-        assert ok
-        _, _, far = cartesian_to_sonar_polar([0.0, 9.0, 0.0], spec)
-        assert not far
-        _, _, wide = cartesian_to_sonar_polar([2.0, 0.1, 0.0], spec)
-        assert not wide
-        _, _, near = cartesian_to_sonar_polar([0.0, 0.05, 0.0], spec)
-        assert not near
+        assert spec.in_fov(*cartesian_to_sonar_polar([0.0, 2.0, 0.0]))
+        assert not spec.in_fov(*cartesian_to_sonar_polar([0.0, 9.0, 0.0]))  # far
+        assert not spec.in_fov(*cartesian_to_sonar_polar([2.0, 0.1, 0.0]))  # wide
+        assert not spec.in_fov(*cartesian_to_sonar_polar([0.0, 0.05, 0.0]))  # near
 
 
 class TestRigidTransform:
@@ -156,7 +153,7 @@ class TestRigidTransform:
 class TestSolveRayPlane:
     def test_axis_ray_identity_extrinsics(self, rig):
         intr = rig.intrinsics
-        ident = RigidTransform.identity()
+        ident = identity_transform()
         for i in (1, 24, 48):
             p, ok = solve_ray_plane(intr.cx, intr.cy, intr, ident, DEFAULT_PLANES, i)
             assert ok
@@ -183,7 +180,7 @@ class TestSolveRayPlane:
         vs = rng.uniform(0, intr.height - 1, size=500)
         idx = rng.integers(1, planes.n + 1, size=500)
         pts, ok = solve_ray_plane(us, vs, intr, extr, planes, idx)
-        res = pts @ planes.normal() - planes.distances()[idx - 1] * math.sin(planes.alpha)
+        res = pts @ plane_normal(planes) - planes.distances()[idx - 1] * math.sin(planes.alpha)
         assert np.max(np.abs(res[ok])) < 1e-9
         cam = extr.apply(pts[ok])
         assert np.all(cam[:, 2] > 0)  # ok means in front of the camera
@@ -238,7 +235,7 @@ class TestSolveRayPlane:
 class TestClosedFormDepth:
     def test_axis_pixel_identity_extrinsics(self, rig):
         intr = rig.intrinsics
-        z, ok = camera_depth_field(intr.cx, intr.cy, 1.0, intr, RigidTransform.identity(),
+        z, ok = camera_depth_field(intr.cx, intr.cy, 1.0, intr, identity_transform(),
                                    math.pi / 4)
         assert ok
         assert z == pytest.approx(1.0, abs=1e-12)
@@ -307,14 +304,15 @@ class TestWarpGrid:
         vs, us = np.meshgrid(np.arange(24) + 60.0, np.arange(32) + 100.0, indexing="ij")
         points, ok = solve_ray_plane(us[:, :, None], vs[:, :, None], rig.intrinsics,
                                      rig.extrinsics, planes, np.arange(1, planes.n + 1))
-        ranges, bearings, in_fov = cartesian_to_sonar_polar(points, rig.sonar)
+        ranges, bearings = cartesian_to_sonar_polar(points)
+        in_fov = rig.sonar.in_fov(ranges, bearings)
         np.testing.assert_array_equal(grid.ranges, ranges)
         np.testing.assert_array_equal(grid.bearings, bearings)
         cam = rig.extrinsics.apply(points)
         assert np.all((ok & in_fov & (cam[..., 2] > 0))[valid])
         elevation = np.arctan2(points[..., 2], ranges)
         assert np.all(np.abs(elevation[valid]) <= rig.sonar.elevation_fov / 2)
-        res = points @ planes.normal() - planes.distances() * math.sin(planes.alpha)
+        res = points @ plane_normal(planes) - planes.distances() * math.sin(planes.alpha)
         assert np.max(np.abs(res[valid])) < 1e-9
         proj = rig.intrinsics.project(cam)
         err = np.hypot(proj[..., 0] - us[:, :, None], proj[..., 1] - vs[:, :, None])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oasweep.formats import encode_json
-from oasweep.geometry import RigidTransform, SonarSpec, cartesian_to_sonar_polar
+from oasweep.geometry import cartesian_to_sonar_polar
 from oasweep.simulator import (
     JERLOV_TRANSMISSION,
     BoxPrimitive,
@@ -25,7 +25,7 @@ from oasweep.simulator import (
     render_sonar_energy,
 )
 
-from conftest import hypothesis_plane_primitive, plane_residual
+from conftest import hypothesis_plane_primitive, identity_transform, plane_normal, plane_residual
 
 
 def frontal_plane(distance: float, reflectance: float = 0.8) -> PlanePrimitive:
@@ -81,7 +81,7 @@ class TestRenderCamera:
         scene = Scene(primitives=(
             PlanePrimitive(point=[0, 0, 2.0], normal=[0, 0, -1.0], reflectance=0.9),
         ))
-        image, depth = render_camera(scene, intr, RigidTransform.identity())
+        image, depth = render_camera(scene, intr, identity_transform())
         assert depth.valid.all()
         assert depth.depth[24, 32] == pytest.approx(2.0, abs=1e-12)
         assert image[24, 32] == pytest.approx(0.9, abs=1e-9)
@@ -93,7 +93,7 @@ class TestRenderCamera:
         scene = Scene(primitives=(
             SpherePrimitive(center=[0, 0, 3.0], radius=0.5, reflectance=1.0),
         ))
-        _, depth = render_camera(scene, intr, RigidTransform.identity())
+        _, depth = render_camera(scene, intr, identity_transform())
         assert depth.valid[24, 32]
         assert depth.depth[24, 32] == pytest.approx(2.5, abs=1e-12)
 
@@ -101,7 +101,7 @@ class TestRenderCamera:
         scene = Scene(primitives=(
             SpherePrimitive(center=[0, 0, 3.0], radius=0.2, reflectance=1.0),
         ))
-        _, depth = render_camera(scene, rig.intrinsics, RigidTransform.identity())
+        _, depth = render_camera(scene, rig.intrinsics, identity_transform())
         assert not depth.valid[0, 0]
         assert depth.depth[0, 0] == 0.0
         assert depth.valid.any()
@@ -148,7 +148,7 @@ class TestRenderSonar:
         center = np.array([0.35, 2.2, 0.0])
         scene = Scene(primitives=(SpherePrimitive(center=center, radius=0.006, reflectance=1.0),))
         img = render_sonar(scene, spec)
-        d, theta, _ = cartesian_to_sonar_polar(center)
+        d, theta = cartesian_to_sonar_polar(center)
         rb = int((d - spec.range_min) / spec.range_bin_size)
         bb = int((theta + spec.bearing_fov / 2) / spec.bearing_bin_size)
         lit = np.argwhere(img.values > 0)
@@ -293,7 +293,8 @@ class TestCrossModalConsistency:
         center = -rig.extrinsics.rotation.T @ rig.extrinsics.translation
         points = center + depth.depth[:, :, None] * rays
 
-        d, theta, in_fov = cartesian_to_sonar_polar(points, spec)
+        d, theta = cartesian_to_sonar_polar(points)
+        in_fov = spec.in_fov(d, theta)
         phi = np.arctan2(points[..., 2], d)
         # Stay clearly inside the vertical beam; boundary points may fall
         # between the discrete elevation strata.
@@ -316,4 +317,4 @@ class TestHypothesisPlanePrimitive:
     def test_lies_on_hypothesis_plane(self, rig):
         prim = hypothesis_plane_primitive(rig.planes, 10)
         assert abs(plane_residual(prim.point, rig.planes, 10)) < 1e-12
-        np.testing.assert_allclose(prim.normal, rig.planes.normal())
+        np.testing.assert_allclose(prim.normal, plane_normal(rig.planes))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oasweep.config import default_rig
-from oasweep.geometry import RigidTransform, SonarSpec, WarpGrid, build_warp_grid
+from oasweep.geometry import SonarSpec, WarpGrid, build_warp_grid
 from scipy import ndimage
 
 from oasweep.simulator import (
@@ -34,7 +35,14 @@ from oasweep.sweep import (
     to_full_frame,
 )
 
-from conftest import argmin_planes, dense_cost_volume, hypothesis_plane_primitive
+from conftest import (
+    argmin_planes,
+    dense_cost_volume,
+    hypothesis_plane_primitive,
+    identity_transform,
+    plane_normal,
+    turned_camera,
+)
 
 
 class TestSweepConfig:
@@ -467,7 +475,7 @@ class TestRegressDepthMap:
         alpha = 0.7
         d_hat = np.full((intr.height, intr.width), 2.0)
         out = regress_depth_map(d_hat, np.ones_like(d_hat, bool), intr,
-                                RigidTransform.identity(), alpha)
+                                identity_transform(), alpha)
         normal = np.array([0.0, math.cos(alpha), math.sin(alpha)])
         vs, us = np.meshgrid(np.arange(intr.height, dtype=float),
                              np.arange(intr.width, dtype=float), indexing="ij")
@@ -482,7 +490,7 @@ class TestRegressDepthMap:
         i0 = 24
         scene = Scene(primitives=(hypothesis_plane_primitive(rig.planes, i0),))
         _, gt = render_camera(scene, rig.intrinsics, rig.extrinsics)
-        d_hat = np.full(gt.depth.shape, rig.planes.distance(i0))
+        d_hat = np.full(gt.depth.shape, rig.planes.distances()[i0 - 1])
         out = regress_depth_map(d_hat, gt.valid, rig.intrinsics, rig.extrinsics,
                                 rig.planes.alpha)
         both = out.valid & gt.valid
@@ -530,7 +538,7 @@ class TestRunPipeline:
         h, w = gt.depth.shape
         vs, us = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
         rays = intr.ray_directions(us, vs)
-        n_cam = extr.rotation @ planes.normal()
+        n_cam = extr.rotation @ plane_normal(planes)
         z = gt.depth / np.linalg.norm(rays, axis=-1)
         d_true = (z * (rays @ n_cam) - n_cam @ extr.translation) / math.sin(planes.alpha)
         d_true = d_true[sl]
@@ -546,3 +554,15 @@ class TestRunPipeline:
         _, _, _, _, _, depth, _ = default_run
         assert np.all(depth.depth[depth.valid] > 0)
         assert np.all(depth.depth[depth.valid] < 10.0)
+
+    def test_camera_facing_away_masks_everything(self, rng):
+        # No ray meets a plane inside the sonar sector: every entry and every
+        # pixel is masked, quietly.
+        rig = turned_camera(default_rig())
+        camera = rng.random((rig.intrinsics.height, rig.intrinsics.width))
+        sonar = render_sonar(default_scene(), rig.sonar)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            depth, volume = run_pipeline(camera, sonar, rig, SweepConfig())
+        assert not depth.valid.any() and not depth.depth.any()
+        assert not volume.valid.any() and np.all(volume.costs == INVALID_COST)
