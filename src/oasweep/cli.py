@@ -14,7 +14,6 @@ are never abbreviated.
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -52,22 +51,22 @@ def _require_dir(path, what: str) -> Path:
     return path
 
 
+def _read(reader, path, what: str):
+    """Read an input file with a formats reader; FileFormatError exits 3 in main()."""
+    _require_file(path, what)
+    return reader(path)
+
+
 def _load_calibration(path) -> CalibrationBundle:
     if path is None:
         return default_rig()
-    return CalibrationBundle.load(_require_file(path, "calibration file"))
+    return CalibrationBundle.from_dict(_read(formats.read_json, path, "calibration file"))
 
 
 def _load_scene(path) -> Scene:
     if path is None:
         return simulator.default_scene()
-    return Scene.load(_require_file(path, "scene file"))
-
-
-def _read(reader, path, what: str) -> np.ndarray:
-    """Read an input file with a formats reader; FileFormatError exits 3 in main()."""
-    _require_file(path, what)
-    return reader(path)
+    return Scene.from_dict(_read(formats.read_json, path, "scene file"))
 
 
 def _load_sonar(path, spec) -> PolarSonarImage:
@@ -95,8 +94,6 @@ def cmd_simulate(args) -> int:
     calibration = _load_calibration(args.calibration)
     out = Path(args.out)
 
-    if not 0 <= args.background <= 1:
-        raise CommandError(f"--background must be in [0, 1], got {args.background}", EXIT_VALIDATION)
     if args.frames < 1:
         raise CommandError(f"--frames must be >= 1, got {args.frames}", EXIT_VALIDATION)
 
@@ -121,7 +118,7 @@ def cmd_simulate(args) -> int:
             frame = simulator.add_sonar_noise(clean, args.speckle, args.background,
                                               seed=args.seed + k)
         except ValueError as exc:
-            raise CommandError(f"--speckle: {exc}", EXIT_VALIDATION) from exc
+            raise CommandError(str(exc), EXIT_VALIDATION) from exc
         name = "sonar.pfm" if k == 0 else f"sonar_{k:03d}.pfm"
         outputs.append((out / name, formats.encode_pfm(frame.values)))
 
@@ -141,10 +138,14 @@ def cmd_preprocess(args) -> int:
     calibration = _load_calibration(args.calibration)
     frames_dir = _require_dir(args.frames, "frames directory")
     background_dir = _require_dir(args.background, "background directory")
-    if args.median_radius < 0:
-        raise CommandError(f"--median-radius must be >= 0, got {args.median_radius}", EXIT_VALIDATION)
     out = Path(args.out)
     spec = calibration.sonar
+    # The median window's cost grows as (2r+1)^2 per bin; wider than the map
+    # it only edge-pads.
+    largest = (min(spec.range_bins, spec.bearing_bins) - 1) // 2
+    if not 0 <= args.median_radius <= largest:
+        raise CommandError(f"--median-radius must be in [0, {largest}] for the {spec.range_bins}x"
+                           f"{spec.bearing_bins} sonar map, got {args.median_radius}", EXIT_VALIDATION)
 
     frame_paths = sorted(frames_dir.glob("sonar*.pfm"))
     background_paths = sorted(background_dir.glob("sonar*.pfm"))
@@ -359,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration", metavar="JSON", help="calibration file (default: built-in rig)")
     p.add_argument("--out", required=True, metavar="DIR", help="output directory")
     p.add_argument("--median-radius", type=int, default=1,
-                   help="median filter radius in bins, 0 disables (default 1)")
+                   help="median filter radius in bins, 0 disables; the 2r+1 window must "
+                        "fit the sonar map (default 1)")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("sweep", allow_abbrev=False,
@@ -423,15 +425,9 @@ def _apply_config_file(parser, args, argv) -> None:
     """Fill unset flags from the --config JSON; explicit flags keep priority."""
     if not args.config:
         return
-    path = Path(args.config)
-    if not path.is_file():
-        raise CommandError(f"config file not found: {path}", EXIT_VALIDATION)
-    try:
-        overrides = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CommandError(f"config file {path} is not valid JSON: {exc}", EXIT_INPUT) from exc
+    overrides = _read(formats.read_json, args.config, "config file")
     if not isinstance(overrides, dict):
-        raise CommandError(f"config file {path} must hold a JSON object", EXIT_INPUT)
+        raise CommandError(f"config file {args.config} must hold a JSON object", EXIT_INPUT)
 
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
                 for a in argv if a.startswith("--")}

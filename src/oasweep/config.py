@@ -14,10 +14,8 @@ Calibration file schema (JSON)::
     }
 """
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -94,23 +92,12 @@ class CalibrationBundle:
                 alpha=math.radians(float(plns["alpha_deg"])),
                 d0=float(plns["d0"]), k=float(plns["k"]), n=int(plns["n"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid calibration data: {exc}") from exc
         return CalibrationBundle(intrinsics, extrinsics, sonar, planes)
 
     def save(self, path) -> None:
         atomic_write(path, encode_json(self.to_dict()))
-
-    @staticmethod
-    def load(path) -> "CalibrationBundle":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"calibration file not found: {path}")
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"calibration file {path} is not valid JSON: {exc}") from exc
-        return CalibrationBundle.from_dict(data)
 
 
 def camera_rotation(pitch_down: float) -> np.ndarray:

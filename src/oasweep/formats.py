@@ -1,4 +1,4 @@
-"""File formats: PGM images, PFM float maps, and the SSCV1 cost-volume container.
+"""File formats: JSON documents, PGM images, PFM float maps, and the SSCV1 cost volume.
 
 All writers go through :func:`atomic_write`, so a crashed command never
 leaves a partial file behind.
@@ -44,6 +44,14 @@ def atomic_write(path, data: bytes) -> None:
 def encode_json(data) -> bytes:
     """Indented, key-sorted JSON bytes with a trailing newline."""
     return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+
+
+def read_json(path):
+    """Decode a JSON file; bytes that are not JSON raise FileFormatError."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def encode_pgm(image: np.ndarray) -> bytes:
@@ -129,6 +137,8 @@ def read_pfm(path) -> np.ndarray:
         raise FileFormatError(f"{path}: malformed header: {exc}") from exc
     if w <= 0 or h <= 0:
         raise FileFormatError(f"{path}: map dimensions must be positive, got {w}x{h}")
+    if not (np.isfinite(scale) and scale != 0):  # its sign gives the byte order
+        raise FileFormatError(f"{path}: scale must be finite and non-zero, got {scale}")
     dtype = "<f4" if scale < 0 else ">f4"
     body = parts[3]
     if len(body) < w * h * 4:

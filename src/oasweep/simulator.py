@@ -15,9 +15,7 @@ Scene file schema (JSON)::
     ]}
 """
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -139,20 +137,9 @@ class Scene:
                     prims.append(BoxPrimitive(entry["min"], entry["max"], float(entry["reflectance"])))
                 else:
                     raise SceneError(f"unknown primitive type {kind!r}")
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SceneError(f"invalid scene data: {exc}") from exc
         return Scene(tuple(prims))
-
-    @staticmethod
-    def load(path) -> "Scene":
-        path = Path(path)
-        if not path.exists():
-            raise SceneError(f"scene file not found: {path}")
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise SceneError(f"scene file {path} is not valid JSON: {exc}") from exc
-        return Scene.from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -350,11 +337,15 @@ def add_sonar_noise(image: PolarSonarImage, speckle_sigma: float, background: fl
                     seed: int) -> PolarSonarImage:
     """Multiplicative speckle plus an additive background level, clamped to [0, 1].
 
-    Deterministic for a fixed seed. speckle_sigma = 0 and background = 0 is
-    the identity.
+    Deterministic for a fixed seed >= 0. speckle_sigma = 0 and background = 0
+    is the identity.
     """
     if not 0 <= speckle_sigma < np.inf:
         raise ValueError(f"speckle sigma must be >= 0 and finite, got {speckle_sigma}")
+    if not 0 <= background <= 1:
+        raise ValueError(f"background must be in [0, 1], got {background}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     values = image.values
     if speckle_sigma > 0:
         rng = np.random.default_rng(seed)

@@ -1,15 +1,23 @@
+import contextlib
+import copy
+import io
+import itertools
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oasweep import sweep
+from oasweep import preprocess, sweep
 from oasweep.cli import main
 from oasweep.config import default_rig
 from oasweep.formats import read_cost_volume, read_pfm, read_pgm, write_pfm, write_pgm
+from oasweep.simulator import default_scene
 
 from conftest import turned_camera
 
@@ -68,6 +76,17 @@ class TestSimulate:
 
     def test_validation_of_noise_params(self, tmp_path):
         assert run_cli("simulate", "--out", tmp_path / "x", "--speckle", -1) == 2
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--seed", -1], "seed"), (["--speckle", 0.1, "--seed", -1], "seed"),
+        (["--background", 1.5], "background"), (["--background", "nan"], "background"),
+    ])
+    def test_noise_errors_name_their_parameter(self, tmp_path, capsys, flags, name):
+        out = tmp_path / "x"
+        assert run_cli("simulate", "--out", out, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be") and "speckle" not in err
+        assert not out.exists()
 
 
 class TestSweep:
@@ -255,6 +274,42 @@ class TestPreprocessCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize("radius", [112, 10**9])
+    def test_median_window_wider_than_map_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                  route, radius):
+        # The stock 384x224 sonar map admits a window up to 223 bins (r = 111).
+        def no_median(*args, **kwargs):
+            raise AssertionError("median filter run despite an oversized window")
+        monkeypatch.setattr(preprocess.ndimage, "median_filter", no_median)
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        write_pfm(frames / "sonar.pfm", np.zeros((384, 224), dtype=np.float32))
+        out = tmp_path / "out"
+        argv = ["preprocess", "--frames", frames, "--background", frames, "--out", out]
+        if route == "flag":
+            argv += ["--median-radius", radius]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"median_radius": radius}))
+            argv = ["--config", tmp_path / "cfg.json"] + argv
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("error: --median-radius must be in [0, 111]")
+        assert not out.exists()
+
+    def test_widest_median_window_is_accepted(self, tmp_path, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+        monkeypatch.setattr(preprocess.ndimage, "median_filter", reached)
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        write_pfm(frames / "sonar.pfm", np.zeros((384, 224), dtype=np.float32))
+        with pytest.raises(Reached):
+            run_cli("preprocess", "--frames", frames, "--background", frames,
+                    "--out", tmp_path / "out", "--median-radius", 111)
+
     def test_prepares_camera_images(self, dataset, tmp_path):
         bg = tmp_path / "bg"
         assert run_cli("simulate", "--out", bg, "--background-only") == 0
@@ -334,12 +389,15 @@ def _with_calibration(section, key, value):
     return make
 
 
-def _scene_radius_nan(dataset, tmp_path, out):
-    scene = json.loads((dataset / "scene.json").read_text())
-    sphere = next(p for p in scene["primitives"] if p["type"] == "sphere")
-    sphere["radius"] = float("nan")
-    (tmp_path / "scene.json").write_text(json.dumps(scene))
-    return ["simulate", "--scene", tmp_path / "scene.json", "--out", out]
+def _scene_radius(value):
+    """Argv maker: simulate the dataset's scene with the sphere radius replaced."""
+    def make(dataset, tmp_path, out):
+        scene = json.loads((dataset / "scene.json").read_text())
+        sphere = next(p for p in scene["primitives"] if p["type"] == "sphere")
+        sphere["radius"] = value
+        (tmp_path / "scene.json").write_text(json.dumps(scene))
+        return ["simulate", "--scene", tmp_path / "scene.json", "--out", out]
+    return make
 
 
 def _turbidity_d_nan(dataset, tmp_path, out):
@@ -370,7 +428,8 @@ class TestNonFiniteValues:
         pytest.param(lambda ds, tmp, out: ["simulate", "--out", out, "--speckle", "nan"], 2,
                      id="simulate-speckle-nan"),
         pytest.param(_turbidity_d_nan, 2, id="turbidity-d-nan"),
-        pytest.param(_scene_radius_nan, 3, id="scene-radius-nan"),
+        pytest.param(_scene_radius(float("nan")), 3, id="scene-radius-nan"),
+        pytest.param(_scene_radius(10**400), 3, id="scene-radius-overflow"),
         pytest.param(lambda ds, tmp, out: ["eval", "--pred", ds / "depth_gt.pfm",
                                            "--gt", ds / "depth_gt.pfm", "--json", out / "m.json",
                                            "--csv", out / "bins.csv", "--bin-edges", "0,nan,5"],
@@ -389,6 +448,10 @@ class TestNonFiniteValues:
         pytest.param(_with_calibration("sonar", "range_max", float("inf")), 3,
                      id="calibration-range-max-inf"),
         pytest.param(_with_calibration("planes", "k", 1e10), 3, id="calibration-k-overflow"),
+        pytest.param(_with_calibration("intrinsics", "width", float("inf")), 3,
+                     id="calibration-width-inf"),
+        pytest.param(_with_calibration("intrinsics", "fx", 10**400), 3,
+                     id="calibration-fx-overflow"),
     ])
     def test_rejected_without_traceback_or_output(self, dataset, tmp_path, capsys, argv, code):
         out = tmp_path / "out"
@@ -429,6 +492,152 @@ class TestDegenerateRig:
         write_pgm(ds / "camera.pgm", np.full(read_pgm(dataset / "camera.pgm").shape, 128, np.uint8))
         assert run_cli("sweep", "--dataset", ds, "--out", out) == 0
         assert not read_pgm(out / "depth_mask.pgm").any()
+
+
+# Any calibration, scene or --config file, and any damaged dataset file, ends
+# in exit 0, 2, 3 or 4 with no traceback; a failed command writes nothing.
+# A 32x24 camera keeps the inputs that do parse fast to run.
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=4),
+    max_leaves=8)
+_TURBIDITY_CONFIGS = st.dictionaries(
+    st.sampled_from(["type", "t1", "d", "b", "input", "out", "help"]) | st.text(max_size=8),
+    st.sampled_from(["1C", "5C"]) | _JSON, max_size=4)
+_FILES = st.binary(max_size=200) | _JSON.map(json.dumps).map(str.encode)
+
+# Bytes that are not UTF-8, and nesting deeper than the interpreter's recursion limit.
+_NOT_UTF8 = b"\xff\xfe\x00garbage"
+_DEEP = b"[" * 100000
+
+
+def _leaves(doc, path=()):
+    """Key paths of every scalar in a JSON document."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [leaf for key, value in items for leaf in _leaves(value, path + (key,))]
+    return [path]
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+_CALIBRATION = default_rig(32, 24).to_dict()
+_SCENE = default_scene().to_dict()
+_SPHERE = next(i for i, p in enumerate(_SCENE["primitives"]) if p["type"] == "sphere")
+
+
+@pytest.fixture(scope="module")
+def small(tmp_path_factory):
+    """A 32x24-camera dataset and a fresh-path maker for each example."""
+    root = tmp_path_factory.mktemp("small")
+    (root / "calibration.json").write_text(json.dumps(_CALIBRATION))
+    assert run_cli("simulate", "--calibration", root / "calibration.json",
+                   "--out", root / "ds") == 0
+    counter = itertools.count()
+    return root, lambda: root / f"case{next(counter)}"
+
+
+def _holds_contract(argv, out):
+    """Run the CLI: exit 0/2/3/4 (argparse's SystemExit(2) included), and no output on failure."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            code = 2
+    assert code in (0, 2, 3, 4) and "Traceback" not in err.getvalue()
+    if code != 0:
+        assert not out.exists()
+    if out.is_dir():
+        shutil.rmtree(out)
+
+
+class TestAnyInputFile:
+    @given(data=_FILES)
+    @example(data=_NOT_UTF8)
+    @example(data=_DEEP)
+    @settings(max_examples=40, deadline=None)
+    def test_calibration_file(self, small, data):
+        root, fresh = small
+        case = fresh()
+        case.mkdir()
+        (case / "calibration.json").write_bytes(data)
+        _holds_contract(["sweep", "--dataset", root / "ds", "--calibration",
+                         case / "calibration.json", "--out", case / "out"], case / "out")
+
+    @given(data=_FILES)
+    @example(data=_NOT_UTF8)
+    @example(data=_DEEP)
+    @settings(max_examples=40, deadline=None)
+    def test_scene_file(self, small, data):
+        root, fresh = small
+        case = fresh()
+        case.mkdir()
+        (case / "scene.json").write_bytes(data)
+        _holds_contract(["simulate", "--calibration", root / "calibration.json",
+                         "--scene", case / "scene.json", "--out", case / "out"], case / "out")
+
+    @given(data=_FILES | _TURBIDITY_CONFIGS.map(json.dumps).map(str.encode))
+    @example(data=_NOT_UTF8)
+    @example(data=_DEEP)
+    @settings(max_examples=60, deadline=None)
+    def test_config_file(self, small, data):
+        root, fresh = small
+        case = fresh()
+        case.mkdir()
+        (case / "cfg.json").write_bytes(data)
+        _holds_contract(["--config", case / "cfg.json", "turbidity",
+                         "--input", root / "ds" / "camera.pgm", "--out", case / "out.pgm"],
+                        case / "out.pgm")
+
+    @given(path=st.sampled_from(_leaves(_CALIBRATION)), value=_JSON)
+    @settings(max_examples=40, deadline=None)
+    def test_calibration_with_one_leaf_replaced(self, small, path, value):
+        root, fresh = small
+        case = fresh()
+        case.mkdir()
+        (case / "calibration.json").write_text(json.dumps(_replaced(_CALIBRATION, path, value)))
+        _holds_contract(["sweep", "--dataset", root / "ds", "--calibration",
+                         case / "calibration.json", "--out", case / "out"], case / "out")
+
+    @given(path=st.sampled_from(_leaves(_SCENE)), value=_JSON)
+    @example(path=("primitives", _SPHERE, "center"), value="abc")
+    @example(path=("primitives", _SPHERE, "center"), value=[1, 2])
+    @example(path=("primitives", _SPHERE, "radius"), value="x")
+    @settings(max_examples=40, deadline=None)
+    def test_scene_with_one_leaf_replaced(self, small, path, value):
+        root, fresh = small
+        case = fresh()
+        case.mkdir()
+        (case / "scene.json").write_text(json.dumps(_replaced(_SCENE, path, value)))
+        _holds_contract(["simulate", "--calibration", root / "calibration.json",
+                         "--scene", case / "scene.json", "--out", case / "out"], case / "out")
+
+    @given(name=st.sampled_from(["camera.pgm", "sonar.pfm", "calibration.json"]),
+           keep=st.none() | st.floats(0.0, 1.0))
+    @example(name="calibration.json", keep=0.0)
+    @settings(max_examples=40, deadline=None)
+    def test_dataset_file_missing_empty_or_truncated(self, small, name, keep):
+        # keep: None deletes the file, else the kept fraction of its bytes.
+        root, fresh = small
+        case = fresh()
+        shutil.copytree(root / "ds", case)
+        if keep is None:
+            (case / name).unlink()
+        else:
+            data = (case / name).read_bytes()
+            (case / name).write_bytes(data[:round(keep * len(data))])
+        _holds_contract(["sweep", "--dataset", case, "--out", case / "out"], case / "out")
 
 
 class TestSubprocessEntrypoint:

@@ -15,6 +15,7 @@ from oasweep.formats import (
     encode_pfm,
     encode_pgm,
     read_cost_volume,
+    read_json,
     read_pfm,
     read_pgm,
     write_pfm,
@@ -90,6 +91,15 @@ class TestPFM:
             read_pfm(path)
 
 
+    @pytest.mark.parametrize("scale", [b"0", b"-0.0", b"nan", b"inf", b"-inf"])
+    def test_zero_or_non_finite_scale(self, tmp_path, scale):
+        # The scale's sign gives the byte order, so it must be non-zero and finite.
+        path = tmp_path / "x.pfm"
+        path.write_bytes(b"Pf\n2 2\n" + scale + b"\n" + b"\x00" * 16)
+        with pytest.raises(FileFormatError, match="scale"):
+            read_pfm(path)
+
+
 class TestCostVolume:
     def test_round_trip(self, tmp_path, rng):
         costs = rng.normal(size=(4, 6, 5)).astype(np.float32)
@@ -133,8 +143,17 @@ class TestJSON:
         path = tmp_path / "calibration.json"
         rig.save(path)
         assert path.read_bytes() == encode_json(rig.to_dict())
-        assert CalibrationBundle.load(path).to_dict() == json.loads(path.read_bytes())
+        assert CalibrationBundle.from_dict(read_json(path)).to_dict() == json.loads(path.read_bytes())
         assert [p.name for p in tmp_path.iterdir()] == ["calibration.json"]
+
+    @pytest.mark.parametrize("data", [
+        b"", b"\xff\xfe\x00garbage", b"\x80{}", b"[" * 100000, b"{} {}", b'{"a": 1',
+    ], ids=["empty", "utf16-garbage", "not-utf8", "deep", "trailing", "truncated"])
+    def test_undecodable_raises(self, tmp_path, data):
+        path = tmp_path / "x.json"
+        path.write_bytes(data)
+        with pytest.raises(FileFormatError, match="not valid JSON"):
+            read_json(path)
 
 
 # Any byte string fed to a reader yields an array of the shape its header

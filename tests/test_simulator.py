@@ -198,6 +198,16 @@ class TestSonarNoise:
         with pytest.raises(ValueError):
             add_sonar_noise(img, speckle_sigma=sigma, background=0.0, seed=3)
 
+    @pytest.mark.parametrize("name, value", [
+        ("background", -0.1), ("background", 1.5), ("background", np.nan), ("seed", -1),
+    ])
+    def test_background_and_seed_rejected_by_name(self, rig, name, value):
+        img = PolarSonarImage(values=np.zeros((rig.sonar.range_bins, rig.sonar.bearing_bins)),
+                              spec=rig.sonar)
+        params = {"speckle_sigma": 0.0, "background": 0.0, "seed": 3, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            add_sonar_noise(img, **params)
+
     def test_identity_without_noise(self, rig):
         img = render_sonar(default_scene(), rig.sonar)
         out = add_sonar_noise(img, speckle_sigma=0.0, background=0.0, seed=3)
