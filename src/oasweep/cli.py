@@ -457,12 +457,16 @@ def _config_value(key: str, value, action):
         ok = isinstance(value, list) and len(value) == action.nargs and all(map(fits, value))
     else:
         ok = fits(value)
+    unfit = CommandError(f"config value {key}={value!r} does not fit flag "
+                         f"{action.option_strings[0]}", EXIT_VALIDATION)
     if not ok:
-        raise CommandError(f"config value {key}={value!r} does not fit flag "
-                           f"{action.option_strings[0]}", EXIT_VALIDATION)
+        raise unfit
     if action.type is None:
         return value
-    return [action.type(v) for v in value] if isinstance(value, list) else action.type(value)
+    try:
+        return [action.type(v) for v in value] if isinstance(value, list) else action.type(value)
+    except OverflowError:  # an integer too large for a float flag
+        raise unfit from None
 
 
 def main(argv=None) -> int:

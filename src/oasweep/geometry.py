@@ -313,22 +313,47 @@ def ray_depth_to_euclidean(us, vs, z_c, intrinsics: CameraIntrinsics):
 
 @dataclass(frozen=True)
 class WarpGrid:
-    """Per-pixel, per-plane sampling coordinates of the sweep.
+    """Per-pixel, per-plane sampling coordinates of the sweep, admissible entries only.
 
     Attributes:
-        ranges, bearings: Polar lookup coordinates, shape (H, W, N).
-        valid: False where the ray ran parallel to the plane, the
-            intersection fell behind the camera, the lookup left the sonar
-            sector, or the candidate point sat outside the vertical aperture.
+        ranges, bearings: Polar lookup coordinates of the valid entries, 1-D,
+            plane-major and, within plane i, in ``np.nonzero(valid[:, :, i])``
+            order; no other entry has a lookup.
+        valid: (H, W, N) mask; False where the ray ran parallel to the plane,
+            the intersection fell behind the camera, the lookup left the
+            sonar sector, or the candidate point sat outside the vertical
+            aperture.
     """
 
     ranges: np.ndarray
     bearings: np.ndarray
     valid: np.ndarray
 
+    def __post_init__(self):
+        count = np.count_nonzero(self.valid)
+        if self.valid.ndim != 3 or not self.ranges.shape == self.bearings.shape == (count,):
+            raise ValueError(f"need an (H, W, N) mask and {count} lookups, got mask "
+                             f"{self.valid.shape}, lookups {self.ranges.shape} and "
+                             f"{self.bearings.shape}")
+
     @property
     def shape(self):
         return self.valid.shape
+
+
+# Relative slack of build_warp_grid's pre-gate. The pre-gate evaluates the
+# sonar point as numer_i * a - b, with a = R^T ray / denom and b = R^T t; the
+# exact pass computes (z ray - t) R with z = numer_i / denom, from the same
+# bits of numer_i and denom. Every term of either formula is bounded by
+# m = |numer_i| |a|_1 + |b|_1 (R is orthonormal and |ray|_1 <= sqrt(3) |R^T ray|_1),
+# and each takes a few correctly rounded operations, so the two points differ
+# by at most a few tens of eps m per coordinate (eps = 2.2e-16); arctan2 and
+# tan(fov / 2) add a few ulps of their results, i.e. of m times the gate's
+# tangent. A slack of 1e-9 m per coordinate covers that by five orders of
+# magnitude and, being relative to the operands rather than to the result,
+# holds at any scale of translation or plane distance, so the pre-gate keeps
+# a superset of the exact mask.
+_PREGATE_SLACK = 1e-9
 
 
 def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
@@ -339,6 +364,13 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     A polar lookup only needs range and bearing, but a candidate point
     outside the sonar's vertical aperture can never have produced an echo,
     so such entries are gated out as inadmissible.
+
+    Plane by plane, a cheap algebraic pre-gate (no transcendental function)
+    keeps the pixels whose approximate sonar point lies, within a slack,
+    inside the range bounds, in front of the sonar, inside the bearing
+    sector and inside the vertical aperture. Only those are solved with
+    :func:`solve_ray_plane` and gated exactly, so the mask and lookups are
+    the same bit for bit as solving and gating every entry.
 
     Args:
         intrinsics: Camera model; also supplies the default grid shape.
@@ -358,9 +390,47 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     u0, v0 = origin
     vs, us = np.meshgrid(np.arange(h, dtype=float) + v0, np.arange(w, dtype=float) + u0,
                          indexing="ij")
-    points, ok = solve_ray_plane(us[:, :, None], vs[:, :, None], intrinsics, extrinsics, planes,
-                                 np.arange(1, planes.n + 1))
-    ranges, bearings = cartesian_to_sonar_polar(points)
-    elevation = np.arctan2(points[..., 2], ranges)
-    valid = ok & spec.in_fov(ranges, bearings) & (np.abs(elevation) <= spec.elevation_fov / 2)
-    return WarpGrid(ranges, bearings, valid)
+    # Pixels stay a column, (H*W, 1), as in solving every entry at once with
+    # (H, W, 1) pixel arrays: numpy then rounds each ray's dot products the
+    # same way, which a flat (H*W,) call, batched differently, does not.
+    us, vs = us.reshape(-1, 1), vs.reshape(-1, 1)
+    rotation, translation = extrinsics.rotation, extrinsics.translation
+    n_cam = rotation @ np.array([0.0, np.cos(planes.alpha), np.sin(planes.alpha)])
+    rays = intrinsics.ray_directions(us, vs)
+    denom = rays @ n_cam
+    # a = R^T ray / denom per pixel; parallel rays get NaN, which fails every gate.
+    a = (rays[:, 0] @ rotation) / np.where(np.abs(denom) >= 1e-12, denom, np.nan)
+    ax, ay, az = a.T.copy()
+    b = translation @ rotation
+    # The slack per coordinate is e = |numer_i| slack_a + slack_b; its 1e-150 m
+    # floor covers squares of coordinates below 1e-154 m, which underflow.
+    slack_a = _PREGATE_SLACK * np.abs(a).sum(axis=1)
+    slack_b = _PREGATE_SLACK * np.abs(b).sum() + 1e-150
+    tan_b, tan_e = np.tan(spec.bearing_fov / 2), np.tan(spec.elevation_fov / 2)
+    numers = planes.distances() * np.sin(planes.alpha) + n_cam @ translation
+
+    valid = np.zeros((h * w, planes.n), dtype=bool)
+    ranges, bearings = [], []
+    for i, numer in enumerate(numers):
+        # Overflow (squares of points beyond 1e154 m, coordinates beyond the
+        # float64 range) leaves inf or NaN, which fails a comparison only
+        # where the exact gate fails too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, y, z = numer * ax - b[0], numer * ay - b[1], numer * az - b[2]
+            e = abs(numer) * slack_a + slack_b
+            r2 = x * x + y * y
+            r = np.sqrt(r2)
+            keep = ((y + e >= 0) & (np.abs(x) - tan_b * y <= (1 + tan_b) * e)
+                    & (r >= spec.range_min - 2 * e) & (r2 <= (spec.range_max + 2 * e) ** 2)
+                    & (np.abs(z) - tan_e * r <= (1 + 2 * tan_e) * e))
+        idx = np.flatnonzero(keep)
+        points, ok = solve_ray_plane(us[idx], vs[idx], intrinsics, extrinsics, planes, i + 1)
+        points, ok = points[:, 0], ok[:, 0]
+        plane_ranges, plane_bearings = cartesian_to_sonar_polar(points)
+        elevation = np.arctan2(points[:, 2], plane_ranges)
+        good = (ok & spec.in_fov(plane_ranges, plane_bearings)
+                & (np.abs(elevation) <= spec.elevation_fov / 2))
+        valid[idx[good], i] = True
+        ranges.append(plane_ranges[good])
+        bearings.append(plane_bearings[good])
+    return WarpGrid(np.concatenate(ranges), np.concatenate(bearings), valid.reshape(h, w, planes.n))

@@ -180,10 +180,10 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
     """Warp sonar features through the grid and score them against the camera.
 
     Only the entries the warp grid admits are touched: plane by plane, each
-    admissible (pixel, plane) lookup samples the sonar feature map bilinearly
-    in (range-bin, bearing-bin) space and is scored, in float64, against that
-    pixel's camera feature. Every other entry keeps the sentinel, and the
-    grid's ranges and bearings there are never read.
+    admissible (pixel, plane) lookup, sliced out of the grid's compact
+    lookups, samples the sonar feature map bilinearly in (range-bin,
+    bearing-bin) space and is scored, in float64, against that pixel's
+    camera feature. Every other entry keeps the sentinel.
 
     A lookup whose bilinear cell has four +0.0 corners samples exactly the
     zero vector, so it takes its pixel's zero-sample cost, scored once per
@@ -226,9 +226,12 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
     live = held[:-1, :-1] | held[1:, :-1] | held[:-1, 1:] | held[1:, 1:]
     costs = np.full(grid.shape, INVALID_COST, dtype=np.float32)
     valid = np.zeros(grid.shape, dtype=bool)
+    start = 0
     for i in range(grid.shape[2]):
         v, u = np.nonzero(grid.valid[:, :, i])
-        rb, bb = spec.polar_to_bin(grid.ranges[v, u, i], grid.bearings[v, u, i])
+        lookups = slice(start, start + v.size)
+        start += v.size
+        rb, bb = spec.polar_to_bin(grid.ranges[lookups], grid.bearings[lookups])
         hit = live[np.floor(np.clip(rb, 0.0, live.shape[0] - 1.0)).astype(int),
                    np.floor(np.clip(bb, 0.0, live.shape[1] - 1.0)).astype(int)]
         cost, defined = cost0[v, u], defined0[v, u]
@@ -247,21 +250,37 @@ def regularize_cost_volume(volume: CostVolume, radius: int = 1, passes: int = 1)
     becomes the mean of the valid entries in its (2r+1)^2 neighborhood
     (truncated at slice borders); the validity mask is preserved. Radius 0 or
     zero passes returns the volume unchanged.
+
+    Each plane is filtered only on the bounding box of its valid entries,
+    grown by the radius and clipped to the slice; planes with no valid entry
+    are skipped. The filter input is exactly zero outside the valid box, so
+    every filter line of the grown box starts on a window of zeros, as it
+    would at the slice border, and its running sums, hence the result, are
+    the same bit for bit as filtering the whole slice.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if radius == 0 or passes == 0:
         return volume
-    size = (2 * radius + 1, 2 * radius + 1, 1)
-    area = size[0] * size[1]
+    size = 2 * radius + 1
+    area = size * size
     valid = volume.valid
-    cnts = ndimage.uniform_filter(valid.astype(np.float64), size=size,
-                                  mode="constant", cval=0.0) * area
-    filtered = np.where(valid, volume.costs.astype(np.float64), 0.0)
-    for _ in range(passes):
-        sums = ndimage.uniform_filter(filtered, size=size, mode="constant", cval=0.0) * area
-        filtered = np.where(valid, sums / np.maximum(cnts, 1.0), 0.0)
-    costs_out = np.where(valid, filtered, INVALID_COST).astype(np.float32)
+    costs_out = np.full(volume.shape, INVALID_COST, dtype=np.float32)
+    rows_held, cols_held = valid.any(axis=1), valid.any(axis=0)
+    for i in range(volume.shape[2]):
+        rows, cols = np.flatnonzero(rows_held[:, i]), np.flatnonzero(cols_held[:, i])
+        if rows.size == 0:
+            continue
+        box = (slice(max(rows[0] - radius, 0), rows[-1] + radius + 1),
+               slice(max(cols[0] - radius, 0), cols[-1] + radius + 1), i)
+        box_valid = valid[box]
+        cnts = ndimage.uniform_filter(box_valid.astype(np.float64), size=size,
+                                      mode="constant", cval=0.0) * area
+        filtered = np.where(box_valid, volume.costs[box].astype(np.float64), 0.0)
+        for _ in range(passes):
+            sums = ndimage.uniform_filter(filtered, size=size, mode="constant", cval=0.0) * area
+            filtered = np.where(box_valid, sums / np.maximum(cnts, 1.0), 0.0)
+        costs_out[box] = np.where(box_valid, filtered, INVALID_COST)
     return CostVolume(costs=costs_out, valid=valid.copy())
 
 

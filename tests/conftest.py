@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from oasweep.config import CalibrationBundle, camera_rotation, default_rig
 from oasweep.geometry import (
@@ -12,6 +13,9 @@ from oasweep.geometry import (
     PlaneHypothesisSet,
     RigidTransform,
     SonarSpec,
+    WarpGrid,
+    cartesian_to_sonar_polar,
+    solve_ray_plane,
 )
 from oasweep.simulator import PlanePrimitive
 from oasweep.sweep import INVALID_COST, CostVolume, _bilinear_sample, _pair_cost
@@ -27,8 +31,12 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20250810)
 
 
-def random_calibration(rng: np.random.Generator) -> CalibrationBundle:
-    """A random but valid desk-scale calibration for randomized geometry checks."""
+def random_calibration(rng: np.random.Generator, far: bool = False) -> CalibrationBundle:
+    """A random but valid desk-scale calibration for randomized geometry checks.
+
+    With ``far``, the camera center sits 50 to 500 m behind the sonar along
+    its acoustic axis (|t| >= 50 m), still looking forward at it.
+    """
     width, height = 320, 240
     fx = rng.uniform(200.0, 600.0)
     fy = fx * rng.uniform(0.95, 1.05)
@@ -49,6 +57,8 @@ def random_calibration(rng: np.random.Generator) -> CalibrationBundle:
     wiggle = np.eye(3) + math.sin(angle) * k_mat + (1 - math.cos(angle)) * (k_mat @ k_mat)
     rotation = wiggle @ base
     translation = rng.uniform(-0.3, 0.3, size=3)
+    if far:
+        translation = rotation @ np.array([0.0, rng.uniform(50.0, 500.0), 0.0]) + translation
     extrinsics = RigidTransform(rotation, translation)
     sonar = SonarSpec(
         range_min=0.1, range_max=rng.uniform(4.0, 8.0),
@@ -129,19 +139,90 @@ def backproject_sonar_to_plane(d, theta, planes: PlaneHypothesisSet, i: int) -> 
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
 
+def grazing_rig() -> CalibrationBundle:
+    """The stock rig with plane inclination 75 degrees and an integer principal row.
+
+    The camera's 15 degree pitch then maps the plane-family normal to the
+    camera's -y axis, so every ray of pixel row v = cy = 120 runs parallel to
+    the planes (its denominator is zero up to the rounding of R n).
+    """
+    rig = default_rig()
+    intrinsics = dataclasses.replace(rig.intrinsics, cy=120.0)
+    planes = dataclasses.replace(rig.planes, alpha=math.radians(75.0))
+    return dataclasses.replace(rig, intrinsics=intrinsics, planes=planes)
+
+
+def dense_warp_grid(intrinsics, extrinsics, planes, spec, shape=None, origin=(0, 0)):
+    """Oracle for the warp grid: solve and gate every (pixel, plane) entry at once.
+
+    Returns:
+        (ranges, bearings, valid), each (H, W, N); lookups are kept at
+        invalid entries too.
+    """
+    if shape is None:
+        shape = (intrinsics.height, intrinsics.width)
+    h, w = shape
+    u0, v0 = origin
+    vs, us = np.meshgrid(np.arange(h, dtype=float) + v0, np.arange(w, dtype=float) + u0,
+                         indexing="ij")
+    points, ok = solve_ray_plane(us[:, :, None], vs[:, :, None], intrinsics, extrinsics, planes,
+                                 np.arange(1, planes.n + 1))
+    ranges, bearings = cartesian_to_sonar_polar(points)
+    elevation = np.arctan2(points[..., 2], ranges)
+    valid = ok & spec.in_fov(ranges, bearings) & (np.abs(elevation) <= spec.elevation_fov / 2)
+    return ranges, bearings, valid
+
+
+def compact_grid(ranges, bearings, valid) -> WarpGrid:
+    """Adapter from dense (H, W, N) lookups to a WarpGrid: keep the valid
+    entries' lookups, plane-major, in np.nonzero order within each plane."""
+    valid = np.asarray(valid, dtype=bool)
+    planes_first = np.moveaxis(valid, 2, 0)
+    return WarpGrid(ranges=np.moveaxis(np.asarray(ranges, dtype=float), 2, 0)[planes_first],
+                    bearings=np.moveaxis(np.asarray(bearings, dtype=float), 2, 0)[planes_first],
+                    valid=valid)
+
+
+def dense_lookups(grid: WarpGrid):
+    """Adapter from a WarpGrid to dense (H, W, N) ranges and bearings, NaN at invalid entries."""
+    ranges, bearings = np.full(grid.shape, np.nan), np.full(grid.shape, np.nan)
+    planes_first = np.moveaxis(grid.valid, 2, 0)
+    np.moveaxis(ranges, 2, 0)[planes_first] = grid.ranges
+    np.moveaxis(bearings, 2, 0)[planes_first] = grid.bearings
+    return ranges, bearings
+
+
 def dense_cost_volume(camera_features, sonar_features, grid, spec, metric) -> CostVolume:
     """Oracle for the cost-volume builder: gather and score every admissible
     lookup, whether or not its bilinear cell touches a non-zero sonar bin."""
+    ranges, bearings = dense_lookups(grid)
     costs = np.full(grid.shape, INVALID_COST, dtype=np.float32)
     valid = np.zeros(grid.shape, dtype=bool)
     for i in range(grid.shape[2]):
         v, u = np.nonzero(grid.valid[:, :, i])
-        rb, bb = spec.polar_to_bin(grid.ranges[v, u, i], grid.bearings[v, u, i])
+        rb, bb = spec.polar_to_bin(ranges[v, u, i], bearings[v, u, i])
         cost, defined = _pair_cost(camera_features[v, u].astype(np.float64),
                                    _bilinear_sample(sonar_features, rb, bb), metric)
         costs[v[defined], u[defined], i] = cost[defined]
         valid[v, u, i] = defined
     return CostVolume(costs=costs, valid=valid)
+
+
+def dense_regularize(volume: CostVolume, radius: int, passes: int) -> CostVolume:
+    """Oracle for the regularizer: box-filter every whole plane slice over its valid mask."""
+    if radius == 0 or passes == 0:
+        return volume
+    size = (2 * radius + 1, 2 * radius + 1, 1)
+    area = size[0] * size[1]
+    valid = volume.valid
+    cnts = ndimage.uniform_filter(valid.astype(np.float64), size=size,
+                                  mode="constant", cval=0.0) * area
+    filtered = np.where(valid, volume.costs.astype(np.float64), 0.0)
+    for _ in range(passes):
+        sums = ndimage.uniform_filter(filtered, size=size, mode="constant", cval=0.0) * area
+        filtered = np.where(valid, sums / np.maximum(cnts, 1.0), 0.0)
+    costs_out = np.where(valid, filtered, INVALID_COST).astype(np.float32)
+    return CostVolume(costs=costs_out, valid=valid.copy())
 
 
 def argmin_planes(volume):

@@ -19,7 +19,7 @@ from oasweep.config import default_rig
 from oasweep.formats import read_cost_volume, read_pfm, read_pgm, write_pfm, write_pgm
 from oasweep.simulator import default_scene
 
-from conftest import turned_camera
+from conftest import grazing_rig, turned_camera
 
 
 def run_cli(*args):
@@ -369,6 +369,16 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", [{"speckle": 10**400}, {"background": -10**400}])
+    def test_integer_too_large_for_float_flag_exits_2(self, tmp_path, capsys, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        assert run_cli("--config", cfg, "simulate", "--out", out, "--seed", 1) == 2
+        err = capsys.readouterr().err
+        assert next(iter(values)) in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_mistyped_list_value_exits_2(self, tmp_path, rng):
         write_pgm(tmp_path / "in.pgm", rng.integers(0, 256, (2, 2), dtype=np.uint8))
         cfg = tmp_path / "cfg.json"
@@ -483,6 +493,16 @@ class TestDegenerateRig:
         assert "(0 valid pixels)" in capsys.readouterr().out
         assert not read_pgm(out / "depth_mask.pgm").any()
         assert not read_pfm(out / "depth.pfm").any()
+
+    def test_grazing_rays_unprepared_exits_0(self, dataset, tmp_path, capsys):
+        # Pixel row v = cy runs parallel to the plane family.
+        calibration, out = tmp_path / "grazing.json", tmp_path / "out"
+        grazing_rig().save(calibration)
+        assert run_cli("sweep", "--dataset", dataset, "--calibration", calibration, "--out", out,
+                       "--no-prepare") == 0
+        assert "Traceback" not in capsys.readouterr().err
+        mask = read_pgm(out / "depth_mask.pgm")
+        assert mask.any() and not mask[int(grazing_rig().intrinsics.cy)].any()
 
     def test_textureless_camera_empty_mask(self, dataset, tmp_path):
         ds, out = tmp_path / "ds", tmp_path / "out"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from oasweep.geometry import (
     PlaneHypothesisSet,
     RigidTransform,
     SonarSpec,
+    WarpGrid,
     build_warp_grid,
     camera_depth_field,
     cartesian_to_sonar_polar,
@@ -21,9 +24,14 @@ from oasweep.geometry import (
 
 from conftest import (
     backproject_sonar_to_plane,
+    compact_grid,
+    dense_lookups,
+    dense_warp_grid,
+    grazing_rig,
     identity_transform,
     plane_normal,
     plane_residual,
+    random_calibration,
     ray_plane_bisection_oracle,
 )
 
@@ -290,7 +298,7 @@ class TestWarpGrid:
     def test_zero_size_image(self, rig):
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar, shape=(0, 0))
         assert grid.shape == (0, 0, rig.planes.n)
-        assert grid.ranges.shape == grid.bearings.shape == grid.shape
+        assert grid.ranges.shape == grid.bearings.shape == (0,)
 
     def test_invariants_on_default_rig(self, rig):
         # The grid's lookups are the polar coordinates of the ray-plane
@@ -306,8 +314,9 @@ class TestWarpGrid:
                                      rig.extrinsics, planes, np.arange(1, planes.n + 1))
         ranges, bearings = cartesian_to_sonar_polar(points)
         in_fov = rig.sonar.in_fov(ranges, bearings)
-        np.testing.assert_array_equal(grid.ranges, ranges)
-        np.testing.assert_array_equal(grid.bearings, bearings)
+        grid_ranges, grid_bearings = dense_lookups(grid)
+        np.testing.assert_array_equal(grid_ranges[valid], ranges[valid])
+        np.testing.assert_array_equal(grid_bearings[valid], bearings[valid])
         cam = rig.extrinsics.apply(points)
         assert np.all((ok & in_fov & (cam[..., 2] > 0))[valid])
         elevation = np.arctan2(points[..., 2], ranges)
@@ -338,3 +347,74 @@ class TestWarpGrid:
         wide = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar, shape=(40, 60))
         narrow = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, narrow_spec, shape=(40, 60))
         assert not np.any(narrow.valid & ~wide.valid)
+
+    @staticmethod
+    def assert_matches_oracle(grid, oracle):
+        want = compact_grid(*oracle)
+        np.testing.assert_array_equal(grid.valid, want.valid)
+        assert grid.ranges.tobytes() == want.ranges.tobytes()
+        assert grid.bearings.tobytes() == want.bearings.tobytes()
+
+    @pytest.mark.parametrize("n", [48, 95], ids=["stock", "fine-planes"])
+    def test_matches_dense_oracle(self, rig, n):
+        # The pre-gated per-plane grid holds exactly the dense oracle's mask
+        # and valid lookups, bit for bit, on the stock rig and on the
+        # benchmark's 95-plane set over the same span.
+        planes = dataclasses.replace(rig.planes, k=rig.planes.k ** ((rig.planes.n - 1) / (n - 1)),
+                                     n=n)
+        args = (rig.intrinsics, rig.extrinsics, planes, rig.sonar)
+        grid = build_warp_grid(*args)
+        assert 0.2 < grid.valid.mean() < 0.3
+        self.assert_matches_oracle(grid, dense_warp_grid(*args))
+
+    @given(seed=st.integers(0, 2**32 - 1), far=st.booleans(), u0=st.integers(0, 280),
+           v0=st.integers(0, 200))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_oracle_on_random_rigs(self, seed, far, u0, v0):
+        # The pre-gate's slack scales with its operands, so it holds with the
+        # camera tens to hundreds of meters from the sonar as well.
+        rig = random_calibration(np.random.default_rng(seed), far=far)
+        args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
+        grid = build_warp_grid(*args, shape=(40, 40), origin=(u0, v0))
+        self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=(40, 40), origin=(u0, v0)))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e155])
+    def test_matches_dense_oracle_at_extreme_scales(self, rig, scale):
+        # Every length of the stock rig scaled: squares of the pre-gate's
+        # coordinates underflow (1e-200) or overflow (1e155) without a warning,
+        # and the grid still holds the oracle's entries.
+        sonar = dataclasses.replace(rig.sonar, range_min=rig.sonar.range_min * scale,
+                                    range_max=rig.sonar.range_max * scale)
+        planes = dataclasses.replace(rig.planes, d0=rig.planes.d0 * scale)
+        extrinsics = RigidTransform(rig.extrinsics.rotation, rig.extrinsics.translation * scale)
+        args = (rig.intrinsics, extrinsics, planes, sonar)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = build_warp_grid(*args, shape=(60, 80), origin=(120, 100))
+        assert grid.valid.any()
+        self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=(60, 80), origin=(120, 100)))
+
+    def test_grazing_row_masked_like_oracle(self):
+        # Row v = cy runs parallel to the plane family: its denominator falls
+        # below the 1e-12 parallel threshold, the pre-gate sees NaN lookups
+        # there, and the mask still equals the oracle's, without a warning.
+        rig = grazing_rig()
+        row = np.arange(rig.intrinsics.width, dtype=float)
+        _, ok = camera_depth_field(row, np.full_like(row, rig.intrinsics.cy), 1.0,
+                                   rig.intrinsics, rig.extrinsics, rig.planes.alpha)
+        assert not ok.any()
+        args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = build_warp_grid(*args)
+        assert grid.valid.any() and not grid.valid[int(rig.intrinsics.cy)].any()
+        self.assert_matches_oracle(grid, dense_warp_grid(*args))
+
+    def test_lookups_must_match_mask(self):
+        valid = np.zeros((2, 3, 4), dtype=bool)
+        valid[1, 2, 3] = True
+        WarpGrid(ranges=np.ones(1), bearings=np.zeros(1), valid=valid)
+        with pytest.raises(ValueError):
+            WarpGrid(ranges=np.ones(2), bearings=np.zeros(2), valid=valid)
+        with pytest.raises(ValueError):
+            WarpGrid(ranges=np.ones((2, 3, 4)), bearings=np.zeros((2, 3, 4)), valid=valid)

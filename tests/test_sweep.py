@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oasweep.config import default_rig
-from oasweep.geometry import SonarSpec, WarpGrid, build_warp_grid
+from oasweep.geometry import SonarSpec, build_warp_grid
 from scipy import ndimage
 
 from oasweep.simulator import (
@@ -37,7 +37,12 @@ from oasweep.sweep import (
 
 from conftest import (
     argmin_planes,
+    compact_grid,
     dense_cost_volume,
+    dense_lookups,
+    dense_regularize,
+    dense_warp_grid,
+    grazing_rig,
     hypothesis_plane_primitive,
     identity_transform,
     plane_normal,
@@ -87,12 +92,11 @@ class TestExtractFeatures:
 
 
 def tiny_grid(ranges, bearings, valid=None):
-    """WarpGrid stub with explicit polar lookups."""
+    """WarpGrid stub with explicit dense (H, W, N) polar lookups."""
     ranges = np.asarray(ranges, dtype=float)
     if valid is None:
         valid = np.ones(ranges.shape, dtype=bool)
-    return WarpGrid(ranges=ranges, bearings=np.asarray(bearings, dtype=float),
-                    valid=np.asarray(valid, dtype=bool))
+    return compact_grid(ranges, bearings, valid)
 
 
 def bin_grid(spec, range_bins, bearing_bins, valid=None):
@@ -246,14 +250,15 @@ class TestBuildCostVolume:
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_inadmissible_lookups_never_read(self, rig, rng, metric):
-        # The builder reads ranges and bearings only where the grid is valid:
-        # NaN everywhere else leaves the volume unchanged.
+        # A grid holds lookups at valid entries only: NaN lookups everywhere
+        # else in the dense layout compact to the same grid and volume.
         spec = rig.sonar
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, spec,
                                shape=(6, 8), origin=(156, 116))
         assert grid.valid.any() and not grid.valid.all()
-        holed = WarpGrid(ranges=np.where(grid.valid, grid.ranges, np.nan),
-                         bearings=np.where(grid.valid, grid.bearings, np.nan), valid=grid.valid)
+        holed = compact_grid(*dense_lookups(grid), grid.valid)
+        assert holed.ranges.tobytes() == grid.ranges.tobytes()
+        assert holed.bearings.tobytes() == grid.bearings.tobytes()
         camera = rng.random((6, 8, 3)).astype(np.float32)
         sonar = rng.random((spec.range_bins, spec.bearing_bins, 3)).astype(np.float32)
         want = build_cost_volume(camera, sonar, grid, spec, metric)
@@ -314,6 +319,11 @@ class TestBuildCostVolume:
         assert got.valid.any()
         assert got.costs.tobytes() == want.costs.tobytes()
         np.testing.assert_array_equal(got.valid, want.valid)
+        # The regularizer's per-plane crops equal whole-slice filtering here too.
+        got = regularize_cost_volume(got, config.box_radius, config.box_passes)
+        want = dense_regularize(want, config.box_radius, config.box_passes)
+        assert got.costs.tobytes() == want.costs.tobytes()
+        np.testing.assert_array_equal(got.valid, want.valid)
 
 
 class TestRegularizeCostVolume:
@@ -347,6 +357,31 @@ class TestRegularizeCostVolume:
         assert vol.costs[2, 2, 0] == INVALID_COST
         # neighbor means exclude the masked entry
         assert vol.costs[2, 3, 0] == pytest.approx(0.9 / 8.0, abs=1e-6)
+
+    @pytest.mark.parametrize("passes", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [1, 2, 3, 9, 15])
+    def test_crops_match_dense_oracle(self, rng, radius, passes):
+        # A 9 x 13 slice per plane: empty, fully valid, single entries in each
+        # corner (boxes narrower than the filter, touching two borders), a
+        # band touching the top and bottom borders, a band touching the left
+        # and right borders, a random mask touching every border, and one
+        # interior entry. Radius 9 and 15 reach past the whole slice.
+        h, w = 9, 13
+        valid = np.zeros((h, w, 10), dtype=bool)
+        valid[:, :, 1] = True
+        for i, (v, u) in enumerate([(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1)]):
+            valid[v, u, 2 + i] = True
+        valid[:, 5:7, 6] = True
+        valid[3:5, :, 7] = True
+        valid[:, :, 8] = rng.random((h, w)) < 0.3
+        valid[[0, -1], :, 8] = valid[:, [0, -1], 8] = True
+        valid[4, 6, 9] = True
+        costs = rng.normal(scale=10.0, size=valid.shape).astype(np.float32)
+        vol = CostVolume(costs=np.where(valid, costs, INVALID_COST), valid=valid)
+        got = regularize_cost_volume(vol, radius, passes)
+        want = dense_regularize(vol, radius, passes)
+        assert got.costs.tobytes() == want.costs.tobytes()
+        np.testing.assert_array_equal(got.valid, valid)
 
 
 class TestSoftArgmin:
@@ -566,3 +601,20 @@ class TestRunPipeline:
             depth, volume = run_pipeline(camera, sonar, rig, SweepConfig())
         assert not depth.valid.any() and not depth.depth.any()
         assert not volume.valid.any() and np.all(volume.costs == INVALID_COST)
+
+    def test_grazing_row_masked_quietly(self):
+        # Pixel row v = cy runs parallel to the plane family: it is masked
+        # without a warning, and the volume is valid only where the oracle's
+        # warp grid is.
+        rig = grazing_rig()
+        scene = default_scene()
+        camera, _ = render_camera(scene, rig.intrinsics, rig.extrinsics)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            depth, volume = run_pipeline(camera, render_sonar(scene, rig.sonar), rig,
+                                         SweepConfig())
+        row = int(rig.intrinsics.cy)
+        assert depth.valid.any() and not depth.valid[row].any()
+        assert not volume.valid[row].any()
+        _, _, want = dense_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
+        assert not np.any(volume.valid & ~want)
