@@ -485,6 +485,9 @@ def main(argv=None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

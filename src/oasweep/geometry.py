@@ -242,6 +242,18 @@ def cartesian_to_sonar_polar(points):
     return np.hypot(points[..., 0], points[..., 1]), np.arctan2(points[..., 0], points[..., 1])
 
 
+def _ray_plane_terms(us, vs, d_hat, intrinsics: CameraIntrinsics,
+                     extrinsics: RigidTransform, alpha: float):
+    """Rays K^-1 [u, v, 1]^T, denominators (R n)^T ray (NaN below the 1e-12
+    parallel threshold) and numerators d_hat sin(alpha) + (R n)^T t of the
+    closed-form camera depth, n = [0, cos(alpha), sin(alpha)]."""
+    n_cam = extrinsics.rotation @ np.array([0.0, np.cos(alpha), np.sin(alpha)])
+    rays = intrinsics.ray_directions(us, vs)
+    denom = rays @ n_cam
+    numer = np.asarray(d_hat, dtype=float) * np.sin(alpha) + n_cam @ extrinsics.translation
+    return rays, np.where(np.abs(denom) >= 1e-12, denom, np.nan), numer
+
+
 def camera_depth_field(us, vs, d_hat, intrinsics: CameraIntrinsics,
                        extrinsics: RigidTransform, alpha: float):
     """Camera-frame depth of the points on the viewing rays at plane distances d_hat.
@@ -260,45 +272,10 @@ def camera_depth_field(us, vs, d_hat, intrinsics: CameraIntrinsics,
         (z_c, ok) broadcast to the common shape of us, vs, d_hat; z_c is NaN
         where not ok.
     """
-    normal = np.array([0.0, np.cos(alpha), np.sin(alpha)])
-    n_cam = extrinsics.rotation @ normal
-    rays = intrinsics.ray_directions(us, vs)
-    denom = rays @ n_cam
-    numer = np.asarray(d_hat, dtype=float) * np.sin(alpha) + n_cam @ extrinsics.translation
-    z = numer / np.where(np.abs(denom) >= 1e-12, denom, np.nan)
+    _, denom, numer = _ray_plane_terms(us, vs, d_hat, intrinsics, extrinsics, alpha)
+    z = numer / denom
     ok = z > 0
     return np.where(ok, z, np.nan), ok
-
-
-def solve_ray_plane(us, vs, intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
-                    planes: PlaneHypothesisSet, indices):
-    """Intersect pixel viewing rays with hypothesis planes.
-
-    Lifts the closed-form camera depth of :func:`camera_depth_field` back to
-    the sonar frame, P_s = R^T (Z_c K^-1 [u, v, 1]^T - t), so each returned
-    point lies on its plane and projects back to its pixel.
-
-    Args:
-        us, vs: Pixel coordinates.
-        intrinsics: Camera model.
-        extrinsics: Sonar-to-camera transform.
-        planes: Hypothesis set.
-        indices: 1-based plane indices; broadcast against us and vs.
-
-    Returns:
-        (points, ok): sonar-frame intersections (..., 3) and the mask of
-        :func:`camera_depth_field` (the ray meets the plane in front of the
-        camera), both at the broadcast shape. Masked entries hold the camera
-        center, so every returned coordinate stays finite.
-    """
-    indices = np.asarray(indices)
-    if np.any((indices < 1) | (indices > planes.n)):
-        raise IndexError(f"plane indices out of range 1..{planes.n}")
-    z, ok = camera_depth_field(us, vs, planes.distances()[indices - 1], intrinsics, extrinsics,
-                               planes.alpha)
-    points = np.where(ok, z, 0.0)[..., None] * intrinsics.ray_directions(us, vs)
-    points -= extrinsics.translation
-    return points @ extrinsics.rotation, ok
 
 
 def ray_depth_to_euclidean(us, vs, z_c, intrinsics: CameraIntrinsics):
@@ -341,21 +318,6 @@ class WarpGrid:
         return self.valid.shape
 
 
-# Relative slack of build_warp_grid's pre-gate. The pre-gate evaluates the
-# sonar point as numer_i * a - b, with a = R^T ray / denom and b = R^T t; the
-# exact pass computes (z ray - t) R with z = numer_i / denom, from the same
-# bits of numer_i and denom. Every term of either formula is bounded by
-# m = |numer_i| |a|_1 + |b|_1 (R is orthonormal and |ray|_1 <= sqrt(3) |R^T ray|_1),
-# and each takes a few correctly rounded operations, so the two points differ
-# by at most a few tens of eps m per coordinate (eps = 2.2e-16); arctan2 and
-# tan(fov / 2) add a few ulps of their results, i.e. of m times the gate's
-# tangent. A slack of 1e-9 m per coordinate covers that by five orders of
-# magnitude and, being relative to the operands rather than to the result,
-# holds at any scale of translation or plane distance, so the pre-gate keeps
-# a superset of the exact mask.
-_PREGATE_SLACK = 1e-9
-
-
 def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
                     planes: PlaneHypothesisSet, spec: SonarSpec,
                     shape: tuple | None = None, origin: tuple = (0, 0)) -> WarpGrid:
@@ -365,12 +327,11 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     outside the sonar's vertical aperture can never have produced an echo,
     so such entries are gated out as inadmissible.
 
-    Plane by plane, a cheap algebraic pre-gate (no transcendental function)
-    keeps the pixels whose approximate sonar point lies, within a slack,
-    inside the range bounds, in front of the sonar, inside the bearing
-    sector and inside the vertical aperture. Only those are solved with
-    :func:`solve_ray_plane` and gated exactly, so the mask and lookups are
-    the same bit for bit as solving and gating every entry.
+    Plane by plane, every pixel's ray is intersected with the plane through
+    the closed-form depth of :func:`camera_depth_field`, lifted to the sonar
+    frame, P_s = R^T (Z_c K^-1 [u, v, 1]^T - t), and gated exactly: in front
+    of the camera, inside the range bounds and the bearing sector, and inside
+    the vertical aperture. Only the valid entries' lookups are kept.
 
     Args:
         intrinsics: Camera model; also supplies the default grid shape.
@@ -390,47 +351,31 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     u0, v0 = origin
     vs, us = np.meshgrid(np.arange(h, dtype=float) + v0, np.arange(w, dtype=float) + u0,
                          indexing="ij")
-    # Pixels stay a column, (H*W, 1), as in solving every entry at once with
-    # (H, W, 1) pixel arrays: numpy then rounds each ray's dot products the
-    # same way, which a flat (H*W,) call, batched differently, does not.
-    us, vs = us.reshape(-1, 1), vs.reshape(-1, 1)
-    rotation, translation = extrinsics.rotation, extrinsics.translation
-    n_cam = rotation @ np.array([0.0, np.cos(planes.alpha), np.sin(planes.alpha)])
-    rays = intrinsics.ray_directions(us, vs)
-    denom = rays @ n_cam
-    # a = R^T ray / denom per pixel; parallel rays get NaN, which fails every gate.
-    a = (rays[:, 0] @ rotation) / np.where(np.abs(denom) >= 1e-12, denom, np.nan)
-    ax, ay, az = a.T.copy()
-    b = translation @ rotation
-    # The slack per coordinate is e = |numer_i| slack_a + slack_b; its 1e-150 m
-    # floor covers squares of coordinates below 1e-154 m, which underflow.
-    slack_a = _PREGATE_SLACK * np.abs(a).sum(axis=1)
-    slack_b = _PREGATE_SLACK * np.abs(b).sum() + 1e-150
-    tan_b, tan_e = np.tan(spec.bearing_fov / 2), np.tan(spec.elevation_fov / 2)
-    numers = planes.distances() * np.sin(planes.alpha) + n_cam @ translation
+    # Pixels go in as a column, (H*W, 1), as in solving every entry at once
+    # with (H, W, 1) pixel arrays: numpy then rounds each ray's dot product
+    # the same way, which a flat (H*W,) call, batched differently, does not.
+    rays, denom, numers = _ray_plane_terms(us.reshape(-1, 1), vs.reshape(-1, 1),
+                                           planes.distances(), intrinsics, extrinsics,
+                                           planes.alpha)
+    rays, denom = rays.reshape(-1, 3), denom.reshape(-1)
 
     valid = np.zeros((h * w, planes.n), dtype=bool)
+    points = np.empty((h * w, 3))
     ranges, bearings = [], []
-    for i, numer in enumerate(numers):
-        # Overflow (squares of points beyond 1e154 m, coordinates beyond the
-        # float64 range) leaves inf or NaN, which fails a comparison only
-        # where the exact gate fails too.
-        with np.errstate(over="ignore", invalid="ignore"):
-            x, y, z = numer * ax - b[0], numer * ay - b[1], numer * az - b[2]
-            e = abs(numer) * slack_a + slack_b
-            r2 = x * x + y * y
-            r = np.sqrt(r2)
-            keep = ((y + e >= 0) & (np.abs(x) - tan_b * y <= (1 + tan_b) * e)
-                    & (r >= spec.range_min - 2 * e) & (r2 <= (spec.range_max + 2 * e) ** 2)
-                    & (np.abs(z) - tan_e * r <= (1 + 2 * tan_e) * e))
-        idx = np.flatnonzero(keep)
-        points, ok = solve_ray_plane(us[idx], vs[idx], intrinsics, extrinsics, planes, i + 1)
-        points, ok = points[:, 0], ok[:, 0]
-        plane_ranges, plane_bearings = cartesian_to_sonar_polar(points)
-        elevation = np.arctan2(points[:, 2], plane_ranges)
-        good = (ok & spec.in_fov(plane_ranges, plane_bearings)
-                & (np.abs(elevation) <= spec.elevation_fov / 2))
-        valid[idx[good], i] = True
-        ranges.append(plane_ranges[good])
-        bearings.append(plane_bearings[good])
+    # Depths past the float64 range overflow to inf or NaN, which fail the gate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, numer in enumerate(numers):
+            z = numer / denom
+            # Column by column: z[:, None] * rays, over an inner axis of 3, is slow.
+            for k in range(3):
+                np.multiply(z, rays[:, k], out=points[:, k])
+                points[:, k] -= extrinsics.translation[k]
+            sonar_points = points @ extrinsics.rotation
+            plane_ranges, plane_bearings = cartesian_to_sonar_polar(sonar_points)
+            elevation = np.arctan2(sonar_points[:, 2], plane_ranges)
+            good = ((z > 0) & spec.in_fov(plane_ranges, plane_bearings)
+                    & (np.abs(elevation) <= spec.elevation_fov / 2))
+            valid[:, i] = good
+            ranges.append(plane_ranges[good])
+            bearings.append(plane_bearings[good])
     return WarpGrid(np.concatenate(ranges), np.concatenate(bearings), valid.reshape(h, w, planes.n))

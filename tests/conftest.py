@@ -14,8 +14,8 @@ from oasweep.geometry import (
     RigidTransform,
     SonarSpec,
     WarpGrid,
+    camera_depth_field,
     cartesian_to_sonar_polar,
-    solve_ray_plane,
 )
 from oasweep.simulator import PlanePrimitive
 from oasweep.sweep import INVALID_COST, CostVolume, _bilinear_sample, _pair_cost
@@ -152,6 +152,37 @@ def grazing_rig() -> CalibrationBundle:
     return dataclasses.replace(rig, intrinsics=intrinsics, planes=planes)
 
 
+def solve_ray_plane(us, vs, intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
+                    planes: PlaneHypothesisSet, indices):
+    """Intersect pixel viewing rays with hypothesis planes.
+
+    Lifts the closed-form camera depth of :func:`camera_depth_field` back to
+    the sonar frame, P_s = R^T (Z_c K^-1 [u, v, 1]^T - t), so each returned
+    point lies on its plane and projects back to its pixel.
+
+    Args:
+        us, vs: Pixel coordinates.
+        intrinsics: Camera model.
+        extrinsics: Sonar-to-camera transform.
+        planes: Hypothesis set.
+        indices: 1-based plane indices; broadcast against us and vs.
+
+    Returns:
+        (points, ok): sonar-frame intersections (..., 3) and the mask of
+        :func:`camera_depth_field` (the ray meets the plane in front of the
+        camera), both at the broadcast shape. Masked entries hold the camera
+        center, so every returned coordinate stays finite.
+    """
+    indices = np.asarray(indices)
+    if np.any((indices < 1) | (indices > planes.n)):
+        raise IndexError(f"plane indices out of range 1..{planes.n}")
+    z, ok = camera_depth_field(us, vs, planes.distances()[indices - 1], intrinsics, extrinsics,
+                               planes.alpha)
+    points = np.where(ok, z, 0.0)[..., None] * intrinsics.ray_directions(us, vs)
+    points -= extrinsics.translation
+    return points @ extrinsics.rotation, ok
+
+
 def dense_warp_grid(intrinsics, extrinsics, planes, spec, shape=None, origin=(0, 0)):
     """Oracle for the warp grid: solve and gate every (pixel, plane) entry at once.
 
@@ -281,8 +312,6 @@ def consecutive_projection_displacements(grid_pixels, intrinsics, extrinsics, pl
     Returns:
         (disp, ok): arrays of shape (P, N-1, 2) and (P, N-1).
     """
-    from oasweep.geometry import cartesian_to_sonar_polar, solve_ray_plane
-
     us, vs = grid_pixels
     n = planes.n
     disp = np.zeros(us.shape + (n - 1, 2))

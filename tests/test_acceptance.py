@@ -16,7 +16,7 @@ import pytest
 
 from oasweep.config import default_rig
 from oasweep.evaluation import compute_metrics
-from oasweep.geometry import RigidTransform, solve_ray_plane
+from oasweep.geometry import RigidTransform
 from oasweep.preprocess import (
     average_background,
     denoise,
@@ -47,6 +47,7 @@ from conftest import (
     plane_normal,
     random_calibration,
     ray_plane_bisection_oracle,
+    solve_ray_plane,
 )
 
 

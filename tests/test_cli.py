@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oasweep import preprocess, sweep
+from oasweep import preprocess, simulator, sweep
 from oasweep.cli import main
 from oasweep.config import default_rig
 from oasweep.formats import read_cost_volume, read_pfm, read_pgm, write_pfm, write_pgm
@@ -468,6 +468,26 @@ class TestNonFiniteValues:
         assert run_cli(*argv(dataset, tmp_path, out)) == code
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestOutOfMemory:
+    """A failed allocation in any command exits 4, as a numerical failure."""
+
+    @pytest.mark.parametrize("command, module, stage", [
+        ("sweep", sweep, "run_pipeline"),
+        ("simulate", simulator, "render_camera"),
+    ], ids=["sweep", "simulate"])
+    def test_memory_error_exits_4(self, dataset, tmp_path, capsys, monkeypatch,
+                                  command, module, stage):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 557. GiB for an array")
+        monkeypatch.setattr(module, stage, out_of_memory)
+        out = tmp_path / "out"
+        argv = [command, "--out", out] + (["--dataset", dataset] if command == "sweep" else [])
+        assert run_cli(*argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: out of memory:") and "Traceback" not in err
         assert not out.exists()
 
 

@@ -18,7 +18,6 @@ from oasweep.geometry import (
     camera_depth_field,
     cartesian_to_sonar_polar,
     ray_depth_to_euclidean,
-    solve_ray_plane,
     spherical_to_cartesian,
 )
 
@@ -33,6 +32,7 @@ from conftest import (
     plane_residual,
     random_calibration,
     ray_plane_bisection_oracle,
+    solve_ray_plane,
 )
 
 
@@ -357,9 +357,10 @@ class TestWarpGrid:
 
     @pytest.mark.parametrize("n", [48, 95], ids=["stock", "fine-planes"])
     def test_matches_dense_oracle(self, rig, n):
-        # The pre-gated per-plane grid holds exactly the dense oracle's mask
-        # and valid lookups, bit for bit, on the stock rig and on the
-        # benchmark's 95-plane set over the same span.
+        # The per-plane grid, with its column denominators and its flat lift,
+        # holds exactly the stacked dense oracle's mask and valid lookups, bit
+        # for bit, on the stock rig and on the benchmark's 95-plane set over
+        # the same span.
         planes = dataclasses.replace(rig.planes, k=rig.planes.k ** ((rig.planes.n - 1) / (n - 1)),
                                      n=n)
         args = (rig.intrinsics, rig.extrinsics, planes, rig.sonar)
@@ -371,18 +372,18 @@ class TestWarpGrid:
            v0=st.integers(0, 200))
     @settings(max_examples=40, deadline=None)
     def test_matches_dense_oracle_on_random_rigs(self, seed, far, u0, v0):
-        # The pre-gate's slack scales with its operands, so it holds with the
-        # camera tens to hundreds of meters from the sonar as well.
+        # The flat lift rounds like the oracle's stacked one with the camera
+        # tens to hundreds of meters from the sonar as well.
         rig = random_calibration(np.random.default_rng(seed), far=far)
         args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
         grid = build_warp_grid(*args, shape=(40, 40), origin=(u0, v0))
         self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=(40, 40), origin=(u0, v0)))
 
-    @pytest.mark.parametrize("scale", [1e-200, 1e155])
+    @pytest.mark.parametrize("scale", [1e-200, 1e155, 3e307])
     def test_matches_dense_oracle_at_extreme_scales(self, rig, scale):
-        # Every length of the stock rig scaled: squares of the pre-gate's
-        # coordinates underflow (1e-200) or overflow (1e155) without a warning,
-        # and the grid still holds the oracle's entries.
+        # Every length of the stock rig scaled: products underflow (1e-200),
+        # or the farthest planes' depths overflow to inf (3e307), without a
+        # warning, and the grid still holds the oracle's entries.
         sonar = dataclasses.replace(rig.sonar, range_min=rig.sonar.range_min * scale,
                                     range_max=rig.sonar.range_max * scale)
         planes = dataclasses.replace(rig.planes, d0=rig.planes.d0 * scale)
@@ -392,12 +393,15 @@ class TestWarpGrid:
             warnings.simplefilter("error")
             grid = build_warp_grid(*args, shape=(60, 80), origin=(120, 100))
         assert grid.valid.any()
-        self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=(60, 80), origin=(120, 100)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            oracle = dense_warp_grid(*args, shape=(60, 80), origin=(120, 100))
+        self.assert_matches_oracle(grid, oracle)
 
     def test_grazing_row_masked_like_oracle(self):
-        # Row v = cy runs parallel to the plane family: its denominator falls
-        # below the 1e-12 parallel threshold, the pre-gate sees NaN lookups
-        # there, and the mask still equals the oracle's, without a warning.
+        # Row v = cy runs parallel to the plane family: its column denominator
+        # falls below the 1e-12 parallel threshold, its NaN depths pass
+        # through the flat lift, and the mask still equals the oracle's,
+        # without a warning.
         rig = grazing_rig()
         row = np.arange(rig.intrinsics.width, dtype=float)
         _, ok = camera_depth_field(row, np.full_like(row, rig.intrinsics.cy), 1.0,
