@@ -12,6 +12,9 @@ Calibration file schema (JSON)::
                 "range_bins", "bearing_bins"},
       "planes": {"alpha_deg", "d0", "k", "n"}
     }
+
+A calibration may ask for at most MAX_SWEEP_ENTRIES (pixel, plane) entries,
+width * height * n, and MAX_SONAR_BINS sonar bins, range_bins * bearing_bins.
 """
 
 import math
@@ -21,6 +24,15 @@ import numpy as np
 
 from .formats import atomic_write, encode_json
 from .geometry import CameraIntrinsics, PlaneHypothesisSet, RigidTransform, SonarSpec
+
+
+# The most work a calibration may ask for, checked before anything is
+# allocated. A sweep holds a few tens of bytes per (pixel, plane) entry: the
+# 640x480 camera with N = 96 planes asks for 29.5 M entries, under a third of this.
+MAX_SWEEP_ENTRIES = 100_000_000
+# A sonar bin's 25-channel patch feature goes through float64 buffers of 200
+# bytes each: the stock 384x224 sonar has 86,016 bins, a twenty-fourth of this.
+MAX_SONAR_BINS = 2_097_152
 
 
 class ConfigError(ValueError):
@@ -94,6 +106,14 @@ class CalibrationBundle:
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid calibration data: {exc}") from exc
+        entries = intrinsics.width * intrinsics.height * planes.n
+        if entries > MAX_SWEEP_ENTRIES:
+            raise ConfigError(f"intrinsics.width x intrinsics.height x planes.n = {entries} "
+                              f"sweep entries, above the limit of {MAX_SWEEP_ENTRIES}")
+        bins = sonar.range_bins * sonar.bearing_bins
+        if bins > MAX_SONAR_BINS:
+            raise ConfigError(f"sonar.range_bins x sonar.bearing_bins = {bins} bins, "
+                              f"above the limit of {MAX_SONAR_BINS}")
         return CalibrationBundle(intrinsics, extrinsics, sonar, planes)
 
     def save(self, path) -> None:

@@ -8,8 +8,8 @@ Formats:
   - PFM: grayscale "Pf", little-endian (scale line "-1.0"), rows bottom to
     top per the PFM convention.
   - SSCV1: magic ``SSCV1``, then u32 H, W, N (little-endian), then H*W*N
-    float32 costs ordered u-major then v then i, then H*W*N u8 validity
-    flags in the same order.
+    float32 costs ordered u-major then v then i, invalid entries holding
+    SSCV_INVALID_COST (1e9), then H*W*N u8 validity flags in the same order.
 """
 
 import json
@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 SSCV_MAGIC = b"SSCV1"
+SSCV_INVALID_COST = np.float32(1e9)  # the cost an SSCV1 file holds at invalid entries
 
 
 class FileFormatError(ValueError):
@@ -148,17 +149,17 @@ def read_pfm(path) -> np.ndarray:
 
 
 def encode_cost_volume(costs: np.ndarray, valid: np.ndarray) -> bytes:
-    """SSCV1 bytes from (H, W, N) costs and validity arrays."""
-    costs = np.asarray(costs, dtype=np.float32)
+    """SSCV1 bytes from an (H, W, N) mask and its costs, as a sweep CostVolume holds them."""
     valid = np.asarray(valid, dtype=bool)
-    if costs.ndim != 3 or costs.shape != valid.shape:
-        raise ValueError(f"costs/valid must share an (H, W, N) shape, got {costs.shape} vs {valid.shape}")
-    h, w, n = costs.shape
-    header = SSCV_MAGIC + np.array([h, w, n], dtype="<u4").tobytes()
-    # u-major, then v, then i
-    cost_bytes = np.transpose(costs, (1, 0, 2)).astype("<f4").tobytes()
-    valid_bytes = np.transpose(valid, (1, 0, 2)).astype(np.uint8).tobytes()
-    return header + cost_bytes + valid_bytes
+    if valid.ndim != 3 or np.shape(costs) != (np.count_nonzero(valid),):
+        raise ValueError(f"need an (H, W, N) mask and one cost per valid entry, got mask "
+                         f"{valid.shape} and costs {np.shape(costs)}")
+    h, w, n = valid.shape
+    # u-major, then v, then i; the costs run i, then v, then u
+    dense = np.full((w, h, n), SSCV_INVALID_COST, dtype="<f4")
+    dense.transpose(2, 1, 0)[np.moveaxis(valid, 2, 0)] = costs
+    flags = np.ascontiguousarray(np.transpose(valid, (1, 0, 2)), dtype=np.uint8)
+    return b"".join((SSCV_MAGIC, np.array([h, w, n], dtype="<u4"), dense, flags))
 
 
 def read_cost_volume(path):

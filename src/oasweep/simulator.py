@@ -13,6 +13,8 @@ Scene file schema (JSON)::
         {"type": "sphere", "center": [x,y,z], "radius": R, "reflectance": r},
         {"type": "box",    "min": [x,y,z], "max": [x,y,z], "reflectance": r}
     ]}
+
+Coordinates and radii are meters, at most SCENE_EXTENT_M (1e6) in magnitude.
 """
 
 from dataclasses import dataclass
@@ -34,6 +36,11 @@ JERLOV_TRANSMISSION = {
 # Elevation strata per bearing for the sonar render; doubling this changes
 # no bin of the default scene by more than 1%.
 DEFAULT_ELEVATION_RAYS = 128
+
+# Largest coordinate magnitude and sphere radius a scene may hold, in meters.
+# Ray distances then stay far below float32's maximum (the PFM depth file)
+# and squared lengths far below float64's.
+SCENE_EXTENT_M = 1e6
 
 
 class SceneError(ValueError):
@@ -63,8 +70,8 @@ class SpherePrimitive:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _finite_point(self.center, "sphere center"))
-        if not 0 < self.radius < np.inf:
-            raise SceneError(f"sphere radius must be positive and finite, got {self.radius}")
+        if not 0 < self.radius <= SCENE_EXTENT_M:
+            raise SceneError(f"sphere radius must be in (0, {SCENE_EXTENT_M:g}], got {self.radius}")
         _check_reflectance(self.reflectance)
 
 
@@ -86,8 +93,9 @@ class BoxPrimitive:
 
 def _finite_point(value, what: str) -> np.ndarray:
     v = np.asarray(value, dtype=float).reshape(3)
-    if not np.all(np.isfinite(v)):
-        raise SceneError(f"{what} must be finite, got {v.tolist()}")
+    if not np.all(np.abs(v) <= SCENE_EXTENT_M):  # NaN fails too
+        raise SceneError(f"{what} must be finite with |coordinates| <= {SCENE_EXTENT_M:g}, "
+                         f"got {v.tolist()}")
     return v
 
 

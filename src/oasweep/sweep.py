@@ -24,16 +24,14 @@ from .geometry import (
 EXTRACTORS = ("intensity", "gradient", "zncc-patch")
 METRICS = ("sad", "neg-dot", "neg-zncc")
 
-# Sentinel carried by invalid cost entries; never NaN.
-INVALID_COST = np.float32(1e9)
-
 _NORM_EPS = 1e-9
 _VAR_EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class CostVolume:
-    """H x W x N matching costs; invalid entries hold the INVALID_COST sentinel."""
+    """Matching costs of an (H, W, N) volume: ``costs`` holds one finite float32
+    per ``valid`` entry, in the order of the WarpGrid lookups (plane-major)."""
 
     costs: np.ndarray
     valid: np.ndarray
@@ -41,16 +39,17 @@ class CostVolume:
     def __post_init__(self):
         costs = np.asarray(self.costs, dtype=np.float32)
         valid = np.asarray(self.valid, dtype=bool)
-        if costs.ndim != 3 or costs.shape != valid.shape:
-            raise ValueError(f"costs/valid must share an (H, W, N) shape, got {costs.shape} vs {valid.shape}")
+        if valid.ndim != 3 or costs.shape != (np.count_nonzero(valid),):
+            raise ValueError(f"need an (H, W, N) mask and one cost per valid entry, got mask "
+                             f"{valid.shape} and costs {costs.shape}")
         if not np.all(np.isfinite(costs)):
-            raise ValueError("cost volume must be finite (invalid entries use the sentinel)")
+            raise ValueError("costs must be finite")
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "valid", valid)
 
     @property
     def shape(self):
-        return self.costs.shape
+        return self.valid.shape
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,7 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
     admissible (pixel, plane) lookup, sliced out of the grid's compact
     lookups, samples the sonar feature map bilinearly in (range-bin,
     bearing-bin) space and is scored, in float64, against that pixel's
-    camera feature. Every other entry keeps the sentinel.
+    camera feature; the defined costs are kept, in the grid's order.
 
     A lookup whose bilinear cell has four +0.0 corners samples exactly the
     zero vector, so it takes its pixel's zero-sample cost, scored once per
@@ -201,7 +200,8 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
             than fake a score.
 
     Returns:
-        CostVolume with invalid entries carrying the sentinel cost.
+        CostVolume valid where the grid admits the entry and the metric is
+        defined.
     """
     camera_features = np.asarray(camera_features)
     sonar_features = np.asarray(sonar_features)
@@ -224,7 +224,7 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
     # Cell (r, c) blends corners [r, r+1] x [c, c+1], edge-clamped as in _bilinear_sample.
     held = np.pad(held, ((0, 1), (0, 1)), mode="edge")
     live = held[:-1, :-1] | held[1:, :-1] | held[:-1, 1:] | held[1:, 1:]
-    costs = np.full(grid.shape, INVALID_COST, dtype=np.float32)
+    costs = []
     valid = np.zeros(grid.shape, dtype=bool)
     start = 0
     for i in range(grid.shape[2]):
@@ -238,9 +238,9 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
         cost[hit], defined[hit] = _pair_cost(camera_features[v[hit], u[hit]].astype(np.float64),
                                              _bilinear_sample(sonar_features, rb[hit], bb[hit]),
                                              metric)
-        costs[v[defined], u[defined], i] = cost[defined]
+        costs.append(cost[defined].astype(np.float32))
         valid[v, u, i] = defined
-    return CostVolume(costs=costs, valid=valid)
+    return CostVolume(costs=np.concatenate(costs), valid=valid)
 
 
 def regularize_cost_volume(volume: CostVolume, radius: int = 1, passes: int = 1) -> CostVolume:
@@ -251,12 +251,12 @@ def regularize_cost_volume(volume: CostVolume, radius: int = 1, passes: int = 1)
     (truncated at slice borders); the validity mask is preserved. Radius 0 or
     zero passes returns the volume unchanged.
 
-    Each plane is filtered only on the bounding box of its valid entries,
-    grown by the radius and clipped to the slice; planes with no valid entry
-    are skipped. The filter input is exactly zero outside the valid box, so
-    every filter line of the grown box starts on a window of zeros, as it
-    would at the slice border, and its running sums, hence the result, are
-    the same bit for bit as filtering the whole slice.
+    Each plane's costs are scattered into the bounding box of its valid
+    entries, grown by the radius on every side (past the slice border too),
+    filtered there and gathered back. The filter input is exactly zero
+    outside the valid entries, so every filter line of the grown box starts
+    on a window of zeros, as it would at the slice border, and its running
+    sums, hence the result, are the same bit for bit as filtering the slice.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -264,68 +264,66 @@ def regularize_cost_volume(volume: CostVolume, radius: int = 1, passes: int = 1)
         return volume
     size = 2 * radius + 1
     area = size * size
-    valid = volume.valid
-    costs_out = np.full(volume.shape, INVALID_COST, dtype=np.float32)
-    rows_held, cols_held = valid.any(axis=1), valid.any(axis=0)
-    for i in range(volume.shape[2]):
-        rows, cols = np.flatnonzero(rows_held[:, i]), np.flatnonzero(cols_held[:, i])
-        if rows.size == 0:
-            continue
-        box = (slice(max(rows[0] - radius, 0), rows[-1] + radius + 1),
-               slice(max(cols[0] - radius, 0), cols[-1] + radius + 1), i)
-        box_valid = valid[box]
+    costs = np.empty_like(volume.costs)
+    h, w, n = volume.shape
+    flat = np.flatnonzero(np.moveaxis(volume.valid, 2, 0))  # (i, v, u), in the costs' order
+    bounds = np.searchsorted(flat, np.arange(n + 1) * (h * w))  # each plane's first entry
+    for i in np.flatnonzero(np.diff(bounds)):  # the planes holding an entry
+        start, end = bounds[i], bounds[i + 1]
+        v, u = np.divmod(flat[start:end] - i * h * w, w)
+        v, u = v - (v[0] - radius), u - (u.min() - radius)  # box coordinates
+        box_valid = np.zeros((v[-1] + radius + 1, u.max() + radius + 1), dtype=bool)
+        box_valid[v, u] = True
         cnts = ndimage.uniform_filter(box_valid.astype(np.float64), size=size,
                                       mode="constant", cval=0.0) * area
-        filtered = np.where(box_valid, volume.costs[box].astype(np.float64), 0.0)
+        filtered = np.zeros(box_valid.shape)
+        filtered[v, u] = volume.costs[start:end]
         for _ in range(passes):
             sums = ndimage.uniform_filter(filtered, size=size, mode="constant", cval=0.0) * area
             filtered = np.where(box_valid, sums / np.maximum(cnts, 1.0), 0.0)
-        costs_out[box] = np.where(box_valid, filtered, INVALID_COST)
-    return CostVolume(costs=costs_out, valid=valid.copy())
+        costs[start:end] = filtered[v, u]
+    return CostVolume(costs=costs, valid=volume.valid)
 
 
 def scale_costs(volume: CostVolume, gain: float) -> CostVolume:
-    """Multiply valid costs by a positive gain (softmax sharpening)."""
+    """Multiply the costs by a positive gain (softmax sharpening)."""
     if not 0 < gain < np.inf:
         raise ValueError(f"gain must be positive and finite, got {gain}")
-    costs = np.where(volume.valid, volume.costs * np.float32(gain), INVALID_COST)
-    return CostVolume(costs=costs.astype(np.float32), valid=volume.valid.copy())
+    return CostVolume(costs=volume.costs * np.float32(gain), valid=volume.valid)
 
 
 def soft_argmin(volume: CostVolume, distances):
     """Expected plane distance under the softmax of negated costs.
 
-    Per pixel, valid hypotheses are converted to a probability distribution
-    P(d_i) = softmax(-cost_i) (with max subtraction for stability, softmax
-    restricted to the valid set) and the regressed distance is the
-    expectation sum_i d_i P(d_i). Pixels with no valid hypothesis are masked.
+    Per pixel, a softmax over its own valid entries only gives P(d_i) =
+    softmax(-cost_i) (with max subtraction for stability), and the regressed
+    distance is the expectation sum_i d_i P(d_i). Pixels with no valid
+    hypothesis are masked.
 
     Args:
         volume: Cost volume (H, W, N).
         distances: (N,) plane distances.
 
     Returns:
-        (d_hat, probs, valid): (H, W) regression, (H, W, N) probabilities
-        (zero rows on masked pixels), and the per-pixel mask.
+        (d_hat, probs, valid): (H, W) regression (zero on masked pixels),
+        float64 probabilities, one per valid entry in the order of
+        ``volume.costs``, and the per-pixel mask.
     """
     distances = np.asarray(distances, dtype=np.float64)
-    if distances.shape != (volume.shape[2],):
-        raise ValueError(f"distances shape {distances.shape} does not match N={volume.shape[2]}")
+    h, w, n = volume.shape
+    if distances.shape != (n,):
+        raise ValueError(f"distances shape {distances.shape} does not match N={n}")
 
-    any_valid = volume.valid.any(axis=2)
-    # One float64 buffer carries -cost, the weights and then the probabilities.
+    # Each entry's plane and pixel, in the costs' order.
+    plane, pixel = np.divmod(np.flatnonzero(np.moveaxis(volume.valid, 2, 0)), h * w)
     probs = np.negative(volume.costs, dtype=np.float64)
-    probs[~volume.valid] = -np.inf
-    peak = np.max(probs, axis=2, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, 0.0)
-    np.subtract(probs, peak, out=probs)
-    np.exp(probs, out=probs)  # exp(-inf) = 0 on invalid entries
-    total = probs.sum(axis=2)
-    np.divide(probs, np.where(any_valid, total, 1.0)[:, :, None], out=probs)
-    d_hat = probs @ distances
-    d_hat[~any_valid] = 0.0
-    probs[~any_valid] = 0.0
-    return d_hat, probs, any_valid
+    peak = np.full(h * w, -np.inf)
+    np.maximum.at(peak, pixel, probs)
+    np.subtract(probs, peak[pixel], out=probs)
+    np.exp(probs, out=probs)
+    np.divide(probs, np.bincount(pixel, probs, minlength=h * w)[pixel], out=probs)
+    d_hat = np.bincount(pixel, probs * distances[plane], minlength=h * w).reshape(h, w)
+    return d_hat, probs, volume.valid.any(axis=2)
 
 
 def regress_depth_map(d_hat: np.ndarray, valid: np.ndarray, intrinsics: CameraIntrinsics,
@@ -380,7 +378,7 @@ def run_pipeline(camera_image: np.ndarray, sonar_image, calibration,
 
     Returns:
         (depth, volume): crop-sized DepthMap and the regularized (unscaled)
-        CostVolume, exportable as SSCV1.
+        CostVolume, one cost per valid entry, exportable as SSCV1.
     """
     if config is None:
         config = SweepConfig()

@@ -18,7 +18,7 @@ from oasweep.geometry import (
     cartesian_to_sonar_polar,
 )
 from oasweep.simulator import PlanePrimitive
-from oasweep.sweep import INVALID_COST, CostVolume, _bilinear_sample, _pair_cost
+from oasweep.sweep import CostVolume, _bilinear_sample, _pair_cost
 
 
 @pytest.fixture
@@ -204,30 +204,45 @@ def dense_warp_grid(intrinsics, extrinsics, planes, spec, shape=None, origin=(0,
     return ranges, bearings, valid
 
 
-def compact_grid(ranges, bearings, valid) -> WarpGrid:
-    """Adapter from dense (H, W, N) lookups to a WarpGrid: keep the valid
-    entries' lookups, plane-major, in np.nonzero order within each plane."""
+def compact(values, valid) -> np.ndarray:
+    """Adapter from a dense (H, W, N) array to its values at the valid entries,
+    plane-major, in np.nonzero order within each plane: the order of the
+    WarpGrid lookups and the CostVolume costs."""
+    return np.moveaxis(np.asarray(values), 2, 0)[np.moveaxis(np.asarray(valid, dtype=bool), 2, 0)]
+
+
+def densify(entries, valid, fill=np.nan) -> np.ndarray:
+    """Inverse adapter of :func:`compact`: an (H, W, N) array of the entries'
+    dtype holding the entries where valid and ``fill`` elsewhere."""
+    entries = np.asarray(entries)
     valid = np.asarray(valid, dtype=bool)
-    planes_first = np.moveaxis(valid, 2, 0)
-    return WarpGrid(ranges=np.moveaxis(np.asarray(ranges, dtype=float), 2, 0)[planes_first],
-                    bearings=np.moveaxis(np.asarray(bearings, dtype=float), 2, 0)[planes_first],
-                    valid=valid)
+    dense = np.full(valid.shape, fill, dtype=entries.dtype)
+    np.moveaxis(dense, 2, 0)[np.moveaxis(valid, 2, 0)] = entries
+    return dense
+
+
+def compact_volume(costs, valid) -> CostVolume:
+    """A CostVolume from dense (H, W, N) costs; costs at invalid entries are dropped."""
+    return CostVolume(costs=compact(costs, valid), valid=valid)
+
+
+def compact_grid(ranges, bearings, valid) -> WarpGrid:
+    """Adapter from dense (H, W, N) lookups to a WarpGrid that keeps the valid entries' lookups."""
+    return WarpGrid(ranges=compact(np.asarray(ranges, dtype=float), valid),
+                    bearings=compact(np.asarray(bearings, dtype=float), valid),
+                    valid=np.asarray(valid, dtype=bool))
 
 
 def dense_lookups(grid: WarpGrid):
     """Adapter from a WarpGrid to dense (H, W, N) ranges and bearings, NaN at invalid entries."""
-    ranges, bearings = np.full(grid.shape, np.nan), np.full(grid.shape, np.nan)
-    planes_first = np.moveaxis(grid.valid, 2, 0)
-    np.moveaxis(ranges, 2, 0)[planes_first] = grid.ranges
-    np.moveaxis(bearings, 2, 0)[planes_first] = grid.bearings
-    return ranges, bearings
+    return densify(grid.ranges, grid.valid), densify(grid.bearings, grid.valid)
 
 
 def dense_cost_volume(camera_features, sonar_features, grid, spec, metric) -> CostVolume:
     """Oracle for the cost-volume builder: gather and score every admissible
     lookup, whether or not its bilinear cell touches a non-zero sonar bin."""
     ranges, bearings = dense_lookups(grid)
-    costs = np.full(grid.shape, INVALID_COST, dtype=np.float32)
+    costs = np.zeros(grid.shape, dtype=np.float32)
     valid = np.zeros(grid.shape, dtype=bool)
     for i in range(grid.shape[2]):
         v, u = np.nonzero(grid.valid[:, :, i])
@@ -236,7 +251,7 @@ def dense_cost_volume(camera_features, sonar_features, grid, spec, metric) -> Co
                                    _bilinear_sample(sonar_features, rb, bb), metric)
         costs[v[defined], u[defined], i] = cost[defined]
         valid[v, u, i] = defined
-    return CostVolume(costs=costs, valid=valid)
+    return compact_volume(costs, valid)
 
 
 def dense_regularize(volume: CostVolume, radius: int, passes: int) -> CostVolume:
@@ -248,17 +263,48 @@ def dense_regularize(volume: CostVolume, radius: int, passes: int) -> CostVolume
     valid = volume.valid
     cnts = ndimage.uniform_filter(valid.astype(np.float64), size=size,
                                   mode="constant", cval=0.0) * area
-    filtered = np.where(valid, volume.costs.astype(np.float64), 0.0)
+    filtered = np.where(valid, densify(volume.costs, valid).astype(np.float64), 0.0)
     for _ in range(passes):
         sums = ndimage.uniform_filter(filtered, size=size, mode="constant", cval=0.0) * area
         filtered = np.where(valid, sums / np.maximum(cnts, 1.0), 0.0)
-    costs_out = np.where(valid, filtered, INVALID_COST).astype(np.float32)
-    return CostVolume(costs=costs_out, valid=valid.copy())
+    return compact_volume(filtered, valid)
+
+
+def dense_soft_argmin(volume: CostVolume, distances):
+    """Oracle for soft_argmin: the softmax over a dense float64 (H, W, N) buffer.
+
+    Per pixel, valid hypotheses are converted to a probability distribution
+    P(d_i) = softmax(-cost_i) (with max subtraction for stability, softmax
+    restricted to the valid set) and the regressed distance is the
+    expectation sum_i d_i P(d_i). Pixels with no valid hypothesis are masked.
+
+    Returns:
+        (d_hat, probs, valid): (H, W) regression, (H, W, N) probabilities
+        (zero rows on masked pixels), and the per-pixel mask.
+    """
+    distances = np.asarray(distances, dtype=np.float64)
+    if distances.shape != (volume.shape[2],):
+        raise ValueError(f"distances shape {distances.shape} does not match N={volume.shape[2]}")
+
+    any_valid = volume.valid.any(axis=2)
+    # One float64 buffer carries -cost, the weights and then the probabilities.
+    probs = np.negative(densify(volume.costs, volume.valid), dtype=np.float64)
+    probs[~volume.valid] = -np.inf
+    peak = np.max(probs, axis=2, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    np.subtract(probs, peak, out=probs)
+    np.exp(probs, out=probs)  # exp(-inf) = 0 on invalid entries
+    total = probs.sum(axis=2)
+    np.divide(probs, np.where(any_valid, total, 1.0)[:, :, None], out=probs)
+    d_hat = probs @ distances
+    d_hat[~any_valid] = 0.0
+    probs[~any_valid] = 0.0
+    return d_hat, probs, any_valid
 
 
 def argmin_planes(volume):
     """Per-pixel index (0-based) of the lowest-cost valid plane; ties take the lowest index."""
-    costs = np.where(volume.valid, volume.costs, np.inf)
+    costs = densify(volume.costs, volume.valid, np.inf)
     return np.argmin(costs, axis=2), volume.valid.any(axis=2)
 
 

@@ -33,7 +33,6 @@ from oasweep.simulator import (
     render_sonar,
 )
 from oasweep.sweep import (
-    CostVolume,
     DepthMap,
     SweepConfig,
     run_pipeline,
@@ -43,7 +42,9 @@ from oasweep.sweep import (
 )
 
 from conftest import (
+    compact_volume,
     consecutive_projection_displacements,
+    densify,
     plane_normal,
     random_calibration,
     ray_plane_bisection_oracle,
@@ -175,11 +176,11 @@ def test_ac3_soft_argmin_contract():
                  / 16384.0).astype(np.float32)
         valid = rng.random((h, w, n)) > 0.2
         valid[..., 0] = True
-        vol = CostVolume(costs=np.where(valid, costs, 1e9).astype(np.float32), valid=valid)
+        vol = compact_volume(costs, valid)
 
         # normalization + bounds
         d_hat, probs, ok = soft_argmin(vol, distances)
-        sums = probs.sum(axis=2)[ok]
+        sums = densify(probs, valid, 0.0).sum(axis=2)[ok]
         worst = max(worst, np.abs(sums - 1.0).max(initial=0.0))
         assert np.all(d_hat[ok] >= distances[0] - 1e-9)
         assert np.all(d_hat[ok] <= distances[-1] + 1e-9)
@@ -188,19 +189,18 @@ def test_ac3_soft_argmin_contract():
         j = int(rng.integers(0, n))
         delta_costs = np.full((1, 1, n), 1e6, dtype=np.float32)
         delta_costs[0, 0, j] = 0.0
-        d_delta, _, _ = soft_argmin(CostVolume(costs=delta_costs, valid=np.ones((1, 1, n), bool)),
+        d_delta, _, _ = soft_argmin(compact_volume(delta_costs, np.ones((1, 1, n), bool)),
                                     distances)
         worst = max(worst, abs(d_delta[0, 0] - distances[j]))
 
         # uniform costs: the expectation is the mean of the valid distances
-        uni = CostVolume(costs=np.where(valid, 0.7, 1e9).astype(np.float32), valid=valid)
+        uni = compact_volume(np.full((h, w, n), 0.7, np.float32), valid)
         d_uni, _, _ = soft_argmin(uni, distances)
         expect = np.where(valid, distances, 0.0).sum(axis=2) / valid.sum(axis=2)
         worst = max(worst, np.abs(d_uni - expect)[ok].max(initial=0.0))
 
         # shift invariance
-        shifted = CostVolume(costs=np.where(valid, costs + 4.0, 1e9).astype(np.float32),
-                             valid=valid)
+        shifted = compact_volume((costs + 4.0).astype(np.float32), valid)
         d_shift, _, _ = soft_argmin(shifted, distances)
         worst = max(worst, np.abs(d_shift - d_hat)[ok].max(initial=0.0))
 

@@ -388,13 +388,15 @@ class TestConfigFile:
         assert not (tmp_path / "o.pgm").exists()
 
 
-def _with_calibration(section, key, value):
-    """Argv maker: sweep the dataset with one calibration value replaced."""
+def _with_calibration(section, key, value, command="sweep"):
+    """Argv maker: sweep the dataset, or simulate one, with one calibration value replaced."""
     def make(dataset, tmp_path, out):
         data = default_rig().to_dict()
         data[section][key] = value
         path = tmp_path / "calibration.json"
         path.write_text(json.dumps(data))  # writes NaN / Infinity literals
+        if command == "simulate":
+            return ["simulate", "--calibration", path, "--out", out]
         return ["sweep", "--dataset", dataset, "--calibration", path, "--out", out]
     return make
 
@@ -462,6 +464,11 @@ class TestNonFiniteValues:
                      id="calibration-width-inf"),
         pytest.param(_with_calibration("intrinsics", "fx", 10**400), 3,
                      id="calibration-fx-overflow"),
+        # Past the work limits; simulate would render these cheaply if they passed.
+        pytest.param(_with_calibration("planes", "n", 14000, "simulate"), 3,
+                     id="calibration-n-past-limit"),
+        pytest.param(_with_calibration("sonar", "range_bins", 10**4, "simulate"), 3,
+                     id="calibration-range-bins-past-limit"),
     ])
     def test_rejected_without_traceback_or_output(self, dataset, tmp_path, capsys, argv, code):
         out = tmp_path / "out"
@@ -573,6 +580,7 @@ def _replaced(doc, path, value):
 _CALIBRATION = default_rig(32, 24).to_dict()
 _SCENE = default_scene().to_dict()
 _SPHERE = next(i for i, p in enumerate(_SCENE["primitives"]) if p["type"] == "sphere")
+_PLANE = next(i for i, p in enumerate(_SCENE["primitives"]) if p["type"] == "plane")
 
 
 @pytest.fixture(scope="module")
@@ -654,6 +662,11 @@ class TestAnyInputFile:
     @example(path=("primitives", _SPHERE, "center"), value="abc")
     @example(path=("primitives", _SPHERE, "center"), value=[1, 2])
     @example(path=("primitives", _SPHERE, "radius"), value="x")
+    # Past the scene extent: a depth beyond float32 (once written as +inf),
+    # and squared lengths beyond float64 (once overflow warnings).
+    @example(path=("primitives", _PLANE, "point", 1), value=3.917661775723211e38)
+    @example(path=("primitives", _SPHERE, "center", 0), value=1.3407807929942597e154)
+    @example(path=("primitives", _PLANE, "normal", 0), value=1.3407807929942597e154)
     @settings(max_examples=40, deadline=None)
     def test_scene_with_one_leaf_replaced(self, small, path, value):
         root, fresh = small

@@ -1,6 +1,12 @@
 import pytest
 
-from oasweep.config import CalibrationBundle, ConfigError, default_rig
+from oasweep.config import (
+    MAX_SONAR_BINS,
+    MAX_SWEEP_ENTRIES,
+    CalibrationBundle,
+    ConfigError,
+    default_rig,
+)
 
 NAN, INF = float("nan"), float("inf")
 
@@ -34,3 +40,31 @@ class TestCalibrationFromDict:
         data["planes"]["k"] = 1e10
         with pytest.raises(ConfigError):
             CalibrationBundle.from_dict(data)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-limit", "past-limit"])
+    def test_sweep_entries_bounded(self, extra):
+        # A 1-row camera with 2 planes: width * 1 * 2 entries, no sweep run.
+        data = default_rig(MAX_SWEEP_ENTRIES // 2 + extra, 1).to_dict()
+        data["planes"]["n"] = 2
+        if extra:
+            with pytest.raises(ConfigError, match=r"intrinsics\.width x intrinsics\.height x "
+                                                  r"planes\.n = 100000002 sweep entries"):
+                CalibrationBundle.from_dict(data)
+        else:
+            assert CalibrationBundle.from_dict(data).intrinsics.width == MAX_SWEEP_ENTRIES // 2
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-limit", "past-limit"])
+    def test_sonar_bins_bounded(self, extra):
+        data = default_rig().to_dict()
+        data["sonar"]["bearing_bins"] = 1024
+        data["sonar"]["range_bins"] = MAX_SONAR_BINS // 1024 + extra
+        if extra:
+            with pytest.raises(ConfigError, match=r"sonar\.range_bins x sonar\.bearing_bins"):
+                CalibrationBundle.from_dict(data)
+        else:
+            assert CalibrationBundle.from_dict(data).sonar.range_bins * 1024 == MAX_SONAR_BINS
+
+    def test_large_rig_within_limits(self):
+        data = default_rig(640, 480).to_dict()
+        data["planes"]["n"] = 96
+        CalibrationBundle.from_dict(data)

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from oasweep.config import CalibrationBundle
 from oasweep.formats import (
+    SSCV_INVALID_COST,
     FileFormatError,
     atomic_write,
     encode_cost_volume,
@@ -21,6 +22,8 @@ from oasweep.formats import (
     write_pfm,
     write_pgm,
 )
+
+from conftest import compact
 
 
 class TestPGM:
@@ -102,19 +105,26 @@ class TestPFM:
 
 class TestCostVolume:
     def test_round_trip(self, tmp_path, rng):
+        # The file holds the costs at valid entries and 1e9 everywhere else.
         costs = rng.normal(size=(4, 6, 5)).astype(np.float32)
         valid = rng.random(size=(4, 6, 5)) > 0.3
         path = tmp_path / "x.sscv"
-        atomic_write(path, encode_cost_volume(costs, valid))
+        atomic_write(path, encode_cost_volume(compact(costs, valid), valid))
         got_costs, got_valid = read_cost_volume(path)
-        np.testing.assert_array_equal(got_costs, costs)
+        np.testing.assert_array_equal(got_costs, np.where(valid, costs, np.float32(1e9)))
         np.testing.assert_array_equal(got_valid, valid)
+
+    def test_compact_costs_must_match_mask(self):
+        valid = np.array([[[True, False, True]]])
+        for costs in (np.zeros(1, np.float32), np.zeros(3, np.float32), np.float32(0.0)):
+            with pytest.raises(ValueError, match="one cost per valid entry"):
+                encode_cost_volume(costs, valid)
 
     def test_layout_u_major_then_v_then_i(self):
         # 1x2x2 volume: u index varies slowest in the payload.
         costs = np.array([[[0.0, 1.0], [2.0, 3.0]]], dtype=np.float32)
         valid = np.ones((1, 2, 2), dtype=bool)
-        raw = encode_cost_volume(costs, valid)
+        raw = encode_cost_volume(compact(costs, valid), valid)
         assert raw[:5] == b"SSCV1"
         h, w, n = np.frombuffer(raw, dtype="<u4", count=3, offset=5)
         assert (h, w, n) == (1, 2, 2)
@@ -274,9 +284,9 @@ class TestExactRoundTrips:
     @settings(max_examples=200, deadline=None)
     def test_cost_volume(self, fuzz_path, volume):
         costs, valid = volume
-        fuzz_path.write_bytes(encode_cost_volume(costs, valid))
+        fuzz_path.write_bytes(encode_cost_volume(compact(costs, valid), valid))
         got_costs, got_valid = read_cost_volume(fuzz_path)
         assert got_costs.dtype == np.float32 and got_costs.shape == costs.shape
-        assert got_costs.tobytes() == costs.tobytes()
+        assert got_costs.tobytes() == np.where(valid, costs, SSCV_INVALID_COST).tobytes()
         np.testing.assert_array_equal(got_valid, valid)
         assert got_valid.dtype == bool

@@ -14,6 +14,7 @@ from oasweep.simulator import (
     PlanePrimitive,
     PolarSonarImage,
     Scene,
+    SCENE_EXTENT_M,
     SceneError,
     SpherePrimitive,
     add_sonar_noise,
@@ -58,6 +59,21 @@ class TestScene:
     def test_rejects_non_finite_geometry(self, make):
         with pytest.raises(SceneError):
             make()
+
+    @pytest.mark.parametrize("scale", [1.0, -1.0])
+    def test_geometry_bounded_by_scene_extent(self, scale):
+        far = scale * SCENE_EXTENT_M
+        past = np.nextafter(far, 2 * far)
+        SpherePrimitive(center=[far, 2, 0], radius=SCENE_EXTENT_M, reflectance=0.5)
+        PlanePrimitive(point=[0, far, 0], normal=[0, -1, 0], reflectance=0.5)
+        BoxPrimitive(lo=[-SCENE_EXTENT_M] * 3, hi=[SCENE_EXTENT_M] * 3, reflectance=0.5)
+        for make in (lambda: SpherePrimitive(center=[past, 2, 0], radius=0.3, reflectance=0.5),
+                     lambda: SpherePrimitive(center=[0, 2, 0], radius=abs(past), reflectance=0.5),
+                     lambda: PlanePrimitive(point=[0, past, 0], normal=[0, -1, 0],
+                                            reflectance=0.5),
+                     lambda: BoxPrimitive(lo=[past, 0, 0], hi=[2 * far, 1, 1], reflectance=0.5)):
+            with pytest.raises(SceneError, match="1e\\+06"):
+                make()
 
     def test_json_round_trip(self):
         scene = Scene(primitives=(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oasweep.config import default_rig
-from oasweep.geometry import SonarSpec, build_warp_grid
+from oasweep.geometry import PlaneHypothesisSet, SonarSpec, build_warp_grid
 from scipy import ndimage
 
 from oasweep.simulator import (
@@ -20,9 +21,7 @@ from oasweep.simulator import (
 )
 from oasweep.preprocess import prepare_camera, preprocess_sonar_frames
 from oasweep.sweep import (
-    INVALID_COST,
     METRICS,
-    CostVolume,
     DepthMap,
     SweepConfig,
     build_cost_volume,
@@ -38,10 +37,14 @@ from oasweep.sweep import (
 from conftest import (
     argmin_planes,
     compact_grid,
+    compact_volume,
+    compact,
     dense_cost_volume,
     dense_lookups,
     dense_regularize,
+    dense_soft_argmin,
     dense_warp_grid,
+    densify,
     grazing_rig,
     hypothesis_plane_primitive,
     identity_transform,
@@ -112,7 +115,7 @@ def warp_values(grid, sonar_map, spec):
     with unit intensity camera features."""
     camera = np.ones(grid.shape[:2] + (1,), dtype=np.float32)
     vol = build_cost_volume(camera, sonar_map[:, :, None], grid, spec, "neg-dot")
-    return -vol.costs, vol.valid
+    return -densify(vol.costs, vol.valid), vol.valid
 
 
 # 16 x 8 bins of 1 m x 0.25 rad: every quarter-bin lookup converts to exact
@@ -189,6 +192,21 @@ class TestWarpSonarFeatures:
             build_cost_volume(np.ones((1, 1, 1)), np.ones((4, 4, 1)), grid, rig.sonar, "sad")
 
 
+def stock_inputs(rig):
+    """The stock scene on a rig: its prepared camera crop, the crop window and a
+    background-subtracted noisy sonar frame (speckle 0.15, background 0.03), as
+    the benchmark sweeps it."""
+    scene = default_scene()
+    camera, _ = render_camera(scene, rig.intrinsics, rig.extrinsics)
+    prepared, window = prepare_camera(camera, rig.intrinsics, rig.sonar, rig.extrinsics)
+    clean = render_sonar(scene, rig.sonar)
+    empty = PolarSonarImage(values=np.zeros_like(clean.values), spec=rig.sonar)
+    frame, = preprocess_sonar_frames(
+        [add_sonar_noise(clean, 0.15, 0.03, seed=1000)],
+        [add_sonar_noise(empty, 0.15, 0.03, seed=500 + i) for i in range(8)])
+    return prepared, window, frame
+
+
 class TestBuildCostVolume:
     def test_sad_identical_is_zero(self, rig, rng):
         # Each pixel's two planes look up bins holding its own camera feature.
@@ -209,8 +227,9 @@ class TestBuildCostVolume:
         sonar[7, 8] = [1.0, 0.0]   # parallel
         grid = bin_grid(spec, [[[3, 7]]], [[[4, 8]]])
         vol = build_cost_volume(camera, sonar, grid, spec, "neg-dot")
-        assert vol.costs[0, 0, 0] == pytest.approx(0.0, abs=1e-6)
-        assert vol.costs[0, 0, 1] == pytest.approx(-1.0, abs=1e-6)
+        costs = densify(vol.costs, vol.valid)
+        assert costs[0, 0, 0] == pytest.approx(0.0, abs=1e-6)
+        assert costs[0, 0, 1] == pytest.approx(-1.0, abs=1e-6)
 
     def test_neg_zncc_undefined_for_degenerate(self, rig):
         spec = rig.sonar
@@ -219,7 +238,7 @@ class TestBuildCostVolume:
         vol = build_cost_volume(camera, sonar, bin_grid(spec, [[[3]]], [[[4]]]), spec,
                                 "neg-zncc")
         assert not vol.valid[0, 0, 0]
-        assert vol.costs[0, 0, 0] == INVALID_COST
+        assert vol.costs.size == 0
 
     def test_channel_mismatch(self, rig):
         spec = rig.sonar
@@ -235,8 +254,8 @@ class TestBuildCostVolume:
                               np.ones((spec.range_bins, spec.bearing_bins, 1), np.float32),
                               tiny_grid([[[1.0]]], [[[0.0]]]), spec, "sad")
 
-    def test_invalid_entries_carry_sentinel(self, rig):
-        # A masked grid entry goes invalid with the sentinel even where the
+    def test_invalid_entries_hold_no_cost(self, rig):
+        # A masked grid entry goes invalid and holds no cost even where the
         # features would score; its unmasked neighbor is scored.
         spec = rig.sonar
         camera = np.ones((1, 1, 2), dtype=np.float32)
@@ -244,8 +263,8 @@ class TestBuildCostVolume:
         grid = tiny_grid([[[1.0, 2.0]]], [[[0.0, 0.0]]], valid=[[[True, False]]])
         vol = build_cost_volume(camera, sonar, grid, spec, "sad")
         np.testing.assert_array_equal(vol.valid, [[[True, False]]])
-        assert vol.costs[0, 0, 0] == pytest.approx(0.0, abs=1e-6)
-        assert vol.costs[0, 0, 1] == INVALID_COST
+        assert vol.costs.shape == (1,)
+        assert vol.costs[0] == pytest.approx(0.0, abs=1e-6)
         assert np.all(np.isfinite(vol.costs))
 
     @pytest.mark.parametrize("metric", METRICS)
@@ -299,14 +318,7 @@ class TestBuildCostVolume:
     def test_stock_crop_matches_dense_oracle(self, rig, config):
         # The stock scene's camera crop against a background-subtracted noisy
         # frame (speckle 0.15, background 0.03), as the benchmark sweeps it.
-        scene = default_scene()
-        camera, _ = render_camera(scene, rig.intrinsics, rig.extrinsics)
-        prepared, window = prepare_camera(camera, rig.intrinsics, rig.sonar, rig.extrinsics)
-        clean = render_sonar(scene, rig.sonar)
-        empty = PolarSonarImage(values=np.zeros_like(clean.values), spec=rig.sonar)
-        frame, = preprocess_sonar_frames(
-            [add_sonar_noise(clean, 0.15, 0.03, seed=1000)],
-            [add_sonar_noise(empty, 0.15, 0.03, seed=500 + i) for i in range(8)])
+        prepared, window, frame = stock_inputs(rig)
         cam = extract_features(prepared.astype(np.float64) / 255.0, config.extractor,
                                config.patch_radius)
         son = extract_features(frame.values, config.extractor, config.patch_radius)
@@ -329,34 +341,35 @@ class TestBuildCostVolume:
 class TestRegularizeCostVolume:
     def test_radius_zero_identity(self, rng):
         costs = rng.random((4, 5, 3)).astype(np.float32)
-        vol = CostVolume(costs=costs, valid=np.ones((4, 5, 3), bool))
+        vol = compact_volume(costs, np.ones((4, 5, 3), bool))
         out = regularize_cost_volume(vol, radius=0)
-        np.testing.assert_array_equal(out.costs, costs)
+        np.testing.assert_array_equal(densify(out.costs, out.valid), costs)
 
     def test_constant_slice_fixed_point(self):
-        vol = CostVolume(costs=np.full((6, 6, 2), 0.8, np.float32), valid=np.ones((6, 6, 2), bool))
+        vol = compact_volume(np.full((6, 6, 2), 0.8, np.float32), np.ones((6, 6, 2), bool))
         out = regularize_cost_volume(vol, radius=1)
-        np.testing.assert_allclose(out.costs, 0.8, atol=1e-6)
+        np.testing.assert_allclose(densify(out.costs, out.valid), 0.8, atol=1e-6)
 
     def test_impulse_spreads_to_ninth(self):
         costs = np.zeros((7, 7, 1), dtype=np.float32)
         costs[3, 3, 0] = 1.0
-        vol = CostVolume(costs=costs, valid=np.ones((7, 7, 1), bool))
-        out = regularize_cost_volume(vol, radius=1)
-        np.testing.assert_allclose(out.costs[2:5, 2:5, 0], 1.0 / 9.0, atol=1e-6)
-        assert out.costs[0, 0, 0] == 0.0
+        vol = compact_volume(costs, np.ones((7, 7, 1), bool))
+        out = densify(regularize_cost_volume(vol, radius=1).costs, vol.valid)
+        np.testing.assert_allclose(out[2:5, 2:5, 0], 1.0 / 9.0, atol=1e-6)
+        assert out[0, 0, 0] == 0.0
 
     def test_mask_preserved_and_respected(self):
         costs = np.zeros((5, 5, 1), dtype=np.float32)
         valid = np.ones((5, 5, 1), bool)
         valid[2, 2, 0] = False
-        costs[2, 2, 0] = INVALID_COST
+        costs[2, 2, 0] = 1e9  # dropped with its entry
         costs[2, 3, 0] = 0.9
-        vol = regularize_cost_volume(CostVolume(costs=costs, valid=valid), radius=1)
+        vol = regularize_cost_volume(compact_volume(costs, valid), radius=1)
         np.testing.assert_array_equal(vol.valid, valid)
-        assert vol.costs[2, 2, 0] == INVALID_COST
+        out = densify(vol.costs, vol.valid)
+        assert np.isnan(out[2, 2, 0]) and vol.costs.size == 24
         # neighbor means exclude the masked entry
-        assert vol.costs[2, 3, 0] == pytest.approx(0.9 / 8.0, abs=1e-6)
+        assert out[2, 3, 0] == pytest.approx(0.9 / 8.0, abs=1e-6)
 
     @pytest.mark.parametrize("passes", [1, 2, 3])
     @pytest.mark.parametrize("radius", [1, 2, 3, 9, 15])
@@ -377,7 +390,7 @@ class TestRegularizeCostVolume:
         valid[[0, -1], :, 8] = valid[:, [0, -1], 8] = True
         valid[4, 6, 9] = True
         costs = rng.normal(scale=10.0, size=valid.shape).astype(np.float32)
-        vol = CostVolume(costs=np.where(valid, costs, INVALID_COST), valid=valid)
+        vol = compact_volume(costs, valid)
         got = regularize_cost_volume(vol, radius, passes)
         want = dense_regularize(vol, radius, passes)
         assert got.costs.tobytes() == want.costs.tobytes()
@@ -388,15 +401,15 @@ class TestSoftArgmin:
     def test_delta_distribution(self):
         costs = np.full((1, 1, 5), 1e6, dtype=np.float32)
         costs[0, 0, 2] = 0.0
-        vol = CostVolume(costs=costs, valid=np.ones((1, 1, 5), bool))
+        vol = compact_volume(costs, np.ones((1, 1, 5), bool))
         distances = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         d_hat, probs, valid = soft_argmin(vol, distances)
         assert valid[0, 0]
         assert d_hat[0, 0] == pytest.approx(3.0, abs=1e-9)
-        assert probs[0, 0].sum() == pytest.approx(1.0, abs=1e-9)
+        assert densify(probs, vol.valid, 0.0)[0, 0].sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_costs_give_mean(self):
-        vol = CostVolume(costs=np.full((1, 1, 4), 2.5, np.float32), valid=np.ones((1, 1, 4), bool))
+        vol = compact_volume(np.full((1, 1, 4), 2.5, np.float32), np.ones((1, 1, 4), bool))
         distances = np.array([1.0, 2.0, 4.0, 9.0])
         d_hat, _, _ = soft_argmin(vol, distances)
         assert d_hat[0, 0] == pytest.approx(4.0, abs=1e-9)
@@ -405,24 +418,25 @@ class TestSoftArgmin:
         costs = rng.random((3, 4, 6)).astype(np.float32)
         valid = np.ones((3, 4, 6), bool)
         distances = np.linspace(0.5, 5.0, 6)
-        a, _, _ = soft_argmin(CostVolume(costs=costs, valid=valid), distances)
-        b, _, _ = soft_argmin(CostVolume(costs=costs + 7.25, valid=valid), distances)
+        a, _, _ = soft_argmin(compact_volume(costs, valid), distances)
+        b, _, _ = soft_argmin(compact_volume(costs + 7.25, valid), distances)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_all_invalid_pixel_masked(self):
-        costs = np.full((1, 2, 3), INVALID_COST, dtype=np.float32)
+        costs = np.full((1, 2, 3), 1e9, dtype=np.float32)
         valid = np.zeros((1, 2, 3), bool)
         valid[0, 1, 0] = True
         costs[0, 1, 0] = 1.0
-        d_hat, probs, ok = soft_argmin(CostVolume(costs=costs, valid=valid), np.array([1.0, 2.0, 3.0]))
+        d_hat, probs, ok = soft_argmin(compact_volume(costs, valid), np.array([1.0, 2.0, 3.0]))
         assert not ok[0, 0] and ok[0, 1]
         assert d_hat[0, 0] == 0.0
-        assert probs[0, 0].sum() == 0.0
+        assert densify(probs, valid, 0.0)[0, 0].sum() == 0.0
 
     def test_softmax_over_valid_only(self):
         costs = np.array([[[0.0, 0.0, 5.0]]], dtype=np.float32)
         valid = np.array([[[True, False, True]]])
-        _, probs, _ = soft_argmin(CostVolume(costs=costs, valid=valid), np.array([1.0, 2.0, 3.0]))
+        _, probs, _ = soft_argmin(compact_volume(costs, valid), np.array([1.0, 2.0, 3.0]))
+        probs = densify(probs, valid, 0.0)
         assert probs[0, 0, 1] == 0.0
         assert probs[0, 0].sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -431,9 +445,9 @@ class TestSoftArgmin:
         valid = rng.random((2, 3, 8)) > 0.2
         valid[..., 0] = True
         distances = np.linspace(0.5, 4.0, 8)
-        a, _, _ = soft_argmin(CostVolume(costs=costs, valid=valid), distances)
+        a, _, _ = soft_argmin(compact_volume(costs, valid), distances)
         perm = rng.permutation(8)
-        b, _, _ = soft_argmin(CostVolume(costs=costs[:, :, perm], valid=valid[:, :, perm]),
+        b, _, _ = soft_argmin(compact_volume(costs[:, :, perm], valid[:, :, perm]),
                               distances[perm])
         np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -445,7 +459,7 @@ class TestSoftArgmin:
         costs = rng.random((3, 4, 6)).astype(np.float32)
         valid = np.ones((3, 4, 6), bool)
         distances = np.linspace(0.5, 5.0, 6)
-        vol = CostVolume(costs=costs, valid=valid)
+        vol = compact_volume(costs, valid)
         sharp, _, _ = soft_argmin(scale_costs(vol, 1e6), distances)
         best = distances[np.argmin(costs, axis=2)]
         np.testing.assert_allclose(sharp, best, atol=1e-9)
@@ -458,7 +472,7 @@ class TestSoftArgmin:
         costs = rng.random((2, 2, 2)).astype(np.float32)
         valid = np.ones((2, 2, 2), bool)
         distances = np.array([1.0, 3.0])
-        vol = CostVolume(costs=costs, valid=valid)
+        vol = compact_volume(costs, valid)
         a, _, _ = soft_argmin(scale_costs(vol, lo), distances)
         b, _, _ = soft_argmin(scale_costs(vol, hi), distances)
         best = distances[np.argmin(costs, axis=2)]
@@ -468,17 +482,65 @@ class TestSoftArgmin:
         costs = rng.normal(size=(4, 4, 7)).astype(np.float32)
         valid = rng.random((4, 4, 7)) > 0.3
         valid[..., 3] = True
-        costs = np.where(valid, costs, INVALID_COST).astype(np.float32)
         distances = np.linspace(0.5, 5.0, 7)
-        d_hat, _, ok = soft_argmin(CostVolume(costs=costs, valid=valid), distances)
+        d_hat, _, ok = soft_argmin(compact_volume(costs, valid), distances)
         assert np.all(d_hat[ok] >= distances[0] - 1e-12)
         assert np.all(d_hat[ok] <= distances[-1] + 1e-12)
+
+
+def rig_with_planes(width, height, n):
+    """default_rig(width, height) with n planes over the stock span: same first
+    and last plane, so k**(n-1) is unchanged."""
+    rig = default_rig(width, height)
+    c = rig.planes
+    return dataclasses.replace(rig, planes=PlaneHypothesisSet(
+        alpha=c.alpha, d0=c.d0, k=c.k ** ((c.n - 1) / (n - 1)), n=n))
+
+
+@pytest.fixture(scope="class", params=[(320, 240, 48), (320, 240, 95), (640, 480, 96)],
+                ids=["stock", "95-planes", "640x480-96-planes"])
+def swept_rig(request):
+    """A rig, its stock inputs and its warp grid, shared by the configs swept on it."""
+    rig = rig_with_planes(*request.param)
+    prepared, window, frame = stock_inputs(rig)
+    grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
+                           shape=prepared.shape, origin=(window.u0, window.v0))
+    return rig, prepared.astype(np.float64) / 255.0, frame, grid
+
+
+class TestSoftArgminMatchesDenseOracle:
+    @pytest.mark.parametrize("config", [SweepConfig(),
+                                        SweepConfig(metric="neg-dot", zero_sonar_features=True),
+                                        SweepConfig(extractor="intensity", metric="sad")],
+                             ids=["default", "neg-dot-ablation", "intensity-sad"])
+    def test_within_n_ulp(self, swept_rig, config):
+        # Each pixel's softmax over its own entries sums in another order than
+        # the dense float64 buffer's reductions, so d_hat may differ in its
+        # last bits: by at most N ulp; the pixel mask is the same.
+        rig, camera, frame, grid = swept_rig
+        son = extract_features(frame.values, config.extractor, config.patch_radius)
+        if config.zero_sonar_features:
+            son = np.zeros_like(son)
+        volume = build_cost_volume(extract_features(camera, config.extractor, config.patch_radius),
+                                   son, grid, rig.sonar, config.metric)
+        volume = scale_costs(regularize_cost_volume(volume, config.box_radius, config.box_passes),
+                             config.cost_scale)
+        distances = rig.planes.distances()
+        d_hat, probs, ok = soft_argmin(volume, distances)
+        want, want_probs, want_ok = dense_soft_argmin(volume, distances)
+        assert ok.any()
+        np.testing.assert_array_equal(ok, want_ok)
+        assert not d_hat[~ok].any()
+        n = rig.planes.n
+        assert np.all(np.abs(d_hat - want) <= n * np.spacing(want))
+        want_probs = compact(want_probs, volume.valid)
+        assert np.all(np.abs(probs - want_probs) <= n * np.spacing(want_probs))
 
 
 class TestArgminPlanes:
     def test_tie_breaks_to_lowest_index(self):
         costs = np.array([[[3.0, 1.0, 1.0]]], dtype=np.float32)
-        vol = CostVolume(costs=costs, valid=np.ones((1, 1, 3), bool))
+        vol = compact_volume(costs, np.ones((1, 1, 3), bool))
         idx, ok = argmin_planes(vol)
         assert ok[0, 0] and idx[0, 0] == 1
 
@@ -600,7 +662,7 @@ class TestRunPipeline:
             warnings.simplefilter("error")
             depth, volume = run_pipeline(camera, sonar, rig, SweepConfig())
         assert not depth.valid.any() and not depth.depth.any()
-        assert not volume.valid.any() and np.all(volume.costs == INVALID_COST)
+        assert not volume.valid.any() and volume.costs.size == 0
 
     def test_grazing_row_masked_quietly(self):
         # Pixel row v = cy runs parallel to the plane family: it is masked
