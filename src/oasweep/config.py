@@ -15,6 +15,8 @@ Calibration file schema (JSON)::
 
 A calibration may ask for at most MAX_SWEEP_ENTRIES (pixel, plane) entries,
 width * height * n, and MAX_SONAR_BINS sonar bins, range_bins * bearing_bins.
+Its translation components are meters, at most SCENE_EXTENT_M (1e6) in
+magnitude, the bound every scene coordinate obeys.
 """
 
 import math
@@ -24,6 +26,7 @@ import numpy as np
 
 from .formats import atomic_write, encode_json
 from .geometry import CameraIntrinsics, PlaneHypothesisSet, RigidTransform, SonarSpec
+from .simulator import SCENE_EXTENT_M
 
 
 # The most work a calibration may ask for, checked before anything is
@@ -106,6 +109,9 @@ class CalibrationBundle:
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid calibration data: {exc}") from exc
+        if np.max(np.abs(extrinsics.translation)) > SCENE_EXTENT_M:
+            raise ConfigError(f"extrinsics.translation {extrinsics.translation.tolist()} has a "
+                              f"component above the scene extent of {SCENE_EXTENT_M:g} m")
         entries = intrinsics.width * intrinsics.height * planes.n
         if entries > MAX_SWEEP_ENTRIES:
             raise ConfigError(f"intrinsics.width x intrinsics.height x planes.n = {entries} "

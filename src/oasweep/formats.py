@@ -155,10 +155,14 @@ def encode_cost_volume(costs: np.ndarray, valid: np.ndarray) -> bytes:
         raise ValueError(f"need an (H, W, N) mask and one cost per valid entry, got mask "
                          f"{valid.shape} and costs {np.shape(costs)}")
     h, w, n = valid.shape
-    # u-major, then v, then i; the costs run i, then v, then u
+    # u-major, then v, then i; the costs run i, then v, then u. Both blocks are
+    # filled through their (i, v, u) views, in the costs' order, which reads a
+    # plane-major mask contiguously.
     dense = np.full((w, h, n), SSCV_INVALID_COST, dtype="<f4")
-    dense.transpose(2, 1, 0)[np.moveaxis(valid, 2, 0)] = costs
-    flags = np.ascontiguousarray(np.transpose(valid, (1, 0, 2)), dtype=np.uint8)
+    flags = np.zeros((w, h, n), dtype=np.uint8)
+    entries = np.moveaxis(valid, 2, 0)
+    dense.transpose(2, 1, 0)[entries] = costs
+    flags.transpose(2, 1, 0)[entries] = 1
     return b"".join((SSCV_MAGIC, np.array([h, w, n], dtype="<u4"), dense, flags))
 
 

@@ -299,7 +299,8 @@ class WarpGrid:
         valid: (H, W, N) mask; False where the ray ran parallel to the plane,
             the intersection fell behind the camera, the lookup left the
             sonar sector, or the candidate point sat outside the vertical
-            aperture.
+            aperture. Stored plane-major: the (H, W, N) transpose of an
+            (N, H, W) array, so each plane ``valid[:, :, i]`` is contiguous.
     """
 
     ranges: np.ndarray
@@ -357,25 +358,26 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     rays, denom, numers = _ray_plane_terms(us.reshape(-1, 1), vs.reshape(-1, 1),
                                            planes.distances(), intrinsics, extrinsics,
                                            planes.alpha)
-    rays, denom = rays.reshape(-1, 3), denom.reshape(-1)
+    rays, denom = np.ascontiguousarray(rays.reshape(-1, 3).T), denom.reshape(-1)
 
-    valid = np.zeros((h * w, planes.n), dtype=bool)
-    points = np.empty((h * w, 3))
+    # Plane-major mask, coordinate-major points: each per-plane read and write
+    # is a contiguous row.
+    valid = np.zeros((planes.n, h * w), dtype=bool)
+    points = np.empty((3, h * w))
     ranges, bearings = [], []
     # Depths past the float64 range overflow to inf or NaN, which fail the gate.
     with np.errstate(over="ignore", invalid="ignore"):
         for i, numer in enumerate(numers):
             z = numer / denom
-            # Column by column: z[:, None] * rays, over an inner axis of 3, is slow.
-            for k in range(3):
-                np.multiply(z, rays[:, k], out=points[:, k])
-                points[:, k] -= extrinsics.translation[k]
-            sonar_points = points @ extrinsics.rotation
-            plane_ranges, plane_bearings = cartesian_to_sonar_polar(sonar_points)
-            elevation = np.arctan2(sonar_points[:, 2], plane_ranges)
+            np.multiply(z, rays, out=points)
+            points -= extrinsics.translation[:, None]
+            sonar_points = extrinsics.rotation.T @ points
+            plane_ranges, plane_bearings = cartesian_to_sonar_polar(sonar_points.T)
+            elevation = np.arctan2(sonar_points[2], plane_ranges)
             good = ((z > 0) & spec.in_fov(plane_ranges, plane_bearings)
                     & (np.abs(elevation) <= spec.elevation_fov / 2))
-            valid[:, i] = good
+            valid[i] = good
             ranges.append(plane_ranges[good])
             bearings.append(plane_bearings[good])
-    return WarpGrid(np.concatenate(ranges), np.concatenate(bearings), valid.reshape(h, w, planes.n))
+    return WarpGrid(np.concatenate(ranges), np.concatenate(bearings),
+                    valid.reshape(planes.n, h, w).transpose(1, 2, 0))

@@ -31,7 +31,8 @@ _VAR_EPS = 1e-12
 @dataclass(frozen=True)
 class CostVolume:
     """Matching costs of an (H, W, N) volume: ``costs`` holds one finite float32
-    per ``valid`` entry, in the order of the WarpGrid lookups (plane-major)."""
+    per ``valid`` entry, in the order of the WarpGrid lookups (plane-major).
+    ``valid`` from build_cost_volume is stored plane-major like the WarpGrid's."""
 
     costs: np.ndarray
     valid: np.ndarray
@@ -131,13 +132,16 @@ def extract_features(image: np.ndarray, kind: str = "zncc-patch", patch_radius: 
         r = patch_radius
         padded = np.pad(image, r, mode="edge")
         windows = np.lib.stride_tricks.sliding_window_view(padded, (2 * r + 1, 2 * r + 1))
-        patches = windows.reshape(image.shape + (-1,)).astype(np.float64)
-        centered = patches - patches.mean(axis=-1, keepdims=True)
-        var = np.mean(centered**2, axis=-1)
-        norm = np.sqrt(np.maximum(var * patches.shape[-1], 0.0))
-        ok = var >= _VAR_EPS
-        out = np.where(ok[:, :, None], centered / np.where(ok, norm, 1.0)[:, :, None], 0.0)
-        return out.astype(np.float32)
+        out = np.empty(image.shape + ((2 * r + 1) ** 2,), dtype=np.float32)
+        # Row by row, so that the float64 patch buffers stay one image row long.
+        for out_row, window_row in zip(out, windows):
+            patches = window_row.reshape(image.shape[1], -1).astype(np.float64)
+            centered = patches - patches.mean(axis=-1, keepdims=True)
+            var = np.mean(centered**2, axis=-1)
+            norm = np.sqrt(np.maximum(var * patches.shape[-1], 0.0))
+            ok = var >= _VAR_EPS
+            out_row[...] = np.where(ok[:, None], centered / np.where(ok, norm, 1.0)[:, None], 0.0)
+        return out
     raise ValueError(f"unknown extractor {kind!r}, want one of {EXTRACTORS}")
 
 
@@ -217,17 +221,21 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
         )
     if camera_features.shape[:2] != grid.shape[:2]:
         raise ValueError(f"grid mismatch: {camera_features.shape[:2]} vs {grid.shape[:2]}")
-    cost0, defined0 = _pair_cost(camera_features.astype(np.float64),
-                                 np.zeros(sonar_features.shape[-1]), metric)
+    h, w, n = grid.shape
+    zero = np.zeros(sonar_features.shape[-1])
+    # Row by row, so that the float64 feature buffers stay one image row long.
+    cost0, defined0 = np.empty((h, w)), np.empty((h, w), dtype=bool)
+    for r, row in enumerate(camera_features):
+        cost0[r], defined0[r] = _pair_cost(row.astype(np.float64), zero, metric)
     # A -0.0 bin counts as held: only +0.0 corners surely blend to a +0.0 sample.
     held = np.any((sonar_features != 0) | np.signbit(sonar_features), axis=-1)
     # Cell (r, c) blends corners [r, r+1] x [c, c+1], edge-clamped as in _bilinear_sample.
     held = np.pad(held, ((0, 1), (0, 1)), mode="edge")
     live = held[:-1, :-1] | held[1:, :-1] | held[:-1, 1:] | held[1:, 1:]
     costs = []
-    valid = np.zeros(grid.shape, dtype=bool)
+    valid = np.zeros((n, h, w), dtype=bool)  # plane-major, returned as an (H, W, N) view
     start = 0
-    for i in range(grid.shape[2]):
+    for i in range(n):
         v, u = np.nonzero(grid.valid[:, :, i])
         lookups = slice(start, start + v.size)
         start += v.size
@@ -239,8 +247,8 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
                                              _bilinear_sample(sonar_features, rb[hit], bb[hit]),
                                              metric)
         costs.append(cost[defined].astype(np.float32))
-        valid[v, u, i] = defined
-    return CostVolume(costs=np.concatenate(costs), valid=valid)
+        valid[i, v, u] = defined
+    return CostVolume(costs=np.concatenate(costs), valid=valid.transpose(1, 2, 0))
 
 
 def regularize_cost_volume(volume: CostVolume, radius: int = 1, passes: int = 1) -> CostVolume:

@@ -204,6 +204,19 @@ def dense_warp_grid(intrinsics, extrinsics, planes, spec, shape=None, origin=(0,
     return ranges, bearings, valid
 
 
+def dense_zncc_patches(image, r) -> np.ndarray:
+    """Oracle for the zncc-patch extractor: every patch of the image at once."""
+    padded = np.pad(np.asarray(image, dtype=np.float64), r, mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (2 * r + 1, 2 * r + 1))
+    patches = windows.reshape(np.shape(image) + (-1,)).astype(np.float64)
+    centered = patches - patches.mean(axis=-1, keepdims=True)
+    var = np.mean(centered**2, axis=-1)
+    norm = np.sqrt(np.maximum(var * patches.shape[-1], 0.0))
+    ok = var >= 1e-12
+    out = np.where(ok[:, :, None], centered / np.where(ok, norm, 1.0)[:, :, None], 0.0)
+    return out.astype(np.float32)
+
+
 def compact(values, valid) -> np.ndarray:
     """Adapter from a dense (H, W, N) array to its values at the valid entries,
     plane-major, in np.nonzero order within each plane: the order of the

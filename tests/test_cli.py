@@ -469,6 +469,11 @@ class TestNonFiniteValues:
                      id="calibration-n-past-limit"),
         pytest.param(_with_calibration("sonar", "range_bins", 10**4, "simulate"), 3,
                      id="calibration-range-bins-past-limit"),
+        # Past the scene extent: simulate once wrote an all-+inf depth_gt.pfm.
+        pytest.param(_with_calibration("extrinsics", "translation", [0.0, 0.0, 3.9e38],
+                                       "simulate"), 3, id="simulate-translation-past-extent"),
+        pytest.param(_with_calibration("extrinsics", "translation", [0.0, 0.0, 3.9e38]), 3,
+                     id="sweep-translation-past-extent"),
     ])
     def test_rejected_without_traceback_or_output(self, dataset, tmp_path, capsys, argv, code):
         out = tmp_path / "out"
@@ -709,3 +714,19 @@ class TestSubprocessEntrypoint:
                                   capture_output=True, text=True)
             assert proc.returncode == 0
             assert probe in proc.stdout
+
+    @pytest.mark.parametrize("component, code", [(1e6, 0), (3.9e38, 3)],
+                             ids=["at-scene-extent", "past-scene-extent"])
+    def test_translation_bound_under_runtime_warning_errors(self, tmp_path, component, code):
+        data = default_rig(32, 24).to_dict()
+        data["extrinsics"]["translation"] = [0.0, 0.0, component]
+        (tmp_path / "calibration.json").write_text(json.dumps(data))
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "oasweep",
+                               "simulate", "--calibration", tmp_path / "calibration.json",
+                               "--out", out], capture_output=True, text=True)
+        assert proc.returncode == code and "Traceback" not in proc.stderr
+        if code:
+            assert "extrinsics.translation" in proc.stderr and not out.exists()
+        else:
+            assert np.all(np.isfinite(read_pfm(out / "depth_gt.pfm")))

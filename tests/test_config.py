@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from oasweep.config import (
@@ -7,6 +9,7 @@ from oasweep.config import (
     ConfigError,
     default_rig,
 )
+from oasweep.simulator import SCENE_EXTENT_M
 
 NAN, INF = float("nan"), float("inf")
 
@@ -63,6 +66,20 @@ class TestCalibrationFromDict:
                 CalibrationBundle.from_dict(data)
         else:
             assert CalibrationBundle.from_dict(data).sonar.range_bins * 1024 == MAX_SONAR_BINS
+
+    @pytest.mark.parametrize("component", [
+        SCENE_EXTENT_M, -SCENE_EXTENT_M, math.nextafter(SCENE_EXTENT_M, INF),
+        -math.nextafter(SCENE_EXTENT_M, INF), 3.9e38,
+    ], ids=["at-limit", "at-negative-limit", "past-limit", "past-negative-limit",
+            "near-float32-max"])
+    def test_translation_bounded_by_scene_extent(self, component):
+        data = default_rig().to_dict()
+        data["extrinsics"]["translation"] = [0.0, component, 0.0]
+        if abs(component) > SCENE_EXTENT_M:
+            with pytest.raises(ConfigError, match=r"extrinsics\.translation"):
+                CalibrationBundle.from_dict(data)
+        else:
+            assert CalibrationBundle.from_dict(data).extrinsics.translation[1] == component
 
     def test_large_rig_within_limits(self):
         data = default_rig(640, 480).to_dict()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oasweep.config import default_rig
+from oasweep.formats import encode_cost_volume
 from oasweep.geometry import PlaneHypothesisSet, SonarSpec, build_warp_grid
 from scipy import ndimage
 
@@ -22,6 +23,7 @@ from oasweep.simulator import (
 from oasweep.preprocess import prepare_camera, preprocess_sonar_frames
 from oasweep.sweep import (
     METRICS,
+    CostVolume,
     DepthMap,
     SweepConfig,
     build_cost_volume,
@@ -44,6 +46,7 @@ from conftest import (
     dense_regularize,
     dense_soft_argmin,
     dense_warp_grid,
+    dense_zncc_patches,
     densify,
     grazing_rig,
     hypothesis_plane_primitive,
@@ -84,6 +87,16 @@ class TestExtractFeatures:
         norms = np.linalg.norm(out, axis=-1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-5)
         np.testing.assert_allclose(out.sum(axis=-1), 0.0, atol=1e-5)
+
+    @pytest.mark.parametrize("shape, radius", [((10, 10), 1), ((24, 38), 2), ((3, 50), 4)])
+    def test_zncc_matches_whole_image_oracle(self, rng, shape, radius):
+        # Row by row gives the same bytes as every patch at once; the flat
+        # band holds the zero vectors of degenerate patches.
+        img = rng.random(shape)
+        img[:, : shape[1] // 3] = 0.25
+        got = extract_features(img, "zncc-patch", patch_radius=radius)
+        want = dense_zncc_patches(img, radius)
+        assert not want[:, 0].any() and got.tobytes() == want.tobytes()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -646,6 +659,31 @@ class TestRunPipeline:
         assert usable.sum() > 5000
         hit = (np.abs(idx - gt_idx)[usable] <= 1).mean()
         assert hit >= 0.80
+
+    def test_masks_are_plane_major(self, default_run):
+        # Every stage reads and writes one plane at a time, so the (H, W, N)
+        # masks keep each plane contiguous.
+        rig, _, _, prepared, window, _, volume = default_run
+        grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
+                               shape=prepared.shape, origin=(window.u0, window.v0))
+        for mask in (grid.valid, volume.valid):
+            assert mask.shape == prepared.shape + (rig.planes.n,)
+            assert np.moveaxis(mask, 2, 0).flags.c_contiguous
+
+    def test_outputs_independent_of_mask_layout(self, default_run):
+        # The plane-major layout is a matter of speed only: a C-order copy of
+        # the mask gives the same bytes at every stage that reads it.
+        rig, _, _, _, _, _, volume = default_run
+        copy = CostVolume(costs=volume.costs, valid=np.ascontiguousarray(volume.valid))
+        assert volume.valid.any() and not np.moveaxis(copy.valid, 2, 0).flags.c_contiguous
+        plane_major, c_order = (regularize_cost_volume(v, 3, 2) for v in (volume, copy))
+        assert plane_major.costs.tobytes() == c_order.costs.tobytes()
+        plane_major, c_order = (soft_argmin(scale_costs(v, 20.0), rig.planes.distances())
+                                for v in (volume, copy))
+        for got, want in zip(plane_major, c_order):
+            assert got.tobytes() == want.tobytes()
+        assert (encode_cost_volume(volume.costs, volume.valid)
+                == encode_cost_volume(copy.costs, copy.valid))
 
     def test_depth_positive_and_in_range(self, default_run):
         _, _, _, _, _, depth, _ = default_run
