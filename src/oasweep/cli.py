@@ -78,6 +78,16 @@ def _load_sonar(path, spec) -> PolarSonarImage:
         raise CommandError(f"{path}: {exc}", EXIT_INPUT) from exc
 
 
+def _check_window(flag: str, radius: int, shapes: dict) -> None:
+    """Reject a (2r+1)-wide window past a side of the named (rows, columns) maps: it only pads
+    them, at a cost growing with r ((2r+1)^2 per bin, or (h+2r)(w+2r) per box)."""
+    largest = (min(min(shape) for shape in shapes.values()) - 1) // 2
+    if not 0 <= radius <= largest:
+        what = " and ".join(f"the {h}x{w} {name}" for name, (h, w) in shapes.items())
+        raise CommandError(f"{flag} must be in [0, {largest}] for {what}, got {flag} {radius}",
+                           EXIT_VALIDATION)
+
+
 def _write_outputs(outputs) -> None:
     """Write (path, bytes) pairs atomically, directories first."""
     for path, _ in outputs:
@@ -140,12 +150,8 @@ def cmd_preprocess(args) -> int:
     background_dir = _require_dir(args.background, "background directory")
     out = Path(args.out)
     spec = calibration.sonar
-    # The median window's cost grows as (2r+1)^2 per bin; wider than the map
-    # it only edge-pads.
-    largest = (min(spec.range_bins, spec.bearing_bins) - 1) // 2
-    if not 0 <= args.median_radius <= largest:
-        raise CommandError(f"--median-radius must be in [0, {largest}] for the {spec.range_bins}x"
-                           f"{spec.bearing_bins} sonar map, got {args.median_radius}", EXIT_VALIDATION)
+    _check_window("--median-radius", args.median_radius,
+                  {"sonar map": (spec.range_bins, spec.bearing_bins)})
 
     frame_paths = sorted(frames_dir.glob("sonar*.pfm"))
     background_paths = sorted(background_dir.glob("sonar*.pfm"))
@@ -216,14 +222,11 @@ def cmd_sweep(args) -> int:
         except preprocess.SensorOverlapError as exc:
             raise CommandError(str(exc), EXIT_NUMERICAL) from exc
 
-    # A patch wider than the image it tiles only edge-pads, and its window
-    # array grows as (2r+1)^2 per pixel.
-    side = 2 * config.patch_radius + 1
-    if config.extractor == "zncc-patch" and side > min(prepared.shape + sonar_image.values.shape):
-        raise CommandError(
-            f"--patch-radius {config.patch_radius}: a {side}x{side} patch exceeds the "
-            f"{prepared.shape[0]}x{prepared.shape[1]} camera crop or the "
-            f"{spec.range_bins}x{spec.bearing_bins} sonar map", EXIT_VALIDATION)
+    if config.extractor == "zncc-patch":
+        _check_window("--patch-radius", config.patch_radius,
+                      {"camera crop": prepared.shape, "sonar map": sonar_image.values.shape})
+    if config.box_passes > 0:
+        _check_window("--box-radius", config.box_radius, {"camera crop": prepared.shape})
 
     depth, volume = sweep.run_pipeline(prepared, sonar_image, calibration, config,
                                        origin=(window.u0, window.v0))
@@ -380,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=sweep.METRICS, default=defaults.metric,
                    help="matching cost (default %(default)s)")
     p.add_argument("--box-radius", type=int, default=defaults.box_radius,
-                   help="cost box-filter radius in pixels, 0 disables (default %(default)s)")
+                   help="cost box-filter radius in pixels, 0 disables; the 2r+1 window must "
+                        "fit the camera crop (default %(default)s)")
     p.add_argument("--box-passes", type=int, default=defaults.box_passes,
                    help="cost box-filter passes (default %(default)s)")
     p.add_argument("--cost-scale", type=float, default=defaults.cost_scale,

@@ -321,7 +321,7 @@ class WarpGrid:
 
 def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
                     planes: PlaneHypothesisSet, spec: SonarSpec,
-                    shape: tuple | None = None, origin: tuple = (0, 0)) -> WarpGrid:
+                    shape: tuple, origin: tuple) -> WarpGrid:
     """Ray-plane intersections and sonar lookups for every (pixel, plane) pair.
 
     A polar lookup only needs range and bearing, but a candidate point
@@ -335,19 +335,17 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     the vertical aperture. Only the valid entries' lookups are kept.
 
     Args:
-        intrinsics: Camera model; also supplies the default grid shape.
+        intrinsics: Camera model.
         extrinsics: Sonar-to-camera transform.
         planes: Hypothesis set (N planes).
         spec: Sonar geometry used for FOV and elevation gating.
-        shape: (H, W) grid size; defaults to the full image.
+        shape: (H, W) grid size.
         origin: (u0, v0) pixel of grid element [0, 0], for crop windows.
 
     Returns:
         WarpGrid of shape (H, W, N). Parallel rays and behind-camera
         intersections are flagged invalid per entry, never raised.
     """
-    if shape is None:
-        shape = (intrinsics.height, intrinsics.width)
     h, w = shape
     u0, v0 = origin
     vs, us = np.meshgrid(np.arange(h, dtype=float) + v0, np.arange(w, dtype=float) + u0,

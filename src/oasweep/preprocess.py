@@ -54,7 +54,7 @@ def average_background(frames) -> PolarSonarImage:
     return PolarSonarImage(values=mean, spec=spec)
 
 
-def denoise(image: PolarSonarImage, radius: int = 1) -> PolarSonarImage:
+def denoise(image: PolarSonarImage, radius: int) -> PolarSonarImage:
     """Median filter over a (2r+1)^2 window with edge clamping; radius 0 is identity."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")

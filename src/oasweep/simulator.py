@@ -279,8 +279,7 @@ def render_camera(scene: Scene, intrinsics, pose: RigidTransform):
     return image, DepthMap(depth=depth, valid=hit)
 
 
-def render_sonar_energy(scene: Scene, spec: SonarSpec,
-                        elevation_rays: int = DEFAULT_ELEVATION_RAYS) -> np.ndarray:
+def render_sonar_energy(scene: Scene, spec: SonarSpec, elevation_rays: int) -> np.ndarray:
     """Raw (unnormalized) deposited sonar energy per (range, bearing) bin.
 
     The scene is expressed in the sonar frame, so every ray starts at the

@@ -108,7 +108,7 @@ class SweepConfig:
             raise ValueError(f"cost_scale must be positive and finite, got {self.cost_scale}")
 
 
-def extract_features(image: np.ndarray, kind: str = "zncc-patch", patch_radius: int = 2) -> np.ndarray:
+def extract_features(image: np.ndarray, kind: str, patch_radius: int) -> np.ndarray:
     """Per-pixel feature vectors of a grayscale image or polar sonar scan.
 
     Kinds:
@@ -232,72 +232,72 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
     # Cell (r, c) blends corners [r, r+1] x [c, c+1], edge-clamped as in _bilinear_sample.
     held = np.pad(held, ((0, 1), (0, 1)), mode="edge")
     live = held[:-1, :-1] | held[1:, :-1] | held[:-1, 1:] | held[1:, 1:]
+    camera_features = camera_features.reshape(h * w, camera_features.shape[-1])
     costs = []
-    valid = np.zeros((n, h, w), dtype=bool)  # plane-major, returned as an (H, W, N) view
+    valid = np.zeros((n, h * w), dtype=bool)  # plane-major, returned as an (H, W, N) view
     start = 0
-    for i in range(n):
-        v, u = np.nonzero(grid.valid[:, :, i])
-        lookups = slice(start, start + v.size)
-        start += v.size
+    for i, plane in enumerate(np.moveaxis(grid.valid, 2, 0).reshape(n, h * w)):
+        pixels = np.flatnonzero(plane)
+        lookups = slice(start, start + pixels.size)
+        start += pixels.size
         rb, bb = spec.polar_to_bin(grid.ranges[lookups], grid.bearings[lookups])
         hit = live[np.floor(np.clip(rb, 0.0, live.shape[0] - 1.0)).astype(int),
                    np.floor(np.clip(bb, 0.0, live.shape[1] - 1.0)).astype(int)]
-        cost, defined = cost0[v, u], defined0[v, u]
-        cost[hit], defined[hit] = _pair_cost(camera_features[v[hit], u[hit]].astype(np.float64),
+        cost, defined = cost0.ravel()[pixels], defined0.ravel()[pixels]
+        cost[hit], defined[hit] = _pair_cost(camera_features[pixels[hit]].astype(np.float64),
                                              _bilinear_sample(sonar_features, rb[hit], bb[hit]),
                                              metric)
         costs.append(cost[defined].astype(np.float32))
-        valid[i, v, u] = defined
-    return CostVolume(costs=np.concatenate(costs), valid=valid.transpose(1, 2, 0))
+        valid[i, pixels] = defined
+    return CostVolume(costs=np.concatenate(costs), valid=valid.reshape(n, h, w).transpose(1, 2, 0))
 
 
-def regularize_cost_volume(volume: CostVolume, radius: int = 1, passes: int = 1) -> CostVolume:
+def regularize_cost_volume(volume: CostVolume, radius: int, passes: int) -> CostVolume:
     """Spatial box filtering of each plane slice over its valid mask.
 
     A deterministic stand-in for a learned cost regularizer: each valid entry
     becomes the mean of the valid entries in its (2r+1)^2 neighborhood
-    (truncated at slice borders); the validity mask is preserved. Radius 0 or
-    zero passes returns the volume unchanged.
+    (truncated at slice borders); the validity mask is preserved. Radius 0,
+    zero passes or a volume without entries returns the volume unchanged.
 
-    Each plane's costs are scattered into the bounding box of its valid
-    entries, grown by the radius on every side (past the slice border too),
-    filtered there and gathered back. The filter input is exactly zero
-    outside the valid entries, so every filter line of the grown box starts
-    on a window of zeros, as it would at the slice border, and its running
-    sums, hence the result, are the same bit for bit as filtering the slice.
+    Each plane's mask is cut to its valid entries' bounding box, grown by the
+    radius (past the slice border too); its costs, in C order, are scattered
+    through that boolean box, filtered and gathered back. The filter input is
+    exactly zero outside the valid entries, so every filter line of the grown
+    box starts on a window of zeros, as it would at the slice border, and its
+    running sums, hence the result, are the same bit for bit as on the slice.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    if radius == 0 or passes == 0:
+    if radius == 0 or passes == 0 or volume.costs.size == 0:
         return volume
     size = 2 * radius + 1
     area = size * size
     costs = np.empty_like(volume.costs)
-    h, w, n = volume.shape
-    flat = np.flatnonzero(np.moveaxis(volume.valid, 2, 0))  # (i, v, u), in the costs' order
-    bounds = np.searchsorted(flat, np.arange(n + 1) * (h * w))  # each plane's first entry
-    for i in np.flatnonzero(np.diff(bounds)):  # the planes holding an entry
-        start, end = bounds[i], bounds[i + 1]
-        v, u = np.divmod(flat[start:end] - i * h * w, w)
-        v, u = v - (v[0] - radius), u - (u.min() - radius)  # box coordinates
-        box_valid = np.zeros((v[-1] + radius + 1, u.max() + radius + 1), dtype=bool)
-        box_valid[v, u] = True
-        cnts = ndimage.uniform_filter(box_valid.astype(np.float64), size=size,
-                                      mode="constant", cval=0.0) * area
-        filtered = np.zeros(box_valid.shape)
-        filtered[v, u] = volume.costs[start:end]
-        for _ in range(passes):
-            sums = ndimage.uniform_filter(filtered, size=size, mode="constant", cval=0.0) * area
-            filtered = np.where(box_valid, sums / np.maximum(cnts, 1.0), 0.0)
-        costs[start:end] = filtered[v, u]
+    end = 0
+    for plane in np.moveaxis(volume.valid, 2, 0):
+        # The bounding box of the plane's entries; none if it holds no entry.
+        for box in ndimage.find_objects(plane.view(np.uint8)):
+            box_valid = np.pad(plane[box], radius)
+            entries = slice(end, end + np.count_nonzero(box_valid))
+            end = entries.stop
+            cnts = ndimage.uniform_filter(box_valid.astype(np.float64), size=size,
+                                          mode="constant", cval=0.0) * area
+            filtered = np.zeros(box_valid.shape)
+            filtered[box_valid] = volume.costs[entries]
+            for _ in range(passes):
+                sums = ndimage.uniform_filter(filtered, size=size, mode="constant", cval=0.0)
+                filtered = np.where(box_valid, sums * area / np.maximum(cnts, 1.0), 0.0)
+            costs[entries] = filtered[box_valid]
     return CostVolume(costs=costs, valid=volume.valid)
 
 
 def scale_costs(volume: CostVolume, gain: float) -> CostVolume:
-    """Multiply the costs by a positive gain (softmax sharpening)."""
+    """Multiply the costs by a positive gain (softmax sharpening); float32 overflow raises."""
     if not 0 < gain < np.inf:
         raise ValueError(f"gain must be positive and finite, got {gain}")
-    return CostVolume(costs=volume.costs * np.float32(gain), valid=volume.valid)
+    with np.errstate(over="raise"):
+        return CostVolume(costs=volume.costs * np.float32(gain), valid=volume.valid)
 
 
 def soft_argmin(volume: CostVolume, distances):
@@ -335,8 +335,7 @@ def soft_argmin(volume: CostVolume, distances):
 
 
 def regress_depth_map(d_hat: np.ndarray, valid: np.ndarray, intrinsics: CameraIntrinsics,
-                      extrinsics: RigidTransform, alpha: float,
-                      origin: tuple = (0, 0)) -> DepthMap:
+                      extrinsics: RigidTransform, alpha: float, origin: tuple) -> DepthMap:
     """Turn a regressed plane-distance field into metric Euclidean depth.
 
     Applies the closed-form camera depth followed by the ray-norm conversion
@@ -368,8 +367,8 @@ def to_full_frame(depth: DepthMap, origin: tuple, shape: tuple) -> DepthMap:
     return DepthMap(depth=full_depth, valid=full_valid)
 
 
-def run_pipeline(camera_image: np.ndarray, sonar_image, calibration,
-                 config: SweepConfig | None = None, origin: tuple = (0, 0)):
+def run_pipeline(camera_image: np.ndarray, sonar_image, calibration, config: SweepConfig,
+                 origin: tuple):
     """The full sweep: features, warp, cost volume, regression, metric depth.
 
     A pure function of its inputs: the same images and configuration produce
@@ -381,23 +380,22 @@ def run_pipeline(camera_image: np.ndarray, sonar_image, calibration,
         camera_image: Grayscale image, uint8 or float in [0, 1], shape (H, W).
         sonar_image: PolarSonarImage (preprocessed polar scan).
         calibration: CalibrationBundle for the rig.
-        config: SweepConfig; defaults apply when omitted.
+        config: SweepConfig.
         origin: (u0, v0) of the camera crop.
 
     Returns:
         (depth, volume): crop-sized DepthMap and the regularized (unscaled)
         CostVolume, one cost per valid entry, exportable as SSCV1.
     """
-    if config is None:
-        config = SweepConfig()
     camera_image = np.asarray(camera_image)
     if camera_image.dtype == np.uint8:
         camera_image = camera_image.astype(np.float64) / 255.0
 
     cam_features = extract_features(camera_image, config.extractor, config.patch_radius)
-    son_features = extract_features(sonar_image.values, config.extractor, config.patch_radius)
     if config.zero_sonar_features:
-        son_features = np.zeros_like(son_features)
+        son_features = np.zeros(sonar_image.values.shape + cam_features.shape[-1:], np.float32)
+    else:
+        son_features = extract_features(sonar_image.values, config.extractor, config.patch_radius)
 
     grid = build_warp_grid(calibration.intrinsics, calibration.extrinsics, calibration.planes,
                            calibration.sonar, shape=camera_image.shape, origin=origin)

@@ -161,6 +161,58 @@ class TestSweep:
         assert err.startswith("error:") and "--patch-radius 500" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("radius", [117, 100000])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_box_wider_than_crop_exits_2(self, dataset, tmp_path, capsys, monkeypatch, route,
+                                         radius):
+        # The stock 233x320 camera crop admits a box up to 233 pixels
+        # (r = 116); r = 1e5 would ask the regularizer for a 37 GiB boolean
+        # box per plane. The check must fire before any feature is built.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sweep run despite an oversized box")
+        monkeypatch.setattr(sweep, "extract_features", unreachable)
+        monkeypatch.setattr(sweep, "regularize_cost_volume", unreachable)
+        out = tmp_path / "out"
+        argv = ["sweep", "--dataset", dataset, "--out", out]
+        if route == "flag":
+            argv += ["--box-radius", radius]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"box_radius": radius}))
+            argv = ["--config", cfg] + argv
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --box-radius must be in [0, 116]")
+        assert f"--box-radius {radius}" in err
+        assert not out.exists()
+
+    def test_widest_box_is_accepted(self, dataset, tmp_path, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(volume, radius, passes):
+            assert radius == 116
+            raise Reached
+        monkeypatch.setattr(sweep, "regularize_cost_volume", reached)
+        with pytest.raises(Reached):
+            run_cli("sweep", "--dataset", dataset, "--out", tmp_path / "out", "--box-radius", 116)
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_cost_scale_overflow_exits_4(self, dataset, tmp_path, capsys, route):
+        # 1e300 is finite for the flag but past float32, where the costs are
+        # scaled: a numerical failure, with no traceback and no output.
+        out = tmp_path / "out"
+        argv = ["sweep", "--dataset", dataset, "--out", out]
+        if route == "flag":
+            argv += ["--cost-scale", "1e300"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"cost_scale": 1e300}))
+            argv = ["--config", cfg] + argv
+        assert run_cli(*argv) == 4
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not out.exists()
+
 
 class TestEval:
     def test_perfect_prediction(self, dataset, tmp_path, capsys):

@@ -296,7 +296,8 @@ class TestRayDepthToEuclidean:
 
 class TestWarpGrid:
     def test_zero_size_image(self, rig):
-        grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar, shape=(0, 0))
+        grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar, shape=(0, 0),
+                               origin=(0, 0))
         assert grid.shape == (0, 0, rig.planes.n)
         assert grid.ranges.shape == grid.bearings.shape == (0,)
 
@@ -331,7 +332,8 @@ class TestWarpGrid:
         # The 12 degree vertical beam cuts plane 24 in a slab that crosses
         # each image column once: a quarter of the pixels (0.260 measured;
         # 0.956 before the elevation gate), in one run of rows per column.
-        grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
+        grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
+                               shape=(rig.intrinsics.height, rig.intrinsics.width), origin=(0, 0))
         mid = grid.valid[:, :, rig.planes.n // 2]
         assert mid.mean() >= 0.25
         for column in mid.T:
@@ -344,8 +346,10 @@ class TestWarpGrid:
             bearing_fov=rig.sonar.bearing_fov / 2, elevation_fov=rig.sonar.elevation_fov,
             range_bins=rig.sonar.range_bins, bearing_bins=rig.sonar.bearing_bins,
         )
-        wide = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar, shape=(40, 60))
-        narrow = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, narrow_spec, shape=(40, 60))
+        wide = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
+                               shape=(40, 60), origin=(0, 0))
+        narrow = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, narrow_spec,
+                                 shape=(40, 60), origin=(0, 0))
         assert not np.any(narrow.valid & ~wide.valid)
 
     @staticmethod
@@ -364,7 +368,8 @@ class TestWarpGrid:
         planes = dataclasses.replace(rig.planes, k=rig.planes.k ** ((rig.planes.n - 1) / (n - 1)),
                                      n=n)
         args = (rig.intrinsics, rig.extrinsics, planes, rig.sonar)
-        grid = build_warp_grid(*args)
+        grid = build_warp_grid(*args, shape=(rig.intrinsics.height, rig.intrinsics.width),
+                               origin=(0, 0))
         assert 0.2 < grid.valid.mean() < 0.3
         self.assert_matches_oracle(grid, dense_warp_grid(*args))
 
@@ -410,7 +415,8 @@ class TestWarpGrid:
         args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            grid = build_warp_grid(*args)
+            grid = build_warp_grid(*args, shape=(rig.intrinsics.height, rig.intrinsics.width),
+                                   origin=(0, 0))
         assert grid.valid.any() and not grid.valid[int(rig.intrinsics.cy)].any()
         self.assert_matches_oracle(grid, dense_warp_grid(*args))
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oasweep import sweep
 from oasweep.config import default_rig
 from oasweep.formats import encode_cost_volume
 from oasweep.geometry import PlaneHypothesisSet, SonarSpec, build_warp_grid
@@ -66,13 +67,13 @@ class TestSweepConfig:
 class TestExtractFeatures:
     def test_intensity_passthrough(self, rng):
         img = rng.random((6, 9))
-        out = extract_features(img, "intensity")
+        out = extract_features(img, "intensity", 0)
         assert out.shape == (6, 9, 1)
         np.testing.assert_allclose(out[:, :, 0], img, rtol=1e-6)
 
     def test_gradient_of_ramp(self):
         u = np.tile(np.arange(12, dtype=float), (8, 1))
-        out = extract_features(u, "gradient")
+        out = extract_features(u, "gradient", 0)
         np.testing.assert_allclose(out[:, :, 0], 1.0, atol=1e-6)
         np.testing.assert_allclose(out[:, :, 1], 0.0, atol=1e-6)
 
@@ -100,11 +101,11 @@ class TestExtractFeatures:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            extract_features(np.ones((4, 4)), "census")
+            extract_features(np.ones((4, 4)), "census", 0)
 
     def test_empty_image_rejected(self):
         with pytest.raises(ValueError):
-            extract_features(np.ones((0, 4)), "intensity")
+            extract_features(np.ones((0, 4)), "intensity", 0)
 
 
 def tiny_grid(ranges, bearings, valid=None):
@@ -355,19 +356,25 @@ class TestRegularizeCostVolume:
     def test_radius_zero_identity(self, rng):
         costs = rng.random((4, 5, 3)).astype(np.float32)
         vol = compact_volume(costs, np.ones((4, 5, 3), bool))
-        out = regularize_cost_volume(vol, radius=0)
+        out = regularize_cost_volume(vol, radius=0, passes=1)
         np.testing.assert_array_equal(densify(out.costs, out.valid), costs)
+
+    @pytest.mark.parametrize("shape", [(0, 0, 3), (4, 5, 3)], ids=["zero-size", "no-entries"])
+    def test_volume_without_entries_unchanged(self, shape):
+        vol = compact_volume(np.zeros(shape, np.float32), np.zeros(shape, bool))
+        out = regularize_cost_volume(vol, radius=3, passes=2)
+        assert out.shape == shape and out.costs.size == 0
 
     def test_constant_slice_fixed_point(self):
         vol = compact_volume(np.full((6, 6, 2), 0.8, np.float32), np.ones((6, 6, 2), bool))
-        out = regularize_cost_volume(vol, radius=1)
+        out = regularize_cost_volume(vol, radius=1, passes=1)
         np.testing.assert_allclose(densify(out.costs, out.valid), 0.8, atol=1e-6)
 
     def test_impulse_spreads_to_ninth(self):
         costs = np.zeros((7, 7, 1), dtype=np.float32)
         costs[3, 3, 0] = 1.0
         vol = compact_volume(costs, np.ones((7, 7, 1), bool))
-        out = densify(regularize_cost_volume(vol, radius=1).costs, vol.valid)
+        out = densify(regularize_cost_volume(vol, radius=1, passes=1).costs, vol.valid)
         np.testing.assert_allclose(out[2:5, 2:5, 0], 1.0 / 9.0, atol=1e-6)
         assert out[0, 0, 0] == 0.0
 
@@ -377,7 +384,8 @@ class TestRegularizeCostVolume:
         valid[2, 2, 0] = False
         costs[2, 2, 0] = 1e9  # dropped with its entry
         costs[2, 3, 0] = 0.9
-        vol = regularize_cost_volume(compact_volume(costs, valid), radius=1)
+        vol = regularize_cost_volume(compact_volume(costs, valid), radius=1,
+                                     passes=1)
         np.testing.assert_array_equal(vol.valid, valid)
         out = densify(vol.costs, vol.valid)
         assert np.isnan(out[2, 2, 0]) and vol.costs.size == 24
@@ -477,6 +485,15 @@ class TestSoftArgmin:
         best = distances[np.argmin(costs, axis=2)]
         np.testing.assert_allclose(sharp, best, atol=1e-9)
 
+    @pytest.mark.parametrize("gain, cost", [(1e300, 0.5), (3e38, 2.0)],
+                             ids=["gain-past-float32", "product-past-float32"])
+    def test_scale_overflow_raises(self, gain, cost):
+        # A gain past the float32 range, or a finite gain whose product
+        # overflows, raises instead of handing inf costs on.
+        vol = compact_volume(np.array([[[cost, -cost]]], np.float32), np.ones((1, 1, 2), bool))
+        with pytest.raises(FloatingPointError):
+            scale_costs(vol, gain)
+
     @given(lam1=st.floats(1.0, 40.0), lam2=st.floats(1.0, 40.0))
     @settings(max_examples=60)
     def test_sharpening_monotone_for_two_hypotheses(self, lam1, lam2):
@@ -574,7 +591,8 @@ class TestRegressDepthMap:
         d_hat = np.full((4, 4), 2.0)
         valid = np.zeros((4, 4), bool)
         valid[1, 1] = True
-        out = regress_depth_map(d_hat, valid, rig.intrinsics, rig.extrinsics, rig.planes.alpha)
+        out = regress_depth_map(d_hat, valid, rig.intrinsics, rig.extrinsics, rig.planes.alpha,
+                                origin=(0, 0))
         assert out.valid[1, 1] and out.valid.sum() == 1
         assert out.depth[0, 0] == 0.0
 
@@ -585,7 +603,7 @@ class TestRegressDepthMap:
         alpha = 0.7
         d_hat = np.full((intr.height, intr.width), 2.0)
         out = regress_depth_map(d_hat, np.ones_like(d_hat, bool), intr,
-                                identity_transform(), alpha)
+                                identity_transform(), alpha, origin=(0, 0))
         normal = np.array([0.0, math.cos(alpha), math.sin(alpha)])
         vs, us = np.meshgrid(np.arange(intr.height, dtype=float),
                              np.arange(intr.width, dtype=float), indexing="ij")
@@ -602,7 +620,7 @@ class TestRegressDepthMap:
         _, gt = render_camera(scene, rig.intrinsics, rig.extrinsics)
         d_hat = np.full(gt.depth.shape, rig.planes.distances()[i0 - 1])
         out = regress_depth_map(d_hat, gt.valid, rig.intrinsics, rig.extrinsics,
-                                rig.planes.alpha)
+                                rig.planes.alpha, origin=(0, 0))
         both = out.valid & gt.valid
         assert both.mean() > 0.9
         np.testing.assert_allclose(out.depth[both], gt.depth[both], rtol=1e-6)
@@ -685,6 +703,32 @@ class TestRunPipeline:
         assert (encode_cost_volume(volume.costs, volume.valid)
                 == encode_cost_volume(copy.costs, copy.valid))
 
+    @pytest.mark.parametrize("extractor", ["zncc-patch", "intensity"])
+    def test_ablation_extracts_no_sonar_features(self, default_run, monkeypatch, extractor):
+        # The camera-only ablation builds its zero sonar features directly:
+        # no sonar extraction runs, and the volume has the bytes of zeroing
+        # extracted ones.
+        rig, _, sonar, prepared, window, _, _ = default_run
+        config = SweepConfig(extractor=extractor, metric="neg-dot", zero_sonar_features=True)
+        origin = (window.u0, window.v0)
+        camera = prepared.astype(np.float64) / 255.0
+        grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
+                               shape=prepared.shape, origin=origin)
+        son = np.zeros_like(extract_features(sonar.values, extractor, config.patch_radius))
+        want = build_cost_volume(extract_features(camera, extractor, config.patch_radius), son,
+                                 grid, rig.sonar, config.metric)
+        want = regularize_cost_volume(want, config.box_radius, config.box_passes)
+        extracted = []
+
+        def recording(image, kind, patch_radius):
+            extracted.append(image.shape)
+            return extract_features(image, kind, patch_radius)
+        monkeypatch.setattr(sweep, "extract_features", recording)
+        _, volume = run_pipeline(prepared, sonar, rig, config, origin=origin)
+        assert extracted == [prepared.shape]
+        assert volume.costs.tobytes() == want.costs.tobytes()
+        np.testing.assert_array_equal(volume.valid, want.valid)
+
     def test_depth_positive_and_in_range(self, default_run):
         _, _, _, _, _, depth, _ = default_run
         assert np.all(depth.depth[depth.valid] > 0)
@@ -698,7 +742,7 @@ class TestRunPipeline:
         sonar = render_sonar(default_scene(), rig.sonar)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            depth, volume = run_pipeline(camera, sonar, rig, SweepConfig())
+            depth, volume = run_pipeline(camera, sonar, rig, SweepConfig(), origin=(0, 0))
         assert not depth.valid.any() and not depth.depth.any()
         assert not volume.valid.any() and volume.costs.size == 0
 
@@ -712,7 +756,7 @@ class TestRunPipeline:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             depth, volume = run_pipeline(camera, render_sonar(scene, rig.sonar), rig,
-                                         SweepConfig())
+                                         SweepConfig(), origin=(0, 0))
         row = int(rig.intrinsics.cy)
         assert depth.valid.any() and not depth.valid[row].any()
         assert not volume.valid[row].any()
