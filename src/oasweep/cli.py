@@ -227,6 +227,11 @@ def cmd_sweep(args) -> int:
                       {"camera crop": prepared.shape, "sonar map": sonar_image.values.shape})
     if config.box_passes > 0:
         _check_window("--box-radius", config.box_radius, {"camera crop": prepared.shape})
+    side = max(prepared.shape)
+    if config.box_radius > 0 and config.box_passes * config.box_radius > side:
+        raise CommandError(f"--box-passes must be in [0, {side // config.box_radius}] for "
+                           f"--box-radius {config.box_radius} and the camera crop's longer side "
+                           f"{side}, got --box-passes {config.box_passes}", EXIT_VALIDATION)
 
     depth, volume = sweep.run_pipeline(prepared, sonar_image, calibration, config,
                                        origin=(window.u0, window.v0))
@@ -386,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cost box-filter radius in pixels, 0 disables; the 2r+1 window must "
                         "fit the camera crop (default %(default)s)")
     p.add_argument("--box-passes", type=int, default=defaults.box_passes,
-                   help="cost box-filter passes (default %(default)s)")
+                   help="cost box-filter passes; passes x radius must not exceed the camera "
+                        "crop's longer side (default %(default)s)")
     p.add_argument("--cost-scale", type=float, default=defaults.cost_scale,
                    help="matcher gain before the softmax, unitless (default %(default)s)")
     p.add_argument("--no-prepare", action="store_true",

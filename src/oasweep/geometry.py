@@ -145,11 +145,12 @@ class SonarSpec:
 
         Bin centers sit at integer coordinates (bin-center convention), so a
         lookup exactly at a center returns that bin's value under bilinear
-        sampling.
+        sampling. Coordinates are clamped to [0, bins - 1], so the half bin
+        between the sector's edge and the edge bin's center maps to that center.
         """
         rb = (np.asarray(ranges, dtype=float) - self.range_min) / self.range_bin_size - 0.5
         bb = (np.asarray(bearings, dtype=float) + self.bearing_fov / 2) / self.bearing_bin_size - 0.5
-        return rb, bb
+        return np.clip(rb, 0.0, self.range_bins - 1.0), np.clip(bb, 0.0, self.bearing_bins - 1.0)
 
     def in_fov(self, ranges, bearings) -> np.ndarray:
         """True where (range, bearing) falls inside the sensing sector."""

@@ -56,8 +56,6 @@ def average_background(frames) -> PolarSonarImage:
 
 def denoise(image: PolarSonarImage, radius: int) -> PolarSonarImage:
     """Median filter over a (2r+1)^2 window with edge clamping; radius 0 is identity."""
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
     if radius == 0:
         return image
     filtered = ndimage.median_filter(image.values, size=2 * radius + 1, mode="nearest")

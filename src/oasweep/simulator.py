@@ -61,6 +61,19 @@ class PlanePrimitive:
         object.__setattr__(self, "normal", n)
         _check_reflectance(self.reflectance)
 
+    def hit(self, origin, dirs):
+        """(t, normals): distance along each unit ray (..., 3) from origin, inf on
+        a miss, and the outward surface normal there."""
+        denom = dirs @ self.normal
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = ((self.point - origin) @ self.normal) / denom
+        t = np.where((np.abs(denom) > _EPS) & (t > _EPS), t, np.inf)
+        return t, np.broadcast_to(self.normal, dirs.shape)
+
+    def to_dict(self) -> dict:
+        return {"type": "plane", "point": self.point.tolist(), "normal": self.normal.tolist(),
+                "reflectance": self.reflectance}
+
 
 @dataclass(frozen=True)
 class SpherePrimitive:
@@ -73,6 +86,24 @@ class SpherePrimitive:
         if not 0 < self.radius <= SCENE_EXTENT_M:
             raise SceneError(f"sphere radius must be in (0, {SCENE_EXTENT_M:g}], got {self.radius}")
         _check_reflectance(self.reflectance)
+
+    def hit(self, origin, dirs):
+        oc = origin - self.center
+        b = dirs @ oc
+        c = oc @ oc - self.radius**2
+        disc = b * b - c
+        sqrt_disc = np.sqrt(np.maximum(disc, 0.0))
+        t_near = -b - sqrt_disc
+        t_far = -b + sqrt_disc
+        t = np.where(t_near > _EPS, t_near, t_far)
+        t = np.where((disc > 0) & (t > _EPS), t, np.inf)
+        safe_t = np.where(np.isfinite(t), t, 0.0)  # inf * dir would emit NaN warnings
+        points = origin + safe_t[..., None] * dirs
+        return t, (points - self.center) / self.radius
+
+    def to_dict(self) -> dict:
+        return {"type": "sphere", "center": self.center.tolist(), "radius": self.radius,
+                "reflectance": self.reflectance}
 
 
 @dataclass(frozen=True)
@@ -89,6 +120,29 @@ class BoxPrimitive:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         _check_reflectance(self.reflectance)
+
+    def hit(self, origin, dirs):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / dirs
+        t_lo = (self.lo - origin) * inv
+        t_hi = (self.hi - origin) * inv
+        t_small = np.minimum(t_lo, t_hi)
+        t_big = np.maximum(t_lo, t_hi)
+        t_near = np.max(t_small, axis=-1)
+        t_far = np.min(t_big, axis=-1)
+        hit = (t_near <= t_far) & (t_far > _EPS)
+        t = np.where(t_near > _EPS, t_near, t_far)
+        t = np.where(hit & (t > _EPS), t, np.inf)
+        # Face normal: axis where the entry slab was tightest, signed by ray direction.
+        axis = np.argmax(t_small, axis=-1)
+        n = np.zeros(dirs.shape)
+        idx = np.indices(axis.shape)
+        n[(*idx, axis)] = -np.sign(dirs[(*idx, axis)])
+        return t, n
+
+    def to_dict(self) -> dict:
+        return {"type": "box", "min": self.lo.tolist(), "max": self.hi.tolist(),
+                "reflectance": self.reflectance}
 
 
 def _finite_point(value, what: str) -> np.ndarray:
@@ -116,20 +170,7 @@ class Scene:
             raise SceneError("scene needs at least one primitive")
 
     def to_dict(self) -> dict:
-        out = []
-        for p in self.primitives:
-            if isinstance(p, PlanePrimitive):
-                out.append({"type": "plane", "point": p.point.tolist(),
-                            "normal": p.normal.tolist(), "reflectance": p.reflectance})
-            elif isinstance(p, SpherePrimitive):
-                out.append({"type": "sphere", "center": p.center.tolist(),
-                            "radius": p.radius, "reflectance": p.reflectance})
-            elif isinstance(p, BoxPrimitive):
-                out.append({"type": "box", "min": p.lo.tolist(),
-                            "max": p.hi.tolist(), "reflectance": p.reflectance})
-            else:
-                raise SceneError(f"unknown primitive {type(p).__name__}")
-        return {"primitives": out}
+        return {"primitives": [p.to_dict() for p in self.primitives]}
 
     @staticmethod
     def from_dict(data: dict) -> "Scene":
@@ -187,12 +228,7 @@ def intersect_rays(origin: np.ndarray, dirs: np.ndarray, scene: Scene):
     refl = np.zeros(shape)
 
     for prim in scene.primitives:
-        if isinstance(prim, PlanePrimitive):
-            t, n = _plane_hit(origin, dirs, prim)
-        elif isinstance(prim, SpherePrimitive):
-            t, n = _sphere_hit(origin, dirs, prim)
-        else:
-            t, n = _box_hit(origin, dirs, prim)
+        t, n = prim.hit(origin, dirs)
         closer = t < best_t
         best_t = np.where(closer, t, best_t)
         normals = np.where(closer[..., None], n, normals)
@@ -200,51 +236,6 @@ def intersect_rays(origin: np.ndarray, dirs: np.ndarray, scene: Scene):
 
     hit = np.isfinite(best_t)
     return best_t, normals, refl, hit
-
-
-def _plane_hit(origin, dirs, prim: PlanePrimitive):
-    denom = dirs @ prim.normal
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = ((prim.point - origin) @ prim.normal) / denom
-    t = np.where((np.abs(denom) > _EPS) & (t > _EPS), t, np.inf)
-    n = np.broadcast_to(prim.normal, dirs.shape)
-    return t, n
-
-
-def _sphere_hit(origin, dirs, prim: SpherePrimitive):
-    oc = origin - prim.center
-    b = dirs @ oc
-    c = oc @ oc - prim.radius**2
-    disc = b * b - c
-    sqrt_disc = np.sqrt(np.maximum(disc, 0.0))
-    t_near = -b - sqrt_disc
-    t_far = -b + sqrt_disc
-    t = np.where(t_near > _EPS, t_near, t_far)
-    t = np.where((disc > 0) & (t > _EPS), t, np.inf)
-    safe_t = np.where(np.isfinite(t), t, 0.0)  # inf * dir would emit NaN warnings
-    points = origin + safe_t[..., None] * dirs
-    n = (points - prim.center) / prim.radius
-    return t, n
-
-
-def _box_hit(origin, dirs, prim: BoxPrimitive):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs
-    t_lo = (prim.lo - origin) * inv
-    t_hi = (prim.hi - origin) * inv
-    t_small = np.minimum(t_lo, t_hi)
-    t_big = np.maximum(t_lo, t_hi)
-    t_near = np.max(t_small, axis=-1)
-    t_far = np.min(t_big, axis=-1)
-    hit = (t_near <= t_far) & (t_far > _EPS)
-    t = np.where(t_near > _EPS, t_near, t_far)
-    t = np.where(hit & (t > _EPS), t, np.inf)
-    # Face normal: axis where the entry slab was tightest, signed by ray direction.
-    axis = np.argmax(t_small, axis=-1)
-    n = np.zeros(dirs.shape)
-    idx = np.indices(axis.shape)
-    n[(*idx, axis)] = -np.sign(dirs[(*idx, axis)])
-    return t, n
 
 
 def render_camera(scene: Scene, intrinsics, pose: RigidTransform):
@@ -310,10 +301,10 @@ def _deposit_range_energy(bins, slant, weight, bearing_idx, spec: SonarSpec) -> 
 
     Preserves total energy exactly (the two shares sum to the weight) while
     converging much faster in the elevation stratification count than
-    nearest-bin binning.
+    nearest-bin binning. The range-bin coordinate comes from
+    SonarSpec.polar_to_bin, the map the sweep samples the scan with.
     """
-    rc = np.clip((slant - spec.range_min) / spec.range_bin_size - 0.5,
-                 0.0, spec.range_bins - 1.0)
+    rc, _ = spec.polar_to_bin(slant, 0.0)
     r0 = np.floor(rc).astype(int)
     r1 = np.minimum(r0 + 1, spec.range_bins - 1)
     frac = rc - r0

@@ -146,9 +146,8 @@ def extract_features(image: np.ndarray, kind: str, patch_radius: int) -> np.ndar
 
 
 def _bilinear_sample(values: np.ndarray, rows, cols) -> np.ndarray:
-    """Bilinear lookup with edge clamping of an (R, C, F) map; returns (..., F)."""
-    rows = np.clip(rows, 0.0, values.shape[0] - 1.0)
-    cols = np.clip(cols, 0.0, values.shape[1] - 1.0)
+    """Bilinear lookup of an (R, C, F) map at coordinates in [0, R - 1] x [0, C - 1]
+    (as SonarSpec.polar_to_bin returns them); returns (..., F)."""
     r0 = np.floor(rows).astype(int)
     c0 = np.floor(cols).astype(int)
     r1 = np.minimum(r0 + 1, values.shape[0] - 1)
@@ -241,8 +240,7 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
         lookups = slice(start, start + pixels.size)
         start += pixels.size
         rb, bb = spec.polar_to_bin(grid.ranges[lookups], grid.bearings[lookups])
-        hit = live[np.floor(np.clip(rb, 0.0, live.shape[0] - 1.0)).astype(int),
-                   np.floor(np.clip(bb, 0.0, live.shape[1] - 1.0)).astype(int)]
+        hit = live[np.floor(rb).astype(int), np.floor(bb).astype(int)]
         cost, defined = cost0.ravel()[pixels], defined0.ravel()[pixels]
         cost[hit], defined[hit] = _pair_cost(camera_features[pixels[hit]].astype(np.float64),
                                              _bilinear_sample(sonar_features, rb[hit], bb[hit]),
@@ -267,8 +265,6 @@ def regularize_cost_volume(volume: CostVolume, radius: int, passes: int) -> Cost
     box starts on a window of zeros, as it would at the slice border, and its
     running sums, hence the result, are the same bit for bit as on the slice.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
     if radius == 0 or passes == 0 or volume.costs.size == 0:
         return volume
     size = 2 * radius + 1
@@ -294,8 +290,6 @@ def regularize_cost_volume(volume: CostVolume, radius: int, passes: int) -> Cost
 
 def scale_costs(volume: CostVolume, gain: float) -> CostVolume:
     """Multiply the costs by a positive gain (softmax sharpening); float32 overflow raises."""
-    if not 0 < gain < np.inf:
-        raise ValueError(f"gain must be positive and finite, got {gain}")
     with np.errstate(over="raise"):
         return CostVolume(costs=volume.costs * np.float32(gain), valid=volume.valid)
 

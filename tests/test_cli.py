@@ -197,6 +197,44 @@ class TestSweep:
         with pytest.raises(Reached):
             run_cli("sweep", "--dataset", dataset, "--out", tmp_path / "out", "--box-radius", 116)
 
+    @pytest.mark.parametrize("passes", [107, 1000000])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_box_passes_past_crop_exits_2(self, dataset, tmp_path, capsys, monkeypatch, route,
+                                          passes):
+        # Each pass filters every plane's box again; at the default r = 3 the
+        # 320-pixel side of the stock crop allows 106 passes.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sweep run despite a pass count past the crop")
+        monkeypatch.setattr(sweep, "extract_features", unreachable)
+        monkeypatch.setattr(sweep, "regularize_cost_volume", unreachable)
+        out = tmp_path / "out"
+        argv = ["sweep", "--dataset", dataset, "--out", out]
+        if route == "flag":
+            argv += ["--box-passes", passes]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"box_passes": passes}))
+            argv = ["--config", cfg] + argv
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --box-passes must be in [0, 106] for --box-radius 3")
+        assert f"--box-passes {passes}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("radius, passes", [(3, 106), (0, 1000000)])
+    def test_most_box_passes_are_accepted(self, dataset, tmp_path, monkeypatch, radius, passes):
+        # Without a box (r = 0) the passes do nothing, so they are not bounded.
+        class Reached(Exception):
+            pass
+
+        def reached(volume, box_radius, box_passes):
+            assert (box_radius, box_passes) == (radius, passes)
+            raise Reached
+        monkeypatch.setattr(sweep, "regularize_cost_volume", reached)
+        with pytest.raises(Reached):
+            run_cli("sweep", "--dataset", dataset, "--out", tmp_path / "out",
+                    "--box-radius", radius, "--box-passes", passes)
+
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_cost_scale_overflow_exits_4(self, dataset, tmp_path, capsys, route):
         # 1e300 is finite for the flag but past float32, where the costs are

@@ -147,6 +147,19 @@ class TestCartesianToSonarPolar:
         assert not spec.in_fov(*cartesian_to_sonar_polar([0.0, 0.05, 0.0]))  # near
 
 
+class TestSonarSpec:
+    def test_polar_to_bin_stays_on_grid(self, rig):
+        # In-FOV points up to the sector's edges, where the half bin beyond the
+        # edge bins' centers would otherwise map to -0.5 and bins - 0.5.
+        spec = rig.sonar
+        ranges = np.linspace(spec.range_min, spec.range_max, 1001)
+        bearings = np.linspace(-spec.bearing_fov / 2, spec.bearing_fov / 2, 1001)
+        rb, bb = spec.polar_to_bin(ranges, bearings)
+        assert spec.in_fov(ranges, bearings).all()
+        assert rb.min() == 0.0 and rb.max() == spec.range_bins - 1
+        assert bb.min() == 0.0 and bb.max() == spec.bearing_bins - 1
+
+
 class TestRigidTransform:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):

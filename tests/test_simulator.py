@@ -17,6 +17,7 @@ from oasweep.simulator import (
     SCENE_EXTENT_M,
     SceneError,
     SpherePrimitive,
+    _deposit_range_energy,
     add_sonar_noise,
     apply_turbidity,
     default_scene,
@@ -81,9 +82,13 @@ class TestScene:
             SpherePrimitive(center=[0.1, 1.5, -0.1], radius=0.25, reflectance=0.4),
             BoxPrimitive(lo=[-1, 1, -1], hi=[1, 2, 1], reflectance=0.6),
         ))
-        loaded = Scene.from_dict(json.loads(encode_json(scene.to_dict())))
-        assert len(loaded.primitives) == 3
+        encoded = encode_json(scene.to_dict())
+        loaded = Scene.from_dict(json.loads(encoded))
+        assert [type(p) for p in loaded.primitives] == [PlanePrimitive, SpherePrimitive,
+                                                        BoxPrimitive]
+        assert encode_json(loaded.to_dict()) == encoded
         np.testing.assert_allclose(loaded.primitives[0].point, [0, 2.5, 0])
+        np.testing.assert_array_equal(loaded.primitives[2].hi, [1, 2, 1])
         assert loaded.primitives[2].reflectance == 0.6
 
 
@@ -112,6 +117,19 @@ class TestRenderCamera:
         _, depth = render_camera(scene, intr, identity_transform())
         assert depth.valid[24, 32]
         assert depth.depth[24, 32] == pytest.approx(2.5, abs=1e-12)
+
+    def test_box_on_axis(self):
+        # The principal ray meets the box's near face (z = 2) head on.
+        from oasweep.geometry import CameraIntrinsics
+
+        intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=32.0, cy=24.0, width=64, height=48)
+        scene = Scene(primitives=(
+            BoxPrimitive(lo=[-0.3, -0.2, 2.0], hi=[0.4, 0.3, 2.6], reflectance=0.7),
+        ))
+        image, depth = render_camera(scene, intr, identity_transform())
+        assert depth.valid[24, 32] and not depth.valid[0, 0]
+        assert depth.depth[24, 32] == pytest.approx(2.0, abs=1e-12)
+        assert image[24, 32] == pytest.approx(0.7, abs=1e-12)
 
     def test_misses_masked_not_zero_depth(self, rig):
         scene = Scene(primitives=(
@@ -152,6 +170,35 @@ class TestRenderSonar:
                     expected[r0, b] += refl * (1.0 - (rc - r0))
                     expected[r1, b] += refl * (rc - r0)
         np.testing.assert_allclose(raw, expected, atol=1e-9)
+
+    def test_box_echo_peaks_at_near_face(self, rig):
+        # Only the box's near face (y = 2) is seen: its slant ranges run from
+        # 2 m to 2 / (cos(14 deg) cos(6 deg)), densest at 2 m.
+        spec = rig.sonar
+        near = 2.0
+        scene = Scene(primitives=(
+            BoxPrimitive(lo=[-0.5, near, -0.5], hi=[0.5, 2.5, 0.5], reflectance=0.9),
+        ))
+        profile = render_sonar_energy(scene, spec, elevation_rays=16).sum(axis=1)
+        rb, _ = spec.polar_to_bin(near, 0.0)
+        assert abs(np.argmax(profile) - rb) <= 1
+        assert not profile[:int(rb)].any()
+        farthest = near / (math.cos(math.atan(0.25)) * math.cos(spec.elevation_fov / 2))
+        far, _ = spec.polar_to_bin(farthest, 0.0)
+        assert not profile[int(far) + 2:].any()
+
+    @pytest.mark.parametrize("slant", [0.1, 0.104, 0.7321, 2.5, 4.996, 4.9999, 5.0])
+    def test_deposit_centroid_on_sweep_bin_map(self, rig, slant):
+        # The simulator writes an echo where the sweep reads it: one deposit's
+        # range-bin centroid is the coordinate SonarSpec.polar_to_bin gives its
+        # range, also within half a bin (6.4 mm) of range_min and range_max.
+        spec = rig.sonar
+        bins = np.zeros((spec.range_bins, spec.bearing_bins))
+        _deposit_range_energy(bins, np.array([slant]), np.array([1.0]), np.array([3]), spec)
+        column = bins[:, 3]
+        assert column.sum() == pytest.approx(1.0, abs=1e-15)
+        centroid = np.arange(spec.range_bins) @ column
+        assert centroid == pytest.approx(spec.polar_to_bin(slant, 0.0)[0], abs=1e-9)
 
     def test_out_of_range_scene_is_all_zero(self, rig):
         scene = Scene(primitives=(frontal_plane(50.0),))
