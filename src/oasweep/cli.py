@@ -4,8 +4,8 @@ Every command is deterministic given its inputs, config, and seed. Outputs
 are written atomically after all computation succeeds, so a failed command
 leaves no partial artifacts. Angles are degrees at this boundary only.
 
-Exit codes: 0 success, 2 validation error (bad flags, missing files),
-3 input-data error (corrupt or mismatched files), 4 numerical failure.
+Exit codes: 0 success, 2 validation error (bad flags, missing files, unwritable
+outputs), 3 input-data error (corrupt or mismatched files), 4 numerical failure.
 
 A JSON config file (``--config``) may supply any long flag's value under its
 flag name with dashes as underscores; explicit command-line flags win, and
@@ -89,11 +89,18 @@ def _check_window(flag: str, radius: int, shapes: dict) -> None:
 
 
 def _write_outputs(outputs) -> None:
-    """Write (path, bytes) pairs atomically, directories first."""
+    """Write (path, bytes) pairs atomically, directories first. Exits 2 on a target that
+    is a directory, before any write, and on an OSError from writing, naming the path."""
     for path, _ in outputs:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-    for path, data in outputs:
-        formats.atomic_write(path, data)
+        if Path(path).is_dir():
+            raise CommandError(f"output path is a directory: {path}", EXIT_VALIDATION)
+    try:
+        for path, _ in outputs:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        for path, data in outputs:
+            formats.atomic_write(path, data)
+    except OSError as exc:
+        raise CommandError(f"cannot write {path}: {exc}", EXIT_VALIDATION) from exc
 
 
 # ---------------------------------------------------------------------------

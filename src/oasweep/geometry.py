@@ -152,16 +152,6 @@ class SonarSpec:
         bb = (np.asarray(bearings, dtype=float) + self.bearing_fov / 2) / self.bearing_bin_size - 0.5
         return np.clip(rb, 0.0, self.range_bins - 1.0), np.clip(bb, 0.0, self.bearing_bins - 1.0)
 
-    def in_fov(self, ranges, bearings) -> np.ndarray:
-        """True where (range, bearing) falls inside the sensing sector."""
-        ranges = np.asarray(ranges, dtype=float)
-        bearings = np.asarray(bearings, dtype=float)
-        return (
-            (ranges >= self.range_min)
-            & (ranges <= self.range_max)
-            & (np.abs(bearings) <= self.bearing_fov / 2)
-        )
-
 
 @dataclass(frozen=True)
 class PlaneHypothesisSet:
@@ -226,67 +216,23 @@ def spherical_to_cartesian(d, theta, phi) -> np.ndarray:
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
 
-def cartesian_to_sonar_polar(points):
-    """Orthographic sonar projection: range and bearing from horizontal components.
+def ray_plane_terms(us, vs, d_hat, intrinsics: CameraIntrinsics,
+                    extrinsics: RigidTransform, alpha: float):
+    """Closed-form camera depth of pixel rays on the planes at distances d_hat.
 
-    The vertical beam is narrow, so cos(phi) is treated as 1 and the
-    elevation component is ignored; any point on a vertical arc maps to the
-    same polar cell.
+    The ray P_c = Z_c K^-1 [u, v, 1]^T meets the plane of normal n = [0, cos(alpha), sin(alpha)] at
 
-    Args:
-        points: Sonar-frame points, shape (..., 3).
+        Z_c = numer / denom = (d_hat sin(alpha) + (R n)^T t) / ((R n)^T K^-1 [u, v, 1]^T),
 
-    Returns:
-        (ranges, bearings) arrays of shape (...,).
+    in front of the camera where Z_c > 0. denom is NaN below the 1e-12 parallel threshold, so
+    a parallel ray's Z_c is NaN and never > 0. Returns (rays, denom, numer): the rays
+    K^-1 [u, v, 1]^T, (..., 3), and denom at the broadcast shape of us and vs, numer at d_hat's.
     """
-    points = np.asarray(points, dtype=float)
-    return np.hypot(points[..., 0], points[..., 1]), np.arctan2(points[..., 0], points[..., 1])
-
-
-def _ray_plane_terms(us, vs, d_hat, intrinsics: CameraIntrinsics,
-                     extrinsics: RigidTransform, alpha: float):
-    """Rays K^-1 [u, v, 1]^T, denominators (R n)^T ray (NaN below the 1e-12
-    parallel threshold) and numerators d_hat sin(alpha) + (R n)^T t of the
-    closed-form camera depth, n = [0, cos(alpha), sin(alpha)]."""
     n_cam = extrinsics.rotation @ np.array([0.0, np.cos(alpha), np.sin(alpha)])
     rays = intrinsics.ray_directions(us, vs)
     denom = rays @ n_cam
     numer = np.asarray(d_hat, dtype=float) * np.sin(alpha) + n_cam @ extrinsics.translation
     return rays, np.where(np.abs(denom) >= 1e-12, denom, np.nan), numer
-
-
-def camera_depth_field(us, vs, d_hat, intrinsics: CameraIntrinsics,
-                       extrinsics: RigidTransform, alpha: float):
-    """Camera-frame depth of the points on the viewing rays at plane distances d_hat.
-
-    Substituting the ray P_c = Z_c K^-1 [u, v, 1]^T into the plane constraint
-    gives the closed form
-
-        Z_c = (d_hat sin(alpha) + (R n)^T t) / ((R n)^T K^-1 [u, v, 1]^T)
-
-    with n = [0, cos(alpha), sin(alpha)] the plane-family normal. This is the
-    one admissibility test of the ray/plane geometry: an entry is ok where the
-    ray meets the plane in front of the camera, Z_c > 0; rays with
-    |denominator| < 1e-12 (parallel to the family) are never ok.
-
-    Returns:
-        (z_c, ok) broadcast to the common shape of us, vs, d_hat; z_c is NaN
-        where not ok.
-    """
-    _, denom, numer = _ray_plane_terms(us, vs, d_hat, intrinsics, extrinsics, alpha)
-    z = numer / denom
-    ok = z > 0
-    return np.where(ok, z, np.nan), ok
-
-
-def ray_depth_to_euclidean(us, vs, z_c, intrinsics: CameraIntrinsics):
-    """Convert axis-aligned depth Z_c to Euclidean distance along the pixel ray.
-
-    D = |Z_c| * ||K^-1 [u, v, 1]^T||_2; equals |Z_c| at the principal point
-    and grows with the ray obliquity.
-    """
-    rays = intrinsics.ray_directions(us, vs)
-    return np.abs(np.asarray(z_c, dtype=float)) * np.linalg.norm(rays, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -330,10 +276,12 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     so such entries are gated out as inadmissible.
 
     Plane by plane, every pixel's ray is intersected with the plane through
-    the closed-form depth of :func:`camera_depth_field`, lifted to the sonar
-    frame, P_s = R^T (Z_c K^-1 [u, v, 1]^T - t), and gated exactly: in front
-    of the camera, inside the range bounds and the bearing sector, and inside
-    the vertical aperture. Only the valid entries' lookups are kept.
+    the closed-form depth of :func:`ray_plane_terms`, lifted to the sonar
+    frame, P_s = R^T (Z_c K^-1 [u, v, 1]^T - t), projected orthographically
+    (range and bearing from the horizontal components alone) and gated by
+    five terms: Z_c > 0, range >= range_min, range <= range_max,
+    |bearing| <= bearing_fov / 2 and |elevation| <= elevation_fov / 2. Only
+    the valid entries' lookups are kept.
 
     Args:
         intrinsics: Camera model.
@@ -354,9 +302,9 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     # Pixels go in as a column, (H*W, 1), as in solving every entry at once
     # with (H, W, 1) pixel arrays: numpy then rounds each ray's dot product
     # the same way, which a flat (H*W,) call, batched differently, does not.
-    rays, denom, numers = _ray_plane_terms(us.reshape(-1, 1), vs.reshape(-1, 1),
-                                           planes.distances(), intrinsics, extrinsics,
-                                           planes.alpha)
+    rays, denom, numers = ray_plane_terms(us.reshape(-1, 1), vs.reshape(-1, 1),
+                                          planes.distances(), intrinsics, extrinsics,
+                                          planes.alpha)
     rays, denom = np.ascontiguousarray(rays.reshape(-1, 3).T), denom.reshape(-1)
 
     # Plane-major mask, coordinate-major points: each per-plane read and write
@@ -370,10 +318,12 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
             z = numer / denom
             np.multiply(z, rays, out=points)
             points -= extrinsics.translation[:, None]
-            sonar_points = extrinsics.rotation.T @ points
-            plane_ranges, plane_bearings = cartesian_to_sonar_polar(sonar_points.T)
-            elevation = np.arctan2(sonar_points[2], plane_ranges)
-            good = ((z > 0) & spec.in_fov(plane_ranges, plane_bearings)
+            lateral, forward, up = extrinsics.rotation.T @ points
+            plane_ranges = np.hypot(lateral, forward)
+            plane_bearings = np.arctan2(lateral, forward)
+            elevation = np.arctan2(up, plane_ranges)
+            good = ((z > 0) & (plane_ranges >= spec.range_min) & (plane_ranges <= spec.range_max)
+                    & (np.abs(plane_bearings) <= spec.bearing_fov / 2)
                     & (np.abs(elevation) <= spec.elevation_fov / 2))
             valid[i] = good
             ranges.append(plane_ranges[good])

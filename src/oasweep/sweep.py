@@ -17,8 +17,7 @@ from .geometry import (
     SonarSpec,
     WarpGrid,
     build_warp_grid,
-    camera_depth_field,
-    ray_depth_to_euclidean,
+    ray_plane_terms,
 )
 
 EXTRACTORS = ("intensity", "gradient", "zncc-patch")
@@ -332,9 +331,10 @@ def regress_depth_map(d_hat: np.ndarray, valid: np.ndarray, intrinsics: CameraIn
                       extrinsics: RigidTransform, alpha: float, origin: tuple) -> DepthMap:
     """Turn a regressed plane-distance field into metric Euclidean depth.
 
-    Applies the closed-form camera depth followed by the ray-norm conversion
-    per pixel; pixels the camera depth field rejects (parallel rays,
-    behind-camera solutions) are masked.
+    Per pixel, the closed-form camera depth Z_c of :func:`ray_plane_terms`
+    becomes the distance along the ray, Z_c ||K^-1 [u, v, 1]^T||_2. Pixels
+    whose ray runs parallel to the planes or meets its plane behind the
+    camera (Z_c <= 0) are masked with depth 0.
 
     Args:
         d_hat: (H, W) plane distances.
@@ -345,9 +345,10 @@ def regress_depth_map(d_hat: np.ndarray, valid: np.ndarray, intrinsics: CameraIn
     h, w = d_hat.shape
     vs, us = np.meshgrid(np.arange(h, dtype=float) + origin[1],
                          np.arange(w, dtype=float) + origin[0], indexing="ij")
-    z, ok = camera_depth_field(us, vs, d_hat, intrinsics, extrinsics, alpha)
-    good = np.asarray(valid, dtype=bool) & ok
-    depth = np.where(good, ray_depth_to_euclidean(us, vs, np.where(good, z, 1.0), intrinsics), 0.0)
+    rays, denom, numer = ray_plane_terms(us, vs, d_hat, intrinsics, extrinsics, alpha)
+    z = numer / denom
+    good = np.asarray(valid, dtype=bool) & (z > 0)
+    depth = np.where(good, z * np.linalg.norm(rays, axis=-1), 0.0)
     return DepthMap(depth=depth, valid=good)
 
 

@@ -14,8 +14,6 @@ from oasweep.geometry import (
     RigidTransform,
     SonarSpec,
     WarpGrid,
-    camera_depth_field,
-    cartesian_to_sonar_polar,
 )
 from oasweep.simulator import PlanePrimitive
 from oasweep.sweep import CostVolume, _bilinear_sample, _pair_cost
@@ -152,13 +150,26 @@ def grazing_rig() -> CalibrationBundle:
     return dataclasses.replace(rig, intrinsics=intrinsics, planes=planes)
 
 
+def sonar_polar(points):
+    """Orthographic sonar projection of sonar-frame points (..., 3): range and
+    bearing from the horizontal components alone, so every point of a
+    vertical arc maps to the same polar cell."""
+    points = np.asarray(points, dtype=float)
+    return np.hypot(points[..., 0], points[..., 1]), np.arctan2(points[..., 0], points[..., 1])
+
+
 def solve_ray_plane(us, vs, intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
                     planes: PlaneHypothesisSet, indices):
     """Intersect pixel viewing rays with hypothesis planes.
 
-    Lifts the closed-form camera depth of :func:`camera_depth_field` back to
-    the sonar frame, P_s = R^T (Z_c K^-1 [u, v, 1]^T - t), so each returned
-    point lies on its plane and projects back to its pixel.
+    Substituting the ray P_c = Z_c K^-1 [u, v, 1]^T into the plane constraint
+    gives the closed-form camera depth
+
+        Z_c = (d_i sin(alpha) + (R n)^T t) / ((R n)^T K^-1 [u, v, 1]^T),
+
+    lifted back to the sonar frame, P_s = R^T (Z_c K^-1 [u, v, 1]^T - t), so
+    each returned point lies on its plane and projects back to its pixel.
+    Rays with |denominator| < 1e-12 count as parallel to the planes.
 
     Args:
         us, vs: Pixel coordinates.
@@ -168,17 +179,21 @@ def solve_ray_plane(us, vs, intrinsics: CameraIntrinsics, extrinsics: RigidTrans
         indices: 1-based plane indices; broadcast against us and vs.
 
     Returns:
-        (points, ok): sonar-frame intersections (..., 3) and the mask of
-        :func:`camera_depth_field` (the ray meets the plane in front of the
-        camera), both at the broadcast shape. Masked entries hold the camera
-        center, so every returned coordinate stays finite.
+        (points, ok): sonar-frame intersections (..., 3) and the mask
+        Z_c > 0 (the ray meets the plane in front of the camera), both at the
+        broadcast shape. Masked entries hold the camera center, so every
+        returned coordinate stays finite.
     """
     indices = np.asarray(indices)
     if np.any((indices < 1) | (indices > planes.n)):
         raise IndexError(f"plane indices out of range 1..{planes.n}")
-    z, ok = camera_depth_field(us, vs, planes.distances()[indices - 1], intrinsics, extrinsics,
-                               planes.alpha)
-    points = np.where(ok, z, 0.0)[..., None] * intrinsics.ray_directions(us, vs)
+    n_cam = extrinsics.rotation @ plane_normal(planes)
+    rays = intrinsics.ray_directions(us, vs)
+    denom = rays @ n_cam
+    numer = planes.distances()[indices - 1] * np.sin(planes.alpha) + n_cam @ extrinsics.translation
+    z = numer / np.where(np.abs(denom) >= 1e-12, denom, np.nan)
+    ok = z > 0
+    points = np.where(ok, z, 0.0)[..., None] * rays
     points -= extrinsics.translation
     return points @ extrinsics.rotation, ok
 
@@ -198,9 +213,11 @@ def dense_warp_grid(intrinsics, extrinsics, planes, spec, shape=None, origin=(0,
                          indexing="ij")
     points, ok = solve_ray_plane(us[:, :, None], vs[:, :, None], intrinsics, extrinsics, planes,
                                  np.arange(1, planes.n + 1))
-    ranges, bearings = cartesian_to_sonar_polar(points)
+    ranges, bearings = sonar_polar(points)
     elevation = np.arctan2(points[..., 2], ranges)
-    valid = ok & spec.in_fov(ranges, bearings) & (np.abs(elevation) <= spec.elevation_fov / 2)
+    valid = (ok & (ranges >= spec.range_min) & (ranges <= spec.range_max)
+             & (np.abs(bearings) <= spec.bearing_fov / 2)
+             & (np.abs(elevation) <= spec.elevation_fov / 2))
     return ranges, bearings, valid
 
 
@@ -377,7 +394,7 @@ def consecutive_projection_displacements(grid_pixels, intrinsics, extrinsics, pl
     ok = np.zeros(us.shape + (n - 1,), dtype=bool)
     for i in range(1, n):
         pts, solvable = solve_ray_plane(us, vs, intrinsics, extrinsics, planes, i)
-        d, theta = cartesian_to_sonar_polar(pts)
+        d, theta = sonar_polar(pts)
         lifted = backproject_sonar_to_plane(d, theta, planes, i + 1)
         cam = extrinsics.apply(lifted)
         proj = intrinsics.project(cam)

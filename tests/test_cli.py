@@ -593,6 +593,27 @@ class TestOutOfMemory:
         assert not out.exists()
 
 
+class TestUnusableOutputPath:
+    """An output path that cannot take the files exits 2, naming it, before any write."""
+
+    def test_simulate_below_a_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"x")
+        assert run_cli("simulate", "--out", blocker / "ds") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(blocker / "ds") in err
+        assert blocker.read_bytes() == b"x"
+
+    def test_sweep_output_taken_by_a_directory_exits_2(self, dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "depth_mask.pgm").mkdir(parents=True)
+        assert run_cli("sweep", "--dataset", dataset, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out / "depth_mask.pgm") in err
+        assert [p.name for p in out.iterdir()] == ["depth_mask.pgm"]
+        assert not any((out / "depth_mask.pgm").iterdir())
+
+
 class TestDegenerateRig:
     """A camera facing away from the sonar, and a camera image with no texture."""
 

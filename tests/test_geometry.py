@@ -15,11 +15,10 @@ from oasweep.geometry import (
     SonarSpec,
     WarpGrid,
     build_warp_grid,
-    camera_depth_field,
-    cartesian_to_sonar_polar,
-    ray_depth_to_euclidean,
+    ray_plane_terms,
     spherical_to_cartesian,
 )
+from oasweep.sweep import regress_depth_map
 
 from conftest import (
     backproject_sonar_to_plane,
@@ -33,6 +32,7 @@ from conftest import (
     random_calibration,
     ray_plane_bisection_oracle,
     solve_ray_plane,
+    sonar_polar,
 )
 
 
@@ -124,27 +124,20 @@ class TestBackprojection:
     def test_polar_round_trip(self, d, theta, alpha, i):
         planes = PlaneHypothesisSet(alpha=alpha, d0=0.4, k=1.06, n=16)
         p = backproject_sonar_to_plane(d, theta, planes, i)
-        d_back, theta_back = cartesian_to_sonar_polar(p)
+        d_back, theta_back = sonar_polar(p)
         assert d_back == pytest.approx(d, rel=1e-12)
         assert theta_back == pytest.approx(theta, abs=1e-12)
 
 
-class TestCartesianToSonarPolar:
+class TestSonarPolar:
     def test_on_axis(self):
-        d, theta = cartesian_to_sonar_polar([0.0, 1.0, 0.0])
+        d, theta = sonar_polar([0.0, 1.0, 0.0])
         assert d == 1.0 and theta == 0.0
 
     def test_elevation_ignored(self):
-        d, theta = cartesian_to_sonar_polar([1.0, 1.0, 5.0])
+        d, theta = sonar_polar([1.0, 1.0, 5.0])
         assert d == pytest.approx(math.sqrt(2.0), rel=1e-15)
         assert theta == pytest.approx(math.pi / 4, rel=1e-15)
-
-    def test_fov_flag(self, rig):
-        spec = rig.sonar
-        assert spec.in_fov(*cartesian_to_sonar_polar([0.0, 2.0, 0.0]))
-        assert not spec.in_fov(*cartesian_to_sonar_polar([0.0, 9.0, 0.0]))  # far
-        assert not spec.in_fov(*cartesian_to_sonar_polar([2.0, 0.1, 0.0]))  # wide
-        assert not spec.in_fov(*cartesian_to_sonar_polar([0.0, 0.05, 0.0]))  # near
 
 
 class TestSonarSpec:
@@ -155,7 +148,8 @@ class TestSonarSpec:
         ranges = np.linspace(spec.range_min, spec.range_max, 1001)
         bearings = np.linspace(-spec.bearing_fov / 2, spec.bearing_fov / 2, 1001)
         rb, bb = spec.polar_to_bin(ranges, bearings)
-        assert spec.in_fov(ranges, bearings).all()
+        assert np.all((ranges >= spec.range_min) & (ranges <= spec.range_max)
+                      & (np.abs(bearings) <= spec.bearing_fov / 2))
         assert rb.min() == 0.0 and rb.max() == spec.range_bins - 1
         assert bb.min() == 0.0 and bb.max() == spec.bearing_bins - 1
 
@@ -235,8 +229,9 @@ class TestSolveRayPlane:
         pts, ok = solve_ray_plane(us, vs, intr, extr, planes, idx)
         z_solve = extr.apply(pts)[..., 2]
         d_hat = planes.distances()[idx - 1]
-        z_cf, cf_ok = camera_depth_field(us, vs, d_hat, intr, extr, planes.alpha)
-        assert np.array_equal(cf_ok, ok)
+        _, denom, numer = ray_plane_terms(us, vs, d_hat, intr, extr, planes.alpha)
+        z_cf = numer / denom
+        assert np.array_equal(z_cf > 0, ok)
         np.testing.assert_allclose(z_cf[ok], z_solve[ok], atol=1e-9)
 
     def test_singular_ray_masked(self, rig):
@@ -253,58 +248,87 @@ class TestSolveRayPlane:
         assert np.all(np.isfinite(points))
 
 
+def regress_at(d_hat, intr, extr, alpha, origin):
+    """sweep.regress_depth_map of an (H, W) plane-distance field, every pixel valid."""
+    d_hat = np.asarray(d_hat, dtype=float)
+    return regress_depth_map(d_hat, np.ones(d_hat.shape, dtype=bool), intr, extr, alpha,
+                             origin=origin)
+
+
 class TestClosedFormDepth:
+    """The closed-form camera depth on the pipeline's path, sweep.regress_depth_map."""
+
     def test_axis_pixel_identity_extrinsics(self, rig):
         intr = rig.intrinsics
-        z, ok = camera_depth_field(intr.cx, intr.cy, 1.0, intr, identity_transform(),
-                                   math.pi / 4)
-        assert ok
-        assert z == pytest.approx(1.0, abs=1e-12)
+        depth = regress_at([[1.0]], intr, identity_transform(), math.pi / 4, (intr.cx, intr.cy))
+        assert depth.valid[0, 0]
+        assert depth.depth[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_homogeneous_in_d_hat_with_zero_translation(self, rig):
         intr = rig.intrinsics
         extr = RigidTransform(rig.extrinsics.rotation, np.zeros(3))
-        z, ok = camera_depth_field(100.0, 80.0, np.array([1.3, 2.6]), intr, extr, 0.6)
-        assert ok.all()
-        assert z[1] == pytest.approx(2 * z[0], rel=1e-12)
+        near, far = (regress_at([[d]], intr, extr, 0.6, (100, 80)) for d in (1.3, 2.6))
+        assert near.valid[0, 0] and far.valid[0, 0]
+        assert far.depth[0, 0] == pytest.approx(2 * near.depth[0, 0], rel=1e-12)
 
     def test_ok_broadcast_to_depth_shape(self, rig, rng):
-        # A (P, 1) pixel column against (N,) plane distances: the mask has
-        # the shape of the depths, not of the pixels.
+        # A (P, 1) pixel column against (N,) plane distances, as the warp grid
+        # passes them: the terms keep their own shapes and the depth, with its
+        # Z_c > 0 mask, broadcasts to (P, N).
         intr, extr, planes = rig.intrinsics, rig.extrinsics, rig.planes
         us = rng.uniform(0, intr.width - 1, size=(7, 1))
         vs = rng.uniform(0, intr.height - 1, size=(7, 1))
-        z, ok = camera_depth_field(us, vs, planes.distances(), intr, extr, planes.alpha)
-        assert z.shape == (7, planes.n)
-        assert ok.shape == z.shape
+        rays, denom, numer = ray_plane_terms(us, vs, planes.distances(), intr, extr, planes.alpha)
+        assert rays.shape == (7, 1, 3) and denom.shape == (7, 1) and numer.shape == (planes.n,)
+        assert (numer / denom > 0).shape == (7, planes.n)
 
     def test_degenerate_ray_masked(self, rig):
-        # Parallel axis ray, a ray meeting the plane in front of the camera and
-        # one meeting it behind: only the middle one is ok, the others are NaN.
+        # Camera pitched down 45 deg, column u = cx from 40 px above the axis
+        # to 40 px below: the axis ray runs parallel to the plane family, the
+        # ray above meets the plane in front of the camera and the ray below
+        # meets it behind. Only the ray above is valid; the others hold depth
+        # 0, and nothing is NaN or warns.
         intr = rig.intrinsics
         extr = RigidTransform(camera_rotation(math.pi / 4), np.zeros(3))
-        us = np.full(3, intr.cx)
-        vs = np.array([intr.cy, intr.cy - 40.0, intr.cy + 40.0])
-        z, ok = camera_depth_field(us, vs, 1.0, intr, extr, math.pi / 4)
-        np.testing.assert_array_equal(ok, [False, True, False])
-        assert np.isnan(z[0]) and z[1] > 0 and np.isnan(z[2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            depth = regress_at(np.ones((81, 1)), intr, extr, math.pi / 4,
+                               (intr.cx, intr.cy - 40.0))
+        np.testing.assert_array_equal(depth.valid[[0, 40, 80], 0], [True, False, False])
+        assert depth.depth[0, 0] > 0 and depth.depth[40, 0] == 0.0 and depth.depth[80, 0] == 0.0
+        assert np.all(np.isfinite(depth.depth))
 
 
 class TestRayDepthToEuclidean:
-    def test_principal_point(self, rig):
-        intr = rig.intrinsics
-        assert ray_depth_to_euclidean(intr.cx, intr.cy, 3.0, intr) == pytest.approx(3.0, rel=1e-15)
+    """regress_depth_map's distance along the ray, Z_c ||K^-1 [u, v, 1]^T||_2."""
 
-    def test_off_center_at_least_depth(self, rig, rng):
-        intr = rig.intrinsics
-        us = rng.uniform(0, intr.width - 1, size=100)
-        vs = rng.uniform(0, intr.height - 1, size=100)
-        d = ray_depth_to_euclidean(us, vs, 2.0, intr)
-        assert np.all(d >= 2.0 - 1e-12)
+    def test_principal_point(self, rig):
+        intr, extr, planes = rig.intrinsics, rig.extrinsics, rig.planes
+        point, ok = solve_ray_plane(intr.cx, intr.cy, intr, extr, planes, 30)
+        z = extr.apply(point)[2]
+        depth = regress_at([[planes.distances()[29]]], intr, extr, planes.alpha,
+                           (intr.cx, intr.cy))
+        assert ok and depth.valid[0, 0]
+        assert depth.depth[0, 0] == pytest.approx(z, rel=1e-12)
+
+    def test_off_center_at_least_depth(self, rig):
+        intr, extr, planes = rig.intrinsics, rig.extrinsics, rig.planes
+        vs, us = np.meshgrid(np.arange(40) + 60.0, np.arange(60) + 100.0, indexing="ij")
+        points, ok = solve_ray_plane(us, vs, intr, extr, planes, 20)
+        z = extr.apply(points)[..., 2]
+        depth = regress_at(np.full(us.shape, planes.distances()[19]), intr, extr, planes.alpha,
+                           (100, 60))
+        np.testing.assert_array_equal(depth.valid, ok)
+        assert ok.any()
+        assert np.all(depth.depth[ok] >= z[ok] * (1 - 1e-12))
 
     def test_hand_example(self):
+        # Ray [1, 0, 1] of pixel (100, 0) meets the 45 deg plane at distance 1
+        # at Z_c = 1, so the point lies sqrt(2) along the ray.
         intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=0.0, cy=0.0, width=200, height=200)
-        assert ray_depth_to_euclidean(100.0, 0.0, 1.0, intr) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        depth = regress_at([[1.0]], intr, identity_transform(), math.pi / 4, (100, 0))
+        assert depth.valid[0, 0]
+        assert depth.depth[0, 0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 class TestWarpGrid:
@@ -326,13 +350,15 @@ class TestWarpGrid:
         vs, us = np.meshgrid(np.arange(24) + 60.0, np.arange(32) + 100.0, indexing="ij")
         points, ok = solve_ray_plane(us[:, :, None], vs[:, :, None], rig.intrinsics,
                                      rig.extrinsics, planes, np.arange(1, planes.n + 1))
-        ranges, bearings = cartesian_to_sonar_polar(points)
-        in_fov = rig.sonar.in_fov(ranges, bearings)
+        ranges, bearings = sonar_polar(points)
+        spec = rig.sonar
+        in_sector = ((ranges >= spec.range_min) & (ranges <= spec.range_max)
+                     & (np.abs(bearings) <= spec.bearing_fov / 2))
         grid_ranges, grid_bearings = dense_lookups(grid)
         np.testing.assert_array_equal(grid_ranges[valid], ranges[valid])
         np.testing.assert_array_equal(grid_bearings[valid], bearings[valid])
         cam = rig.extrinsics.apply(points)
-        assert np.all((ok & in_fov & (cam[..., 2] > 0))[valid])
+        assert np.all((ok & in_sector & (cam[..., 2] > 0))[valid])
         elevation = np.arctan2(points[..., 2], ranges)
         assert np.all(np.abs(elevation[valid]) <= rig.sonar.elevation_fov / 2)
         res = points @ plane_normal(planes) - planes.distances() * math.sin(planes.alpha)
@@ -352,6 +378,27 @@ class TestWarpGrid:
         for column in mid.T:
             rows = np.flatnonzero(column)
             assert rows.size == 0 or rows[-1] - rows[0] + 1 == rows.size
+
+    def test_gate_terms_on_hand_rig(self):
+        # Camera at the sonar origin looking along the acoustic axis, planes at
+        # distances 0.05, 2 and 80 m: axis pixel (u, v) = (10, 10) reaches
+        # (0, d, 0) on each; on the 2 m plane, pixel (20, 10) reaches
+        # (2, 2, 0), pixel (10, 15) reaches (0, 4, -2) and pixel (10, 30) meets
+        # it behind the camera, at (0, -2, 4). Entries are indexed [v, u, i].
+        intr = CameraIntrinsics(fx=10.0, fy=10.0, cx=10.0, cy=10.0, width=21, height=31)
+        extr = RigidTransform(camera_rotation(0.0), np.zeros(3))
+        planes = PlaneHypothesisSet(alpha=math.pi / 4, d0=0.05, k=40.0, n=3)
+        spec = SonarSpec(range_min=0.1, range_max=5.0, bearing_fov=math.radians(60.0),
+                         elevation_fov=math.radians(12.0), range_bins=64, bearing_bins=32)
+        grid = build_warp_grid(intr, extr, planes, spec, shape=(31, 21), origin=(0, 0))
+        cases = {"inside": (10, 10, 1), "near": (10, 10, 0), "far": (10, 10, 2),
+                 "wide": (10, 20, 1), "elevation": (15, 10, 1), "behind": (30, 10, 1)}
+        assert {name: bool(grid.valid[entry]) for name, entry in cases.items()} == {
+            "inside": True, "near": False, "far": False, "wide": False, "elevation": False,
+            "behind": False}
+        ranges, bearings = dense_lookups(grid)
+        assert ranges[10, 10, 1] == pytest.approx(2.0, rel=1e-12)
+        assert bearings[10, 10, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_validity_monotone_in_bearing_fov(self, rig):
         narrow_spec = SonarSpec(
@@ -422,8 +469,8 @@ class TestWarpGrid:
         # without a warning.
         rig = grazing_rig()
         row = np.arange(rig.intrinsics.width, dtype=float)
-        _, ok = camera_depth_field(row, np.full_like(row, rig.intrinsics.cy), 1.0,
-                                   rig.intrinsics, rig.extrinsics, rig.planes.alpha)
+        _, ok = solve_ray_plane(row, np.full_like(row, rig.intrinsics.cy), rig.intrinsics,
+                                rig.extrinsics, rig.planes, 1)
         assert not ok.any()
         args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
         with warnings.catch_warnings():

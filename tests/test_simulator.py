@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oasweep.formats import encode_json
-from oasweep.geometry import cartesian_to_sonar_polar
 from oasweep.simulator import (
     JERLOV_TRANSMISSION,
     BoxPrimitive,
@@ -27,7 +26,8 @@ from oasweep.simulator import (
     render_sonar_energy,
 )
 
-from conftest import hypothesis_plane_primitive, identity_transform, plane_normal, plane_residual
+from conftest import (hypothesis_plane_primitive, identity_transform, plane_normal, plane_residual,
+                      sonar_polar)
 
 
 def frontal_plane(distance: float, reflectance: float = 0.8) -> PlanePrimitive:
@@ -211,7 +211,7 @@ class TestRenderSonar:
         center = np.array([0.35, 2.2, 0.0])
         scene = Scene(primitives=(SpherePrimitive(center=center, radius=0.006, reflectance=1.0),))
         img = render_sonar(scene, spec)
-        d, theta = cartesian_to_sonar_polar(center)
+        d, theta = sonar_polar(center)
         rb = int((d - spec.range_min) / spec.range_bin_size)
         bb = int((theta + spec.bearing_fov / 2) / spec.bearing_bin_size)
         lit = np.argwhere(img.values > 0)
@@ -366,12 +366,13 @@ class TestCrossModalConsistency:
         center = -rig.extrinsics.rotation.T @ rig.extrinsics.translation
         points = center + depth.depth[:, :, None] * rays
 
-        d, theta = cartesian_to_sonar_polar(points)
-        in_fov = spec.in_fov(d, theta)
+        d, theta = sonar_polar(points)
+        in_sector = ((d >= spec.range_min) & (d <= spec.range_max)
+                     & (np.abs(theta) <= spec.bearing_fov / 2))
         phi = np.arctan2(points[..., 2], d)
         # Stay clearly inside the vertical beam; boundary points may fall
         # between the discrete elevation strata.
-        both = depth.valid & in_fov & (np.abs(phi) <= spec.elevation_fov / 2 * 0.9)
+        both = depth.valid & in_sector & (np.abs(phi) <= spec.elevation_fov / 2 * 0.9)
         assert both.sum() > 1000
 
         rb = np.clip(((d - spec.range_min) / spec.range_bin_size).astype(int), 0, spec.range_bins - 1)
