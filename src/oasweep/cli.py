@@ -1,20 +1,24 @@
 """Command-line surface: simulate | preprocess | sweep | eval | turbidity.
 
 Every command is deterministic given its inputs, config, and seed. Outputs
-are written atomically after all computation succeeds, so a failed command
-leaves no partial artifacts. Angles are degrees at this boundary only.
+are written all or nothing after all computation succeeds (see _write_outputs),
+so a failed command leaves no partial artifacts. Angles are degrees at this
+boundary only.
 
 Exit codes: 0 success, 2 validation error (bad flags, missing files, unwritable
 outputs), 3 input-data error (corrupt or mismatched files), 4 numerical failure.
 
-A JSON config file (``--config``) may supply any long flag's value under its
-flag name with dashes as underscores; explicit command-line flags win, and
-are never abbreviated.
+A JSON config file (``--config``) may supply any optional flag's value under
+its flag name with dashes as underscores; required flags must be given on the
+command line. Explicit command-line flags win, and are never abbreviated.
 """
 
 import argparse
 import dataclasses
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -89,18 +93,33 @@ def _check_window(flag: str, radius: int, shapes: dict) -> None:
 
 
 def _write_outputs(outputs) -> None:
-    """Write (path, bytes) pairs atomically, directories first. Exits 2 on a target that
-    is a directory, before any write, and on an OSError from writing, naming the path."""
-    for path, _ in outputs:
-        if Path(path).is_dir():
+    """Write (path, bytes) pairs all or nothing. Exits 2, before any write, on a target
+    that is a directory or is named twice, and on an OSError, naming the path. Every
+    file is first written in full under its own name in a staging directory next to its
+    target, and a failed write removes them all; only then are they renamed into place,
+    so only a failure between two renames can leave partial output."""
+    targets, seen = [Path(path) for path, _ in outputs], set()
+    for path in targets:
+        if path.is_dir():
             raise CommandError(f"output path is a directory: {path}", EXIT_VALIDATION)
+        if os.path.realpath(path) in seen:
+            raise CommandError(f"output path named twice: {path}", EXIT_VALIDATION)
+        seen.add(os.path.realpath(path))
+    stages = {}  # target directory -> its staging directory
     try:
-        for path, _ in outputs:
-            Path(path).parent.mkdir(parents=True, exist_ok=True)
-        for path, data in outputs:
-            formats.atomic_write(path, data)
+        for path in targets:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        for path, (_, data) in zip(targets, outputs):
+            if path.parent not in stages:
+                stages[path.parent] = Path(tempfile.mkdtemp(prefix=".oasweep.", dir=path.parent))
+            formats.atomic_write(stages[path.parent] / path.name, data)
+        for path in targets:
+            os.replace(stages[path.parent] / path.name, path)
     except OSError as exc:
         raise CommandError(f"cannot write {path}: {exc}", EXIT_VALIDATION) from exc
+    finally:
+        for stage in stages.values():
+            shutil.rmtree(stage, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     parser.add_argument("--config", metavar="JSON",
-                        help="JSON file supplying defaults for any long flag "
+                        help="JSON file supplying defaults for any optional flag "
                              "(underscored names); explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -462,14 +481,10 @@ def _config_value(key: str, value, action):
     def fits(item):
         if action.choices is not None:
             return item in action.choices
-        if action.type is int:
-            return type(item) is int  # JSON true/false are not integers
-        if action.type is float:
-            return type(item) in (int, float)
-        return isinstance(item, str)
+        return formats.json_fits(item, action.type or str)
 
     if action.nargs == 0:
-        ok = isinstance(value, bool)
+        ok = formats.json_fits(value, bool)
     elif isinstance(action.nargs, int):
         ok = isinstance(value, list) and len(value) == action.nargs and all(map(fits, value))
     else:

@@ -1,7 +1,8 @@
 """Calibration bundles, default rig, and JSON (de)serialization.
 
-Angle fields in files carry a ``_deg`` suffix and are converted to radians
-once at load; everything downstream works in radians and meters.
+Each section of a calibration file holds one dataclass's fields (see
+formats.to_record). Angle fields carry a ``_deg`` suffix and are converted to
+radians once at load; everything downstream works in radians and meters.
 
 Calibration file schema (JSON)::
 
@@ -13,6 +14,10 @@ Calibration file schema (JSON)::
       "planes": {"alpha_deg", "d0", "k", "n"}
     }
 
+Counts (width, height, range_bins, bearing_bins, n) are JSON integers; other
+numbers are any JSON number. A string or a boolean in a numeric field, a
+fractional count or a ragged matrix raises ConfigError.
+
 A calibration may ask for at most MAX_SWEEP_ENTRIES (pixel, plane) entries,
 width * height * n, and MAX_SONAR_BINS sonar bins, range_bins * bearing_bins.
 Its translation components are meters, at most SCENE_EXTENT_M (1e6) in
@@ -20,11 +25,11 @@ magnitude, the bound every scene coordinate obeys.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .formats import atomic_write, encode_json
+from .formats import atomic_write, encode_json, from_record, to_record
 from .geometry import CameraIntrinsics, PlaneHypothesisSet, RigidTransform, SonarSpec
 from .simulator import SCENE_EXTENT_M
 
@@ -36,6 +41,8 @@ MAX_SWEEP_ENTRIES = 100_000_000
 # A sonar bin's 25-channel patch feature goes through float64 buffers of 200
 # bytes each: the stock 384x224 sonar has 86,016 bins, a twenty-fourth of this.
 MAX_SONAR_BINS = 2_097_152
+# The radian fields, written in degrees under "<name>_deg".
+ANGLES = ("bearing_fov", "elevation_fov", "alpha")
 
 
 class ConfigError(ValueError):
@@ -52,75 +59,28 @@ class CalibrationBundle:
     planes: PlaneHypothesisSet
 
     def to_dict(self) -> dict:
-        return {
-            "intrinsics": {
-                "fx": self.intrinsics.fx,
-                "fy": self.intrinsics.fy,
-                "cx": self.intrinsics.cx,
-                "cy": self.intrinsics.cy,
-                "width": self.intrinsics.width,
-                "height": self.intrinsics.height,
-            },
-            "extrinsics": {
-                "rotation": self.extrinsics.rotation.tolist(),
-                "translation": self.extrinsics.translation.tolist(),
-            },
-            "sonar": {
-                "range_min": self.sonar.range_min,
-                "range_max": self.sonar.range_max,
-                "bearing_fov_deg": math.degrees(self.sonar.bearing_fov),
-                "elevation_fov_deg": math.degrees(self.sonar.elevation_fov),
-                "range_bins": self.sonar.range_bins,
-                "bearing_bins": self.sonar.bearing_bins,
-            },
-            "planes": {
-                "alpha_deg": math.degrees(self.planes.alpha),
-                "d0": self.planes.d0,
-                "k": self.planes.k,
-                "n": self.planes.n,
-            },
-        }
+        return {f.name: to_record(getattr(self, f.name), ANGLES) for f in fields(self)}
 
     @staticmethod
     def from_dict(data: dict) -> "CalibrationBundle":
         try:
-            intr = data["intrinsics"]
-            extr = data["extrinsics"]
-            sonr = data["sonar"]
-            plns = data["planes"]
-            intrinsics = CameraIntrinsics(
-                fx=float(intr["fx"]), fy=float(intr["fy"]),
-                cx=float(intr["cx"]), cy=float(intr["cy"]),
-                width=int(intr["width"]), height=int(intr["height"]),
-            )
-            extrinsics = RigidTransform(
-                rotation=np.asarray(extr["rotation"], dtype=float),
-                translation=np.asarray(extr["translation"], dtype=float),
-            )
-            sonar = SonarSpec(
-                range_min=float(sonr["range_min"]), range_max=float(sonr["range_max"]),
-                bearing_fov=math.radians(float(sonr["bearing_fov_deg"])),
-                elevation_fov=math.radians(float(sonr["elevation_fov_deg"])),
-                range_bins=int(sonr["range_bins"]), bearing_bins=int(sonr["bearing_bins"]),
-            )
-            planes = PlaneHypothesisSet(
-                alpha=math.radians(float(plns["alpha_deg"])),
-                d0=float(plns["d0"]), k=float(plns["k"]), n=int(plns["n"]),
-            )
+            bundle = CalibrationBundle(**{f.name: from_record(f.type, data[f.name], ANGLES)
+                                          for f in fields(CalibrationBundle)})
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid calibration data: {exc}") from exc
-        if np.max(np.abs(extrinsics.translation)) > SCENE_EXTENT_M:
-            raise ConfigError(f"extrinsics.translation {extrinsics.translation.tolist()} has a "
+        translation = bundle.extrinsics.translation
+        if np.max(np.abs(translation)) > SCENE_EXTENT_M:
+            raise ConfigError(f"extrinsics.translation {translation.tolist()} has a "
                               f"component above the scene extent of {SCENE_EXTENT_M:g} m")
-        entries = intrinsics.width * intrinsics.height * planes.n
+        entries = bundle.intrinsics.width * bundle.intrinsics.height * bundle.planes.n
         if entries > MAX_SWEEP_ENTRIES:
             raise ConfigError(f"intrinsics.width x intrinsics.height x planes.n = {entries} "
                               f"sweep entries, above the limit of {MAX_SWEEP_ENTRIES}")
-        bins = sonar.range_bins * sonar.bearing_bins
+        bins = bundle.sonar.range_bins * bundle.sonar.bearing_bins
         if bins > MAX_SONAR_BINS:
             raise ConfigError(f"sonar.range_bins x sonar.bearing_bins = {bins} bins, "
                               f"above the limit of {MAX_SONAR_BINS}")
-        return CalibrationBundle(intrinsics, extrinsics, sonar, planes)
+        return bundle
 
     def save(self, path) -> None:
         atomic_write(path, encode_json(self.to_dict()))

@@ -12,7 +12,9 @@ Formats:
     SSCV_INVALID_COST (1e9), then H*W*N u8 validity flags in the same order.
 """
 
+import dataclasses
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -53,6 +55,57 @@ def read_json(path):
         return json.loads(Path(path).read_bytes())
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def json_fits(value, kind) -> bool:
+    """Whether a decoded JSON value fits a field of type ``kind``: int takes JSON integers
+    only (not true/false, not 3.0), float any JSON number, str a string."""
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
+def to_record(obj, degrees=()) -> dict:
+    """A dataclass as a JSON object, one key per field. Arrays become nested lists; the
+    radian fields named in ``degrees`` are written in degrees under ``<name>_deg``."""
+    record = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    for name in [name for name in degrees if name in record]:
+        record[f"{name}_deg"] = math.degrees(record.pop(name))
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in record.items()}
+
+
+def from_record(cls, record, degrees=()):
+    """The inverse of :func:`to_record`. Each value must fit its field's annotation: an
+    int or a float as :func:`json_fits` says, an np.ndarray a nested list of JSON numbers
+    whose every level has one length. A value that does not fit raises ValueError naming
+    its key."""
+    values = {}
+    for field in dataclasses.fields(cls):
+        key = f"{field.name}_deg" if field.name in degrees else field.name
+        value = record[key]
+        try:
+            if field.type is np.ndarray:
+                value = _json_array(value)
+            elif json_fits(value, field.type):
+                value = field.type(value)  # a float field reads 3 as 3.0
+            else:
+                raise ValueError(f"expected {field.type.__name__}")
+        except (ValueError, OverflowError) as exc:  # OverflowError: an integer past float
+            raise ValueError(f"{key}: {exc}, got {value!r}") from None
+        values[field.name] = math.radians(value) if field.name in degrees else value
+    return cls(**values)
+
+
+def _json_array(value) -> np.ndarray:
+    """A float array from a nested list of JSON numbers, walked one level at a time, so
+    no nesting that json.loads returns can exhaust the stack."""
+    shape, cells = [], [value] if type(value) is list else None
+    while cells and all(type(c) is list for c in cells):
+        if len({len(c) for c in cells}) > 1:
+            raise ValueError("ragged list")
+        shape.append(len(cells[0]))
+        cells = [item for c in cells for item in c]
+    if cells is None or not all(json_fits(c, float) for c in cells):
+        raise ValueError("expected a nested list of JSON numbers")
+    return np.array(cells, dtype=float).reshape(shape)
 
 
 def encode_pgm(image: np.ndarray) -> bytes:

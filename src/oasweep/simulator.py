@@ -14,13 +14,16 @@ Scene file schema (JSON)::
         {"type": "box",    "min": [x,y,z], "max": [x,y,z], "reflectance": r}
     ]}
 
-Coordinates and radii are meters, at most SCENE_EXTENT_M (1e6) in magnitude.
+The keys besides "type" are the primitive's dataclass fields. Coordinates and
+radii are meters, at most SCENE_EXTENT_M (1e6) in magnitude, in any JSON number;
+a string or a boolean in a numeric field raises SceneError.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .formats import from_record, to_record
 from .geometry import RigidTransform, SonarSpec, spherical_to_cartesian
 from .sweep import DepthMap
 
@@ -70,10 +73,6 @@ class PlanePrimitive:
         t = np.where((np.abs(denom) > _EPS) & (t > _EPS), t, np.inf)
         return t, np.broadcast_to(self.normal, dirs.shape)
 
-    def to_dict(self) -> dict:
-        return {"type": "plane", "point": self.point.tolist(), "normal": self.normal.tolist(),
-                "reflectance": self.reflectance}
-
 
 @dataclass(frozen=True)
 class SpherePrimitive:
@@ -101,31 +100,27 @@ class SpherePrimitive:
         points = origin + safe_t[..., None] * dirs
         return t, (points - self.center) / self.radius
 
-    def to_dict(self) -> dict:
-        return {"type": "sphere", "center": self.center.tolist(), "radius": self.radius,
-                "reflectance": self.reflectance}
-
 
 @dataclass(frozen=True)
 class BoxPrimitive:
-    lo: np.ndarray
-    hi: np.ndarray
+    min: np.ndarray
+    max: np.ndarray
     reflectance: float
 
     def __post_init__(self):
-        lo = _finite_point(self.lo, "box min")
-        hi = _finite_point(self.hi, "box max")
+        lo = _finite_point(self.min, "box min")
+        hi = _finite_point(self.max, "box max")
         if not np.all(lo < hi):
             raise SceneError("box min must be strictly below box max on every axis")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "min", lo)
+        object.__setattr__(self, "max", hi)
         _check_reflectance(self.reflectance)
 
     def hit(self, origin, dirs):
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / dirs
-        t_lo = (self.lo - origin) * inv
-        t_hi = (self.hi - origin) * inv
+        t_lo = (self.min - origin) * inv
+        t_hi = (self.max - origin) * inv
         t_small = np.minimum(t_lo, t_hi)
         t_big = np.maximum(t_lo, t_hi)
         t_near = np.max(t_small, axis=-1)
@@ -140,9 +135,9 @@ class BoxPrimitive:
         n[(*idx, axis)] = -np.sign(dirs[(*idx, axis)])
         return t, n
 
-    def to_dict(self) -> dict:
-        return {"type": "box", "min": self.lo.tolist(), "max": self.hi.tolist(),
-                "reflectance": self.reflectance}
+
+# The scene file's "type" of each primitive.
+PRIMITIVES = {"plane": PlanePrimitive, "sphere": SpherePrimitive, "box": BoxPrimitive}
 
 
 def _finite_point(value, what: str) -> np.ndarray:
@@ -170,7 +165,8 @@ class Scene:
             raise SceneError("scene needs at least one primitive")
 
     def to_dict(self) -> dict:
-        return {"primitives": [p.to_dict() for p in self.primitives]}
+        kinds = {cls: kind for kind, cls in PRIMITIVES.items()}
+        return {"primitives": [{"type": kinds[type(p)], **to_record(p)} for p in self.primitives]}
 
     @staticmethod
     def from_dict(data: dict) -> "Scene":
@@ -178,14 +174,9 @@ class Scene:
         try:
             for entry in data["primitives"]:
                 kind = entry["type"]
-                if kind == "plane":
-                    prims.append(PlanePrimitive(entry["point"], entry["normal"], float(entry["reflectance"])))
-                elif kind == "sphere":
-                    prims.append(SpherePrimitive(entry["center"], float(entry["radius"]), float(entry["reflectance"])))
-                elif kind == "box":
-                    prims.append(BoxPrimitive(entry["min"], entry["max"], float(entry["reflectance"])))
-                else:
+                if kind not in PRIMITIVES:
                     raise SceneError(f"unknown primitive type {kind!r}")
+                prims.append(from_record(PRIMITIVES[kind], entry))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SceneError(f"invalid scene data: {exc}") from exc
         return Scene(tuple(prims))

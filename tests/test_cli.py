@@ -1,8 +1,10 @@
 import contextlib
 import copy
+import importlib
 import io
 import itertools
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -448,6 +450,15 @@ class TestConfigFile:
         assert next(iter(values)) in capsys.readouterr().err
         assert not out.exists()
 
+    def test_required_flag_only_in_config_exits_2(self, tmp_path, capsys):
+        # A config file supplies optional flags only; argparse checks required ones first.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "out")}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--config", cfg, "simulate")
+        assert exc.value.code == 2 and "--out" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_abbreviated_flag_exits_2(self, dataset, tmp_path):
         # An abbreviation is not recognised as explicit, so the config value
         # would silently win; abbreviations are refused instead.
@@ -491,12 +502,11 @@ def _with_calibration(section, key, value, command="sweep"):
     return make
 
 
-def _scene_radius(value):
-    """Argv maker: simulate the dataset's scene with the sphere radius replaced."""
+def _with_scene(kind, key, value):
+    """Argv maker: simulate the dataset's scene with one value of its `kind` primitive replaced."""
     def make(dataset, tmp_path, out):
         scene = json.loads((dataset / "scene.json").read_text())
-        sphere = next(p for p in scene["primitives"] if p["type"] == "sphere")
-        sphere["radius"] = value
+        next(p for p in scene["primitives"] if p["type"] == kind)[key] = value
         (tmp_path / "scene.json").write_text(json.dumps(scene))
         return ["simulate", "--scene", tmp_path / "scene.json", "--out", out]
     return make
@@ -530,8 +540,8 @@ class TestNonFiniteValues:
         pytest.param(lambda ds, tmp, out: ["simulate", "--out", out, "--speckle", "nan"], 2,
                      id="simulate-speckle-nan"),
         pytest.param(_turbidity_d_nan, 2, id="turbidity-d-nan"),
-        pytest.param(_scene_radius(float("nan")), 3, id="scene-radius-nan"),
-        pytest.param(_scene_radius(10**400), 3, id="scene-radius-overflow"),
+        pytest.param(_with_scene("sphere", "radius", float("nan")), 3, id="scene-radius-nan"),
+        pytest.param(_with_scene("sphere", "radius", 10**400), 3, id="scene-radius-overflow"),
         pytest.param(lambda ds, tmp, out: ["eval", "--pred", ds / "depth_gt.pfm",
                                            "--gt", ds / "depth_gt.pfm", "--json", out / "m.json",
                                            "--csv", out / "bins.csv", "--bin-edges", "0,nan,5"],
@@ -570,6 +580,29 @@ class TestNonFiniteValues:
         assert run_cli(*argv(dataset, tmp_path, out)) == code
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestJSONTypeRule:
+    """Counts are JSON integers, other numbers any JSON number: a calibration or scene value
+    once coerced with int() or float() exits 3, naming its key, and writes nothing."""
+
+    @pytest.mark.parametrize("argv, key", [
+        pytest.param(_with_calibration("intrinsics", "width", 320.9), "width", id="width-fraction"),
+        pytest.param(_with_calibration("planes", "n", 48.7), "n", id="n-fraction"),
+        pytest.param(_with_calibration("intrinsics", "fx", True), "fx", id="fx-true"),
+        pytest.param(_with_calibration("intrinsics", "cx", "159.5"), "cx", id="cx-string"),
+        pytest.param(_with_scene("plane", "reflectance", "0.5"), "reflectance",
+                     id="reflectance-string"),
+        pytest.param(_with_scene("sphere", "radius", True), "radius", id="radius-true"),
+        pytest.param(_with_scene("sphere", "center", ["-0.4", "1.65", "0"]), "center",
+                     id="center-strings"),
+    ])
+    def test_coercible_value_exits_3(self, dataset, tmp_path, capsys, argv, key):
+        out = tmp_path / "out"
+        assert run_cli(*argv(dataset, tmp_path, out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f" {key}: expected" in err and "Traceback" not in err
         assert not out.exists()
 
 
@@ -612,6 +645,74 @@ class TestUnusableOutputPath:
         assert err.startswith("error:") and str(out / "depth_mask.pgm") in err
         assert [p.name for p in out.iterdir()] == ["depth_mask.pgm"]
         assert not any((out / "depth_mask.pgm").iterdir())
+
+
+# Commands that write several files: how many, and an argv maker of (dataset, calibration,
+# output dir).
+_MULTI_FILE = {
+    "simulate": (8, lambda ds, cal, out: ["simulate", "--calibration", cal, "--out", out,
+                                          "--frames", 2]),
+    "preprocess": (3, lambda ds, cal, out: ["preprocess", "--frames", ds, "--background", ds,
+                                            "--out", out]),
+    "sweep": (4, lambda ds, cal, out: ["sweep", "--dataset", ds, "--out", out,
+                                       "--export-cost-volume"]),
+    "eval": (2, lambda ds, cal, out: ["eval", "--pred", ds / "depth_gt.pfm", "--gt",
+                                      ds / "depth_gt.pfm", "--json", out / "metrics.json",
+                                      "--csv", out / "bins.csv", "--bin-edges", "0.5,2,5"]),
+}
+
+
+class TestAllOrNothingOutputs:
+    """A command that fails while writing its outputs leaves the output directory as it was."""
+
+    @staticmethod
+    def argv(command, dataset, tmp_path, out):
+        default_rig(32, 24).save(tmp_path / "calibration.json")
+        return _MULTI_FILE[command][1](dataset, tmp_path / "calibration.json", out)
+
+    @pytest.mark.parametrize("command", sorted(_MULTI_FILE))
+    def test_write_count(self, dataset, tmp_path, command):
+        assert run_cli(*self.argv(command, dataset, tmp_path, tmp_path / "out")) == 0
+        assert len(list((tmp_path / "out").iterdir())) == _MULTI_FILE[command][0]
+
+    @pytest.mark.parametrize("command, j", [(command, j) for command in sorted(_MULTI_FILE)
+                                            for j in range(_MULTI_FILE[command][0])])
+    def test_failed_write_leaves_nothing(self, dataset, tmp_path, capsys, monkeypatch,
+                                         command, j):
+        replace, calls = os.replace, itertools.count()
+
+        def fail_jth(src, dst):  # every write ends in one rename, so call j ends write j
+            if next(calls) == j:
+                raise OSError(28, "No space left on device (injected)")
+            replace(src, dst)
+
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = self.argv(command, dataset, tmp_path, out)
+        monkeypatch.setattr(os, "replace", fail_jth)
+        code = run_cli(*argv)
+        monkeypatch.undo()
+        assert code == 2 and "injected" in capsys.readouterr().err
+        assert sorted(out.rglob("*")) == []
+
+    @pytest.mark.parametrize("csv", ["m.json", "./m.json", "sub/../m.json"])
+    def test_two_outputs_on_one_path_exit_2(self, dataset, tmp_path, capsys, csv):
+        out = tmp_path / "out"
+        assert run_cli("eval", "--pred", dataset / "depth_gt.pfm", "--gt", dataset / "depth_gt.pfm",
+                       "--json", out / "m.json", "--csv", f"{out}/{csv}",
+                       "--bin-edges", "0.5,2,5") == 2
+        assert "output path named twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_name_too_long_leaves_nothing(self, dataset, tmp_path, capsys):
+        # The csv's temp name passes the 255-byte name limit; the json written before it
+        # must not stay behind.
+        out = tmp_path / "out"
+        assert run_cli("eval", "--pred", dataset / "depth_gt.pfm", "--gt", dataset / "depth_gt.pfm",
+                       "--json", out / "metrics.json", "--csv", out / ("c" * 250 + ".csv"),
+                       "--bin-edges", "0.5,2,5") == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert sorted(out.rglob("*")) == []
 
 
 class TestDegenerateRig:
@@ -816,6 +917,12 @@ class TestSubprocessEntrypoint:
         assert proc.returncode == 0
         for sub in ("simulate", "preprocess", "sweep", "eval", "turbidity"):
             assert sub in proc.stdout
+
+    def test_console_script_targets_main(self):
+        tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+        project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+        module, _, name = project["project"]["scripts"]["oasweep"].partition(":")
+        assert getattr(importlib.import_module(module), name) is main
 
     def test_every_subcommand_help_lists_flags(self):
         for sub, probe in (("simulate", "--seed"), ("preprocess", "--median-radius"),

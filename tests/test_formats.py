@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oasweep.config import CalibrationBundle
+from oasweep.config import CalibrationBundle, default_rig
 from oasweep.formats import (
     SSCV_INVALID_COST,
     FileFormatError,
@@ -15,13 +16,18 @@ from oasweep.formats import (
     encode_json,
     encode_pfm,
     encode_pgm,
+    from_record,
+    json_fits,
     read_cost_volume,
     read_json,
     read_pfm,
     read_pgm,
+    to_record,
     write_pfm,
     write_pgm,
 )
+from oasweep.geometry import CameraIntrinsics, PlaneHypothesisSet
+from oasweep.simulator import SpherePrimitive
 
 from conftest import compact
 
@@ -156,6 +162,17 @@ class TestJSON:
         assert CalibrationBundle.from_dict(read_json(path)).to_dict() == json.loads(path.read_bytes())
         assert [p.name for p in tmp_path.iterdir()] == ["calibration.json"]
 
+    @pytest.mark.parametrize("rig", [
+        default_rig(),
+        default_rig(640, 480),
+        # perfbench's fine-planes rig: 95 planes over the stock span, k**(N-1) unchanged.
+        dataclasses.replace(default_rig(), planes=PlaneHypothesisSet(
+            alpha=default_rig().planes.alpha, d0=0.5, k=1.05 ** (47 / 94), n=95)),
+    ], ids=["stock", "640x480", "fine-planes"])
+    def test_calibration_bytes_round_trip(self, rig):
+        encoded = encode_json(rig.to_dict())
+        assert encode_json(CalibrationBundle.from_dict(json.loads(encoded)).to_dict()) == encoded
+
     @pytest.mark.parametrize("data", [
         b"", b"\xff\xfe\x00garbage", b"\x80{}", b"[" * 100000, b"{} {}", b'{"a": 1',
     ], ids=["empty", "utf16-garbage", "not-utf8", "deep", "trailing", "truncated"])
@@ -164,6 +181,55 @@ class TestJSON:
         path.write_bytes(data)
         with pytest.raises(FileFormatError, match="not valid JSON"):
             read_json(path)
+
+
+class TestRecords:
+    """One type rule for every JSON document: counts are JSON integers, other numbers any
+    JSON number, arrays nested lists of JSON numbers."""
+
+    @pytest.mark.parametrize("value, kind, fits", [
+        (3, int, True), (3.0, int, False), (True, int, False), (False, int, False),
+        (3, float, True), (2.5, float, True), (10**400, float, True), (True, float, False),
+        ("3", float, False), (None, float, False), ("a", str, True), (1, str, False),
+    ])
+    def test_json_fits(self, value, kind, fits):
+        assert json_fits(value, kind) is fits
+
+    @pytest.mark.parametrize("center", [
+        [True, 0, 0], ["1", "2", "3"], [[1, 2], [3]], [1, [2], 3], [[1, 2, 3], 4], 1.0, None,
+        [10**400, 0, 0],
+    ], ids=["bool", "strings", "ragged", "mixed-depth", "mixed-tail", "scalar", "null",
+            "overflow"])
+    def test_array_field_refuses(self, center):
+        with pytest.raises(ValueError, match=r"^center: "):
+            from_record(SpherePrimitive, {"center": center, "radius": 0.3, "reflectance": 0.5})
+
+    @pytest.mark.parametrize("key, value", [
+        ("radius", 10**400), ("radius", True), ("radius", "0.3"), ("reflectance", [0.5]),
+    ])
+    def test_float_field_refuses(self, key, value):
+        record = {"center": [0, 2, 0], "radius": 0.3, "reflectance": 0.5, key: value}
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            from_record(SpherePrimitive, record)
+
+    @pytest.mark.parametrize("value", [240.0, 240.5, True, "240"])
+    def test_int_field_refuses(self, value):
+        record = {"fx": 200, "fy": 200, "cx": 159.5, "cy": 119.5, "width": 320, "height": value}
+        with pytest.raises(ValueError, match=r"^height: expected int"):
+            from_record(CameraIntrinsics, record)
+
+    def test_round_trip_types(self):
+        sphere = from_record(SpherePrimitive, {"center": [0, 2, 0], "radius": 1, "reflectance": 0,
+                                               "type": "ignored"})
+        assert type(sphere.radius) is float and sphere.center.dtype == np.float64
+        assert to_record(sphere) == {"center": [0.0, 2.0, 0.0], "radius": 1.0,
+                                     "reflectance": 0.0}
+
+    def test_degrees(self):
+        planes = default_rig().planes
+        record = to_record(planes, degrees=("alpha",))
+        assert set(record) == {"alpha_deg", "d0", "k", "n"} and record["alpha_deg"] == 45.0
+        assert from_record(PlaneHypothesisSet, record, degrees=("alpha",)) == planes
 
 
 # Any byte string fed to a reader yields an array of the shape its header

@@ -55,7 +55,7 @@ class TestScene:
         lambda: SpherePrimitive(center=[np.nan, 2, 0], radius=0.3, reflectance=0.5),
         lambda: PlanePrimitive(point=[np.nan, 2, 0], normal=[0, -1, 0], reflectance=0.5),
         lambda: PlanePrimitive(point=[0, 2, 0], normal=[np.nan, -1, 0], reflectance=0.5),
-        lambda: BoxPrimitive(lo=[-np.inf, 0, 0], hi=[1, 1, 1], reflectance=0.5),
+        lambda: BoxPrimitive(min=[-np.inf, 0, 0], max=[1, 1, 1], reflectance=0.5),
     ])
     def test_rejects_non_finite_geometry(self, make):
         with pytest.raises(SceneError):
@@ -67,12 +67,12 @@ class TestScene:
         past = np.nextafter(far, 2 * far)
         SpherePrimitive(center=[far, 2, 0], radius=SCENE_EXTENT_M, reflectance=0.5)
         PlanePrimitive(point=[0, far, 0], normal=[0, -1, 0], reflectance=0.5)
-        BoxPrimitive(lo=[-SCENE_EXTENT_M] * 3, hi=[SCENE_EXTENT_M] * 3, reflectance=0.5)
+        BoxPrimitive(min=[-SCENE_EXTENT_M] * 3, max=[SCENE_EXTENT_M] * 3, reflectance=0.5)
         for make in (lambda: SpherePrimitive(center=[past, 2, 0], radius=0.3, reflectance=0.5),
                      lambda: SpherePrimitive(center=[0, 2, 0], radius=abs(past), reflectance=0.5),
                      lambda: PlanePrimitive(point=[0, past, 0], normal=[0, -1, 0],
                                             reflectance=0.5),
-                     lambda: BoxPrimitive(lo=[past, 0, 0], hi=[2 * far, 1, 1], reflectance=0.5)):
+                     lambda: BoxPrimitive(min=[past, 0, 0], max=[2 * far, 1, 1], reflectance=0.5)):
             with pytest.raises(SceneError, match="1e\\+06"):
                 make()
 
@@ -80,15 +80,21 @@ class TestScene:
         scene = Scene(primitives=(
             frontal_plane(2.5),
             SpherePrimitive(center=[0.1, 1.5, -0.1], radius=0.25, reflectance=0.4),
-            BoxPrimitive(lo=[-1, 1, -1], hi=[1, 2, 1], reflectance=0.6),
+            BoxPrimitive(min=[-1, 1, -1], max=[1, 2, 1], reflectance=0.6),
         ))
         encoded = encode_json(scene.to_dict())
         loaded = Scene.from_dict(json.loads(encoded))
         assert [type(p) for p in loaded.primitives] == [PlanePrimitive, SpherePrimitive,
                                                         BoxPrimitive]
         assert encode_json(loaded.to_dict()) == encoded
+        # The file's keys are the schema's: "type" plus the dataclass fields.
+        assert [sorted(p) for p in json.loads(encoded)["primitives"]] == [
+            ["normal", "point", "reflectance", "type"], ["center", "radius", "reflectance", "type"],
+            ["max", "min", "reflectance", "type"]]
+        default = encode_json(default_scene().to_dict())
+        assert encode_json(Scene.from_dict(json.loads(default)).to_dict()) == default
         np.testing.assert_allclose(loaded.primitives[0].point, [0, 2.5, 0])
-        np.testing.assert_array_equal(loaded.primitives[2].hi, [1, 2, 1])
+        np.testing.assert_array_equal(loaded.primitives[2].max, [1, 2, 1])
         assert loaded.primitives[2].reflectance == 0.6
 
 
@@ -124,7 +130,7 @@ class TestRenderCamera:
 
         intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=32.0, cy=24.0, width=64, height=48)
         scene = Scene(primitives=(
-            BoxPrimitive(lo=[-0.3, -0.2, 2.0], hi=[0.4, 0.3, 2.6], reflectance=0.7),
+            BoxPrimitive(min=[-0.3, -0.2, 2.0], max=[0.4, 0.3, 2.6], reflectance=0.7),
         ))
         image, depth = render_camera(scene, intr, identity_transform())
         assert depth.valid[24, 32] and not depth.valid[0, 0]
@@ -177,7 +183,7 @@ class TestRenderSonar:
         spec = rig.sonar
         near = 2.0
         scene = Scene(primitives=(
-            BoxPrimitive(lo=[-0.5, near, -0.5], hi=[0.5, 2.5, 0.5], reflectance=0.9),
+            BoxPrimitive(min=[-0.5, near, -0.5], max=[0.5, 2.5, 0.5], reflectance=0.9),
         ))
         profile = render_sonar_energy(scene, spec, elevation_rays=16).sum(axis=1)
         rb, _ = spec.polar_to_bin(near, 0.0)
