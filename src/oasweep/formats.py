@@ -201,38 +201,50 @@ def read_pfm(path) -> np.ndarray:
     return values[::-1].astype(np.float32)
 
 
-def encode_cost_volume(costs: np.ndarray, valid: np.ndarray) -> bytes:
-    """SSCV1 bytes from an (H, W, N) mask and its costs, as a sweep CostVolume holds them."""
+def encode_cost_volume(costs: np.ndarray, valid: np.ndarray) -> bytearray:
+    """SSCV1 bytes from an (H, W, N) mask and its costs, as a sweep CostVolume holds them.
+
+    The cost and flag blocks are filled in place in the one output buffer, so
+    the encoder holds no dense copy of the volume besides it."""
     valid = np.asarray(valid, dtype=bool)
     if valid.ndim != 3 or np.shape(costs) != (np.count_nonzero(valid),):
         raise ValueError(f"need an (H, W, N) mask and one cost per valid entry, got mask "
                          f"{valid.shape} and costs {np.shape(costs)}")
     h, w, n = valid.shape
+    header = SSCV_MAGIC + np.array([h, w, n], dtype="<u4").tobytes()
+    out = bytearray(len(header) + 5 * h * w * n)  # zero flags
+    out[:len(header)] = header
     # u-major, then v, then i; the costs run i, then v, then u. Both blocks are
     # filled through their (i, v, u) views, in the costs' order, which reads a
     # plane-major mask contiguously.
-    dense = np.full((w, h, n), SSCV_INVALID_COST, dtype="<f4")
-    flags = np.zeros((w, h, n), dtype=np.uint8)
+    dense = np.frombuffer(out, dtype="<f4", count=h * w * n, offset=len(header))
+    flags = np.frombuffer(out, dtype=np.uint8, offset=len(header) + dense.nbytes)
+    dense[:] = SSCV_INVALID_COST
     entries = np.moveaxis(valid, 2, 0)
-    dense.transpose(2, 1, 0)[entries] = costs
-    flags.transpose(2, 1, 0)[entries] = 1
-    return b"".join((SSCV_MAGIC, np.array([h, w, n], dtype="<u4"), dense, flags))
+    dense.reshape(w, h, n).transpose(2, 1, 0)[entries] = costs
+    flags.reshape(w, h, n).transpose(2, 1, 0)[entries] = 1
+    return out
 
 
 def read_cost_volume(path):
-    """Read an SSCV1 file; returns (costs, valid) of shape (H, W, N)."""
-    data = Path(path).read_bytes()
-    if not data.startswith(SSCV_MAGIC):
-        raise FileFormatError(f"{path}: bad magic, expected SSCV1")
-    if len(data) < len(SSCV_MAGIC) + 12:
-        raise FileFormatError(f"{path}: truncated header")
-    h, w, n = np.frombuffer(data, dtype="<u4", count=3, offset=len(SSCV_MAGIC))
-    count = int(h) * int(w) * int(n)
-    offset = len(SSCV_MAGIC) + 12
-    if len(data) < offset + count * 5:
-        raise FileFormatError(f"{path}: truncated payload for {h}x{w}x{n}")
-    costs = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-    valid = np.frombuffer(data, dtype=np.uint8, count=count, offset=offset + count * 4)
-    costs = np.transpose(costs.reshape(w, h, n), (1, 0, 2)).copy()
-    valid = np.transpose(valid.reshape(w, h, n), (1, 0, 2)).astype(bool)
+    """Read an SSCV1 file; returns (costs, valid) of shape (H, W, N).
+
+    The payload is read one u-slice at a time into the two (H, W, N) arrays,
+    so the whole file is never held in memory besides them."""
+    with open(path, "rb") as handle:
+        head = handle.read(len(SSCV_MAGIC) + 12)
+        if not head.startswith(SSCV_MAGIC):
+            raise FileFormatError(f"{path}: bad magic, expected SSCV1")
+        if len(head) < len(SSCV_MAGIC) + 12:
+            raise FileFormatError(f"{path}: truncated header")
+        h, w, n = (int(x) for x in np.frombuffer(head, dtype="<u4", offset=len(SSCV_MAGIC)))
+        count = h * w * n
+        if os.fstat(handle.fileno()).st_size < len(head) + count * 5:
+            raise FileFormatError(f"{path}: truncated payload for {h}x{w}x{n}")
+        costs = np.empty((h, w, n), dtype="<f4")
+        valid = np.empty((h, w, n), dtype=bool)
+        for block, row in ((costs, np.empty((h, n), "<f4")), (valid, np.empty((h, n), np.uint8))):
+            for u in range(w if count else 0):
+                handle.readinto(row)
+                block[:, u] = row
     return costs, valid

@@ -15,14 +15,66 @@ A :class:`RigidTransform` (R, t) maps sonar-frame points into the camera
 frame as ``P_c = R @ P_s + t``.
 
 All angles are radians; degrees appear only at config/CLI boundaries.
-Every operation here is pure and safe to vectorize or share across threads.
+Every operation here is pure and safe to vectorize or share across threads;
+:func:`map_in_order` shares the sweep's per-plane work between them.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 ORTHONORMALITY_TOL = 1e-9
+# Pixels per warp-grid task: one plane's block of buffers stays in cache.
+# BENCH_plane_threads.json times 4,096, 16,384 and 65,536.
+BLOCK_PIXELS = 16384
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def map_in_order(fn, items) -> list:
+    """``[fn(item) for item in items]``, shared between threads.
+
+    The items are dealt round-robin between the calling thread and one helper
+    thread per extra usable CPU; with one CPU, or one item, it is that plain
+    loop. ``fn`` runs once per item, and the results come back in item order,
+    so the output does not depend on the thread count as long as each call
+    touches only its own item's output. If calls raise, every item before the
+    first failing one still runs, and that item's exception is raised, as
+    the plain loop would raise it.
+    """
+    items = list(items)
+    workers = min(usable_cpus(), len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    results, failures = [None] * len(items), []
+
+    def share(first):
+        for k in range(first, len(items), workers):
+            if failures and min(failures)[0] < k:
+                return
+            try:
+                results[k] = fn(items[k])
+            except BaseException as exc:
+                failures.append((k, exc))
+                return
+
+    helpers = [threading.Thread(target=share, args=(first,)) for first in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    share(0)
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise min(failures)[1]  # indices are unique: no two exceptions are compared
+    return results
 
 
 @dataclass(frozen=True)
@@ -275,13 +327,20 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     outside the sonar's vertical aperture can never have produced an echo,
     so such entries are gated out as inadmissible.
 
-    Plane by plane, every pixel's ray is intersected with the plane through
-    the closed-form depth of :func:`ray_plane_terms`, lifted to the sonar
-    frame, P_s = R^T (Z_c K^-1 [u, v, 1]^T - t), projected orthographically
-    (range and bearing from the horizontal components alone) and gated by
-    five terms: Z_c > 0, range >= range_min, range <= range_max,
+    Every pixel's ray is intersected with each plane through the closed-form
+    depth of :func:`ray_plane_terms`, lifted to the sonar frame,
+    P_s = R^T (Z_c K^-1 [u, v, 1]^T - t), projected orthographically (range
+    and bearing from the horizontal components alone) and gated by five
+    terms: Z_c > 0, range >= range_min, range <= range_max,
     |bearing| <= bearing_fov / 2 and |elevation| <= elevation_fov / 2. Only
     the valid entries' lookups are kept.
+
+    The work runs as one task per plane and block of BLOCK_PIXELS
+    consecutive pixels, so that a task's buffers stay in cache, and the
+    tasks are shared between threads by :func:`map_in_order`. Each task
+    writes its own slice of the mask and returns its survivors' lookups,
+    which are joined in task order: the grid is the same bit for bit
+    whatever the thread count.
 
     Args:
         intrinsics: Camera model.
@@ -306,27 +365,34 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
                                           planes.distances(), intrinsics, extrinsics,
                                           planes.alpha)
     rays, denom = np.ascontiguousarray(rays.reshape(-1, 3).T), denom.reshape(-1)
-
-    # Plane-major mask, coordinate-major points: each per-plane read and write
-    # is a contiguous row.
+    # Plane-major mask, coordinate-major rays: each task's reads and writes
+    # are contiguous rows.
     valid = np.zeros((planes.n, h * w), dtype=bool)
-    points = np.empty((3, h * w))
-    ranges, bearings = [], []
-    # Depths past the float64 range overflow to inf or NaN, which fail the gate.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, numer in enumerate(numers):
-            z = numer / denom
-            np.multiply(z, rays, out=points)
+
+    def gate(task):
+        i, block = task
+        # numpy's error state is per thread. Depths past the float64 range
+        # overflow to inf or NaN, which fail the gate.
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = numers[i] / denom[block]
+            points = z * rays[:, block]
             points -= extrinsics.translation[:, None]
             lateral, forward, up = extrinsics.rotation.T @ points
-            plane_ranges = np.hypot(lateral, forward)
-            plane_bearings = np.arctan2(lateral, forward)
-            elevation = np.arctan2(up, plane_ranges)
-            good = ((z > 0) & (plane_ranges >= spec.range_min) & (plane_ranges <= spec.range_max)
-                    & (np.abs(plane_bearings) <= spec.bearing_fov / 2)
+            ranges = np.hypot(lateral, forward)
+            bearings = np.arctan2(lateral, forward)
+            elevation = np.arctan2(up, ranges)
+            good = ((z > 0) & (ranges >= spec.range_min) & (ranges <= spec.range_max)
+                    & (np.abs(bearings) <= spec.bearing_fov / 2)
                     & (np.abs(elevation) <= spec.elevation_fov / 2))
-            valid[i] = good
-            ranges.append(plane_ranges[good])
-            bearings.append(plane_bearings[good])
-    return WarpGrid(np.concatenate(ranges), np.concatenate(bearings),
+        valid[i, block] = good
+        return ranges[good], bearings[good]
+
+    blocks = [slice(start, start + BLOCK_PIXELS) for start in range(0, h * w, BLOCK_PIXELS)]
+    # The pieces are joined one coordinate at a time, so that the range pieces
+    # are freed before the bearings are joined; the empty leading pieces keep
+    # a zero-size grid's join defined.
+    ranges, bearings = zip((np.empty(0), np.empty(0)), *map_in_order(
+        gate, [(i, block) for i in range(planes.n) for block in blocks]))
+    ranges = np.concatenate(ranges)
+    return WarpGrid(ranges, np.concatenate(bearings),
                     valid.reshape(planes.n, h, w).transpose(1, 2, 0))

@@ -17,6 +17,7 @@ from .geometry import (
     SonarSpec,
     WarpGrid,
     build_warp_grid,
+    map_in_order,
     ray_plane_terms,
 )
 
@@ -184,7 +185,10 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
     admissible (pixel, plane) lookup, sliced out of the grid's compact
     lookups, samples the sonar feature map bilinearly in (range-bin,
     bearing-bin) space and is scored, in float64, against that pixel's
-    camera feature; the defined costs are kept, in the grid's order.
+    camera feature; the defined costs are kept, in the grid's order. The
+    planes are shared between threads by :func:`map_in_order`, one task
+    per plane, each writing its own row of the mask, so the volume is the
+    same bit for bit whatever the thread count.
 
     A lookup whose bilinear cell has four +0.0 corners samples exactly the
     zero vector, so it takes its pixel's zero-sample cost, scored once per
@@ -231,22 +235,25 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
     held = np.pad(held, ((0, 1), (0, 1)), mode="edge")
     live = held[:-1, :-1] | held[1:, :-1] | held[:-1, 1:] | held[1:, 1:]
     camera_features = camera_features.reshape(h * w, camera_features.shape[-1])
-    costs = []
+    masks = np.moveaxis(grid.valid, 2, 0).reshape(n, h * w)
+    # Plane i's lookups are the grid's entries ends[i - 1]:ends[i].
+    ends = np.cumsum([np.count_nonzero(mask) for mask in masks])
     valid = np.zeros((n, h * w), dtype=bool)  # plane-major, returned as an (H, W, N) view
-    start = 0
-    for i, plane in enumerate(np.moveaxis(grid.valid, 2, 0).reshape(n, h * w)):
-        pixels = np.flatnonzero(plane)
-        lookups = slice(start, start + pixels.size)
-        start += pixels.size
+
+    def score(i):
+        pixels = np.flatnonzero(masks[i])
+        lookups = slice(ends[i] - pixels.size, ends[i])
         rb, bb = spec.polar_to_bin(grid.ranges[lookups], grid.bearings[lookups])
         hit = live[np.floor(rb).astype(int), np.floor(bb).astype(int)]
         cost, defined = cost0.ravel()[pixels], defined0.ravel()[pixels]
         cost[hit], defined[hit] = _pair_cost(camera_features[pixels[hit]].astype(np.float64),
                                              _bilinear_sample(sonar_features, rb[hit], bb[hit]),
                                              metric)
-        costs.append(cost[defined].astype(np.float32))
         valid[i, pixels] = defined
-    return CostVolume(costs=np.concatenate(costs), valid=valid.reshape(n, h, w).transpose(1, 2, 0))
+        return cost[defined].astype(np.float32)
+
+    costs = np.concatenate(map_in_order(score, range(n)))
+    return CostVolume(costs=costs, valid=valid.reshape(n, h, w).transpose(1, 2, 0))
 
 
 def regularize_cost_volume(volume: CostVolume, radius: int, passes: int) -> CostVolume:
@@ -315,15 +322,21 @@ def soft_argmin(volume: CostVolume, distances):
     if distances.shape != (n,):
         raise ValueError(f"distances shape {distances.shape} does not match N={n}")
 
-    # Each entry's plane and pixel, in the costs' order.
-    plane, pixel = np.divmod(np.flatnonzero(np.moveaxis(volume.valid, 2, 0)), h * w)
+    # Each entry's pixel, in the costs' order; its plane is implied by the
+    # plane-major order, so no per-entry plane index is held.
+    masks = np.moveaxis(volume.valid, 2, 0)
+    pixel = np.flatnonzero(masks)
+    pixel %= h * w
     probs = np.negative(volume.costs, dtype=np.float64)
     peak = np.full(h * w, -np.inf)
     np.maximum.at(peak, pixel, probs)
     np.subtract(probs, peak[pixel], out=probs)
     np.exp(probs, out=probs)
     np.divide(probs, np.bincount(pixel, probs, minlength=h * w)[pixel], out=probs)
-    d_hat = np.bincount(pixel, probs * distances[plane], minlength=h * w).reshape(h, w)
+    # Each entry's plane distance, then its product with the entry's probability.
+    weighted = np.repeat(distances, [np.count_nonzero(mask) for mask in masks])
+    d_hat = np.bincount(pixel, np.multiply(probs, weighted, out=weighted),
+                        minlength=h * w).reshape(h, w)
     return d_hat, probs, volume.valid.any(axis=2)
 
 

@@ -676,19 +676,23 @@ class TestAllOrNothingOutputs:
         assert len(list((tmp_path / "out").iterdir())) == _MULTI_FILE[command][0]
 
     @pytest.mark.parametrize("command, j", [(command, j) for command in sorted(_MULTI_FILE)
-                                            for j in range(_MULTI_FILE[command][0])])
+                                            for j in range(2 * _MULTI_FILE[command][0])])
     def test_failed_write_leaves_nothing(self, dataset, tmp_path, capsys, monkeypatch,
                                          command, j):
         replace, calls = os.replace, itertools.count()
 
-        def fail_jth(src, dst):  # every write ends in one rename, so call j ends write j
+        # Of n files, renames 0 .. n-1 end the staged writes and renames n .. 2n-1 give
+        # the staged files their names, all before any file is moved into place.
+        def fail_jth(src, dst):
             if next(calls) == j:
                 raise OSError(28, "No space left on device (injected)")
             replace(src, dst)
 
         out = tmp_path / "out"
         out.mkdir()
-        argv = self.argv(command, dataset, tmp_path, out)
+        # The outputs go two directories below out/, which the command makes and must
+        # remove again.
+        argv = self.argv(command, dataset, tmp_path, out / "new" / "deeper")
         monkeypatch.setattr(os, "replace", fail_jth)
         code = run_cli(*argv)
         monkeypatch.undo()
@@ -705,14 +709,22 @@ class TestAllOrNothingOutputs:
         assert not out.exists()
 
     def test_name_too_long_leaves_nothing(self, dataset, tmp_path, capsys):
-        # The csv's temp name passes the 255-byte name limit; the json written before it
-        # must not stay behind.
+        # The csv's name passes the 255-byte name limit; neither the json written before
+        # it nor the output directory made for them may stay behind.
         out = tmp_path / "out"
         assert run_cli("eval", "--pred", dataset / "depth_gt.pfm", "--gt", dataset / "depth_gt.pfm",
-                       "--json", out / "metrics.json", "--csv", out / ("c" * 250 + ".csv"),
+                       "--json", out / "metrics.json", "--csv", out / ("c" * 252 + ".csv"),
                        "--bin-edges", "0.5,2,5") == 2
         assert "cannot write" in capsys.readouterr().err
-        assert sorted(out.rglob("*")) == []
+        assert not out.exists()
+
+    def test_longest_names_are_written(self, dataset, tmp_path):
+        # A 254-byte name is legal, although a temporary name built from it would not be.
+        out, name = tmp_path / "out", "c" * 250 + ".csv"
+        assert run_cli("eval", "--pred", dataset / "depth_gt.pfm", "--gt", dataset / "depth_gt.pfm",
+                       "--json", out / "metrics.json", "--csv", out / name,
+                       "--bin-edges", "0.5,2,5") == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted([name, "metrics.json"])
 
 
 class TestDegenerateRig:

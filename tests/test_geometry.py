@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oasweep import geometry
 from oasweep.config import camera_rotation
 from oasweep.geometry import (
     CameraIntrinsics,
@@ -15,6 +18,7 @@ from oasweep.geometry import (
     SonarSpec,
     WarpGrid,
     build_warp_grid,
+    map_in_order,
     ray_plane_terms,
     spherical_to_cartesian,
 )
@@ -331,6 +335,67 @@ class TestRayDepthToEuclidean:
         assert depth.depth[0, 0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
+class TestMapInOrder:
+    """The one helper that shares the sweep's tasks between threads."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_results_in_item_order(self, monkeypatch, cpus):
+        # The items are dealt between the calling thread and one helper per
+        # extra CPU; on one CPU the calling thread runs them all.
+        monkeypatch.setattr(geometry, "usable_cpus", lambda: cpus)
+        threads = set()
+
+        def square(x):
+            threads.add(threading.current_thread())
+            return x * x
+        assert map_in_order(square, range(20)) == [x * x for x in range(20)]
+        assert len(threads) == cpus and threading.current_thread() in threads
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_raises_the_first_failing_items_exception(self, monkeypatch, cpus):
+        # Items 4 and 5 fail, on different threads when there are helpers; the
+        # caller gets item 4's exception, as from the plain loop.
+        monkeypatch.setattr(geometry, "usable_cpus", lambda: cpus)
+
+        def fail_from_4(x):
+            if x >= 4:
+                raise ValueError(f"item {x}")
+            return x
+        with pytest.raises(ValueError, match="item 4"):
+            map_in_order(fail_from_4, range(9))
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_empty_input(self, monkeypatch, cpus):
+        monkeypatch.setattr(geometry, "usable_cpus", lambda: cpus)
+        assert map_in_order(lambda x: 1 / 0, []) == []
+
+    def test_stress_more_threads_than_cores(self, monkeypatch):
+        # Eight threads on this host's cores, switching as often as the
+        # interpreter allows: each call fills its own slice of a shared buffer,
+        # and a lost or misplaced write or result would show.
+        monkeypatch.setattr(geometry, "usable_cpus", lambda: 8)
+        shared, got = np.zeros((500, 64)), []
+
+        def fill(k):
+            shared[k] = k
+            return k * np.ones(64)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: got.append(map_in_order(fill, range(500))))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        np.testing.assert_array_equal(np.array(got[0]), shared)
+        np.testing.assert_array_equal(shared[:, 0], np.arange(500))
+
+    def test_usable_cpus_is_positive(self):
+        assert geometry.usable_cpus() >= 1
+
+
 class TestWarpGrid:
     def test_zero_size_image(self, rig):
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar, shape=(0, 0),
@@ -445,22 +510,37 @@ class TestWarpGrid:
         self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=(40, 40), origin=(u0, v0)))
 
     @pytest.mark.parametrize("scale", [1e-200, 1e155, 3e307])
-    def test_matches_dense_oracle_at_extreme_scales(self, rig, scale):
+    def test_matches_dense_oracle_at_extreme_scales(self, rig, scale, monkeypatch):
         # Every length of the stock rig scaled: products underflow (1e-200),
         # or the farthest planes' depths overflow to inf (3e307), without a
-        # warning, and the grid still holds the oracle's entries.
+        # warning, and the grid still holds the oracle's entries. On 3 CPUs
+        # two helper threads run tasks, and numpy's error state is per
+        # thread, so each task must silence its own overflow.
         sonar = dataclasses.replace(rig.sonar, range_min=rig.sonar.range_min * scale,
                                     range_max=rig.sonar.range_max * scale)
         planes = dataclasses.replace(rig.planes, d0=rig.planes.d0 * scale)
         extrinsics = RigidTransform(rig.extrinsics.rotation, rig.extrinsics.translation * scale)
         args = (rig.intrinsics, extrinsics, planes, sonar)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            grid = build_warp_grid(*args, shape=(60, 80), origin=(120, 100))
-        assert grid.valid.any()
         with np.errstate(over="ignore", invalid="ignore"):
             oracle = dense_warp_grid(*args, shape=(60, 80), origin=(120, 100))
-        self.assert_matches_oracle(grid, oracle)
+        for cpus in (1, 3):
+            monkeypatch.setattr(geometry, "usable_cpus", lambda: cpus)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                grid = build_warp_grid(*args, shape=(60, 80), origin=(120, 100))
+            assert grid.valid.any()
+            self.assert_matches_oracle(grid, oracle)
+
+    @pytest.mark.parametrize("block", [7, 1000, 4800])
+    def test_block_size_does_not_change_bytes(self, rig, monkeypatch, block):
+        # Blocks that split rows, leave a short tail block or hold the whole
+        # 60x80 crop all give the oracle's bytes.
+        args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
+        monkeypatch.setattr(geometry, "BLOCK_PIXELS", block)
+        grid = build_warp_grid(*args, shape=(60, 80), origin=(120, 100))
+        assert grid.valid.any()
+        self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=(60, 80),
+                                                         origin=(120, 100)))
 
     def test_grazing_row_masked_like_oracle(self):
         # Row v = cy runs parallel to the plane family: its column denominator

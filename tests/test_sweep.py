@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oasweep import sweep
+from oasweep import geometry, sweep
 from oasweep.config import default_rig
 from oasweep.formats import encode_cost_volume
 from oasweep.geometry import PlaneHypothesisSet, SonarSpec, build_warp_grid
@@ -565,6 +565,27 @@ class TestSoftArgminMatchesDenseOracle:
         assert np.all(np.abs(d_hat - want) <= n * np.spacing(want))
         want_probs = compact(want_probs, volume.valid)
         assert np.all(np.abs(probs - want_probs) <= n * np.spacing(want_probs))
+
+
+class TestThreadCountInvariance:
+    """The sweep's bytes do not depend on how many CPUs share its planes."""
+
+    @pytest.mark.parametrize("config", [SweepConfig(),
+                                        SweepConfig(metric="neg-dot", zero_sonar_features=True)],
+                             ids=["default", "neg-dot-ablation"])
+    @pytest.mark.parametrize("n", [48, 95], ids=["stock", "95-planes"])
+    def test_same_bytes_on_1_and_3_cpus(self, monkeypatch, n, config):
+        rig = rig_with_planes(320, 240, n)
+        prepared, window, frame = stock_inputs(rig)
+        outputs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(geometry, "usable_cpus", lambda: cpus)
+            depth, volume = run_pipeline(prepared, frame, rig, config,
+                                         origin=(window.u0, window.v0))
+            outputs.append([a.tobytes() for a in (depth.depth, depth.valid, volume.costs,
+                                                  np.moveaxis(volume.valid, 2, 0))])
+        assert depth.valid.any()
+        assert outputs[0] == outputs[1]
 
 
 class TestArgminPlanes:
