@@ -96,12 +96,11 @@ def _check_window(flag: str, radius: int, shapes: dict) -> None:
 
 def _write_outputs(outputs) -> None:
     """Write (path, bytes) pairs all or nothing. Exits 2, before any write, on a target
-    that is a directory or is named twice, and on an OSError, naming the path. Every
-    file is first written in full under a short name in its own staging directory next
-    to its target, so that the writer's temporary name fits whenever the target's name
-    does, and then given its target's name there; a failed write removes them all, and
-    the output directories this call made. Only then are the files renamed into place,
-    so only a failure between two of those renames can leave partial output."""
+    that is a directory or is named twice, and on an OSError, naming the path. Each file
+    is first written in full, under its own name, into one staging directory per target
+    directory; a failed write (a name past the limit fails here) removes them all and the
+    output directories this call made. Only then are the files renamed into place, so
+    only a failure between two of those renames can leave partial output."""
     targets, seen = [Path(path) for path, _ in outputs], set()
     for path in targets:
         if path.is_dir():
@@ -109,25 +108,24 @@ def _write_outputs(outputs) -> None:
         if os.path.realpath(path) in seen:
             raise CommandError(f"output path named twice: {path}", EXIT_VALIDATION)
         seen.add(os.path.realpath(path))
-    stages, made = [], []  # one staging directory per target; directories made, outermost first
+    stages, made = {}, []  # staging directory by target directory; dirs made, outermost first
     try:
         for path in targets:
             parents = [path.parent, *path.parent.parents]
             for directory in reversed(list(itertools.takewhile(lambda d: not d.exists(), parents))):
                 directory.mkdir()
                 made.append(directory)
-        for index, (path, (_, data)) in enumerate(zip(targets, outputs)):
-            stages.append(Path(tempfile.mkdtemp(prefix=".oasweep.", dir=path.parent)))
-            formats.atomic_write(stages[-1] / str(index), data)
-        for index, (stage, path) in enumerate(zip(stages, targets)):
-            os.replace(stage / str(index), stage / path.name)
-        for stage, path in zip(stages, targets):
-            os.replace(stage / path.name, path)
+        for path, (_, data) in zip(targets, outputs):
+            if path.parent not in stages:
+                stages[path.parent] = Path(tempfile.mkdtemp(prefix=".oasweep.", dir=path.parent))
+            formats.atomic_write(stages[path.parent] / path.name, data)
+        for path in targets:
+            os.replace(stages[path.parent] / path.name, path)
         made.clear()  # every file is in place: the new directories hold them
     except OSError as exc:
         raise CommandError(f"cannot write {path}: {exc}", EXIT_VALIDATION) from exc
     finally:
-        for stage in stages:
+        for stage in stages.values():
             shutil.rmtree(stage, ignore_errors=True)
         for directory in reversed(made):  # deepest first; one that holds a placed file stays
             with contextlib.suppress(OSError):

@@ -30,9 +30,9 @@ class FileFormatError(ValueError):
 
 
 def atomic_write(path, data: bytes) -> None:
-    """Write bytes to ``path`` via a same-directory temp file and rename."""
+    """Write bytes to ``path`` via a short-named temp file beside it, then rename."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".oasweep.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -229,8 +229,8 @@ def encode_cost_volume(costs: np.ndarray, valid: np.ndarray) -> bytearray:
 def read_cost_volume(path):
     """Read an SSCV1 file; returns (costs, valid) of shape (H, W, N).
 
-    The payload is read one u-slice at a time into the two (H, W, N) arrays,
-    so the whole file is never held in memory besides them."""
+    Each block is read in one call, in the file's (W, H, N) order, and returned
+    as an (H, W, N) view; any nonzero flag marks a valid entry."""
     with open(path, "rb") as handle:
         head = handle.read(len(SSCV_MAGIC) + 12)
         if not head.startswith(SSCV_MAGIC):
@@ -241,10 +241,7 @@ def read_cost_volume(path):
         count = h * w * n
         if os.fstat(handle.fileno()).st_size < len(head) + count * 5:
             raise FileFormatError(f"{path}: truncated payload for {h}x{w}x{n}")
-        costs = np.empty((h, w, n), dtype="<f4")
-        valid = np.empty((h, w, n), dtype=bool)
-        for block, row in ((costs, np.empty((h, n), "<f4")), (valid, np.empty((h, n), np.uint8))):
-            for u in range(w if count else 0):
-                handle.readinto(row)
-                block[:, u] = row
-    return costs, valid
+        costs = np.fromfile(handle, "<f4", count=count).reshape(w, h, n)
+        flags = np.fromfile(handle, np.uint8, count=count).reshape(w, h, n)
+    np.minimum(flags, 1, out=flags)  # as a bool view, only 0 and 1 are defined
+    return costs.transpose(1, 0, 2), flags.view(bool).transpose(1, 0, 2)

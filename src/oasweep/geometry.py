@@ -43,17 +43,15 @@ def map_in_order(fn, items) -> list:
     """``[fn(item) for item in items]``, shared between threads.
 
     The items are dealt round-robin between the calling thread and one helper
-    thread per extra usable CPU; with one CPU, or one item, it is that plain
-    loop. ``fn`` runs once per item, and the results come back in item order,
-    so the output does not depend on the thread count as long as each call
-    touches only its own item's output. If calls raise, every item before the
-    first failing one still runs, and that item's exception is raised, as
-    the plain loop would raise it.
+    thread per extra usable CPU, up to one thread per item; with one CPU the
+    calling thread runs them all, in order. ``fn`` runs once per item, and the
+    results come back in item order, so the output does not depend on the
+    thread count as long as each call touches only its own item's output. If
+    calls raise, every item before the first failing one still runs, and that
+    item's exception is raised, as the plain loop would raise it.
     """
     items = list(items)
-    workers = min(usable_cpus(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
+    workers = max(1, min(usable_cpus(), len(items)))
     results, failures = [None] * len(items), []
 
     def share(first):

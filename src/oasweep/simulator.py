@@ -373,9 +373,6 @@ def apply_turbidity(image: np.ndarray, transmission, ambient, distance) -> np.nd
     if not np.all((d >= 0) & (d < np.inf)):
         raise ValueError("distance must be >= 0 and finite")
 
-    if image.ndim == 3 and t1.ndim == 1:
-        t1 = t1.reshape(1, 1, -1)
-        b = np.broadcast_to(np.asarray(ambient, dtype=float).reshape(1, 1, -1), (1, 1, t1.shape[-1]))
     if d.ndim == 2 and image.ndim == 3:
         d = d[:, :, None]
     decay = t1**d

@@ -166,10 +166,13 @@ def _pair_cost(cam: np.ndarray, son: np.ndarray, metric: str):
     if metric == "neg-dot":
         return -np.sum(cam * son, axis=-1), np.ones(cam.shape[:-1], dtype=bool)
     if metric == "neg-zncc":
-        cam_c = cam - cam.mean(axis=-1, keepdims=True)
         son_c = son - son.mean(axis=-1, keepdims=True)
-        cam_n = np.linalg.norm(cam_c, axis=-1)
         son_n = np.linalg.norm(son_c, axis=-1)
+        if not np.any(son_n >= _NORM_EPS):  # a sonar side without norm: nothing is defined
+            shape = np.broadcast_shapes(cam.shape[:-1], son_n.shape)
+            return np.zeros(shape), np.zeros(shape, dtype=bool)
+        cam_c = cam - cam.mean(axis=-1, keepdims=True)
+        cam_n = np.linalg.norm(cam_c, axis=-1)
         defined = (cam_n >= _NORM_EPS) & (son_n >= _NORM_EPS)
         denom = np.where(defined, cam_n * son_n, 1.0)
         cost = -np.sum(cam_c * son_c, axis=-1) / denom

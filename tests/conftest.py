@@ -16,7 +16,7 @@ from oasweep.geometry import (
     WarpGrid,
 )
 from oasweep.simulator import PlanePrimitive
-from oasweep.sweep import CostVolume, _bilinear_sample, _pair_cost
+from oasweep.sweep import CostVolume
 
 
 @pytest.fixture
@@ -268,6 +268,37 @@ def dense_lookups(grid: WarpGrid):
     return densify(grid.ranges, grid.valid), densify(grid.bearings, grid.valid)
 
 
+def oracle_bilinear(values, rows, cols) -> np.ndarray:
+    """Bilinear lookup of an (R, C, F) map at bin coordinates in [0, R - 1] x [0, C - 1]:
+    the map is padded by one copy of its last row and column, so a corner past the edge
+    reads the edge; the two column blends are then blended along the rows."""
+    padded = np.pad(values, ((0, 1), (0, 1), (0, 0)), mode="edge")
+    r, c = np.floor(rows).astype(int), np.floor(cols).astype(int)
+    fr, fc = (rows - r)[:, None], (cols - c)[:, None]
+
+    def lerp(a, b, t):
+        return a * (1 - t) + b * t
+    return lerp(lerp(padded[r, c], padded[r, c + 1], fc),
+                lerp(padded[r + 1, c], padded[r + 1, c + 1], fc), fr)
+
+
+def oracle_pair_cost(cam, son, metric):
+    """Cost and definedness of (K, F) camera/sonar feature pairs, scoring every pair:
+    sad sums |cam - son|, neg-dot negates cam . son, and neg-zncc negates the cosine of
+    the mean-centred vectors, defined only where both centred norms reach 1e-9."""
+    if metric == "sad":
+        return np.abs(cam - son).sum(axis=-1), np.ones(len(cam), dtype=bool)
+    if metric == "neg-dot":
+        return -(cam * son).sum(axis=-1), np.ones(len(cam), dtype=bool)
+    assert metric == "neg-zncc"
+    cam_c = cam - cam.mean(axis=-1)[:, None]
+    son_c = son - son.mean(axis=-1)[:, None]
+    cam_n, son_n = np.sqrt((cam_c * cam_c).sum(axis=-1)), np.sqrt((son_c * son_c).sum(axis=-1))
+    defined = (cam_n >= 1e-9) & (son_n >= 1e-9)
+    cost = -(cam_c * son_c).sum(axis=-1) / np.where(defined, cam_n * son_n, 1.0)
+    return np.where(defined, cost, 0.0), defined
+
+
 def dense_cost_volume(camera_features, sonar_features, grid, spec, metric) -> CostVolume:
     """Oracle for the cost-volume builder: gather and score every admissible
     lookup, whether or not its bilinear cell touches a non-zero sonar bin."""
@@ -277,8 +308,8 @@ def dense_cost_volume(camera_features, sonar_features, grid, spec, metric) -> Co
     for i in range(grid.shape[2]):
         v, u = np.nonzero(grid.valid[:, :, i])
         rb, bb = spec.polar_to_bin(ranges[v, u, i], bearings[v, u, i])
-        cost, defined = _pair_cost(camera_features[v, u].astype(np.float64),
-                                   _bilinear_sample(sonar_features, rb, bb), metric)
+        cost, defined = oracle_pair_cost(camera_features[v, u].astype(np.float64),
+                                         oracle_bilinear(sonar_features, rb, bb), metric)
         costs[v[defined], u[defined], i] = cost[defined]
         valid[v, u, i] = defined
     return compact_volume(costs, valid)

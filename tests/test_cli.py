@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -679,21 +680,24 @@ class TestAllOrNothingOutputs:
                                             for j in range(2 * _MULTI_FILE[command][0])])
     def test_failed_write_leaves_nothing(self, dataset, tmp_path, capsys, monkeypatch,
                                          command, j):
-        replace, calls = os.replace, itertools.count()
+        # Of n files, j < n fails rename j, which ends staged write j under the file's own
+        # name, and j >= n fails the temporary file of staged write j - n; both come before
+        # renames n .. 2n-1 move the files into place.
+        n, calls = _MULTI_FILE[command][0], itertools.count()
+        module, name = (os, "replace") if j < n else (tempfile, "mkstemp")
+        real = getattr(module, name)
 
-        # Of n files, renames 0 .. n-1 end the staged writes and renames n .. 2n-1 give
-        # the staged files their names, all before any file is moved into place.
-        def fail_jth(src, dst):
-            if next(calls) == j:
+        def fail_jth(*args, **kwargs):
+            if next(calls) == j % n:
                 raise OSError(28, "No space left on device (injected)")
-            replace(src, dst)
+            return real(*args, **kwargs)
 
         out = tmp_path / "out"
         out.mkdir()
         # The outputs go two directories below out/, which the command makes and must
         # remove again.
         argv = self.argv(command, dataset, tmp_path, out / "new" / "deeper")
-        monkeypatch.setattr(os, "replace", fail_jth)
+        monkeypatch.setattr(module, name, fail_jth)
         code = run_cli(*argv)
         monkeypatch.undo()
         assert code == 2 and "injected" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -148,6 +150,32 @@ class TestCostVolume:
         path.write_bytes(b"NOPE!" + b"\x00" * 32)
         with pytest.raises(FileFormatError):
             read_cost_volume(path)
+
+
+_WRITERS = {
+    "write_pgm": lambda path: write_pgm(path, np.zeros((2, 3), dtype=np.uint8)),
+    "write_pfm": lambda path: write_pfm(path, np.zeros((2, 3), dtype=np.float32)),
+    "CalibrationBundle.save": lambda path: default_rig(32, 24).save(path),
+}
+
+
+class TestFileNames:
+    """The writers' temporary names do not grow with the target's, so every legal name is
+    written, and a name past the limit fails without leaving a temporary file."""
+
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    def test_longest_legal_name_is_written(self, tmp_path, writer):
+        name = "x" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 1)  # 254 bytes on most file systems
+        _WRITERS[writer](tmp_path / name)
+        assert [path.name for path in tmp_path.iterdir()] == [name]
+
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    def test_name_past_the_limit_leaves_nothing(self, tmp_path, writer):
+        name = "x" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1)
+        with pytest.raises(OSError) as raised:
+            _WRITERS[writer](tmp_path / name)
+        assert raised.value.errno == errno.ENAMETOOLONG
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestJSON:
