@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, formats, preprocess, simulator, sweep
-from .config import CalibrationBundle, ConfigError, default_rig
+from .config import MAX_SWEEP_ENTRIES, CalibrationBundle, ConfigError, default_rig
 from .simulator import JERLOV_TRANSMISSION, PolarSonarImage, Scene, SceneError
 
 EXIT_OK = 0
@@ -43,13 +43,6 @@ class CommandError(Exception):
         self.code = code
 
 
-def _require_file(path, what: str) -> Path:
-    path = Path(path)
-    if not path.is_file():
-        raise CommandError(f"{what} not found: {path}", EXIT_VALIDATION)
-    return path
-
-
 def _require_dir(path, what: str) -> Path:
     path = Path(path)
     if not path.is_dir():
@@ -58,9 +51,14 @@ def _require_dir(path, what: str) -> Path:
 
 
 def _read(reader, path, what: str):
-    """Read an input file with a formats reader; FileFormatError exits 3 in main()."""
-    _require_file(path, what)
-    return reader(path)
+    """Read an input file with a formats reader: a missing or unreadable file exits 2,
+    naming the path; a FileFormatError exits 3 in main()."""
+    if not Path(path).is_file():
+        raise CommandError(f"{what} not found: {path}", EXIT_VALIDATION)
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise CommandError(f"cannot read {path}: {exc}", EXIT_VALIDATION) from exc
 
 
 def _load_calibration(path) -> CalibrationBundle:
@@ -140,11 +138,12 @@ def cmd_simulate(args) -> int:
     calibration = _load_calibration(args.calibration)
     out = Path(args.out)
 
-    if args.frames < 1:
-        raise CommandError(f"--frames must be >= 1, got {args.frames}", EXIT_VALIDATION)
-
-    outputs = []
     spec = calibration.sonar
+    most = MAX_SWEEP_ENTRIES // (spec.range_bins * spec.bearing_bins)
+    if not 1 <= args.frames <= most:
+        raise CommandError(f"--frames must be in [1, {most}] for the {spec.range_bins}x"
+                           f"{spec.bearing_bins} sonar map, got {args.frames}", EXIT_VALIDATION)
+    outputs = []
 
     if args.background_only:
         clean = PolarSonarImage(values=np.zeros((spec.range_bins, spec.bearing_bins)), spec=spec)

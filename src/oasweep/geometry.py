@@ -46,23 +46,20 @@ def map_in_order(fn, items) -> list:
     thread per extra usable CPU, up to one thread per item; with one CPU the
     calling thread runs them all, in order. ``fn`` runs once per item, and the
     results come back in item order, so the output does not depend on the
-    thread count as long as each call touches only its own item's output. If
-    calls raise, every item before the first failing one still runs, and that
-    item's exception is raised, as the plain loop would raise it.
+    thread count as long as each call touches only its own item's output. A
+    thread stops at its first failing item; after all join, the lowest failing
+    item's exception is raised, as the plain loop would, and every earlier item has run.
     """
     items = list(items)
     workers = max(1, min(usable_cpus(), len(items)))
     results, failures = [None] * len(items), []
 
     def share(first):
-        for k in range(first, len(items), workers):
-            if failures and min(failures)[0] < k:
-                return
-            try:
+        try:
+            for k in range(first, len(items), workers):
                 results[k] = fn(items[k])
-            except BaseException as exc:
-                failures.append((k, exc))
-                return
+        except BaseException as exc:
+            failures.append((k, exc))
 
     helpers = [threading.Thread(target=share, args=(first,)) for first in range(1, workers)]
     for helper in helpers:

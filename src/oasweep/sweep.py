@@ -135,7 +135,7 @@ def extract_features(image: np.ndarray, kind: str, patch_radius: int) -> np.ndar
         out = np.empty(image.shape + ((2 * r + 1) ** 2,), dtype=np.float32)
         # Row by row, so that the float64 patch buffers stay one image row long.
         for out_row, window_row in zip(out, windows):
-            patches = window_row.reshape(image.shape[1], -1).astype(np.float64)
+            patches = window_row.reshape(image.shape[1], -1)
             centered = patches - patches.mean(axis=-1, keepdims=True)
             var = np.mean(centered**2, axis=-1)
             norm = np.sqrt(np.maximum(var * patches.shape[-1], 0.0))
@@ -264,36 +264,37 @@ def regularize_cost_volume(volume: CostVolume, radius: int, passes: int) -> Cost
 
     A deterministic stand-in for a learned cost regularizer: each valid entry
     becomes the mean of the valid entries in its (2r+1)^2 neighborhood
-    (truncated at slice borders); the validity mask is preserved. Radius 0,
-    zero passes or a volume without entries returns the volume unchanged.
+    (truncated at slice borders); the validity mask is preserved. Radius 0 or
+    zero passes returns the volume unchanged.
 
-    Each plane's mask is cut to its valid entries' bounding box, grown by the
-    radius (past the slice border too); its costs, in C order, are scattered
-    through that boolean box, filtered and gathered back. The filter input is
-    exactly zero outside the valid entries, so every filter line of the grown
-    box starts on a window of zeros, as it would at the slice border, and its
-    running sums, hence the result, are the same bit for bit as on the slice.
+    Each plane's mask is cut to the rows and columns its entries occupy, grown
+    by the radius (past the slice border too); its costs, in C order, are
+    scattered through that boolean box, filtered and gathered back. The filter
+    input is exactly zero outside the valid entries, so every filter line of
+    the grown box starts on a window of zeros, as it would at the slice border,
+    and its running sums, hence the result, match the slice's bit for bit.
     """
-    if radius == 0 or passes == 0 or volume.costs.size == 0:
+    if radius == 0 or passes == 0:
         return volume
     size = 2 * radius + 1
     area = size * size
     costs = np.empty_like(volume.costs)
     end = 0
     for plane in np.moveaxis(volume.valid, 2, 0):
-        # The bounding box of the plane's entries; none if it holds no entry.
-        for box in ndimage.find_objects(plane.view(np.uint8)):
-            box_valid = np.pad(plane[box], radius)
-            entries = slice(end, end + np.count_nonzero(box_valid))
-            end = entries.stop
-            cnts = ndimage.uniform_filter(box_valid.astype(np.float64), size=size,
-                                          mode="constant", cval=0.0) * area
-            filtered = np.zeros(box_valid.shape)
-            filtered[box_valid] = volume.costs[entries]
-            for _ in range(passes):
-                sums = ndimage.uniform_filter(filtered, size=size, mode="constant", cval=0.0)
-                filtered = np.where(box_valid, sums * area / np.maximum(cnts, 1.0), 0.0)
-            costs[entries] = filtered[box_valid]
+        rows, cols = np.flatnonzero(plane.any(axis=1)), np.flatnonzero(plane.any(axis=0))
+        if rows.size == 0:
+            continue
+        box_valid = np.pad(plane[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1], radius)
+        entries = slice(end, end + np.count_nonzero(box_valid))
+        end = entries.stop
+        cnts = ndimage.uniform_filter(box_valid.astype(np.float64), size=size,
+                                      mode="constant", cval=0.0) * area
+        filtered = np.zeros(box_valid.shape)
+        filtered[box_valid] = volume.costs[entries]
+        for _ in range(passes):
+            sums = ndimage.uniform_filter(filtered, size=size, mode="constant", cval=0.0)
+            filtered = np.where(box_valid, sums * area / np.maximum(cnts, 1.0), 0.0)
+        costs[entries] = filtered[box_valid]
     return CostVolume(costs=costs, valid=volume.valid)
 
 

@@ -77,6 +77,14 @@ class TestSimulate:
         assert (out / "sonar_002.pfm").exists()
         assert not (out / "camera.pgm").exists()
 
+    def test_frames_past_the_work_budget_exit_2(self, tmp_path, capsys):
+        # 1163 stock 384x224 frames would ask for more than MAX_SWEEP_ENTRIES floats.
+        out = tmp_path / "x"
+        assert run_cli("simulate", "--out", out, "--frames", 1163) == 2
+        err = capsys.readouterr().err
+        assert "--frames must be in [1, 1162] for the 384x224 sonar map, got 1163" in err
+        assert not out.exists()
+
     def test_validation_of_noise_params(self, tmp_path):
         assert run_cli("simulate", "--out", tmp_path / "x", "--speckle", -1) == 2
 
@@ -924,6 +932,23 @@ class TestAnyInputFile:
             data = (case / name).read_bytes()
             (case / name).write_bytes(data[:round(keep * len(data))])
         _holds_contract(["sweep", "--dataset", case, "--out", case / "out"], case / "out")
+
+
+@pytest.mark.skipif(not Path("/proc/self/mem").is_file(), reason="needs /proc/self/mem")
+class TestUnreadableInputFile:
+    """A file that exists but cannot be read (here: EIO) exits 2 naming it, no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        lambda ds, out: ["eval", "--pred", "/proc/self/mem", "--gt", "/proc/self/mem",
+                         "--json", out / "m.json"],
+        lambda ds, out: ["--config", "/proc/self/mem", "sweep", "--dataset", ds, "--out", out],
+    ], ids=["eval-pred", "config"])
+    def test_exits_2_naming_the_path(self, dataset, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli(*argv(dataset, out)) == 2
+        err = capsys.readouterr().err
+        assert "cannot read /proc/self/mem" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSubprocessEntrypoint:

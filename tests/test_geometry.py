@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -363,6 +364,33 @@ class TestMapInOrder:
             return x
         with pytest.raises(ValueError, match="item 4"):
             map_in_order(fail_from_4, range(9))
+
+    def test_lowest_failing_index_wins_whatever_fails_first(self, monkeypatch):
+        # On 2 CPUs item 1 runs on the helper and item 2 on the calling thread;
+        # item 2 fails first, but the caller gets item 1's exception.
+        monkeypatch.setattr(geometry, "usable_cpus", lambda: 2)
+        threads = {}
+
+        def fail_from_1(x):
+            threads[x] = threading.current_thread()
+            if x == 1:
+                time.sleep(0.05)
+            if x >= 1:
+                raise ValueError(f"item {x}")
+            return x
+        with pytest.raises(ValueError, match="item 1"):
+            map_in_order(fail_from_1, range(3))
+        assert threads[2] is threading.current_thread() is not threads[1]
+
+    def test_helpers_keyboard_interrupt_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(geometry, "usable_cpus", lambda: 2)
+
+        def interrupt_1(x):
+            if x == 1:
+                raise KeyboardInterrupt
+            return x
+        with pytest.raises(KeyboardInterrupt):
+            map_in_order(interrupt_1, range(4))
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_empty_input(self, monkeypatch, cpus):
