@@ -51,10 +51,12 @@ def _require_dir(path, what: str) -> Path:
 
 
 def _read(reader, path, what: str):
-    """Read an input file with a formats reader: a missing or unreadable file exits 2,
-    naming the path; a FileFormatError exits 3 in main()."""
+    """Read an input file with a formats reader: a missing, unreadable or not regular
+    file (a directory, FIFO or device, refused before it is opened) exits 2, naming
+    the path; a FileFormatError exits 3 in main()."""
     if not Path(path).is_file():
-        raise CommandError(f"{what} not found: {path}", EXIT_VALIDATION)
+        cause = "is not a regular file" if Path(path).exists() else "not found"
+        raise CommandError(f"{what} {cause}: {path}", EXIT_VALIDATION)
     try:
         return reader(path)
     except OSError as exc:

@@ -132,15 +132,18 @@ def extract_features(image: np.ndarray, kind: str, patch_radius: int) -> np.ndar
         r = patch_radius
         padded = np.pad(image, r, mode="edge")
         windows = np.lib.stride_tricks.sliding_window_view(padded, (2 * r + 1, 2 * r + 1))
-        out = np.empty(image.shape + ((2 * r + 1) ** 2,), dtype=np.float32)
-        # Row by row, so that the float64 patch buffers stay one image row long.
-        for out_row, window_row in zip(out, windows):
-            patches = window_row.reshape(image.shape[1], -1)
+        out = np.zeros(image.shape + ((2 * r + 1) ** 2,), dtype=np.float32)
+        # Row by row, so that the float64 patch buffers stay one image row long. A
+        # row whose band of 2r + 1 input rows holds only +-0.0 has flat patches: +0.0.
+        held = np.pad(np.any(image != 0, axis=1), r)
+        band = np.lib.stride_tricks.sliding_window_view(held, 2 * r + 1).any(axis=1)
+        for i in np.flatnonzero(band):
+            patches = windows[i].reshape(image.shape[1], -1)
             centered = patches - patches.mean(axis=-1, keepdims=True)
             var = np.mean(centered**2, axis=-1)
             norm = np.sqrt(np.maximum(var * patches.shape[-1], 0.0))
             ok = var >= _VAR_EPS
-            out_row[...] = np.where(ok[:, None], centered / np.where(ok, norm, 1.0)[:, None], 0.0)
+            out[i] = np.where(ok[:, None], centered / np.where(ok, norm, 1.0)[:, None], 0.0)
         return out
     raise ValueError(f"unknown extractor {kind!r}, want one of {EXTRACTORS}")
 
@@ -326,22 +329,23 @@ def soft_argmin(volume: CostVolume, distances):
     if distances.shape != (n,):
         raise ValueError(f"distances shape {distances.shape} does not match N={n}")
 
-    # Each entry's pixel, in the costs' order; its plane is implied by the
-    # plane-major order, so no per-entry plane index is held.
-    masks = np.moveaxis(volume.valid, 2, 0)
-    pixel = np.flatnonzero(masks)
-    pixel %= h * w
+    # Plane i's entries are the costs' next run, one per pixel of its mask, so
+    # each plane's probabilities are a view of probs. Per pixel, each sum
+    # starts at 0.0 and adds its entries in plane order.
+    pixels = [np.flatnonzero(mask) for mask in np.moveaxis(volume.valid, 2, 0)]
     probs = np.negative(volume.costs, dtype=np.float64)
+    planes = np.split(probs, np.cumsum([px.size for px in pixels])[:-1])
     peak = np.full(h * w, -np.inf)
-    np.maximum.at(peak, pixel, probs)
-    np.subtract(probs, peak[pixel], out=probs)
-    np.exp(probs, out=probs)
-    np.divide(probs, np.bincount(pixel, probs, minlength=h * w)[pixel], out=probs)
-    # Each entry's plane distance, then its product with the entry's probability.
-    weighted = np.repeat(distances, [np.count_nonzero(mask) for mask in masks])
-    d_hat = np.bincount(pixel, np.multiply(probs, weighted, out=weighted),
-                        minlength=h * w).reshape(h, w)
-    return d_hat, probs, volume.valid.any(axis=2)
+    for px, own in zip(pixels, planes):
+        peak[px] = np.maximum(peak[px], own)
+    total = np.zeros(h * w)
+    for px, own in zip(pixels, planes):
+        np.exp(np.subtract(own, peak[px], out=own), out=own)
+        total[px] += own
+    d_hat = np.zeros(h * w)
+    for px, own, d_i in zip(pixels, planes, distances):
+        d_hat[px] += np.divide(own, total[px], out=own) * d_i
+    return d_hat.reshape(h, w), probs, volume.valid.any(axis=2)
 
 
 def regress_depth_map(d_hat: np.ndarray, valid: np.ndarray, intrinsics: CameraIntrinsics,
@@ -413,6 +417,7 @@ def run_pipeline(camera_image: np.ndarray, sonar_image, calibration, config: Swe
                            calibration.sonar, shape=camera_image.shape, origin=origin)
     volume = build_cost_volume(cam_features, son_features, grid, calibration.sonar,
                                config.metric)
+    del camera_image, cam_features, son_features, grid  # the later stages read only the volume
     volume = regularize_cost_volume(volume, config.box_radius, config.box_passes)
 
     d_hat, _, reg_valid = soft_argmin(scale_costs(volume, config.cost_scale),

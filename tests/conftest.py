@@ -363,6 +363,34 @@ def dense_soft_argmin(volume: CostVolume, distances):
     return d_hat, probs, any_valid
 
 
+def flat_soft_argmin(volume: CostVolume, distances):
+    """Byte oracle for soft_argmin: one pass over the flat plane-major entries, with
+    each entry's pixel index held, np.maximum.at for the peaks and np.bincount for
+    the sums (which add each pixel's entries in entry order, from 0.0).
+
+    Returns the same (d_hat, probs, valid) as soft_argmin.
+    """
+    distances = np.asarray(distances, dtype=np.float64)
+    h, w, n = volume.shape
+    if distances.shape != (n,):
+        raise ValueError(f"distances shape {distances.shape} does not match N={n}")
+
+    masks = np.moveaxis(volume.valid, 2, 0)
+    pixel = np.flatnonzero(masks)
+    pixel %= h * w
+    probs = np.negative(volume.costs, dtype=np.float64)
+    peak = np.full(h * w, -np.inf)
+    np.maximum.at(peak, pixel, probs)
+    np.subtract(probs, peak[pixel], out=probs)
+    np.exp(probs, out=probs)
+    np.divide(probs, np.bincount(pixel, probs, minlength=h * w)[pixel], out=probs)
+    # Each entry's plane distance, then its product with the entry's probability.
+    weighted = np.repeat(distances, [np.count_nonzero(mask) for mask in masks])
+    d_hat = np.bincount(pixel, np.multiply(probs, weighted, out=weighted),
+                        minlength=h * w).reshape(h, w)
+    return d_hat, probs, volume.valid.any(axis=2)
+
+
 def argmin_planes(volume):
     """Per-pixel index (0-based) of the lowest-cost valid plane; ties take the lowest index."""
     costs = densify(volume.costs, volume.valid, np.inf)

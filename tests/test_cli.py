@@ -951,6 +951,33 @@ class TestUnreadableInputFile:
         assert not out.exists()
 
 
+class TestNotARegularFile:
+    """A path that exists but is no regular file is refused before it is opened (so a
+    FIFO never blocks and a device is never read), naming that cause, not "not found"."""
+
+    @pytest.mark.parametrize("kind", ["directory", "fifo"])
+    @pytest.mark.parametrize("argv, what", [
+        (lambda ds, path, out: ["--config", path, "sweep", "--dataset", ds, "--out", out],
+         "config file"),
+        (lambda ds, path, out: ["eval", "--pred", path, "--gt", ds / "depth_gt.pfm",
+                                "--json", out / "m.json"], "predicted depth"),
+    ], ids=["config", "eval-pred"])
+    def test_exits_2_naming_the_cause(self, dataset, tmp_path, capsys, kind, argv, what):
+        path = tmp_path / kind
+        if kind == "directory":
+            path.mkdir()
+        elif hasattr(os, "mkfifo"):
+            os.mkfifo(path)
+        else:
+            pytest.skip("needs os.mkfifo")
+        out = tmp_path / "out"
+        assert run_cli(*argv(dataset, path, out)) == 2
+        err = capsys.readouterr().err
+        assert f"{what} is not a regular file: {path}" in err
+        assert "not found" not in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestSubprocessEntrypoint:
     def test_module_invocation_and_help(self):
         proc = subprocess.run([sys.executable, "-m", "oasweep", "--help"],

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -49,6 +50,7 @@ from conftest import (
     dense_warp_grid,
     dense_zncc_patches,
     densify,
+    flat_soft_argmin,
     grazing_rig,
     hypothesis_plane_primitive,
     identity_transform,
@@ -89,15 +91,38 @@ class TestExtractFeatures:
         np.testing.assert_allclose(norms, 1.0, atol=1e-5)
         np.testing.assert_allclose(out.sum(axis=-1), 0.0, atol=1e-5)
 
-    @pytest.mark.parametrize("shape, radius", [((10, 10), 1), ((24, 38), 2), ((3, 50), 4)])
-    def test_zncc_matches_whole_image_oracle(self, rng, shape, radius):
-        # Row by row gives the same bytes as every patch at once; the flat
-        # band holds the zero vectors of degenerate patches.
-        img = rng.random(shape)
-        img[:, : shape[1] // 3] = 0.25
+    @pytest.mark.parametrize("shape, radius, kind", [
+        pytest.param((10, 10), 1, "flat-band", id="shape0-1"),
+        pytest.param((24, 38), 2, "flat-band", id="shape1-2"),
+        pytest.param((3, 50), 4, "flat-band", id="shape2-4"),
+        pytest.param((40, 30), 2, "sparse", id="sparse-echoes"),
+        pytest.param((5, 12), 7, "sparse", id="radius-taller-than-image"),
+        pytest.param((30, 40), 2, "dense-raw", id="dense-raw"),
+    ])
+    def test_zncc_matches_whole_image_oracle(self, rng, shape, radius, kind):
+        # Row by row, skipping the rows whose input band holds only +-0.0,
+        # gives the same bytes as every patch at once.
+        if kind == "flat-band":  # the band holds the zero vectors of degenerate patches
+            img = rng.random(shape)
+            img[:, : shape[1] // 3] = 0.25
+        elif kind == "sparse":  # +0.0 and -0.0, with an echo on two rows
+            img = np.where(rng.random(shape) < 0.3, -0.0, 0.0)
+            rows = rng.choice(shape[0], size=2, replace=False)
+            img[rows, rng.integers(0, shape[1], size=2)] = rng.uniform(0.2, 1.0, size=2)
+        else:  # a raw noisy map: no row is skipped
+            img = rng.random(shape)
         got = extract_features(img, "zncc-patch", patch_radius=radius)
         want = dense_zncc_patches(img, radius)
-        assert not want[:, 0].any() and got.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()
+        computed = want.any(axis=(1, 2))
+        if kind == "sparse":  # a row holds features exactly when an echo is within r rows
+            echo_rows = np.flatnonzero(np.any(img != 0, axis=1))
+            near = np.abs(np.arange(shape[0])[:, None] - echo_rows).min(axis=1) <= radius
+            np.testing.assert_array_equal(computed, near)
+        else:
+            assert computed.all()
+        if kind == "flat-band":
+            assert not want[:, 0].any()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -518,6 +543,31 @@ class TestSoftArgmin:
         assert np.all(d_hat[ok] <= distances[-1] + 1e-12)
 
 
+class TestSoftArgminMatchesFlatOracle:
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(st.integers(1, 4), st.integers(3, 6)),
+           n=st.integers(1, 7), ties=st.booleans(), plane_major=st.booleans(),
+           gain=st.one_of(st.floats(0.5, 100.0), st.floats(1e37, 3.4e38)))
+    @settings(max_examples=100, deadline=None)
+    def test_same_bytes(self, seed, shape, n, ties, plane_major, gain):
+        # Pixels with no, one and every plane valid; tied costs; and gains up to
+        # float32 overflow (|cost| <= 1, so scale_costs does not raise).
+        rng = np.random.default_rng(seed)
+        valid = rng.random(shape + (n,)) < 0.5
+        valid[0, :3] = False
+        valid[0, 1, rng.integers(n)] = True
+        valid[0, 2] = True
+        if plane_major:
+            valid = np.moveaxis(np.ascontiguousarray(np.moveaxis(valid, 2, 0)), 0, 2)
+        costs = (rng.integers(-2, 3, size=valid.shape) / 2 if ties
+                 else rng.uniform(-1.0, 1.0, size=valid.shape)).astype(np.float32)
+        volume = scale_costs(compact_volume(costs, valid), gain)
+        distances = np.sort(rng.uniform(0.5, 5.0, size=n))
+        got, want = soft_argmin(volume, distances), flat_soft_argmin(volume, distances)
+        assert got[2][0, 1] and got[2][0, 2] and not got[2][0, 0]
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def rig_with_planes(width, height, n):
     """default_rig(width, height) with n planes over the stock span: same first
     and last plane, so k**(n-1) is unchanged."""
@@ -565,6 +615,79 @@ class TestSoftArgminMatchesDenseOracle:
         assert np.all(np.abs(d_hat - want) <= n * np.spacing(want))
         want_probs = compact(want_probs, volume.valid)
         assert np.all(np.abs(probs - want_probs) <= n * np.spacing(want_probs))
+        # The plane walk gives the bytes of the flat one-pass oracle.
+        for got, flat in zip((d_hat, probs, ok), flat_soft_argmin(volume, distances)):
+            assert got.tobytes() == flat.tobytes()
+
+
+@pytest.fixture(scope="class")
+def traced_ablation():
+    """A stock camera-only ablation run_pipeline under tracemalloc: the traced level
+    above the inputs when soft_argmin starts, the sizes of the arrays the cost
+    volume consumed, and the scaled volume soft_argmin was given."""
+    rig = default_rig()
+    prepared, window, frame = stock_inputs(rig)
+    config = SweepConfig(metric="neg-dot", zero_sonar_features=True)
+    seen = {"features": []}
+
+    def features(*args):
+        out = extract_features(*args)
+        seen["features"].append(out.nbytes)
+        return out
+
+    def grid(*args, **kwargs):
+        out = build_warp_grid(*args, **kwargs)
+        seen["lookups"] = out.ranges.nbytes + out.bearings.nbytes
+        return out
+
+    def softargmin(volume, distances):
+        seen["level"] = tracemalloc.get_traced_memory()[0] - seen["base"]
+        seen["volume"] = volume
+        return soft_argmin(volume, distances)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, fn in (("extract_features", features), ("build_warp_grid", grid),
+                         ("soft_argmin", softargmin)):
+            patch.setattr(sweep, name, fn)
+        tracemalloc.start()
+        try:
+            seen["base"] = tracemalloc.get_traced_memory()[0]
+            run_pipeline(prepared, frame, rig, config, origin=(window.u0, window.v0))
+        finally:
+            tracemalloc.stop()
+    return rig, seen
+
+
+class TestLiveSet:
+    """Each big array is held only while a later stage reads it (tracemalloc sizes)."""
+
+    def test_soft_argmin_starts_without_features_or_grid(self, traced_ablation):
+        # When soft_argmin starts, the pipeline holds the regularized volume and
+        # its scaled copy (one mask between them), and less than one more
+        # (H, W) float64 buffer: not the features, nor the grid's lookups.
+        _, seen = traced_ablation
+        volume = seen["volume"]
+        h, w, _ = volume.shape
+        released = seen["features"] + [seen["lookups"]]
+        assert len(released) == 2 and min(released) > 8 * h * w
+        assert seen["level"] <= 2 * volume.costs.nbytes + volume.valid.nbytes + 8 * h * w
+
+    def test_soft_argmin_peak_is_probs_plus_one_index(self, traced_ablation):
+        # Its own peak: the float64 probabilities, one int64 pixel index per entry,
+        # and a few (H, W) float64 buffers; no per-entry gather or weight.
+        rig, seen = traced_ablation
+        volume = seen["volume"]
+        h, w, _ = volume.shape
+        assert volume.costs.size == np.count_nonzero(volume.valid) > 10 * h * w
+        tracemalloc.start()
+        try:
+            level = tracemalloc.get_traced_memory()[0]
+            d_hat, probs, ok = soft_argmin(volume, rig.planes.distances())
+            peak = tracemalloc.get_traced_memory()[1] - level
+        finally:
+            tracemalloc.stop()
+        assert ok.any()
+        assert peak <= probs.nbytes + 8 * volume.costs.size + 6 * 8 * h * w
 
 
 class TestThreadCountInvariance:
