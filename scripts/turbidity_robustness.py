@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Turbidity robustness experiment: fused pipeline vs camera-only ablation.
+"""Turbidity robustness experiment: fused pipeline vs geometry-prior ablation.
 
 Synthesizes the three coastal water types on the stock scene's camera image,
-runs the full sweep and the sonar-zeroed ablation on each, and prints the
-accuracy trend (plus a CSV for plotting). The fused pipeline should degrade
+runs the full sweep and the sonar-zeroed neg-dot ablation on each, and prints
+the accuracy trend (plus a CSV for plotting). The ablation scores every entry
+0, so it never reads the camera: its depth is the plane-hypothesis geometry
+prior alone, the same for every water type. The fused pipeline should degrade
 only mildly from clear to turbid while the ablation stays far worse
 throughout.
 
@@ -32,9 +34,8 @@ from oasweep.sweep import SweepConfig, run_pipeline, to_full_frame
 def evaluate(rig, camera_image, sonar, gt, config):
     cam8 = (np.clip(camera_image, 0.0, 1.0) * 255).round().astype(np.uint8)
     prepared, window = prepare_camera(cam8, rig.intrinsics, rig.sonar, rig.extrinsics)
-    origin = (window.u0, window.v0)
-    depth, _ = run_pipeline(prepared, sonar, rig, config, origin=origin)
-    return compute_metrics(to_full_frame(depth, origin, gt.depth.shape), gt)
+    depth, _ = run_pipeline(prepared, sonar, rig, config, origin=(window.u0, window.v0))
+    return compute_metrics(to_full_frame(depth, window, gt.depth.shape), gt)
 
 
 def main() -> int:

@@ -157,8 +157,7 @@ def cmd_simulate(args) -> int:
         outputs.append((out / "scene.json", formats.encode_json(scene.to_dict())))
         outputs.append((out / "camera.pgm", formats.encode_pgm(camera_image)))
         outputs.append((out / "depth_gt.pfm", formats.encode_pfm(gt.depth)))
-        outputs.append((out / "depth_gt_mask.pgm",
-                        formats.encode_pgm(gt.valid.astype(np.uint8) * 255)))
+        outputs.append((out / "depth_gt_mask.pgm", formats.encode_pgm(gt.valid)))
 
     for k in range(args.frames):
         try:
@@ -242,7 +241,7 @@ def cmd_sweep(args) -> int:
 
     camera = _read(formats.read_pgm, dataset / "camera.pgm", "camera image")
     spec = calibration.sonar
-    sonar_image = _load_sonar(Path(args.sonar) if args.sonar else dataset / "sonar.pfm", spec)
+    sonar_image = _load_sonar(args.sonar or dataset / "sonar.pfm", spec)
 
     if camera.shape != (calibration.intrinsics.height, calibration.intrinsics.width):
         raise CommandError(
@@ -273,17 +272,16 @@ def cmd_sweep(args) -> int:
     depth, volume = sweep.run_pipeline(prepared, sonar_image, calibration, config,
                                        origin=(window.u0, window.v0))
 
-    full = sweep.to_full_frame(depth, (window.u0, window.v0),
+    full = sweep.to_full_frame(depth, window,
                                (calibration.intrinsics.height, calibration.intrinsics.width))
 
     outputs = [
         (out / "depth.pfm", formats.encode_pfm(full.depth)),
-        (out / "depth_mask.pgm", formats.encode_pgm(full.valid.astype(np.uint8) * 255)),
+        (out / "depth_mask.pgm", formats.encode_pgm(full.valid)),
         (out / "crop.json", formats.encode_json(window.to_dict())),
     ]
     if args.export_cost_volume:
-        outputs.append((out / "cost_volume.sscv",
-                        formats.encode_cost_volume(volume.costs, volume.valid)))
+        outputs.append((out / "cost_volume.sscv", formats.encode_cost_volume(volume)))
     _write_outputs(outputs)
     print(f"depth map written to {out} ({int(full.valid.sum())} valid pixels)")
     return EXIT_OK
@@ -295,14 +293,13 @@ def cmd_sweep(args) -> int:
 
 def _load_depth_map(values_path, mask_path, what: str) -> sweep.DepthMap:
     values = _read(formats.read_pfm, values_path, what).astype(float)
+    mask = values > 0
     if mask_path is not None:
-        mask = _read(formats.read_pgm, mask_path, f"{what} mask") > 0
-        if mask.shape != values.shape:
-            raise CommandError(f"{mask_path}: mask shape {mask.shape} does not match "
+        given = _read(formats.read_pgm, mask_path, f"{what} mask") > 0
+        if given.shape != values.shape:
+            raise CommandError(f"{mask_path}: mask shape {given.shape} does not match "
                                f"depth {values.shape}", EXIT_INPUT)
-    else:
-        mask = values > 0
-    mask = mask & (values > 0)
+        mask &= given
     try:
         return sweep.DepthMap(depth=np.where(mask, values, 0.0), valid=mask)
     except ValueError as exc:
@@ -352,7 +349,7 @@ def cmd_turbidity(args) -> int:
     else:
         t1 = tuple(args.t1)
 
-    gray = _read(formats.read_pgm, args.input, "input image").astype(float) / 255.0
+    gray = preprocess.to_grayscale(_read(formats.read_pgm, args.input, "input image"))
     # Grayscale path: replicate to RGB, attenuate per channel, take luma.
     rgb = np.repeat(gray[:, :, None], 3, axis=2)
     try:

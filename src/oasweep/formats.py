@@ -201,16 +201,12 @@ def read_pfm(path) -> np.ndarray:
     return values[::-1].astype(np.float32)
 
 
-def encode_cost_volume(costs: np.ndarray, valid: np.ndarray) -> bytearray:
-    """SSCV1 bytes from an (H, W, N) mask and its costs, as a sweep CostVolume holds them.
+def encode_cost_volume(volume) -> bytearray:
+    """SSCV1 bytes from a sweep CostVolume: its (H, W, N) mask and one cost per valid entry.
 
     The cost and flag blocks are filled in place in the one output buffer, so
     the encoder holds no dense copy of the volume besides it."""
-    valid = np.asarray(valid, dtype=bool)
-    if valid.ndim != 3 or np.shape(costs) != (np.count_nonzero(valid),):
-        raise ValueError(f"need an (H, W, N) mask and one cost per valid entry, got mask "
-                         f"{valid.shape} and costs {np.shape(costs)}")
-    h, w, n = valid.shape
+    h, w, n = volume.shape
     header = SSCV_MAGIC + np.array([h, w, n], dtype="<u4").tobytes()
     out = bytearray(len(header) + 5 * h * w * n)  # zero flags
     out[:len(header)] = header
@@ -220,8 +216,8 @@ def encode_cost_volume(costs: np.ndarray, valid: np.ndarray) -> bytearray:
     dense = np.frombuffer(out, dtype="<f4", count=h * w * n, offset=len(header))
     flags = np.frombuffer(out, dtype=np.uint8, offset=len(header) + dense.nbytes)
     dense[:] = SSCV_INVALID_COST
-    entries = np.moveaxis(valid, 2, 0)
-    dense.reshape(w, h, n).transpose(2, 1, 0)[entries] = costs
+    entries = np.moveaxis(volume.valid, 2, 0)
+    dense.reshape(w, h, n).transpose(2, 1, 0)[entries] = volume.costs
     flags.reshape(w, h, n).transpose(2, 1, 0)[entries] = 1
     return out
 

@@ -86,7 +86,8 @@ class SweepConfig:
     the softmax; larger values sharpen the regression toward the best
     hypothesis (the learned regularizer plays this role in a trained stack).
     zero_sonar_features replaces the sonar feature map with zeros, the
-    camera-only ablation used by the turbidity robustness experiment.
+    geometry-prior ablation used by the turbidity robustness experiment
+    (under neg-dot every cost is 0, so it never reads the camera).
     """
 
     extractor: str = "zncc-patch"
@@ -373,13 +374,13 @@ def regress_depth_map(d_hat: np.ndarray, valid: np.ndarray, intrinsics: CameraIn
     return DepthMap(depth=depth, valid=good)
 
 
-def to_full_frame(depth: DepthMap, origin: tuple, shape: tuple) -> DepthMap:
-    """Paste a crop-sized depth map at origin (u0, v0) into a zero (H, W) frame."""
-    (u0, v0), (h, w) = origin, depth.depth.shape
+def to_full_frame(depth: DepthMap, window, shape: tuple) -> DepthMap:
+    """Paste a crop-sized depth map back into a zero (H, W) frame through the
+    CropWindow's slice, the one the crop was cut with."""
     full_depth = np.zeros(shape)
     full_valid = np.zeros(shape, dtype=bool)
-    full_depth[v0:v0 + h, u0:u0 + w] = depth.depth
-    full_valid[v0:v0 + h, u0:u0 + w] = depth.valid
+    full_depth[window.slice()] = depth.depth
+    full_valid[window.slice()] = depth.valid
     return DepthMap(depth=full_depth, valid=full_valid)
 
 

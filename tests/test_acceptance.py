@@ -78,9 +78,8 @@ def run_full_pipeline(rig, camera_image, sonar, config):
     """prepare + sweep + embed into the full frame; returns a DepthMap."""
     cam8 = (np.clip(camera_image, 0.0, 1.0) * 255).round().astype(np.uint8)
     prepared, window = prepare_camera(cam8, rig.intrinsics, rig.sonar, rig.extrinsics)
-    origin = (window.u0, window.v0)
-    depth, _ = run_pipeline(prepared, sonar, rig, config, origin=origin)
-    return to_full_frame(depth, origin, (rig.intrinsics.height, rig.intrinsics.width))
+    depth, _ = run_pipeline(prepared, sonar, rig, config, origin=(window.u0, window.v0))
+    return to_full_frame(depth, window, (rig.intrinsics.height, rig.intrinsics.width))
 
 
 def test_ac1_warping_correctness():
@@ -317,8 +316,9 @@ def test_ac9_turbidity_robustness_trend(stock):
         return out @ np.array([0.299, 0.587, 0.114])
 
     fused = SweepConfig()
-    # Camera-only ablation: sonar features zeroed. neg-dot keeps the costs
-    # defined (uniform), so the output is the geometry prior alone.
+    # Geometry-prior ablation: sonar features zeroed. neg-dot keeps the costs
+    # defined (uniform), so the output is the geometry prior alone and never
+    # reads the camera.
     ablation = SweepConfig(metric="neg-dot", zero_sonar_features=True)
 
     results = {}

@@ -30,8 +30,9 @@ from oasweep.formats import (
 )
 from oasweep.geometry import CameraIntrinsics, PlaneHypothesisSet
 from oasweep.simulator import SpherePrimitive
+from oasweep.sweep import CostVolume
 
-from conftest import compact
+from conftest import compact_volume
 
 
 class TestPGM:
@@ -117,7 +118,7 @@ class TestCostVolume:
         costs = rng.normal(size=(4, 6, 5)).astype(np.float32)
         valid = rng.random(size=(4, 6, 5)) > 0.3
         path = tmp_path / "x.sscv"
-        atomic_write(path, encode_cost_volume(compact(costs, valid), valid))
+        atomic_write(path, encode_cost_volume(compact_volume(costs, valid)))
         got_costs, got_valid = read_cost_volume(path)
         np.testing.assert_array_equal(got_costs, np.where(valid, costs, np.float32(1e9)))
         np.testing.assert_array_equal(got_valid, valid)
@@ -126,13 +127,13 @@ class TestCostVolume:
         valid = np.array([[[True, False, True]]])
         for costs in (np.zeros(1, np.float32), np.zeros(3, np.float32), np.float32(0.0)):
             with pytest.raises(ValueError, match="one cost per valid entry"):
-                encode_cost_volume(costs, valid)
+                encode_cost_volume(CostVolume(costs=costs, valid=valid))
 
     def test_layout_u_major_then_v_then_i(self):
         # 1x2x2 volume: u index varies slowest in the payload.
         costs = np.array([[[0.0, 1.0], [2.0, 3.0]]], dtype=np.float32)
         valid = np.ones((1, 2, 2), dtype=bool)
-        raw = encode_cost_volume(compact(costs, valid), valid)
+        raw = encode_cost_volume(compact_volume(costs, valid))
         assert raw[:5] == b"SSCV1"
         h, w, n = np.frombuffer(raw, dtype="<u4", count=3, offset=5)
         assert (h, w, n) == (1, 2, 2)
@@ -378,7 +379,7 @@ class TestExactRoundTrips:
     @settings(max_examples=200, deadline=None)
     def test_cost_volume(self, fuzz_path, volume):
         costs, valid = volume
-        fuzz_path.write_bytes(encode_cost_volume(compact(costs, valid), valid))
+        fuzz_path.write_bytes(encode_cost_volume(compact_volume(costs, valid)))
         got_costs, got_valid = read_cost_volume(fuzz_path)
         assert got_costs.dtype == np.float32 and got_costs.shape == costs.shape
         assert got_costs.tobytes() == np.where(valid, costs, SSCV_INVALID_COST).tobytes()

@@ -2,7 +2,7 @@
 
 Runs each workload of ``perfbench/workloads.py`` (stock: preprocess, sweep with
 cost-volume export and eval through the CLI; turbid-pair: the fused sweep and
-the camera-only neg-dot ablation through the library; fine-planes: a 95-plane
+the geometry-prior neg-dot ablation through the library; fine-planes: a 95-plane
 CLI sweep) on pool frame 0 and compares the result with
 ``perfbench/golden/<workload>.npz`` at the benchmark's own tolerances, so a
 refactor proves equivalence without a benchmark run. Also checks that every

@@ -22,7 +22,13 @@ from oasweep.simulator import (
     render_camera,
     render_sonar,
 )
-from oasweep.preprocess import prepare_camera, preprocess_sonar_frames
+from oasweep.preprocess import (
+    CropWindow,
+    SensorOverlapError,
+    prepare_camera,
+    preprocess_sonar_frames,
+    sonar_frustum_crop,
+)
 from oasweep.sweep import (
     METRICS,
     CostVolume,
@@ -55,6 +61,7 @@ from conftest import (
     hypothesis_plane_primitive,
     identity_transform,
     plane_normal,
+    random_calibration,
     turned_camera,
 )
 
@@ -622,7 +629,7 @@ class TestSoftArgminMatchesDenseOracle:
 
 @pytest.fixture(scope="class")
 def traced_ablation():
-    """A stock camera-only ablation run_pipeline under tracemalloc: the traced level
+    """A stock geometry-prior ablation run_pipeline under tracemalloc: the traced level
     above the inputs when soft_argmin starts, the sizes of the arrays the cost
     volume consumed, and the scaled volume soft_argmin was given."""
     rig = default_rig()
@@ -711,6 +718,85 @@ class TestThreadCountInvariance:
         assert outputs[0] == outputs[1]
 
 
+def random_rig_chain(rig, camera, sonar_map, window, extractor, patch_radius, metric,
+                     radius, passes):
+    """Features, warp grid, cost volume, regularized and scaled volumes and the
+    soft_argmin of one window, as run_pipeline chains them."""
+    features = [extract_features(image, extractor, patch_radius) for image in (camera, sonar_map)]
+    grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
+                           shape=camera.shape, origin=(window.u0, window.v0))
+    volume = build_cost_volume(*features, grid, rig.sonar, metric)
+    regularized = regularize_cost_volume(volume, radius, passes)
+    scaled = scale_costs(regularized, SweepConfig().cost_scale)
+    return features, grid, volume, regularized, scaled, soft_argmin(scaled, rig.planes.distances())
+
+
+def chain_bytes(chain):
+    """The bytes of every array random_rig_chain returns."""
+    _, grid, volume, regularized, _, out = chain
+    return [a.tobytes() for a in (grid.ranges, grid.bearings, grid.valid, volume.costs,
+                                  volume.valid, regularized.costs, *out)]
+
+
+class TestRandomRig:
+    """The whole chain against its oracles on random rigs, which reach shapes the
+    stock rig never does (split plane runs, far cameras, narrow or wide sectors)."""
+
+    @given(seed=st.integers(0, 2**32 - 1), far=st.booleans(),
+           live=st.sampled_from([0.005, 0.05, 0.5]),
+           extractor=st.sampled_from(sweep.EXTRACTORS), patch_radius=st.integers(0, 2),
+           radius=st.integers(1, 3), passes=st.integers(1, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_chain_matches_oracles(self, seed, far, live, extractor, patch_radius, radius,
+                                   passes):
+        # A window of 2x2 to 40x40 at a uniform place in the rig's frustum crop
+        # (the whole image if the frustum misses it), a random camera image and
+        # a 128x64 sonar map of +0.0, -0.0 and live cells.
+        rng = np.random.default_rng(seed)
+        rig = random_calibration(rng, far)
+        try:
+            crop = sonar_frustum_crop(rig.intrinsics, rig.sonar, rig.extrinsics)
+        except SensorOverlapError:
+            crop = CropWindow(u0=0, v0=0, width=rig.intrinsics.width,
+                              height=rig.intrinsics.height)
+        # Two pixels a side at least: the gradient extractor needs them.
+        h, w = (max(2, min(int(rng.integers(2, 41)), side)) for side in (crop.height, crop.width))
+        window = CropWindow(u0=crop.u0 + int(rng.integers(max(1, crop.width - w + 1))),
+                            v0=crop.v0 + int(rng.integers(max(1, crop.height - h + 1))),
+                            width=w, height=h)
+        camera = rng.random((h, w))
+        spec = rig.sonar
+        sonar_map = np.where(rng.random((spec.range_bins, spec.bearing_bins)) < live,
+                             rng.random((spec.range_bins, spec.bearing_bins)), 0.0)
+        sonar_map[(sonar_map == 0) & (rng.random(sonar_map.shape) < 0.5)] = -0.0
+        distances, n = rig.planes.distances(), rig.planes.n
+        for metric in METRICS:
+            args = (rig, camera, sonar_map, window, extractor, patch_radius, metric, radius,
+                    passes)
+            chain = random_rig_chain(*args)
+            features, grid, volume, regularized, scaled, (d_hat, probs, ok) = chain
+            want = dense_cost_volume(*features, grid, spec, metric)
+            assert volume.costs.tobytes() == want.costs.tobytes()
+            np.testing.assert_array_equal(volume.valid, want.valid)
+            want = dense_regularize(volume, radius, passes)
+            assert regularized.costs.tobytes() == want.costs.tobytes()
+            np.testing.assert_array_equal(regularized.valid, want.valid)
+            # The tolerances of the stock-rig soft_argmin tests.
+            want, want_probs, want_ok = dense_soft_argmin(scaled, distances)
+            np.testing.assert_array_equal(ok, want_ok)
+            assert not d_hat[~ok].any()
+            assert np.all(np.abs(d_hat - want) <= n * np.spacing(want))
+            want_probs = compact(want_probs, scaled.valid)
+            assert np.all(np.abs(probs - want_probs) <= n * np.spacing(want_probs))
+            for got, flat in zip((d_hat, probs, ok), flat_soft_argmin(scaled, distances)):
+                assert got.tobytes() == flat.tobytes()
+            # The same bytes whatever the number of CPUs sharing the planes.
+            for cpus in (1, 3):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(geometry, "usable_cpus", lambda: cpus)
+                    assert chain_bytes(random_rig_chain(*args)) == chain_bytes(chain)
+
+
 class TestArgminPlanes:
     def test_tie_breaks_to_lowest_index(self):
         costs = np.array([[[3.0, 1.0, 1.0]]], dtype=np.float32)
@@ -723,7 +809,7 @@ class TestToFullFrame:
     def test_pastes_crop_at_origin(self):
         crop = DepthMap(depth=np.array([[1.0, 2.0], [3.0, 0.0]]),
                         valid=np.array([[True, True], [True, False]]))
-        full = to_full_frame(crop, (3, 1), (4, 6))
+        full = to_full_frame(crop, CropWindow(u0=3, v0=1, width=2, height=2), (4, 6))
         assert full.depth.shape == full.valid.shape == (4, 6)
         np.testing.assert_array_equal(full.depth[1:3, 3:5], crop.depth)
         np.testing.assert_array_equal(full.valid[1:3, 3:5], crop.valid)
@@ -844,12 +930,25 @@ class TestRunPipeline:
                                 for v in (volume, copy))
         for got, want in zip(plane_major, c_order):
             assert got.tobytes() == want.tobytes()
-        assert (encode_cost_volume(volume.costs, volume.valid)
-                == encode_cost_volume(copy.costs, copy.valid))
+        assert encode_cost_volume(volume) == encode_cost_volume(copy)
+
+    def test_geometry_prior_never_reads_the_camera(self, default_run, rng):
+        # The sonar-zeroed neg-dot pass scores every admissible entry 0, so its
+        # depth is the geometry prior alone: the same bytes for the prepared
+        # stock crop and for a random image.
+        rig, _, sonar, prepared, window, _, _ = default_run
+        config = SweepConfig(metric="neg-dot", zero_sonar_features=True)
+        noise = rng.integers(0, 256, size=prepared.shape, dtype=np.uint8)
+        outputs = []
+        for image in (prepared, noise):
+            depth, _ = run_pipeline(image, sonar, rig, config, origin=(window.u0, window.v0))
+            outputs.append((depth.depth.tobytes(), depth.valid.tobytes()))
+        assert depth.valid.any()
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("extractor", ["zncc-patch", "intensity"])
     def test_ablation_extracts_no_sonar_features(self, default_run, monkeypatch, extractor):
-        # The camera-only ablation builds its zero sonar features directly:
+        # The geometry-prior ablation builds its zero sonar features directly:
         # no sonar extraction runs, and the volume has the bytes of zeroing
         # extracted ones.
         rig, _, sonar, prepared, window, _, _ = default_run

@@ -1,9 +1,12 @@
 """The test-only rule: src/oasweep holds only what the program runs.
 
 Every top-level function and class of the package, and every method that is
-not a dunder, must be named somewhere in the program, its benchmark or its
-scripts besides its own ``def`` or ``class`` line. A name that only the tests
-use belongs in ``tests/`` (as an oracle in ``conftest.py``) or nowhere.
+not a dunder, must be referred to by code somewhere in the program, its
+benchmark or its scripts: as a name, an attribute, an imported name, or a
+string that is the name alone (the benchmark's tracer wraps functions named
+by strings). A comment or docstring that mentions it does not count. A name
+that only the tests use belongs in ``tests/`` (as an oracle in
+``conftest.py``) or nowhere.
 
 The same holds for parameter defaults: some call in the program, its
 benchmark or its scripts must omit the parameter. A default that every such
@@ -12,7 +15,6 @@ caller overrides only shadows the value the program really uses (a
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,17 +38,27 @@ def package_definitions():
                         yield path, item.lineno, item.name
 
 
+def referenced_names(tree):
+    """The names a module's code refers to: Name and Attribute nodes, imported
+    names, and string constants (a string may name a function to look up)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
 def test_every_package_name_is_used_outside_the_tests():
-    lines = [(path, number, text)
-             for folder in USER_DIRS
-             for path in sorted((ROOT / folder).rglob("*.py"))
-             for number, text in enumerate(path.read_text().splitlines(), start=1)]
-    unused = []
-    for def_path, def_line, name in package_definitions():
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        if not any(word.search(text) for path, number, text in lines
-                   if (path, number) != (def_path, def_line)):
-            unused.append(f"{def_path.relative_to(ROOT)}:{def_line} {name}")
+    used = {name
+            for folder in USER_DIRS
+            for path in sorted((ROOT / folder).rglob("*.py"))
+            for name in referenced_names(ast.parse(path.read_text(), filename=str(path)))}
+    unused = [f"{path.relative_to(ROOT)}:{line} {name}"
+              for path, line, name in package_definitions() if name not in used]
     assert not unused, f"used only by the tests (or by nothing): {unused}"
 
 
