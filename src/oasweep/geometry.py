@@ -29,6 +29,11 @@ ORTHONORMALITY_TOL = 1e-9
 # Pixels per warp-grid task: one plane's block of buffers stays in cache.
 # BENCH_plane_threads.json times 4,096, 16,384 and 65,536.
 BLOCK_PIXELS = 16384
+# Relative margin of the warp grid's row filter (see _wedge_rows): the tangent
+# of the vertical half-aperture is widened by it, and a row is skipped only
+# when its distance outside the widened wedge also clears it. Rounding of the
+# lifted points is about 1e-16 relative, ten orders of magnitude inside.
+WEDGE_MARGIN = 1e-6
 
 
 def usable_cpus() -> int:
@@ -331,11 +336,14 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     the valid entries' lookups are kept.
 
     The work runs as one task per plane and block of BLOCK_PIXELS
-    consecutive pixels, so that a task's buffers stay in cache, and the
-    tasks are shared between threads by :func:`map_in_order`. Each task
-    writes its own slice of the mask and returns its survivors' lookups,
-    which are joined in task order: the grid is the same bit for bit
-    whatever the thread count.
+    consecutive pixels, so that a task's buffers stay in cache, and each
+    plane is gated only on the blocks that meet its rows from the first to
+    the last that :func:`_wedge_rows` keeps; the rows it skips cannot hold an
+    entry inside the vertical aperture, so their mask stays False, as the
+    gate would set it. The tasks are shared between threads by
+    :func:`map_in_order`. Each task writes its own slice of the mask and
+    returns its survivors' lookups, which are joined in task order: the grid
+    is the same bit for bit whatever the thread count.
 
     Args:
         intrinsics: Camera model.
@@ -382,12 +390,86 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
         valid[i, block] = good
         return ranges[good], bearings[good]
 
-    blocks = [slice(start, start + BLOCK_PIXELS) for start in range(0, h * w, BLOCK_PIXELS)]
+    # Each plane's tasks are the whole blocks of the BLOCK_PIXELS grid that
+    # meet its row span, so every task allocates the buffers a gate over the
+    # full plane would. Blocks cut to the span gate fewer entries (27.8%
+    # against 46% of the stock crop's), but their odd-sized buffers raised the
+    # turbid-pair benchmark's peak RSS by 7.5% (BENCH_row_band.json).
+    tasks = []
+    if h * w:
+        for i, rows in enumerate(_wedge_rows(rays, denom, numers, extrinsics, spec, shape)):
+            rows = np.flatnonzero(rows)
+            if rows.size:
+                first, stop = rows[0] * w, (rows[-1] + 1) * w
+                tasks += [(i, slice(start, start + BLOCK_PIXELS))
+                          for start in range(first - first % BLOCK_PIXELS, stop, BLOCK_PIXELS)]
     # The pieces are joined one coordinate at a time, so that the range pieces
     # are freed before the bearings are joined; the empty leading pieces keep
-    # a zero-size grid's join defined.
-    ranges, bearings = zip((np.empty(0), np.empty(0)), *map_in_order(
-        gate, [(i, block) for i in range(planes.n) for block in blocks]))
+    # the join defined when no task runs.
+    ranges, bearings = zip((np.empty(0), np.empty(0)), *map_in_order(gate, tasks))
     ranges = np.concatenate(ranges)
     return WarpGrid(ranges, np.concatenate(bearings),
                     valid.reshape(planes.n, h, w).transpose(1, 2, 0))
+
+
+def _wedge_rows(rays, denom, numers, extrinsics: RigidTransform, spec: SonarSpec,
+                shape: tuple) -> np.ndarray:
+    """(N, H) mask of the rows of each plane that may hold an entry inside the vertical aperture.
+
+    The arguments are :func:`build_warp_grid`'s rays (3, H*W), column
+    denominators (H*W,) and per-plane numerators (N,). A row is dropped only
+    when no pixel of it can pass the gate's elevation term (or its Z_c > 0
+    term), so gating the kept rows alone leaves every mask bit and lookup as
+    the full gate sets it.
+
+    Along a row the rays K^-1 [u, v, 1]^T are affine in u and so is their
+    denominator, which is never zero (the parallel threshold makes it NaN).
+    When it has the same sign at the row's first and last pixel, it keeps
+    that sign in between, and each ray's point on the plane moves
+    monotonically along the line where the plane meets the row's viewing
+    plane: the row's points are the 3-D segment P(s) = P0 + s (P1 - P0),
+    s in [0, 1], between its end points. These are lifted to the sonar frame
+    with the gate's own expressions. With Z_c <= 0 at both ends, every point
+    of the row lies behind the camera (Z_c = numer / denom keeps one sign
+    along the row) and the row is skipped. With Z_c > 0, an entry passes the
+    elevation term when |up| <= T hypot(lateral, forward), T = tan(ε/2).
+    With T' = T (1 + WEDGE_MARGIN),
+
+        q(s) = up(s)^2 - T'^2 (lateral(s)^2 + forward(s)^2)
+
+    is a quadratic in s, and the row is skipped only when its minimum over
+    [0, 1] (at the ends or at the vertex inside) exceeds
+    WEDGE_MARGIN (1 + T'^2), the points being scaled so that their largest
+    coordinate is 1. Every point of a skipped row then has elevation above
+    arctan(T') > ε/2; the gate's arctan2 would have to err by
+    WEDGE_MARGIN T / (1 + T^2) radians to pass it, and its own rounding and
+    that of the lifted points (about 1e-16 relative: the rays are affine in
+    u up to rounding, and a point with range below range_min > 0 fails the
+    gate anyway, so no admissible point has r near 0) sit far inside that.
+    For T' above 1 / sqrt(WEDGE_MARGIN) the threshold exceeds any q, so a
+    near-hemispherical aperture keeps every row. A row is also kept when
+    its denominators differ in sign or are NaN, when anything lifted is
+    non-finite, or when its points are too small to scale exactly
+    (subnormal): the filter keeps every row it is unsure of.
+    """
+    h, w = shape
+    ends = [[0], [w - 1]] + np.arange(h) * w  # (2, H): each row's first and last pixel
+    tan_wide = np.tan(spec.elevation_fov / 2) * (1 + WEDGE_MARGIN)
+    weights = np.array([-tan_wide**2, -tan_wide**2, 1.0])[:, None, None]
+    with np.errstate(all="ignore"):
+        z = numers[:, None] / denom[ends][:, None]  # (2, N, H)
+        points = z * rays[:, ends][:, :, None]
+        points -= extrinsics.translation[:, None, None, None]
+        points = (extrinsics.rotation.T @ points.reshape(3, -1)).reshape(points.shape)
+        scale = np.max(np.abs(points), axis=(0, 1))  # (N, H)
+        scaled = points / scale
+        start, step = scaled[:, 0], scaled[:, 1] - scaled[:, 0]
+        c, q1 = np.sum(weights * start**2, axis=0), np.sum(weights * scaled[:, 1]**2, axis=0)
+        b, a = np.sum(weights * start * step, axis=0), np.sum(weights * step**2, axis=0)
+        # q(s) = c + 2 b s + a s^2 has its vertex inside (0, 1) when 0 < -b < a.
+        vertex = np.where((a > 0) & (-b > 0) & (-b < a), c - b * b / a, np.inf)
+        outside = np.minimum(np.minimum(c, q1), vertex) > WEDGE_MARGIN * (1 + tan_wide**2)
+    same_side = np.sign(denom[ends[0]]) == np.sign(denom[ends[1]])  # NaN: False
+    exact = np.isfinite(points).all(axis=(0, 1)) & (scale >= np.finfo(float).tiny)
+    skip = same_side & exact & ((z <= 0).all(axis=0) | ((z > 0).all(axis=0) & outside))
+    return ~skip

@@ -271,12 +271,12 @@ def regularize_cost_volume(volume: CostVolume, radius: int, passes: int) -> Cost
     (truncated at slice borders); the validity mask is preserved. Radius 0 or
     zero passes returns the volume unchanged.
 
-    Each plane's mask is cut to the rows and columns its entries occupy, grown
-    by the radius (past the slice border too); its costs, in C order, are
-    scattered through that boolean box, filtered and gathered back. The filter
-    input is exactly zero outside the valid entries, so every filter line of
-    the grown box starts on a window of zeros, as it would at the slice border,
-    and its running sums, hence the result, match the slice's bit for bit.
+    Each plane's mask is cut to the rows and columns its entries occupy; its
+    costs, in C order, are scattered through that boolean box, filtered and
+    gathered back. The filter input is exactly zero outside the valid entries,
+    and the filter's constant-zero boundary gives every line of the box the
+    same zero lead-in that the slice's empty cells around the box would, so
+    its running sums, hence the result, match the slice's bit for bit.
     """
     if radius == 0 or passes == 0:
         return volume
@@ -288,7 +288,7 @@ def regularize_cost_volume(volume: CostVolume, radius: int, passes: int) -> Cost
         rows, cols = np.flatnonzero(plane.any(axis=1)), np.flatnonzero(plane.any(axis=0))
         if rows.size == 0:
             continue
-        box_valid = np.pad(plane[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1], radius)
+        box_valid = plane[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
         entries = slice(end, end + np.count_nonzero(box_valid))
         end = entries.stop
         cnts = ndimage.uniform_filter(box_valid.astype(np.float64), size=size,

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from oasweep.geometry import (
     ray_plane_terms,
     spherical_to_cartesian,
 )
+from oasweep.preprocess import sonar_frustum_crop
 from oasweep.sweep import regress_depth_map
 
 from conftest import (
@@ -424,6 +426,43 @@ class TestMapInOrder:
         assert geometry.usable_cpus() >= 1
 
 
+
+def rolled(rig, degrees):
+    """The rig with its camera turned by ``degrees`` about its optical axis, center kept."""
+    angle = math.radians(degrees)
+    turn = np.array([[math.cos(angle), -math.sin(angle), 0.0],
+                     [math.sin(angle), math.cos(angle), 0.0],
+                     [0.0, 0.0, 1.0]])
+    extrinsics = RigidTransform(turn @ rig.extrinsics.rotation, turn @ rig.extrinsics.translation)
+    return dataclasses.replace(rig, extrinsics=extrinsics)
+
+
+def edge_apertures(rig):
+    """Sonar specs whose elevation edge passes exactly through a row end of plane 1.
+
+    A row qualifies when every pixel of it meets plane 1 in front of the
+    camera, its least |elevation| falls on its first or last pixel, and that
+    pixel passes the range and bearing terms; its spec sets elevation_fov to
+    twice that elevation, so the gate keeps the pixel with equality. Ordered
+    by the aperture's distance from the rig's own.
+    """
+    h, w = rig.intrinsics.height, rig.intrinsics.width
+    vs, us = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
+    points, ok = solve_ray_plane(us[:, :, None], vs[:, :, None], rig.intrinsics, rig.extrinsics,
+                                 rig.planes, [1])
+    points, ok = points[:, :, 0], ok[:, :, 0]
+    ranges, bearings = sonar_polar(points)
+    elevation = np.abs(np.arctan2(points[..., 2], ranges))
+    spec = rig.sonar
+    admit = ((ranges >= spec.range_min) & (ranges <= spec.range_max)
+             & (np.abs(bearings) <= spec.bearing_fov / 2))
+    edges = {elevation[v, end] for v in np.flatnonzero(ok.all(axis=1)) for end in (0, w - 1)
+             if admit[v, end] and elevation[v, end] == elevation[v].min()
+             and 0 < elevation[v, end] < math.pi / 2}
+    return [dataclasses.replace(spec, elevation_fov=2 * edge)
+            for edge in sorted(edges, key=lambda edge: abs(edge - spec.elevation_fov / 2))]
+
+
 class TestWarpGrid:
     def test_zero_size_image(self, rig):
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar, shape=(0, 0),
@@ -536,6 +575,60 @@ class TestWarpGrid:
         args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
         grid = build_warp_grid(*args, shape=(40, 40), origin=(u0, v0))
         self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=(40, 40), origin=(u0, v0)))
+
+    @given(seed=st.integers(0, 2**32 - 1), far=st.booleans(), roll=st.floats(-90.0, 90.0))
+    @settings(max_examples=10, deadline=None)
+    def test_matches_dense_oracle_on_full_frame_random_rigs(self, seed, far, roll):
+        # Over a full 240x320 frame each plane's row band skips most rows
+        # (40x40 windows rarely skip one); it must skip none that holds an
+        # admissible entry. One-row blocks gate exactly the band's rows. A
+        # rolled camera's rows cross the wedge, so a row can leave it at both
+        # ends and still hold admissible entries inside.
+        rig = rolled(random_calibration(np.random.default_rng(seed), far=far), roll)
+        args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
+        with mock.patch.object(geometry, "BLOCK_PIXELS", 320):
+            grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0))
+        self.assert_matches_oracle(grid, dense_warp_grid(*args))
+
+    @given(seed=st.integers(0, 2**32 - 1), far=st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_matches_dense_oracle_at_the_wedge_edge(self, seed, far):
+        # The vertical aperture is narrowed until one row's nearest point to
+        # the wedge, an end pixel that passes the other gate terms, sits
+        # exactly on its edge: only the band's margin keeps that row. Every
+        # such row of the rig's middle plane is tried, on a two-plane set
+        # whose first plane is that plane, bit for bit.
+        rig = random_calibration(np.random.default_rng(seed), far=far)
+        planes = rig.planes
+        middle = planes.distances()[planes.n // 2]
+        rig = dataclasses.replace(rig, planes=dataclasses.replace(planes, d0=middle, n=2))
+        for spec in edge_apertures(rig)[:8]:
+            args = (rig.intrinsics, rig.extrinsics, rig.planes, spec)
+            with mock.patch.object(geometry, "BLOCK_PIXELS", 320):
+                grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0))
+            self.assert_matches_oracle(grid, dense_warp_grid(*args))
+
+    def test_stock_crop_gates_under_half_the_entries_like_oracle(self, rig, monkeypatch):
+        # On the stock crop each plane admits entries on about 27% of its
+        # rows, and the gate tasks cover only the blocks that meet each
+        # plane's row band: 46% of the H*W*N entries, with the dense
+        # oracle's bytes.
+        window = sonar_frustum_crop(rig.intrinsics, rig.sonar, rig.extrinsics)
+        shape, origin = (window.height, window.width), (window.u0, window.v0)
+        tasks = []
+
+        def spy(fn, items):
+            items = list(items)
+            tasks.extend(items)
+            return map_in_order(fn, items)
+
+        monkeypatch.setattr(geometry, "map_in_order", spy)
+        args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
+        grid = build_warp_grid(*args, shape=shape, origin=origin)
+        pixels = shape[0] * shape[1]
+        gated = sum(min(block.stop, pixels) - block.start for _, block in tasks)
+        assert gated <= 0.5 * grid.valid.size
+        self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=shape, origin=origin))
 
     @pytest.mark.parametrize("scale", [1e-200, 1e155, 3e307])
     def test_matches_dense_oracle_at_extreme_scales(self, rig, scale, monkeypatch):
