@@ -22,6 +22,7 @@ Every operation here is pure and safe to vectorize or share across threads;
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -298,7 +299,9 @@ class WarpGrid:
         valid: (H, W, N) mask; False where the ray ran parallel to the plane,
             the intersection fell behind the camera, the lookup left the
             sonar sector, or the candidate point sat outside the vertical
-            aperture. Stored plane-major: the (H, W, N) transpose of an
+            aperture; and, for a grid built with echo rows, where the
+            lookup's range-bin row floor(rb) of :meth:`SonarSpec.polar_to_bin`
+            holds no echo. Stored plane-major: the (H, W, N) transpose of an
             (N, H, W) array, so each plane ``valid[:, :, i]`` is contiguous.
     """
 
@@ -317,10 +320,15 @@ class WarpGrid:
     def shape(self):
         return self.valid.shape
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """(H,) mask of the rows where some plane admits an entry."""
+        return np.moveaxis(self.valid, 2, 0).any(axis=0).any(axis=1)
+
 
 def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
                     planes: PlaneHypothesisSet, spec: SonarSpec,
-                    shape: tuple, origin: tuple) -> WarpGrid:
+                    shape: tuple, origin: tuple, echo_rows) -> WarpGrid:
     """Ray-plane intersections and sonar lookups for every (pixel, plane) pair.
 
     A polar lookup only needs range and bearing, but a candidate point
@@ -332,18 +340,23 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     P_s = R^T (Z_c K^-1 [u, v, 1]^T - t), projected orthographically (range
     and bearing from the horizontal components alone) and gated by five
     terms: Z_c > 0, range >= range_min, range <= range_max,
-    |bearing| <= bearing_fov / 2 and |elevation| <= elevation_fov / 2. Only
-    the valid entries' lookups are kept.
+    |bearing| <= bearing_fov / 2 and |elevation| <= elevation_fov / 2. With
+    ``echo_rows``, a sixth term keeps only the entries whose range-bin row
+    floor(rb), rb from :meth:`SonarSpec.polar_to_bin`, is marked in it: a
+    caller whose dead sonar cells can score nothing passes the rows that
+    hold a live cell, and the grid keeps only the entries that can. Only the
+    valid entries' lookups are kept.
 
-    The work runs as one task per plane and block of BLOCK_PIXELS
-    consecutive pixels, so that a task's buffers stay in cache, and each
-    plane is gated only on the blocks that meet its rows from the first to
-    the last that :func:`_wedge_rows` keeps; the rows it skips cannot hold an
-    entry inside the vertical aperture, so their mask stays False, as the
-    gate would set it. The tasks are shared between threads by
-    :func:`map_in_order`. Each task writes its own slice of the mask and
-    returns its survivors' lookups, which are joined in task order: the grid
-    is the same bit for bit whatever the thread count.
+    Each plane is gated only on the rows that :func:`_wedge_rows` keeps; the
+    rows it skips cannot hold an entry that passes the gate, so their mask
+    stays False, as the gate would set it. Each run of kept rows is cut into
+    tasks of at most BLOCK_PIXELS consecutive pixels, and each thread gates
+    its tasks in one set of BLOCK_PIXELS-sized scratch buffers, so that they
+    stay in cache and every allocation has one size, whatever the run. The
+    tasks are shared between threads by :func:`map_in_order`. Each task
+    writes its own slice of the mask and returns its survivors' lookups,
+    which are joined in task order: the grid is the same bit for bit whatever
+    the thread count.
 
     Args:
         intrinsics: Camera model.
@@ -352,6 +365,8 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
         spec: Sonar geometry used for FOV and elevation gating.
         shape: (H, W) grid size.
         origin: (u0, v0) pixel of grid element [0, 0], for crop windows.
+        echo_rows: (range_bins,) boolean mask of the range-bin rows an entry
+            may look up, or None for no sixth term.
 
     Returns:
         WarpGrid of shape (H, W, N). Parallel rays and behind-camera
@@ -371,38 +386,55 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     # Plane-major mask, coordinate-major rays: each task's reads and writes
     # are contiguous rows.
     valid = np.zeros((planes.n, h * w), dtype=bool)
+    block_pixels = BLOCK_PIXELS
+    scratch = threading.local()
 
     def gate(task):
         i, block = task
+        size = block.stop - block.start
+        if not hasattr(scratch, "floats"):  # this thread's first task
+            scratch.floats = np.empty((10, block_pixels))
+            scratch.flags = np.empty((2, block_pixels), dtype=bool)
+        # Leading slices; the (3, size) ones contiguous, so that the lift's
+        # matrix product runs as it would on a fresh array.
+        z, ranges, bearings, elevation = scratch.floats[:4, :size]
+        points, sonar = (coords.ravel()[:3 * size].reshape(3, size)
+                         for coords in (scratch.floats[4:7], scratch.floats[7:]))
+        good, term = scratch.flags[:, :size]
         # numpy's error state is per thread. Depths past the float64 range
         # overflow to inf or NaN, which fail the gate.
         with np.errstate(over="ignore", invalid="ignore"):
-            z = numers[i] / denom[block]
-            points = z * rays[:, block]
+            np.divide(numers[i], denom[block], out=z)
+            np.multiply(z, rays[:, block], out=points)
             points -= extrinsics.translation[:, None]
-            lateral, forward, up = extrinsics.rotation.T @ points
-            ranges = np.hypot(lateral, forward)
-            bearings = np.arctan2(lateral, forward)
-            elevation = np.arctan2(up, ranges)
-            good = ((z > 0) & (ranges >= spec.range_min) & (ranges <= spec.range_max)
-                    & (np.abs(bearings) <= spec.bearing_fov / 2)
-                    & (np.abs(elevation) <= spec.elevation_fov / 2))
+            lateral, forward, up = np.matmul(extrinsics.rotation.T, points, out=sonar)
+            np.hypot(lateral, forward, out=ranges)
+            np.arctan2(lateral, forward, out=bearings)
+            np.arctan2(up, ranges, out=elevation)
+            np.greater(z, 0, out=good)
+            good &= np.greater_equal(ranges, spec.range_min, out=term)
+            good &= np.less_equal(ranges, spec.range_max, out=term)
+            good &= np.less_equal(np.abs(bearings, out=z), spec.bearing_fov / 2, out=term)
+            good &= np.less_equal(np.abs(elevation, out=elevation), spec.elevation_fov / 2,
+                                  out=term)
+        ranges, bearings = ranges[good], bearings[good]
+        if echo_rows is not None:
+            # polar_to_bin clamps to >= 0, so the integer cast is the floor.
+            echo = echo_rows[spec.polar_to_bin(ranges, 0.0)[0].astype(int)]
+            good[good] = echo
+            ranges, bearings = ranges[echo], bearings[echo]
         valid[i, block] = good
-        return ranges[good], bearings[good]
+        return ranges, bearings
 
-    # Each plane's tasks are the whole blocks of the BLOCK_PIXELS grid that
-    # meet its row span, so every task allocates the buffers a gate over the
-    # full plane would. Blocks cut to the span gate fewer entries (27.8%
-    # against 46% of the stock crop's), but their odd-sized buffers raised the
-    # turbid-pair benchmark's peak RSS by 7.5% (BENCH_row_band.json).
     tasks = []
     if h * w:
-        for i, rows in enumerate(_wedge_rows(rays, denom, numers, extrinsics, spec, shape)):
-            rows = np.flatnonzero(rows)
-            if rows.size:
-                first, stop = rows[0] * w, (rows[-1] + 1) * w
-                tasks += [(i, slice(start, start + BLOCK_PIXELS))
-                          for start in range(first - first % BLOCK_PIXELS, stop, BLOCK_PIXELS)]
+        keep = _wedge_rows(rays, denom, numers, extrinsics, spec, shape, echo_rows)
+        for i, rows in enumerate(keep):
+            # Each run of kept rows, [first, stop) in pixels.
+            for first, stop in np.flatnonzero(np.diff(rows, prepend=False, append=False)
+                                              ).reshape(-1, 2) * w:
+                tasks += [(i, slice(start, min(start + block_pixels, stop)))
+                          for start in range(first, stop, block_pixels)]
     # The pieces are joined one coordinate at a time, so that the range pieces
     # are freed before the bearings are joined; the empty leading pieces keep
     # the join defined when no task runs.
@@ -413,14 +445,14 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
 
 
 def _wedge_rows(rays, denom, numers, extrinsics: RigidTransform, spec: SonarSpec,
-                shape: tuple) -> np.ndarray:
-    """(N, H) mask of the rows of each plane that may hold an entry inside the vertical aperture.
+                shape: tuple, echo_rows) -> np.ndarray:
+    """(N, H) mask of the rows of each plane that may hold an entry passing the gate.
 
     The arguments are :func:`build_warp_grid`'s rays (3, H*W), column
-    denominators (H*W,) and per-plane numerators (N,). A row is dropped only
-    when no pixel of it can pass the gate's elevation term (or its Z_c > 0
-    term), so gating the kept rows alone leaves every mask bit and lookup as
-    the full gate sets it.
+    denominators (H*W,), per-plane numerators (N,) and echo rows. A row is
+    dropped only when no pixel of it can pass the gate's Z_c > 0, elevation
+    or range terms, or its echo term, so gating the kept rows alone leaves
+    every mask bit and lookup as the full gate sets it.
 
     Along a row the rays K^-1 [u, v, 1]^T are affine in u and so is their
     denominator, which is never zero (the parallel threshold makes it NaN).
@@ -431,31 +463,48 @@ def _wedge_rows(rays, denom, numers, extrinsics: RigidTransform, spec: SonarSpec
     s in [0, 1], between its end points. These are lifted to the sonar frame
     with the gate's own expressions. With Z_c <= 0 at both ends, every point
     of the row lies behind the camera (Z_c = numer / denom keeps one sign
-    along the row) and the row is skipped. With Z_c > 0, an entry passes the
-    elevation term when |up| <= T hypot(lateral, forward), T = tan(ε/2).
-    With T' = T (1 + WEDGE_MARGIN),
+    along the row) and the row is skipped. With Z_c > 0, the points are
+    scaled so that their largest coordinate is 1, and two quadratics in s
+    bound the row; each has its least value over [0, 1] at an end or at its
+    vertex inside.
 
-        q(s) = up(s)^2 - T'^2 (lateral(s)^2 + forward(s)^2)
+    Elevation. An entry passes the elevation term when
+    |up| <= T hypot(lateral, forward), T = tan(ε/2). With
+    T' = T (1 + WEDGE_MARGIN),
 
-    is a quadratic in s, and the row is skipped only when its minimum over
-    [0, 1] (at the ends or at the vertex inside) exceeds
-    WEDGE_MARGIN (1 + T'^2), the points being scaled so that their largest
-    coordinate is 1. Every point of a skipped row then has elevation above
-    arctan(T') > ε/2; the gate's arctan2 would have to err by
-    WEDGE_MARGIN T / (1 + T^2) radians to pass it, and its own rounding and
-    that of the lifted points (about 1e-16 relative: the rays are affine in
-    u up to rounding, and a point with range below range_min > 0 fails the
-    gate anyway, so no admissible point has r near 0) sit far inside that.
-    For T' above 1 / sqrt(WEDGE_MARGIN) the threshold exceeds any q, so a
-    near-hemispherical aperture keeps every row. A row is also kept when
-    its denominators differ in sign or are NaN, when anything lifted is
-    non-finite, or when its points are too small to scale exactly
-    (subnormal): the filter keeps every row it is unsure of.
+        q(s) = up(s)^2 - T'^2 (lateral(s)^2 + forward(s)^2),
+
+    and the row is skipped when the least q exceeds WEDGE_MARGIN (1 + T'^2).
+    Every point of a skipped row then has elevation above arctan(T') > ε/2;
+    the gate's arctan2 would have to err by WEDGE_MARGIN T / (1 + T^2)
+    radians to pass it, and its own rounding and that of the lifted points
+    (about 1e-16 relative: the rays are affine in u up to rounding, and a
+    point with range below range_min > 0 fails the gate anyway, so no
+    admissible point has r near 0) sit far inside that. For T' above
+    1 / sqrt(WEDGE_MARGIN) the threshold exceeds any q, so a
+    near-hemispherical aperture keeps every row.
+
+    Range. g(s) = lateral(s)^2 + forward(s)^2 is convex, so its greatest
+    value is at an end. The row's ranges lie in [sqrt(g_min), sqrt(g_max)],
+    widened on each side by WEDGE_MARGIN (1 + |t| / scale) and scaled back.
+    The margin is relative to the row's scale, not to its range: the lifted
+    coordinates round to a few ulps of scale + |t| (the lift subtracts t),
+    the sums of g (each term at most 1) to a few ulps, which moves sqrt(g)
+    by at most their square root, about 1e-7 (so a range near 0 is covered
+    too), and the gate's hypot rounds to half an ulp. The row is skipped
+    when the widened interval [lo, hi] misses [range_min, range_max] or,
+    with echo rows, when no echo row lies in [floor(pb(lo)), floor(pb(hi))],
+    pb being :meth:`SonarSpec.polar_to_bin`: every step of pb and the floor
+    is monotone under IEEE rounding, so each entry's floor(rb) lies in that
+    interval.
+
+    A row is kept when its denominators differ in sign or are NaN, when
+    anything lifted is non-finite, or when its points are too small to scale
+    exactly (subnormal): the filter keeps every row it is unsure of.
     """
     h, w = shape
     ends = [[0], [w - 1]] + np.arange(h) * w  # (2, H): each row's first and last pixel
     tan_wide = np.tan(spec.elevation_fov / 2) * (1 + WEDGE_MARGIN)
-    weights = np.array([-tan_wide**2, -tan_wide**2, 1.0])[:, None, None]
     with np.errstate(all="ignore"):
         z = numers[:, None] / denom[ends][:, None]  # (2, N, H)
         points = z * rays[:, ends][:, :, None]
@@ -463,13 +512,32 @@ def _wedge_rows(rays, denom, numers, extrinsics: RigidTransform, spec: SonarSpec
         points = (extrinsics.rotation.T @ points.reshape(3, -1)).reshape(points.shape)
         scale = np.max(np.abs(points), axis=(0, 1))  # (N, H)
         scaled = points / scale
-        start, step = scaled[:, 0], scaled[:, 1] - scaled[:, 0]
-        c, q1 = np.sum(weights * start**2, axis=0), np.sum(weights * scaled[:, 1]**2, axis=0)
-        b, a = np.sum(weights * start * step, axis=0), np.sum(weights * step**2, axis=0)
-        # q(s) = c + 2 b s + a s^2 has its vertex inside (0, 1) when 0 < -b < a.
-        vertex = np.where((a > 0) & (-b > 0) & (-b < a), c - b * b / a, np.inf)
-        outside = np.minimum(np.minimum(c, q1), vertex) > WEDGE_MARGIN * (1 + tan_wide**2)
+        start, stop = scaled[:, 0], scaled[:, 1]
+        step = stop - start
+
+        def extremes(weights):
+            """Least and end-most values over s in [0, 1] of sum(weights * P(s)^2)."""
+            weights = np.array(weights)[:, None, None]
+            c, q1 = np.sum(weights * start**2, axis=0), np.sum(weights * stop**2, axis=0)
+            b, a = np.sum(weights * start * step, axis=0), np.sum(weights * step**2, axis=0)
+            # c + 2 b s + a s^2 has its vertex inside (0, 1) when 0 < -b < a.
+            vertex = np.where((a > 0) & (-b > 0) & (-b < a), c - b * b / a, np.inf)
+            return np.minimum(np.minimum(c, q1), vertex), np.maximum(c, q1)
+
+        outside = extremes([-tan_wide**2, -tan_wide**2, 1.0])[0] > WEDGE_MARGIN * (1 + tan_wide**2)
+        least, most = extremes([1.0, 1.0, 0.0])
+        widen = WEDGE_MARGIN * (1 + np.linalg.norm(extrinsics.translation) / scale)
+        low = (np.sqrt(np.maximum(least, 0.0)) - widen) * scale
+        high = (np.sqrt(most) + widen) * scale
     same_side = np.sign(denom[ends[0]]) == np.sign(denom[ends[1]])  # NaN: False
     exact = np.isfinite(points).all(axis=(0, 1)) & (scale >= np.finfo(float).tiny)
-    skip = same_side & exact & ((z <= 0).all(axis=0) | ((z > 0).all(axis=0) & outside))
-    return ~skip
+    ahead = same_side & exact & (z > 0).all(axis=0)
+    # An unsure row's range spans everything, so its bins span every row.
+    low, high = np.where(ahead, low, -np.inf), np.where(ahead, high, np.inf)
+    missed = (high < spec.range_min) | (low > spec.range_max)
+    if echo_rows is not None:
+        first, last = (spec.polar_to_bin(bound, 0.0)[0].astype(int) for bound in (low, high))
+        held = np.concatenate([[0], np.cumsum(echo_rows)])
+        missed |= held[last + 1] == held[first]
+    behind = same_side & exact & (z <= 0).all(axis=0)
+    return ~(behind | (ahead & (outside | missed)))

@@ -109,7 +109,8 @@ class SweepConfig:
             raise ValueError(f"cost_scale must be positive and finite, got {self.cost_scale}")
 
 
-def extract_features(image: np.ndarray, kind: str, patch_radius: int) -> np.ndarray:
+def extract_features(image: np.ndarray, kind: str, patch_radius: int,
+                     rows=None) -> np.ndarray:
     """Per-pixel feature vectors of a grayscale image or polar sonar scan.
 
     Kinds:
@@ -118,6 +119,10 @@ def extract_features(image: np.ndarray, kind: str, patch_radius: int) -> np.ndar
         zncc-patch: F = (2r+1)^2 zero-mean unit-norm patch vector, with the
             zero vector where the patch variance falls below 1e-12.
 
+    ``rows``, an (H,) boolean mask, asks for the features of its rows only:
+    they are the whole image's, bit for bit, and every other row is +0.0.
+    zncc-patch, the costly kind, windows only those rows of the padded image.
+
     Returns:
         float32 array of shape (H, W, F).
     """
@@ -125,10 +130,10 @@ def extract_features(image: np.ndarray, kind: str, patch_radius: int) -> np.ndar
     if image.ndim != 2 or image.size == 0:
         raise ValueError(f"expected a nonempty 2-D image, got shape {image.shape}")
     if kind == "intensity":
-        return image[:, :, None].astype(np.float32)
+        return _only(rows, image[:, :, None].astype(np.float32))
     if kind == "gradient":
         dv, du = np.gradient(image)
-        return np.stack([du, dv], axis=-1).astype(np.float32)
+        return _only(rows, np.stack([du, dv], axis=-1).astype(np.float32))
     if kind == "zncc-patch":
         r = patch_radius
         padded = np.pad(image, r, mode="edge")
@@ -138,7 +143,7 @@ def extract_features(image: np.ndarray, kind: str, patch_radius: int) -> np.ndar
         # row whose band of 2r + 1 input rows holds only +-0.0 has flat patches: +0.0.
         held = np.pad(np.any(image != 0, axis=1), r)
         band = np.lib.stride_tricks.sliding_window_view(held, 2 * r + 1).any(axis=1)
-        for i in np.flatnonzero(band):
+        for i in np.flatnonzero(band if rows is None else band & rows):
             patches = windows[i].reshape(image.shape[1], -1)
             centered = patches - patches.mean(axis=-1, keepdims=True)
             var = np.mean(centered**2, axis=-1)
@@ -149,18 +154,54 @@ def extract_features(image: np.ndarray, kind: str, patch_radius: int) -> np.ndar
     raise ValueError(f"unknown extractor {kind!r}, want one of {EXTRACTORS}")
 
 
+def _only(rows, features: np.ndarray) -> np.ndarray:
+    """The features with every row outside the ``rows`` mask set to +0.0 (None: all kept)."""
+    if rows is not None:
+        features[~rows] = 0.0
+    return features
+
+
+def live_cells(sonar_features: np.ndarray) -> np.ndarray:
+    """(R, C) mask of the bilinear cells of a feature map that may sample more than +0.0.
+
+    Cell (r, c) blends the corners [r, r + 1] x [c, c + 1], edge-clamped as
+    in :func:`_bilinear_sample`; a lookup into any other cell, whose four
+    corners hold only +0.0, samples exactly the zero vector. A -0.0 corner
+    counts as held: only +0.0 corners surely blend to a +0.0 sample.
+    """
+    held = np.any((sonar_features != 0) | np.signbit(sonar_features), axis=-1)
+    held = np.pad(held, ((0, 1), (0, 1)), mode="edge")
+    return held[:-1, :-1] | held[1:, :-1] | held[:-1, 1:] | held[1:, 1:]
+
+
 def _bilinear_sample(values: np.ndarray, rows, cols) -> np.ndarray:
-    """Bilinear lookup of an (R, C, F) map at coordinates in [0, R - 1] x [0, C - 1]
-    (as SonarSpec.polar_to_bin returns them); returns (..., F)."""
-    r0 = np.floor(rows).astype(int)
-    c0 = np.floor(cols).astype(int)
-    r1 = np.minimum(r0 + 1, values.shape[0] - 1)
-    c1 = np.minimum(c0 + 1, values.shape[1] - 1)
-    fr = (rows - r0)[..., None]
-    fc = (cols - c0)[..., None]
-    top = values[r0, c0] * (1 - fc) + values[r0, c1] * fc
-    bot = values[r1, c0] * (1 - fc) + values[r1, c1] * fc
-    return top * (1 - fr) + bot * fr
+    """Bilinear lookup of an (R, C, F) map at 1-D coordinates in [0, R - 1] x [0, C - 1]
+    (as SonarSpec.polar_to_bin returns them); returns (K, F) float64.
+
+    The coordinates are >= 0, so the integer cast is their floor. Each corner
+    is gathered from the (R*C, F) view and upcast once; the products and sums
+    are those of the float64 blend top (1 - fr) + bottom fr, done in place.
+    """
+    n_rows, n_cols, depth = values.shape
+    flat = values.reshape(n_rows * n_cols, depth)
+    r0, c0 = rows.astype(int), cols.astype(int)
+    fr, fc = (rows - r0)[:, None], (cols - c0)[:, None]
+    top, bottom = r0 * n_cols, np.minimum(r0 + 1, n_rows - 1) * n_cols
+    right = np.minimum(c0 + 1, n_cols - 1)
+
+    def blend(base):
+        near = np.take(flat, base + c0, axis=0).astype(np.float64)
+        near *= 1 - fc
+        far = np.take(flat, base + right, axis=0).astype(np.float64)
+        far *= fc
+        near += far
+        return near
+    out = blend(top)
+    out *= 1 - fr
+    below = blend(bottom)
+    below *= fr
+    out += below
+    return out
 
 
 def _pair_cost(cam: np.ndarray, son: np.ndarray, metric: str):
@@ -184,8 +225,19 @@ def _pair_cost(cam: np.ndarray, son: np.ndarray, metric: str):
     raise ValueError(f"unknown metric {metric!r}, want one of {METRICS}")
 
 
+def _zero_scores(metric: str) -> bool:
+    """Whether a lookup that samples the zero sonar vector can score a defined cost.
+
+    _pair_cost's sonar-side early-out leaves the zero vector undefined
+    against every camera vector (neg-zncc), while sad and neg-dot define
+    every pair, so one probe pair tells them apart.
+    """
+    return bool(_pair_cost(np.array([[0.0, 1.0]]), np.zeros(2), metric)[1].all())
+
+
 def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
-                      grid: WarpGrid, spec: SonarSpec, metric: str) -> CostVolume:
+                      grid: WarpGrid, spec: SonarSpec, metric: str,
+                      live: np.ndarray) -> CostVolume:
     """Warp sonar features through the grid and score them against the camera.
 
     Only the entries the warp grid admits are touched: plane by plane, each
@@ -199,9 +251,11 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
 
     A lookup whose bilinear cell has four +0.0 corners samples exactly the
     zero vector, so it takes its pixel's zero-sample cost, scored once per
-    pixel before the plane loop; only lookups whose cell touches a bin
-    holding anything else are gathered and scored. The result is the same
-    bit for bit as scoring every lookup.
+    pixel of the rows any plane admits, before the plane loop (and left
+    undefined without scoring when the zero vector never scores); only
+    lookups into a live cell are gathered and scored. The result is the same
+    bit for bit as scoring every lookup. Only the camera features of the
+    admitted rows are read.
 
     Args:
         camera_features: (H, W, F).
@@ -211,6 +265,7 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
         metric: One of sad, neg-dot, neg-zncc. Entries where the metric is
             undefined (degenerate vectors under neg-zncc) go invalid rather
             than fake a score.
+        live: :func:`live_cells` of the sonar features.
 
     Returns:
         CostVolume valid where the grid admits the entry and the metric is
@@ -230,17 +285,17 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
         )
     if camera_features.shape[:2] != grid.shape[:2]:
         raise ValueError(f"grid mismatch: {camera_features.shape[:2]} vs {grid.shape[:2]}")
+    if live.shape != sonar_features.shape[:2]:
+        raise ValueError(f"live cells {live.shape} do not match the sonar map "
+                         f"{sonar_features.shape[:2]}")
     h, w, n = grid.shape
     zero = np.zeros(sonar_features.shape[-1])
-    # Row by row, so that the float64 feature buffers stay one image row long.
-    cost0, defined0 = np.empty((h, w)), np.empty((h, w), dtype=bool)
-    for r, row in enumerate(camera_features):
-        cost0[r], defined0[r] = _pair_cost(row.astype(np.float64), zero, metric)
-    # A -0.0 bin counts as held: only +0.0 corners surely blend to a +0.0 sample.
-    held = np.any((sonar_features != 0) | np.signbit(sonar_features), axis=-1)
-    # Cell (r, c) blends corners [r, r+1] x [c, c+1], edge-clamped as in _bilinear_sample.
-    held = np.pad(held, ((0, 1), (0, 1)), mode="edge")
-    live = held[:-1, :-1] | held[1:, :-1] | held[:-1, 1:] | held[1:, 1:]
+    cost0, defined0 = np.zeros((h, w)), np.zeros((h, w), dtype=bool)
+    if _zero_scores(metric):  # else the table is undefined everywhere, as scoring would find
+        # Row by row, so that the float64 feature buffers stay one image row long.
+        for r in np.flatnonzero(grid.rows):
+            cost0[r], defined0[r] = _pair_cost(camera_features[r].astype(np.float64), zero,
+                                               metric)
     camera_features = camera_features.reshape(h * w, camera_features.shape[-1])
     masks = np.moveaxis(grid.valid, 2, 0).reshape(n, h * w)
     # Plane i's lookups are the grid's entries ends[i - 1]:ends[i].
@@ -251,7 +306,7 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
         pixels = np.flatnonzero(masks[i])
         lookups = slice(ends[i] - pixels.size, ends[i])
         rb, bb = spec.polar_to_bin(grid.ranges[lookups], grid.bearings[lookups])
-        hit = live[np.floor(rb).astype(int), np.floor(bb).astype(int)]
+        hit = live[rb.astype(int), bb.astype(int)]  # >= 0: the cast is the floor
         cost, defined = cost0.ravel()[pixels], defined0.ravel()[pixels]
         cost[hit], defined[hit] = _pair_cost(camera_features[pixels[hit]].astype(np.float64),
                                              _bilinear_sample(sonar_features, rb[hit], bb[hit]),
@@ -407,17 +462,24 @@ def run_pipeline(camera_image: np.ndarray, sonar_image, calibration, config: Swe
     camera_image = np.asarray(camera_image)
     if camera_image.dtype == np.uint8:
         camera_image = camera_image.astype(np.float64) / 255.0
+    spec = calibration.sonar
 
-    cam_features = extract_features(camera_image, config.extractor, config.patch_radius)
-    if config.zero_sonar_features:
-        son_features = np.zeros(sonar_image.values.shape + cam_features.shape[-1:], np.float32)
+    if config.zero_sonar_features:  # zero features of the camera's depth, made below
+        son_features, live = None, np.zeros((spec.range_bins, spec.bearing_bins), dtype=bool)
     else:
         son_features = extract_features(sonar_image.values, config.extractor, config.patch_radius)
-
+        live = live_cells(son_features)
+    # A lookup into a dead cell samples the zero vector. Where that never
+    # scores, the grid keeps only the entries whose range-bin row holds a
+    # live cell.
     grid = build_warp_grid(calibration.intrinsics, calibration.extrinsics, calibration.planes,
-                           calibration.sonar, shape=camera_image.shape, origin=origin)
-    volume = build_cost_volume(cam_features, son_features, grid, calibration.sonar,
-                               config.metric)
+                           spec, shape=camera_image.shape, origin=origin,
+                           echo_rows=None if _zero_scores(config.metric) else live.any(axis=1))
+    cam_features = extract_features(camera_image, config.extractor, config.patch_radius,
+                                    rows=grid.rows)
+    if son_features is None:
+        son_features = np.zeros(sonar_image.values.shape + cam_features.shape[-1:], np.float32)
+    volume = build_cost_volume(cam_features, son_features, grid, spec, config.metric, live)
     del camera_image, cam_features, son_features, grid  # the later stages read only the volume
     volume = regularize_cost_volume(volume, config.box_radius, config.box_passes)
 

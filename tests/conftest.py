@@ -15,7 +15,15 @@ from oasweep.geometry import (
     SonarSpec,
     WarpGrid,
 )
-from oasweep.simulator import PlanePrimitive
+from oasweep.preprocess import prepare_camera, preprocess_sonar_frames
+from oasweep.simulator import (
+    PlanePrimitive,
+    PolarSonarImage,
+    add_sonar_noise,
+    default_scene,
+    render_camera,
+    render_sonar,
+)
 from oasweep.sweep import CostVolume
 
 
@@ -29,20 +37,22 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20250810)
 
 
-def random_calibration(rng: np.random.Generator, far: bool = False) -> CalibrationBundle:
+def random_calibration(rng: np.random.Generator, far: bool = False,
+                       aimed: bool = True) -> CalibrationBundle:
     """A random but valid desk-scale calibration for randomized geometry checks.
 
-    With ``far``, the camera center sits 50 to 500 m behind the sonar along
-    its acoustic axis (|t| >= 50 m), still looking forward at it.
+    With ``far``, the camera center sits 50 to 500 m from the sonar
+    (|t| >= 50 m, near-parallel rays). Aimed, the sonar origin lies on the
+    optical axis at that distance and the focal lengths grow with it (times
+    distance / 4 m), so the sector fills much of the image: seeds 0-11 admit
+    9,699 to 1,012,316 entries over the full frame. Not aimed, the camera
+    sits behind the sonar on its acoustic axis, still looking forward, with
+    desk-scale focal lengths: the sector covers a few pixels or none.
     """
     width, height = 320, 240
     fx = rng.uniform(200.0, 600.0)
     fy = fx * rng.uniform(0.95, 1.05)
-    intrinsics = CameraIntrinsics(
-        fx=fx, fy=fy,
-        cx=width / 2 + rng.uniform(-10, 10), cy=height / 2 + rng.uniform(-10, 10),
-        width=width, height=height,
-    )
+    cx, cy = width / 2 + rng.uniform(-10, 10), height / 2 + rng.uniform(-10, 10)
     base = camera_rotation(rng.uniform(math.radians(-5), math.radians(25)))
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
@@ -56,7 +66,13 @@ def random_calibration(rng: np.random.Generator, far: bool = False) -> Calibrati
     rotation = wiggle @ base
     translation = rng.uniform(-0.3, 0.3, size=3)
     if far:
-        translation = rotation @ np.array([0.0, rng.uniform(50.0, 500.0), 0.0]) + translation
+        distance = rng.uniform(50.0, 500.0)
+        if aimed:
+            translation = translation + [0.0, 0.0, distance]
+            fx, fy = fx * distance / 4.0, fy * distance / 4.0
+        else:
+            translation = rotation @ np.array([0.0, distance, 0.0]) + translation
+    intrinsics = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height)
     extrinsics = RigidTransform(rotation, translation)
     sonar = SonarSpec(
         range_min=0.1, range_max=rng.uniform(4.0, 8.0),
@@ -69,6 +85,21 @@ def random_calibration(rng: np.random.Generator, far: bool = False) -> Calibrati
         d0=rng.uniform(0.3, 0.8), k=rng.uniform(1.02, 1.08), n=int(rng.integers(8, 49)),
     )
     return CalibrationBundle(intrinsics, extrinsics, sonar, planes)
+
+
+def stock_inputs(rig, frame: int = 0):
+    """The stock scene on a rig: its prepared camera crop, the crop window and
+    the benchmark's pool frame ``frame``, background-subtracted (noise seed
+    1000 + frame, speckle 0.15, background 0.03, 8 background frames)."""
+    scene = default_scene()
+    camera, _ = render_camera(scene, rig.intrinsics, rig.extrinsics)
+    prepared, window = prepare_camera(camera, rig.intrinsics, rig.sonar, rig.extrinsics)
+    clean = render_sonar(scene, rig.sonar)
+    empty = PolarSonarImage(values=np.zeros_like(clean.values), spec=rig.sonar)
+    frame, = preprocess_sonar_frames(
+        [add_sonar_noise(clean, 0.15, 0.03, seed=1000 + frame)],
+        [add_sonar_noise(empty, 0.15, 0.03, seed=500 + i) for i in range(8)])
+    return prepared, window, frame
 
 
 def identity_transform() -> RigidTransform:
@@ -198,19 +229,24 @@ def solve_ray_plane(us, vs, intrinsics: CameraIntrinsics, extrinsics: RigidTrans
     return points @ extrinsics.rotation, ok
 
 
-def dense_warp_grid(intrinsics, extrinsics, planes, spec, shape=None, origin=(0, 0)):
+def dense_warp_grid(intrinsics, extrinsics, planes, spec, shape=None, origin=(0, 0),
+                    echo_rows=None, step=1):
     """Oracle for the warp grid: solve and gate every (pixel, plane) entry at once.
 
+    With ``echo_rows``, an entry also needs its :func:`range_bin_rows` row
+    marked there.
+    With ``step``, only every step-th row and column of the window is solved.
+
     Returns:
-        (ranges, bearings, valid), each (H, W, N); lookups are kept at
-        invalid entries too.
+        (ranges, bearings, valid), each (H, W, N) (or the lattice's size);
+        lookups are kept at invalid entries too.
     """
     if shape is None:
         shape = (intrinsics.height, intrinsics.width)
     h, w = shape
     u0, v0 = origin
-    vs, us = np.meshgrid(np.arange(h, dtype=float) + v0, np.arange(w, dtype=float) + u0,
-                         indexing="ij")
+    vs, us = np.meshgrid(np.arange(0, h, step, dtype=float) + v0,
+                         np.arange(0, w, step, dtype=float) + u0, indexing="ij")
     points, ok = solve_ray_plane(us[:, :, None], vs[:, :, None], intrinsics, extrinsics, planes,
                                  np.arange(1, planes.n + 1))
     ranges, bearings = sonar_polar(points)
@@ -218,7 +254,18 @@ def dense_warp_grid(intrinsics, extrinsics, planes, spec, shape=None, origin=(0,
     valid = (ok & (ranges >= spec.range_min) & (ranges <= spec.range_max)
              & (np.abs(bearings) <= spec.bearing_fov / 2)
              & (np.abs(elevation) <= spec.elevation_fov / 2))
+    if echo_rows is not None:
+        valid &= np.asarray(echo_rows)[range_bin_rows(np.where(valid, ranges, spec.range_min),
+                                                      spec)]
     return ranges, bearings, valid
+
+
+def range_bin_rows(ranges, spec) -> np.ndarray:
+    """The range-bin row each range looks up: floor((range - range_min) / bin size - 0.5),
+    clamped to [0, range_bins - 1]."""
+    size = (spec.range_max - spec.range_min) / spec.range_bins
+    row = np.floor((np.asarray(ranges) - spec.range_min) / size - 0.5)
+    return np.clip(row, 0, spec.range_bins - 1).astype(int)
 
 
 def dense_zncc_patches(image, r) -> np.ndarray:

@@ -24,8 +24,7 @@ from oasweep.geometry import (
     ray_plane_terms,
     spherical_to_cartesian,
 )
-from oasweep.preprocess import sonar_frustum_crop
-from oasweep.sweep import regress_depth_map
+from oasweep.sweep import extract_features, live_cells, regress_depth_map
 
 from conftest import (
     backproject_sonar_to_plane,
@@ -38,8 +37,10 @@ from conftest import (
     plane_residual,
     random_calibration,
     ray_plane_bisection_oracle,
+    range_bin_rows,
     solve_ray_plane,
     sonar_polar,
+    stock_inputs,
 )
 
 
@@ -463,10 +464,50 @@ def edge_apertures(rig):
             for edge in sorted(edges, key=lambda edge: abs(edge - spec.elevation_fov / 2))]
 
 
+def range_edges(rig):
+    """(spec, echo_rows) pairs that put a range-bin edge through a row end of plane 1.
+
+    A row qualifies when every pixel of it meets plane 1 in front of the
+    camera, and its least or its greatest range falls on its first or last
+    pixel, which passes the bearing and elevation terms. Its spec stretches
+    range_max so that, in exact arithmetic, the edge at the bottom of that
+    end's range bin passes through the end's range, and its echo rows mark
+    only the bin the oracle's formula puts the end pixel in: its own, or the
+    one below when rounding leaves the range under the edge, and then the
+    end pixel is the row's only entry there. Ordered by how little the spec
+    is stretched.
+    """
+    h, w = rig.intrinsics.height, rig.intrinsics.width
+    vs, us = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
+    points, ok = solve_ray_plane(us[:, :, None], vs[:, :, None], rig.intrinsics, rig.extrinsics,
+                                 rig.planes, [1])
+    points, ok = points[:, :, 0], ok[:, :, 0]
+    ranges, bearings = sonar_polar(points)
+    elevation = np.arctan2(points[..., 2], ranges)
+    spec = rig.sonar
+    admit = ((np.abs(bearings) <= spec.bearing_fov / 2)
+             & (np.abs(elevation) <= spec.elevation_fov / 2))
+    size = (spec.range_max - spec.range_min) / spec.range_bins
+    edges = []
+    for v in np.flatnonzero(ok.all(axis=1)):
+        for end in (0, w - 1):
+            r = ranges[v, end]
+            k = math.floor((r - spec.range_min) / size - 0.5)
+            if not (admit[v, end] and r in (ranges[v].min(), ranges[v].max()) and k >= 1):
+                continue
+            stretched = dataclasses.replace(
+                spec, range_max=spec.range_min + spec.range_bins * (r - spec.range_min) / (k + 0.5))
+            if r <= stretched.range_max:
+                echo = np.zeros(spec.range_bins, dtype=bool)
+                echo[range_bin_rows(r, stretched)] = True
+                edges.append((stretched, echo))
+    return sorted(edges, key=lambda edge: abs(edge[0].range_max - spec.range_max))
+
+
 class TestWarpGrid:
     def test_zero_size_image(self, rig):
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar, shape=(0, 0),
-                               origin=(0, 0))
+                               origin=(0, 0), echo_rows=None)
         assert grid.shape == (0, 0, rig.planes.n)
         assert grid.ranges.shape == grid.bearings.shape == (0,)
 
@@ -475,7 +516,7 @@ class TestWarpGrid:
         # solutions, and every valid entry is an admissible candidate: solved,
         # in front of the camera, inside the sector and the vertical aperture.
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
-                               shape=(24, 32), origin=(100, 60))
+                               shape=(24, 32), origin=(100, 60), echo_rows=None)
         planes = rig.planes
         valid = grid.valid
         assert valid.any()
@@ -504,7 +545,8 @@ class TestWarpGrid:
         # each image column once: a quarter of the pixels (0.260 measured;
         # 0.956 before the elevation gate), in one run of rows per column.
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
-                               shape=(rig.intrinsics.height, rig.intrinsics.width), origin=(0, 0))
+                               shape=(rig.intrinsics.height, rig.intrinsics.width), origin=(0, 0),
+                               echo_rows=None)
         mid = grid.valid[:, :, rig.planes.n // 2]
         assert mid.mean() >= 0.25
         for column in mid.T:
@@ -522,7 +564,8 @@ class TestWarpGrid:
         planes = PlaneHypothesisSet(alpha=math.pi / 4, d0=0.05, k=40.0, n=3)
         spec = SonarSpec(range_min=0.1, range_max=5.0, bearing_fov=math.radians(60.0),
                          elevation_fov=math.radians(12.0), range_bins=64, bearing_bins=32)
-        grid = build_warp_grid(intr, extr, planes, spec, shape=(31, 21), origin=(0, 0))
+        grid = build_warp_grid(intr, extr, planes, spec, shape=(31, 21), origin=(0, 0),
+                               echo_rows=None)
         cases = {"inside": (10, 10, 1), "near": (10, 10, 0), "far": (10, 10, 2),
                  "wide": (10, 20, 1), "elevation": (15, 10, 1), "behind": (30, 10, 1)}
         assert {name: bool(grid.valid[entry]) for name, entry in cases.items()} == {
@@ -539,9 +582,9 @@ class TestWarpGrid:
             range_bins=rig.sonar.range_bins, bearing_bins=rig.sonar.bearing_bins,
         )
         wide = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
-                               shape=(40, 60), origin=(0, 0))
+                               shape=(40, 60), origin=(0, 0), echo_rows=None)
         narrow = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, narrow_spec,
-                                 shape=(40, 60), origin=(0, 0))
+                                 shape=(40, 60), origin=(0, 0), echo_rows=None)
         assert not np.any(narrow.valid & ~wide.valid)
 
     @staticmethod
@@ -561,7 +604,7 @@ class TestWarpGrid:
                                      n=n)
         args = (rig.intrinsics, rig.extrinsics, planes, rig.sonar)
         grid = build_warp_grid(*args, shape=(rig.intrinsics.height, rig.intrinsics.width),
-                               origin=(0, 0))
+                               origin=(0, 0), echo_rows=None)
         assert 0.2 < grid.valid.mean() < 0.3
         self.assert_matches_oracle(grid, dense_warp_grid(*args))
 
@@ -573,7 +616,7 @@ class TestWarpGrid:
         # tens to hundreds of meters from the sonar as well.
         rig = random_calibration(np.random.default_rng(seed), far=far)
         args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
-        grid = build_warp_grid(*args, shape=(40, 40), origin=(u0, v0))
+        grid = build_warp_grid(*args, shape=(40, 40), origin=(u0, v0), echo_rows=None)
         self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=(40, 40), origin=(u0, v0)))
 
     @given(seed=st.integers(0, 2**32 - 1), far=st.booleans(), roll=st.floats(-90.0, 90.0))
@@ -587,7 +630,7 @@ class TestWarpGrid:
         rig = rolled(random_calibration(np.random.default_rng(seed), far=far), roll)
         args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
         with mock.patch.object(geometry, "BLOCK_PIXELS", 320):
-            grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0))
+            grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo_rows=None)
         self.assert_matches_oracle(grid, dense_warp_grid(*args))
 
     @given(seed=st.integers(0, 2**32 - 1), far=st.booleans())
@@ -605,16 +648,80 @@ class TestWarpGrid:
         for spec in edge_apertures(rig)[:8]:
             args = (rig.intrinsics, rig.extrinsics, rig.planes, spec)
             with mock.patch.object(geometry, "BLOCK_PIXELS", 320):
-                grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0))
+                grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo_rows=None)
             self.assert_matches_oracle(grid, dense_warp_grid(*args))
 
-    def test_stock_crop_gates_under_half_the_entries_like_oracle(self, rig, monkeypatch):
-        # On the stock crop each plane admits entries on about 27% of its
-        # rows, and the gate tasks cover only the blocks that meet each
-        # plane's row band: 46% of the H*W*N entries, with the dense
-        # oracle's bytes.
-        window = sonar_frustum_crop(rig.intrinsics, rig.sonar, rig.extrinsics)
-        shape, origin = (window.height, window.width), (window.u0, window.v0)
+    @given(seed=st.integers(0, 2**32 - 1), rig_kind=st.sampled_from(["near", "far", "rolled"]),
+           echo=st.sampled_from(["single", "first", "last", "none", "all"]))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_dense_oracle_with_echo_rows_on_full_frame_random_rigs(self, seed, rig_kind,
+                                                                           echo):
+        # With echo rows each plane is gated only on the rows whose widened
+        # range interval reaches [range_min, range_max] and a marked
+        # range-bin row, and the gate's sixth term keeps the entries that
+        # look up a marked row. A single row is the bin of an entry the
+        # oracle admits, so a row band that misses it, or an interval that
+        # misses an inner range minimum, loses entries; rows 0 and R - 1
+        # hold the clamped lookups; no row admits nothing; every row is the
+        # grid without echo rows.
+        rng = np.random.default_rng(seed)
+        rig = random_calibration(rng, far=rig_kind == "far")
+        if rig_kind == "rolled":
+            rig = rolled(rig, rng.uniform(-90.0, 90.0))
+        args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
+        echo_rows = np.zeros(rig.sonar.range_bins, dtype=bool)
+        if echo == "single":
+            ranges, _, valid = dense_warp_grid(*args, step=4)
+            if valid.any():
+                echo_rows[rng.choice(range_bin_rows(ranges[valid], rig.sonar))] = True
+        else:
+            echo_rows[{"first": [0], "last": [-1], "none": [], "all": slice(None)}[echo]] = True
+        grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo_rows=echo_rows)
+        self.assert_matches_oracle(grid, dense_warp_grid(*args, echo_rows=echo_rows))
+        if echo == "all":
+            self.assert_matches_oracle(grid, dense_warp_grid(*args))
+
+    @given(seed=st.integers(0, 2**32 - 1), far=st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_matches_dense_oracle_at_an_echo_edge(self, seed, far):
+        # A range-bin edge passes through a row's end pixel where the row's
+        # range is least or greatest, and only that pixel's bin is an echo
+        # row: the row filter's widened range interval must still reach it.
+        # The first 8 such rows of the rig's middle plane are tried, on a
+        # two-plane set whose first plane is that plane, bit for bit.
+        rig = random_calibration(np.random.default_rng(seed), far=far)
+        planes = rig.planes
+        middle = planes.distances()[planes.n // 2]
+        rig = dataclasses.replace(rig, planes=dataclasses.replace(planes, d0=middle, n=2))
+        for spec, echo_rows in range_edges(rig)[:8]:
+            args = (rig.intrinsics, rig.extrinsics, rig.planes, spec)
+            grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo_rows=echo_rows)
+            self.assert_matches_oracle(grid, dense_warp_grid(*args, echo_rows=echo_rows))
+
+    def test_aimed_far_rigs_reach_the_sweep_in_the_oracle(self):
+        # Far rigs are drawn aimed at the sonar, with focal lengths grown with
+        # their distance, so that their checks compare entries, not empty
+        # masks: on a 4-pixel lattice of the full frame, seeds 0-11 admit 605
+        # to 62,982 entries. The unaimed draw admits at most 99.
+        counts = {}
+        for aimed in (True, False):
+            for seed in range(12):
+                rig = random_calibration(np.random.default_rng(seed), far=True, aimed=aimed)
+                _, _, valid = dense_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes,
+                                              rig.sonar, step=4)
+                counts[aimed, seed] = np.count_nonzero(valid)
+        assert sum(counts[True, seed] >= 500 for seed in range(12)) >= 11
+        assert max(counts[False, seed] for seed in range(12)) < 500
+
+    def test_stock_crop_gates_its_kept_rows_like_oracle(self, rig, monkeypatch):
+        # On the stock crop the gate tasks cover only each plane's rows that
+        # may reach the elevation wedge and [range_min, range_max]: 27.3% of
+        # the H*W*N entries, and 12.0% once they must also reach one of pool
+        # frame 0's echo rows. Each task is a piece of one run of kept rows,
+        # and both grids have the dense oracle's bytes.
+        prepared, window, frame = stock_inputs(rig)
+        shape, origin = prepared.shape, (window.u0, window.v0)
+        echo = live_cells(extract_features(frame.values, "zncc-patch", 2)).any(axis=1)
         tasks = []
 
         def spy(fn, items):
@@ -624,11 +731,15 @@ class TestWarpGrid:
 
         monkeypatch.setattr(geometry, "map_in_order", spy)
         args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
-        grid = build_warp_grid(*args, shape=shape, origin=origin)
-        pixels = shape[0] * shape[1]
-        gated = sum(min(block.stop, pixels) - block.start for _, block in tasks)
-        assert gated <= 0.5 * grid.valid.size
-        self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=shape, origin=origin))
+        for echo_rows, share in ((None, 0.30), (echo, 0.13)):
+            tasks.clear()
+            grid = build_warp_grid(*args, shape=shape, origin=origin, echo_rows=echo_rows)
+            gated = sum(block.stop - block.start for _, block in tasks)
+            assert gated <= share * grid.valid.size
+            assert all(0 < block.stop - block.start <= geometry.BLOCK_PIXELS
+                       and block.stop <= grid.valid[:, :, 0].size for _, block in tasks)
+            self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=shape, origin=origin,
+                                                             echo_rows=echo_rows))
 
     @pytest.mark.parametrize("scale", [1e-200, 1e155, 3e307])
     def test_matches_dense_oracle_at_extreme_scales(self, rig, scale, monkeypatch):
@@ -648,7 +759,7 @@ class TestWarpGrid:
             monkeypatch.setattr(geometry, "usable_cpus", lambda: cpus)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                grid = build_warp_grid(*args, shape=(60, 80), origin=(120, 100))
+                grid = build_warp_grid(*args, shape=(60, 80), origin=(120, 100), echo_rows=None)
             assert grid.valid.any()
             self.assert_matches_oracle(grid, oracle)
 
@@ -658,7 +769,7 @@ class TestWarpGrid:
         # 60x80 crop all give the oracle's bytes.
         args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
         monkeypatch.setattr(geometry, "BLOCK_PIXELS", block)
-        grid = build_warp_grid(*args, shape=(60, 80), origin=(120, 100))
+        grid = build_warp_grid(*args, shape=(60, 80), origin=(120, 100), echo_rows=None)
         assert grid.valid.any()
         self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=(60, 80),
                                                          origin=(120, 100)))
@@ -677,7 +788,7 @@ class TestWarpGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             grid = build_warp_grid(*args, shape=(rig.intrinsics.height, rig.intrinsics.width),
-                                   origin=(0, 0))
+                                   origin=(0, 0), echo_rows=None)
         assert grid.valid.any() and not grid.valid[int(rig.intrinsics.cy)].any()
         self.assert_matches_oracle(grid, dense_warp_grid(*args))
 

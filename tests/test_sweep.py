@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oasweep import geometry, sweep
@@ -14,21 +14,8 @@ from oasweep.formats import encode_cost_volume
 from oasweep.geometry import PlaneHypothesisSet, SonarSpec, build_warp_grid
 from scipy import ndimage
 
-from oasweep.simulator import (
-    PolarSonarImage,
-    Scene,
-    add_sonar_noise,
-    default_scene,
-    render_camera,
-    render_sonar,
-)
-from oasweep.preprocess import (
-    CropWindow,
-    SensorOverlapError,
-    prepare_camera,
-    preprocess_sonar_frames,
-    sonar_frustum_crop,
-)
+from oasweep.simulator import Scene, default_scene, render_camera, render_sonar
+from oasweep.preprocess import CropWindow, prepare_camera
 from oasweep.sweep import (
     METRICS,
     CostVolume,
@@ -36,6 +23,7 @@ from oasweep.sweep import (
     SweepConfig,
     build_cost_volume,
     extract_features,
+    live_cells,
     regress_depth_map,
     regularize_cost_volume,
     run_pipeline,
@@ -62,6 +50,7 @@ from conftest import (
     identity_transform,
     plane_normal,
     random_calibration,
+    stock_inputs,
     turned_camera,
 )
 
@@ -131,6 +120,19 @@ class TestExtractFeatures:
         if kind == "flat-band":
             assert not want[:, 0].any()
 
+    @pytest.mark.parametrize("kind", sweep.EXTRACTORS)
+    @pytest.mark.parametrize("marked", ["none", "first", "last", "bands", "all"])
+    def test_rows_hold_the_whole_images_features(self, rng, kind, marked):
+        # The marked rows hold the whole image's features, edge rows
+        # included; every other row is +0.0.
+        img = rng.random((20, 9))
+        rows = np.zeros(20, dtype=bool)
+        rows[{"none": [], "first": [0], "last": [19], "bands": [1, 2, 3, 9, 15, 16],
+              "all": slice(None)}[marked]] = True
+        whole = extract_features(img, kind, 2)
+        got = extract_features(img, kind, 2, rows=rows)
+        assert got.tobytes() == np.where(rows[:, None, None], whole, np.float32(0.0)).tobytes()
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             extract_features(np.ones((4, 4)), "census", 0)
@@ -160,7 +162,8 @@ def warp_values(grid, sonar_map, spec):
     """Warped sonar intensities read through the builder: -cost under neg-dot
     with unit intensity camera features."""
     camera = np.ones(grid.shape[:2] + (1,), dtype=np.float32)
-    vol = build_cost_volume(camera, sonar_map[:, :, None], grid, spec, "neg-dot")
+    sonar = sonar_map[:, :, None]
+    vol = build_cost_volume(camera, sonar, grid, spec, "neg-dot", live_cells(sonar))
     return -densify(vol.costs, vol.valid), vol.valid
 
 
@@ -235,22 +238,8 @@ class TestWarpSonarFeatures:
     def test_dimension_mismatch(self, rig):
         grid = tiny_grid([[[1.0]]], [[[0.0]]])
         with pytest.raises(ValueError):
-            build_cost_volume(np.ones((1, 1, 1)), np.ones((4, 4, 1)), grid, rig.sonar, "sad")
-
-
-def stock_inputs(rig):
-    """The stock scene on a rig: its prepared camera crop, the crop window and a
-    background-subtracted noisy sonar frame (speckle 0.15, background 0.03), as
-    the benchmark sweeps it."""
-    scene = default_scene()
-    camera, _ = render_camera(scene, rig.intrinsics, rig.extrinsics)
-    prepared, window = prepare_camera(camera, rig.intrinsics, rig.sonar, rig.extrinsics)
-    clean = render_sonar(scene, rig.sonar)
-    empty = PolarSonarImage(values=np.zeros_like(clean.values), spec=rig.sonar)
-    frame, = preprocess_sonar_frames(
-        [add_sonar_noise(clean, 0.15, 0.03, seed=1000)],
-        [add_sonar_noise(empty, 0.15, 0.03, seed=500 + i) for i in range(8)])
-    return prepared, window, frame
+            build_cost_volume(np.ones((1, 1, 1)), np.ones((4, 4, 1)), grid, rig.sonar, "sad",
+                              np.ones((4, 4), dtype=bool))
 
 
 class TestBuildCostVolume:
@@ -261,7 +250,8 @@ class TestBuildCostVolume:
         rbins = rng.integers(0, spec.range_bins, size=(3, 4, 1)).repeat(2, axis=2)
         bbins = rng.integers(0, spec.bearing_bins, size=(3, 4, 1)).repeat(2, axis=2)
         camera = sonar[rbins[..., 0], bbins[..., 0]]
-        vol = build_cost_volume(camera, sonar, bin_grid(spec, rbins, bbins), spec, "sad")
+        vol = build_cost_volume(camera, sonar, bin_grid(spec, rbins, bbins), spec, "sad",
+                                live_cells(sonar))
         assert vol.valid.all()
         np.testing.assert_allclose(vol.costs, 0.0, atol=1e-5)
 
@@ -272,7 +262,7 @@ class TestBuildCostVolume:
         sonar[3, 4] = [0.0, 1.0]   # orthogonal
         sonar[7, 8] = [1.0, 0.0]   # parallel
         grid = bin_grid(spec, [[[3, 7]]], [[[4, 8]]])
-        vol = build_cost_volume(camera, sonar, grid, spec, "neg-dot")
+        vol = build_cost_volume(camera, sonar, grid, spec, "neg-dot", live_cells(sonar))
         costs = densify(vol.costs, vol.valid)
         assert costs[0, 0, 0] == pytest.approx(0.0, abs=1e-6)
         assert costs[0, 0, 1] == pytest.approx(-1.0, abs=1e-6)
@@ -282,7 +272,7 @@ class TestBuildCostVolume:
         camera = np.ones((1, 1, 1), dtype=np.float32)  # F=1 has zero variance
         sonar = np.ones((spec.range_bins, spec.bearing_bins, 1), dtype=np.float32)
         vol = build_cost_volume(camera, sonar, bin_grid(spec, [[[3]]], [[[4]]]), spec,
-                                "neg-zncc")
+                                "neg-zncc", live_cells(sonar))
         assert not vol.valid[0, 0, 0]
         assert vol.costs.size == 0
 
@@ -291,14 +281,16 @@ class TestBuildCostVolume:
         with pytest.raises(ValueError):
             build_cost_volume(np.ones((1, 1, 3), np.float32),
                               np.ones((spec.range_bins, spec.bearing_bins, 4), np.float32),
-                              tiny_grid([[[1.0]]], [[[0.0]]]), spec, "sad")
+                              tiny_grid([[[1.0]]], [[[0.0]]]), spec, "sad",
+                              np.ones((spec.range_bins, spec.bearing_bins), dtype=bool))
 
     def test_grid_mismatch(self, rig):
         spec = rig.sonar
         with pytest.raises(ValueError):
             build_cost_volume(np.ones((2, 2, 1), np.float32),
                               np.ones((spec.range_bins, spec.bearing_bins, 1), np.float32),
-                              tiny_grid([[[1.0]]], [[[0.0]]]), spec, "sad")
+                              tiny_grid([[[1.0]]], [[[0.0]]]), spec, "sad",
+                              np.ones((spec.range_bins, spec.bearing_bins), dtype=bool))
 
     def test_invalid_entries_hold_no_cost(self, rig):
         # A masked grid entry goes invalid and holds no cost even where the
@@ -307,7 +299,7 @@ class TestBuildCostVolume:
         camera = np.ones((1, 1, 2), dtype=np.float32)
         sonar = np.ones((spec.range_bins, spec.bearing_bins, 2), dtype=np.float32)
         grid = tiny_grid([[[1.0, 2.0]]], [[[0.0, 0.0]]], valid=[[[True, False]]])
-        vol = build_cost_volume(camera, sonar, grid, spec, "sad")
+        vol = build_cost_volume(camera, sonar, grid, spec, "sad", live_cells(sonar))
         np.testing.assert_array_equal(vol.valid, [[[True, False]]])
         assert vol.costs.shape == (1,)
         assert vol.costs[0] == pytest.approx(0.0, abs=1e-6)
@@ -319,15 +311,15 @@ class TestBuildCostVolume:
         # else in the dense layout compact to the same grid and volume.
         spec = rig.sonar
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, spec,
-                               shape=(6, 8), origin=(156, 116))
+                               shape=(6, 8), origin=(156, 116), echo_rows=None)
         assert grid.valid.any() and not grid.valid.all()
         holed = compact_grid(*dense_lookups(grid), grid.valid)
         assert holed.ranges.tobytes() == grid.ranges.tobytes()
         assert holed.bearings.tobytes() == grid.bearings.tobytes()
         camera = rng.random((6, 8, 3)).astype(np.float32)
         sonar = rng.random((spec.range_bins, spec.bearing_bins, 3)).astype(np.float32)
-        want = build_cost_volume(camera, sonar, grid, spec, metric)
-        got = build_cost_volume(camera, sonar, holed, spec, metric)
+        want = build_cost_volume(camera, sonar, grid, spec, metric, live_cells(sonar))
+        got = build_cost_volume(camera, sonar, holed, spec, metric, live_cells(sonar))
         np.testing.assert_array_equal(got.valid, want.valid)
         np.testing.assert_array_equal(got.costs, want.costs)
 
@@ -353,7 +345,7 @@ class TestBuildCostVolume:
                         np.stack([np.roll(bb, j) for j in range(5)], axis=-1),
                         valid=rng.random(rb.shape + (5,)) < 0.9)
         sonar = sparse_sonar(case, rng)
-        got = build_cost_volume(camera, sonar, grid, spec, metric)
+        got = build_cost_volume(camera, sonar, grid, spec, metric, live_cells(sonar))
         want = dense_cost_volume(camera, sonar, grid, spec, metric)
         assert got.costs.tobytes() == want.costs.tobytes()
         np.testing.assert_array_equal(got.valid, want.valid)
@@ -371,8 +363,8 @@ class TestBuildCostVolume:
         if config.zero_sonar_features:
             son = np.zeros_like(son)
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
-                               shape=prepared.shape, origin=(window.u0, window.v0))
-        got = build_cost_volume(cam, son, grid, rig.sonar, config.metric)
+                               shape=prepared.shape, origin=(window.u0, window.v0), echo_rows=None)
+        got = build_cost_volume(cam, son, grid, rig.sonar, config.metric, live_cells(son))
         want = dense_cost_volume(cam, son, grid, rig.sonar, config.metric)
         assert got.valid.any()
         assert got.costs.tobytes() == want.costs.tobytes()
@@ -382,6 +374,32 @@ class TestBuildCostVolume:
         want = dense_regularize(want, config.box_radius, config.box_passes)
         assert got.costs.tobytes() == want.costs.tobytes()
         np.testing.assert_array_equal(got.valid, want.valid)
+
+    @pytest.mark.parametrize("frame", range(4))
+    def test_echo_grid_volume_equals_full_grid_volume_on_pool_frames(self, rig, monkeypatch,
+                                                                      frame):
+        # Under neg-zncc run_pipeline builds the stock crop's grid cut to the
+        # range-bin rows that hold a live cell, and the camera features of the
+        # rows that grid admits only: on each of the benchmark's pool frames
+        # its cost volume is the full grid's, bit for bit.
+        prepared, window, sonar = stock_inputs(rig, frame)
+        origin = (window.u0, window.v0)
+        seen = {}
+
+        def capture(*args):
+            seen["grid"], seen["volume"] = args[2], build_cost_volume(*args)
+            return seen["volume"]
+        monkeypatch.setattr(sweep, "build_cost_volume", capture)
+        run_pipeline(prepared, sonar, rig, SweepConfig(), origin=origin)
+        son = extract_features(sonar.values, "zncc-patch", 2)
+        grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
+                               shape=prepared.shape, origin=origin, echo_rows=None)
+        want = build_cost_volume(extract_features(prepared / 255.0, "zncc-patch", 2), son, grid,
+                                 rig.sonar, "neg-zncc", live_cells(son))
+        assert want.valid.any()
+        assert np.count_nonzero(seen["grid"].valid) < 0.4 * np.count_nonzero(grid.valid)
+        assert seen["volume"].costs.tobytes() == want.costs.tobytes()
+        np.testing.assert_array_equal(seen["volume"].valid, want.valid)
 
 
 class TestRegularizeCostVolume:
@@ -591,7 +609,7 @@ def swept_rig(request):
     rig = rig_with_planes(*request.param)
     prepared, window, frame = stock_inputs(rig)
     grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
-                           shape=prepared.shape, origin=(window.u0, window.v0))
+                           shape=prepared.shape, origin=(window.u0, window.v0), echo_rows=None)
     return rig, prepared.astype(np.float64) / 255.0, frame, grid
 
 
@@ -609,7 +627,7 @@ class TestSoftArgminMatchesDenseOracle:
         if config.zero_sonar_features:
             son = np.zeros_like(son)
         volume = build_cost_volume(extract_features(camera, config.extractor, config.patch_radius),
-                                   son, grid, rig.sonar, config.metric)
+                                   son, grid, rig.sonar, config.metric, live_cells(son))
         volume = scale_costs(regularize_cost_volume(volume, config.box_radius, config.box_passes),
                              config.cost_scale)
         distances = rig.planes.distances()
@@ -637,8 +655,8 @@ def traced_ablation():
     config = SweepConfig(metric="neg-dot", zero_sonar_features=True)
     seen = {"features": []}
 
-    def features(*args):
-        out = extract_features(*args)
+    def features(*args, **kwargs):
+        out = extract_features(*args, **kwargs)
         seen["features"].append(out.nbytes)
         return out
 
@@ -724,8 +742,8 @@ def random_rig_chain(rig, camera, sonar_map, window, extractor, patch_radius, me
     soft_argmin of one window, as run_pipeline chains them."""
     features = [extract_features(image, extractor, patch_radius) for image in (camera, sonar_map)]
     grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
-                           shape=camera.shape, origin=(window.u0, window.v0))
-    volume = build_cost_volume(*features, grid, rig.sonar, metric)
+                           shape=camera.shape, origin=(window.u0, window.v0), echo_rows=None)
+    volume = build_cost_volume(*features, grid, rig.sonar, metric, live_cells(features[1]))
     regularized = regularize_cost_volume(volume, radius, passes)
     scaled = scale_costs(regularized, SweepConfig().cost_scale)
     return features, grid, volume, regularized, scaled, soft_argmin(scaled, rig.planes.distances())
@@ -742,28 +760,33 @@ class TestRandomRig:
     """The whole chain against its oracles on random rigs, which reach shapes the
     stock rig never does (split plane runs, far cameras, narrow or wide sectors)."""
 
-    @given(seed=st.integers(0, 2**32 - 1), far=st.booleans(),
+    @given(seed=st.integers(0, 2**32 - 1),
+           rig_kind=st.sampled_from(["near", "far", "far-unaimed"]),
            live=st.sampled_from([0.005, 0.05, 0.5]),
            extractor=st.sampled_from(sweep.EXTRACTORS), patch_radius=st.integers(0, 2),
            radius=st.integers(1, 3), passes=st.integers(1, 2))
     @settings(max_examples=30, deadline=None)
-    def test_chain_matches_oracles(self, seed, far, live, extractor, patch_radius, radius,
+    def test_chain_matches_oracles(self, seed, rig_kind, live, extractor, patch_radius, radius,
                                    passes):
-        # A window of 2x2 to 40x40 at a uniform place in the rig's frustum crop
-        # (the whole image if the frustum misses it), a random camera image and
-        # a 128x64 sonar map of +0.0, -0.0 and live cells.
+        # A window of 2x2 to 40x40 centred, as far as the image allows, on a
+        # pixel of a 4-pixel lattice that the dense oracle admits on some
+        # plane (anywhere if it admits none: a far camera not aimed at the
+        # sonar mostly sees nothing, which keeps the empty chain checked), a
+        # random camera image and a 128x64 sonar map of +0.0, -0.0 and live
+        # cells.
         rng = np.random.default_rng(seed)
-        rig = random_calibration(rng, far)
-        try:
-            crop = sonar_frustum_crop(rig.intrinsics, rig.sonar, rig.extrinsics)
-        except SensorOverlapError:
-            crop = CropWindow(u0=0, v0=0, width=rig.intrinsics.width,
-                              height=rig.intrinsics.height)
+        rig = random_calibration(rng, far=rig_kind != "near", aimed=rig_kind != "far-unaimed")
+        intr = rig.intrinsics
+        _, _, admitted = dense_warp_grid(intr, rig.extrinsics, rig.planes, rig.sonar, step=4)
+        pixels = 4 * np.argwhere(admitted.any(axis=2))
+        if pixels.size:
+            v, u = pixels[rng.integers(len(pixels))]
+        else:
+            v, u = rng.integers(intr.height), rng.integers(intr.width)
         # Two pixels a side at least: the gradient extractor needs them.
-        h, w = (max(2, min(int(rng.integers(2, 41)), side)) for side in (crop.height, crop.width))
-        window = CropWindow(u0=crop.u0 + int(rng.integers(max(1, crop.width - w + 1))),
-                            v0=crop.v0 + int(rng.integers(max(1, crop.height - h + 1))),
-                            width=w, height=h)
+        h, w = (int(rng.integers(2, 41)) for _ in range(2))
+        window = CropWindow(u0=int(np.clip(u - w // 2, 0, intr.width - w)),
+                            v0=int(np.clip(v - h // 2, 0, intr.height - h)), width=w, height=h)
         camera = rng.random((h, w))
         spec = rig.sonar
         sonar_map = np.where(rng.random((spec.range_bins, spec.bearing_bins)) < live,
@@ -775,9 +798,23 @@ class TestRandomRig:
                     passes)
             chain = random_rig_chain(*args)
             features, grid, volume, regularized, scaled, (d_hat, probs, ok) = chain
+            if metric == METRICS[0]:
+                event(f"{rig_kind} rig, window admits "
+                      f"{'some entry' if grid.valid.any() else 'none'}")
             want = dense_cost_volume(*features, grid, spec, metric)
             assert volume.costs.tobytes() == want.costs.tobytes()
             np.testing.assert_array_equal(volume.valid, want.valid)
+            if metric == "neg-zncc":
+                # A dead cell scores nothing here: the grid cut to the range-bin
+                # rows that hold a live cell gives the same volume.
+                live = live_cells(features[1])
+                cut = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, spec,
+                                      shape=camera.shape, origin=(window.u0, window.v0),
+                                      echo_rows=live.any(axis=1))
+                assert not np.any(cut.valid & ~grid.valid)
+                got = build_cost_volume(*features, cut, spec, metric, live)
+                assert got.costs.tobytes() == volume.costs.tobytes()
+                np.testing.assert_array_equal(got.valid, volume.valid)
             want = dense_regularize(volume, radius, passes)
             assert regularized.costs.tobytes() == want.costs.tobytes()
             np.testing.assert_array_equal(regularized.valid, want.valid)
@@ -913,7 +950,7 @@ class TestRunPipeline:
         # masks keep each plane contiguous.
         rig, _, _, prepared, window, _, volume = default_run
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
-                               shape=prepared.shape, origin=(window.u0, window.v0))
+                               shape=prepared.shape, origin=(window.u0, window.v0), echo_rows=None)
         for mask in (grid.valid, volume.valid):
             assert mask.shape == prepared.shape + (rig.planes.n,)
             assert np.moveaxis(mask, 2, 0).flags.c_contiguous
@@ -956,16 +993,16 @@ class TestRunPipeline:
         origin = (window.u0, window.v0)
         camera = prepared.astype(np.float64) / 255.0
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
-                               shape=prepared.shape, origin=origin)
+                               shape=prepared.shape, origin=origin, echo_rows=None)
         son = np.zeros_like(extract_features(sonar.values, extractor, config.patch_radius))
         want = build_cost_volume(extract_features(camera, extractor, config.patch_radius), son,
-                                 grid, rig.sonar, config.metric)
+                                 grid, rig.sonar, config.metric, live_cells(son))
         want = regularize_cost_volume(want, config.box_radius, config.box_passes)
         extracted = []
 
-        def recording(image, kind, patch_radius):
+        def recording(image, kind, patch_radius, **kwargs):
             extracted.append(image.shape)
-            return extract_features(image, kind, patch_radius)
+            return extract_features(image, kind, patch_radius, **kwargs)
         monkeypatch.setattr(sweep, "extract_features", recording)
         _, volume = run_pipeline(prepared, sonar, rig, config, origin=origin)
         assert extracted == [prepared.shape]
