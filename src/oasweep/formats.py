@@ -29,13 +29,14 @@ class FileFormatError(ValueError):
     """Input file is malformed or does not match its declared format."""
 
 
-def atomic_write(path, data: bytes) -> None:
-    """Write bytes to ``path`` via a short-named temp file beside it, then rename."""
+def atomic_write(path, data) -> None:
+    """Write bytes, or a list of bytes-like blocks in order, to ``path`` via a
+    short-named temp file beside it, then rename."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".oasweep.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            handle.writelines(data if isinstance(data, list) else [data])
         os.chmod(tmp, 0o644)  # mkstemp defaults to 0600
         os.replace(tmp, path)
     except BaseException:
@@ -201,25 +202,36 @@ def read_pfm(path) -> np.ndarray:
     return values[::-1].astype(np.float32)
 
 
-def encode_cost_volume(volume) -> bytearray:
-    """SSCV1 bytes from a sweep CostVolume: its (H, W, N) mask and one cost per valid entry.
+def encode_cost_volume(volume) -> list:
+    """SSCV1 bytes from a sweep CostVolume (its (H, W, N) mask and one cost per valid
+    entry), as a list of blocks in file order: the header, then one block of H*N
+    float32 costs per u, then one block of H*N u8 flags per u, each v-major.
 
-    The cost and flag blocks are filled in place in the one output buffer, so
-    the encoder holds no dense copy of the volume besides it."""
+    No allocation has the volume's dense size: the valid entries, in the costs'
+    (i, v, u) order, are grouped by u with a stable sort, and each block is
+    filled at its entries' slots v N + i. :func:`atomic_write` writes the list."""
     h, w, n = volume.shape
     header = SSCV_MAGIC + np.array([h, w, n], dtype="<u4").tobytes()
-    out = bytearray(len(header) + 5 * h * w * n)  # zero flags
-    out[:len(header)] = header
-    # u-major, then v, then i; the costs run i, then v, then u. Both blocks are
-    # filled through their (i, v, u) views, in the costs' order, which reads a
-    # plane-major mask contiguously.
-    dense = np.frombuffer(out, dtype="<f4", count=h * w * n, offset=len(header))
-    flags = np.frombuffer(out, dtype=np.uint8, offset=len(header) + dense.nbytes)
-    dense[:] = SSCV_INVALID_COST
-    entries = np.moveaxis(volume.valid, 2, 0)
-    dense.reshape(w, h, n).transpose(2, 1, 0)[entries] = volume.costs
-    flags.reshape(w, h, n).transpose(2, 1, 0)[entries] = 1
-    return out
+    # Each entry's u, in the narrowest type that holds it, so that the stable
+    # sort runs as a radix sort, and its slot, one plane at a time.
+    columns, slots = [np.empty(0, np.min_scalar_type(w))], [np.empty(0, int)]
+    for i, mask in enumerate(np.moveaxis(volume.valid, 2, 0).reshape(n, h * w)):
+        row, column = np.divmod(np.flatnonzero(mask), w)
+        columns.append(column.astype(columns[0].dtype))
+        slots.append(row * n + i)
+    column = np.concatenate(columns)
+    order = np.argsort(column, kind="stable")
+    slots, costs = np.concatenate(slots)[order], volume.costs[order]
+    ends = np.cumsum(np.bincount(column, minlength=w))
+    cost_blocks, flag_blocks = [], []
+    for start, end in zip(np.append(0, ends[:-1]), ends):
+        block = np.full(h * n, SSCV_INVALID_COST, dtype="<f4")
+        block[slots[start:end]] = costs[start:end]
+        flags = np.zeros(h * n, dtype=np.uint8)
+        flags[slots[start:end]] = 1
+        cost_blocks.append(block)
+        flag_blocks.append(flags)
+    return [header, *cost_blocks, *flag_blocks]
 
 
 def read_cost_volume(path):

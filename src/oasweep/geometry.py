@@ -35,6 +35,10 @@ BLOCK_PIXELS = 16384
 # when its distance outside the widened wedge also clears it. Rounding of the
 # lifted points is about 1e-16 relative, ten orders of magnitude inside.
 WEDGE_MARGIN = 1e-6
+# Pixels per piece of a kept row that the row filter tests again when the warp
+# grid is cut to echo cells. BENCH_echo_cells.json times 8 to 128: narrower
+# pieces gate fewer entries, but at 8 the filter costs more than it saves.
+PIECE_PIXELS = 32
 
 
 def usable_cpus() -> int:
@@ -143,9 +147,13 @@ class RigidTransform:
         object.__setattr__(self, "translation", t)
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
             raise ValueError("rotation and translation must be finite")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > ORTHONORMALITY_TOL:
+        # A huge entry overflows the products to inf or NaN, which fail the checks.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram_error = np.max(np.abs(r.T @ r - np.eye(3)))
+            det_error = abs(np.linalg.det(r) - 1.0)
+        if not gram_error <= ORTHONORMALITY_TOL:
             raise ValueError("rotation matrix is not orthonormal within 1e-9")
-        if abs(np.linalg.det(r) - 1.0) > ORTHONORMALITY_TOL:
+        if not det_error <= ORTHONORMALITY_TOL:
             raise ValueError("rotation matrix determinant is not +1 within 1e-9")
 
     def apply(self, points: np.ndarray) -> np.ndarray:
@@ -299,10 +307,11 @@ class WarpGrid:
         valid: (H, W, N) mask; False where the ray ran parallel to the plane,
             the intersection fell behind the camera, the lookup left the
             sonar sector, or the candidate point sat outside the vertical
-            aperture; and, for a grid built with echo rows, where the
-            lookup's range-bin row floor(rb) of :meth:`SonarSpec.polar_to_bin`
-            holds no echo. Stored plane-major: the (H, W, N) transpose of an
-            (N, H, W) array, so each plane ``valid[:, :, i]`` is contiguous.
+            aperture; and, for a grid built with echo cells, where the
+            lookup's bin cell (floor(rb), floor(bb)) of
+            :meth:`SonarSpec.polar_to_bin` holds no echo. Stored
+            plane-major: the (H, W, N) transpose of an (N, H, W) array, so
+            each plane ``valid[:, :, i]`` is contiguous.
     """
 
     ranges: np.ndarray
@@ -328,7 +337,7 @@ class WarpGrid:
 
 def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
                     planes: PlaneHypothesisSet, spec: SonarSpec,
-                    shape: tuple, origin: tuple, echo_rows) -> WarpGrid:
+                    shape: tuple, origin: tuple, echo) -> WarpGrid:
     """Ray-plane intersections and sonar lookups for every (pixel, plane) pair.
 
     A polar lookup only needs range and bearing, but a candidate point
@@ -341,22 +350,25 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     and bearing from the horizontal components alone) and gated by five
     terms: Z_c > 0, range >= range_min, range <= range_max,
     |bearing| <= bearing_fov / 2 and |elevation| <= elevation_fov / 2. With
-    ``echo_rows``, a sixth term keeps only the entries whose range-bin row
-    floor(rb), rb from :meth:`SonarSpec.polar_to_bin`, is marked in it: a
-    caller whose dead sonar cells can score nothing passes the rows that
-    hold a live cell, and the grid keeps only the entries that can. Only the
-    valid entries' lookups are kept.
+    ``echo``, a sixth term keeps only the entries whose bin cell
+    (floor(rb), floor(bb)), both from one :meth:`SonarSpec.polar_to_bin`
+    call, is marked in it: a caller whose dead sonar cells can score nothing
+    passes its live cells, and the grid keeps exactly the entries that can.
+    Only the valid entries' lookups are kept.
 
-    Each plane is gated only on the rows that :func:`_wedge_rows` keeps; the
-    rows it skips cannot hold an entry that passes the gate, so their mask
-    stays False, as the gate would set it. Each run of kept rows is cut into
-    tasks of at most BLOCK_PIXELS consecutive pixels, and each thread gates
-    its tasks in one set of BLOCK_PIXELS-sized scratch buffers, so that they
-    stay in cache and every allocation has one size, whatever the run. The
-    tasks are shared between threads by :func:`map_in_order`. Each task
-    writes its own slice of the mask and returns its survivors' lookups,
-    which are joined in task order: the grid is the same bit for bit whatever
-    the thread count.
+    Each plane is gated only on the row segments that :func:`_wedge_rows`
+    keeps: first on whole crop rows, then, with ``echo``, on the
+    PIECE_PIXELS-wide pieces of the kept rows. A skipped segment cannot hold
+    an entry that passes the gate, so its mask stays False, as the gate would
+    set it. Each plane's kept pixels, as runs of adjacent kept segments, are
+    cut into tasks of at most BLOCK_PIXELS pixels; each thread gates its
+    tasks in one set of BLOCK_PIXELS-sized scratch buffers, into which it
+    gathers a task's denominators and rays unless the task is one run, so
+    that they stay in cache and every allocation has one size, whatever the
+    task. The tasks are shared
+    between threads by :func:`map_in_order`. Each task writes its own pixels
+    of the mask and returns its survivors' lookups, which are joined in task
+    order: the grid is the same bit for bit whatever the thread count.
 
     Args:
         intrinsics: Camera model.
@@ -365,8 +377,8 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
         spec: Sonar geometry used for FOV and elevation gating.
         shape: (H, W) grid size.
         origin: (u0, v0) pixel of grid element [0, 0], for crop windows.
-        echo_rows: (range_bins,) boolean mask of the range-bin rows an entry
-            may look up, or None for no sixth term.
+        echo: (range_bins, bearing_bins) boolean mask of the bin cells an
+            entry may look up, or None for no sixth term.
 
     Returns:
         WarpGrid of shape (H, W, N). Parallel rays and behind-camera
@@ -383,29 +395,45 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
                                           planes.distances(), intrinsics, extrinsics,
                                           planes.alpha)
     rays, denom = np.ascontiguousarray(rays.reshape(-1, 3).T), denom.reshape(-1)
-    # Plane-major mask, coordinate-major rays: each task's reads and writes
-    # are contiguous rows.
+    # Plane-major mask, coordinate-major rays: each task's writes and gathers
+    # walk rows.
     valid = np.zeros((planes.n, h * w), dtype=bool)
     block_pixels = BLOCK_PIXELS
     scratch = threading.local()
 
     def gate(task):
-        i, block = task
-        size = block.stop - block.start
+        i, runs = task
+        sizes = runs[:, 1] - runs[:, 0]
+        size = int(sizes.sum())
         if not hasattr(scratch, "floats"):  # this thread's first task
             scratch.floats = np.empty((10, block_pixels))
             scratch.flags = np.empty((2, block_pixels), dtype=bool)
+            scratch.pixels = np.empty(block_pixels, dtype=np.intp)
         # Leading slices; the (3, size) ones contiguous, so that the lift's
         # matrix product runs as it would on a fresh array.
         z, ranges, bearings, elevation = scratch.floats[:4, :size]
         points, sonar = (coords.ravel()[:3 * size].reshape(3, size)
                          for coords in (scratch.floats[4:7], scratch.floats[7:]))
         good, term = scratch.flags[:, :size]
+        if len(runs) == 1:  # one run is read through views, with no gather
+            pixels = slice(*runs[0])
+            column, ray = denom[pixels], rays[:, pixels]
+        else:
+            # The runs' pixels, as the running sum of steps of 1 in which each
+            # run starts with the step from the previous run's last pixel.
+            pixels = scratch.pixels[:size]
+            pixels.fill(1)
+            pixels[np.cumsum(sizes) - sizes] = runs[:, 0] - np.append(0, runs[:-1, 1] - 1)
+            np.cumsum(pixels, out=pixels)
+            # The gathers take the pixels in range, so mode="clip" changes no
+            # index; it spares the copy that the default mode makes of out=.
+            column = np.take(denom, pixels, out=z, mode="clip")
+            ray = np.take(rays, pixels, axis=1, out=points, mode="clip")
         # numpy's error state is per thread. Depths past the float64 range
         # overflow to inf or NaN, which fail the gate.
         with np.errstate(over="ignore", invalid="ignore"):
-            np.divide(numers[i], denom[block], out=z)
-            np.multiply(z, rays[:, block], out=points)
+            np.divide(numers[i], column, out=z)
+            np.multiply(z, ray, out=points)
             points -= extrinsics.translation[:, None]
             lateral, forward, up = np.matmul(extrinsics.rotation.T, points, out=sonar)
             np.hypot(lateral, forward, out=ranges)
@@ -418,23 +446,34 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
             good &= np.less_equal(np.abs(elevation, out=elevation), spec.elevation_fov / 2,
                                   out=term)
         ranges, bearings = ranges[good], bearings[good]
-        if echo_rows is not None:
-            # polar_to_bin clamps to >= 0, so the integer cast is the floor.
-            echo = echo_rows[spec.polar_to_bin(ranges, 0.0)[0].astype(int)]
-            good[good] = echo
-            ranges, bearings = ranges[echo], bearings[echo]
-        valid[i, block] = good
+        if echo is not None:
+            rb, bb = spec.polar_to_bin(ranges, bearings)
+            hit = echo[rb.astype(int), bb.astype(int)]  # >= 0: the cast is the floor
+            good[good] = hit
+            ranges, bearings = ranges[hit], bearings[hit]
+        valid[i, pixels] = good
         return ranges, bearings
 
     tasks = []
     if h * w:
-        keep = _wedge_rows(rays, denom, numers, extrinsics, spec, shape, echo_rows)
-        for i, rows in enumerate(keep):
-            # Each run of kept rows, [first, stop) in pixels.
-            for first, stop in np.flatnonzero(np.diff(rows, prepend=False, append=False)
-                                              ).reshape(-1, 2) * w:
-                tasks += [(i, slice(start, min(start + block_pixels, stop)))
-                          for start in range(first, stop, block_pixels)]
+        # held[r, c]: the echo cells in rows < r and columns < c.
+        held = None if echo is None else np.pad(np.cumsum(np.cumsum(echo, 0), 1), ((1, 0), (1, 0)))
+        rows = np.arange(h) * w
+        keep = _wedge_rows(rays, denom, np.repeat(numers, h), extrinsics, spec,
+                           np.tile([rows, rows + w - 1], planes.n), held)
+        plane, row = np.divmod(np.flatnonzero(keep), h)  # the kept (plane, row) pairs
+        # Each kept row's segments [first, stop) in pixels: the whole row, or,
+        # with echo cells, its pieces, which the filter tests again.
+        piece = w if echo is None else PIECE_PIXELS
+        cuts = np.arange(0, w, piece)
+        first = (row[:, None] * w + cuts).ravel()
+        stop = (row[:, None] * w + np.minimum(cuts + piece, w)).ravel()
+        plane = np.repeat(plane, cuts.size)
+        if echo is not None:
+            kept = _wedge_rows(rays, denom, numers[plane], extrinsics, spec,
+                               np.stack([first, stop - 1]), held)
+            plane, first, stop = plane[kept], first[kept], stop[kept]
+        tasks = _gate_tasks(plane, first, stop, block_pixels)
     # The pieces are joined one coordinate at a time, so that the range pieces
     # are freed before the bearings are joined; the empty leading pieces keep
     # the join defined when no task runs.
@@ -444,29 +483,61 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
                     valid.reshape(planes.n, h, w).transpose(1, 2, 0))
 
 
-def _wedge_rows(rays, denom, numers, extrinsics: RigidTransform, spec: SonarSpec,
-                shape: tuple, echo_rows) -> np.ndarray:
-    """(N, H) mask of the rows of each plane that may hold an entry passing the gate.
+def _gate_tasks(plane, first, stop, block: int) -> list:
+    """The gate's (plane, runs) tasks over pixel segments [first, stop), listed in
+    (plane, pixel) order.
 
-    The arguments are :func:`build_warp_grid`'s rays (3, H*W), column
-    denominators (H*W,), per-plane numerators (N,) and echo rows. A row is
-    dropped only when no pixel of it can pass the gate's Z_c > 0, elevation
-    or range terms, or its echo term, so gating the kept rows alone leaves
-    every mask bit and lookup as the full gate sets it.
+    A plane's adjacent segments join into one run, and its runs are cut after
+    every ``block`` pixels, so that each task holds at most ``block`` pixels
+    of one plane, as an (R, 2) array of [start, stop) runs in pixel order.
+    """
+    tasks = []
+    if plane.size == 0:
+        return tasks
+    apart = (plane[1:] != plane[:-1]) | (first[1:] != stop[:-1])
+    heads = np.append(True, apart)
+    plane, runs = plane[heads], np.stack([first[heads], stop[np.append(apart, True)]], axis=1)
+    bounds = np.flatnonzero(np.diff(plane)) + 1
+    for i, own in zip(plane[np.append(0, bounds)], np.split(runs, bounds)):
+        sizes = own[:, 1] - own[:, 0]
+        done = np.cumsum(sizes)  # the plane's pixels up to each run's end
+        for start in range(0, int(done[-1]), block):
+            end = min(start + block, int(done[-1]))
+            # The runs that hold the plane's pixels [start, end), cut to them.
+            a, b = np.searchsorted(done, start, side="right"), np.searchsorted(done, end)
+            cut = own[a:b + 1].copy()
+            cut[0, 0] += start - (done[a] - sizes[a])
+            cut[-1, 1] -= done[b] - end
+            tasks.append((int(i), cut))
+    return tasks
+
+
+def _wedge_rows(rays, denom, numers, extrinsics: RigidTransform, spec: SonarSpec,
+                ends, held) -> np.ndarray:
+    """(K,) mask of the row segments that may hold an entry passing the gate.
+
+    Segment k runs along one crop row from flat pixel ends[0, k] to ends[1, k]
+    on the plane of numerator numers[k]; the other arguments are
+    :func:`build_warp_grid`'s rays (3, H*W) and column denominators (H*W,),
+    and the summed-area table of its echo cells (held[r, c]: the cells in
+    rows < r and columns < c), or None. A segment is dropped only when no
+    pixel of it can pass the gate's Z_c > 0, elevation or range terms, or
+    its echo term, so gating the kept segments alone leaves every mask bit
+    and lookup as the full gate sets it.
 
     Along a row the rays K^-1 [u, v, 1]^T are affine in u and so is their
     denominator, which is never zero (the parallel threshold makes it NaN).
-    When it has the same sign at the row's first and last pixel, it keeps
-    that sign in between, and each ray's point on the plane moves
+    When it has the same sign at the segment's first and last pixel, it
+    keeps that sign in between, and each ray's point on the plane moves
     monotonically along the line where the plane meets the row's viewing
-    plane: the row's points are the 3-D segment P(s) = P0 + s (P1 - P0),
+    plane: the segment's points are the 3-D segment P(s) = P0 + s (P1 - P0),
     s in [0, 1], between its end points. These are lifted to the sonar frame
     with the gate's own expressions. With Z_c <= 0 at both ends, every point
-    of the row lies behind the camera (Z_c = numer / denom keeps one sign
-    along the row) and the row is skipped. With Z_c > 0, the points are
+    of the segment lies behind the camera (Z_c = numer / denom keeps one
+    sign along it) and the segment is skipped. With Z_c > 0, the points are
     scaled so that their largest coordinate is 1, and two quadratics in s
-    bound the row; each has its least value over [0, 1] at an end or at its
-    vertex inside.
+    bound the segment; each has its least value over [0, 1] at an end or at
+    its vertex inside.
 
     Elevation. An entry passes the elevation term when
     |up| <= T hypot(lateral, forward), T = tan(ε/2). With
@@ -474,50 +545,64 @@ def _wedge_rows(rays, denom, numers, extrinsics: RigidTransform, spec: SonarSpec
 
         q(s) = up(s)^2 - T'^2 (lateral(s)^2 + forward(s)^2),
 
-    and the row is skipped when the least q exceeds WEDGE_MARGIN (1 + T'^2).
-    Every point of a skipped row then has elevation above arctan(T') > ε/2;
-    the gate's arctan2 would have to err by WEDGE_MARGIN T / (1 + T^2)
-    radians to pass it, and its own rounding and that of the lifted points
-    (about 1e-16 relative: the rays are affine in u up to rounding, and a
-    point with range below range_min > 0 fails the gate anyway, so no
-    admissible point has r near 0) sit far inside that. For T' above
-    1 / sqrt(WEDGE_MARGIN) the threshold exceeds any q, so a
-    near-hemispherical aperture keeps every row.
+    and the segment is skipped when the least q exceeds
+    WEDGE_MARGIN (1 + T'^2). Every point of a skipped segment then has
+    elevation above arctan(T') > ε/2; the gate's arctan2 would have to err
+    by WEDGE_MARGIN T / (1 + T^2) radians to pass it, and its own rounding
+    and that of the lifted points (about 1e-16 relative: the rays are affine
+    in u up to rounding, and a point with range below range_min > 0 fails
+    the gate anyway, so no admissible point has r near 0) sit far inside
+    that. For T' above 1 / sqrt(WEDGE_MARGIN) the threshold exceeds any q,
+    so a near-hemispherical aperture keeps every segment.
 
     Range. g(s) = lateral(s)^2 + forward(s)^2 is convex, so its greatest
-    value is at an end. The row's ranges lie in [sqrt(g_min), sqrt(g_max)],
-    widened on each side by WEDGE_MARGIN (1 + |t| / scale) and scaled back.
-    The margin is relative to the row's scale, not to its range: the lifted
+    value is at an end. The segment's ranges lie in
+    [sqrt(g_min), sqrt(g_max)], widened on each side by
+    e = WEDGE_MARGIN (1 + |t| / scale) and scaled back. The margin is
+    relative to the segment's scale, not to its range: the lifted
     coordinates round to a few ulps of scale + |t| (the lift subtracts t),
     the sums of g (each term at most 1) to a few ulps, which moves sqrt(g)
     by at most their square root, about 1e-7 (so a range near 0 is covered
-    too), and the gate's hypot rounds to half an ulp. The row is skipped
-    when the widened interval [lo, hi] misses [range_min, range_max] or,
-    with echo rows, when no echo row lies in [floor(pb(lo)), floor(pb(hi))],
-    pb being :meth:`SonarSpec.polar_to_bin`: every step of pb and the floor
-    is monotone under IEEE rounding, so each entry's floor(rb) lies in that
-    interval.
+    too), and the gate's hypot rounds to half an ulp. The segment is skipped
+    when the widened interval [lo, hi] misses [range_min, range_max]. Every
+    step of :meth:`SonarSpec.polar_to_bin` and of the floor is monotone
+    under IEEE rounding, so each entry's range-bin row floor(rb) lies in
+    [floor(pb(lo)), floor(pb(hi))], pb being its range coordinate.
 
-    A row is kept when its denominators differ in sign or are NaN, when
+    Bearing. When both scaled end points have forward > e, forward is
+    positive along the whole exact segment (it is linear in s, and the ends
+    round by far less than e), so lateral / forward is a linear-fractional
+    function of s with a positive denominator: the bearing
+    arctan(lateral / forward) is monotone along the segment and lies
+    between its two end values. A perturbation of a point moves its angle
+    by at most about its size over the point's distance from the axis, which
+    is at least forward; the gate's points and the lifted ends differ from
+    the exact segment by a few ulps of scale + |t|, so widening the end
+    values by e / min(forward) on each side covers every gated bearing with
+    nine orders to spare. By the same monotonicity, each entry's bearing-bin
+    column floor(bb) then lies in [floor(pbb(lo)), floor(pbb(hi))]. Any
+    other segment keeps every column. With echo cells, the segment is
+    skipped when its range-bin rows times bearing-bin columns hold no echo
+    cell, counted from the summed-area table.
+
+    A segment is kept when its denominators differ in sign or are NaN, when
     anything lifted is non-finite, or when its points are too small to scale
-    exactly (subnormal): the filter keeps every row it is unsure of.
+    exactly (subnormal): the filter keeps every segment it is unsure of.
     """
-    h, w = shape
-    ends = [[0], [w - 1]] + np.arange(h) * w  # (2, H): each row's first and last pixel
     tan_wide = np.tan(spec.elevation_fov / 2) * (1 + WEDGE_MARGIN)
     with np.errstate(all="ignore"):
-        z = numers[:, None] / denom[ends][:, None]  # (2, N, H)
-        points = z * rays[:, ends][:, :, None]
-        points -= extrinsics.translation[:, None, None, None]
+        z = numers / denom[ends]  # (2, K)
+        points = z * rays[:, ends]
+        points -= extrinsics.translation[:, None, None]
         points = (extrinsics.rotation.T @ points.reshape(3, -1)).reshape(points.shape)
-        scale = np.max(np.abs(points), axis=(0, 1))  # (N, H)
+        scale = np.max(np.abs(points), axis=(0, 1))  # (K,)
         scaled = points / scale
         start, stop = scaled[:, 0], scaled[:, 1]
         step = stop - start
 
         def extremes(weights):
             """Least and end-most values over s in [0, 1] of sum(weights * P(s)^2)."""
-            weights = np.array(weights)[:, None, None]
+            weights = np.array(weights)[:, None]
             c, q1 = np.sum(weights * start**2, axis=0), np.sum(weights * stop**2, axis=0)
             b, a = np.sum(weights * start * step, axis=0), np.sum(weights * step**2, axis=0)
             # c + 2 b s + a s^2 has its vertex inside (0, 1) when 0 < -b < a.
@@ -529,15 +614,23 @@ def _wedge_rows(rays, denom, numers, extrinsics: RigidTransform, spec: SonarSpec
         widen = WEDGE_MARGIN * (1 + np.linalg.norm(extrinsics.translation) / scale)
         low = (np.sqrt(np.maximum(least, 0.0)) - widen) * scale
         high = (np.sqrt(most) + widen) * scale
+        nearest = scaled[1].min(axis=0)  # the least forward of the two ends
+        turns = np.arctan2(scaled[0], scaled[1])  # the two ends' bearings
+        west = turns.min(axis=0) - widen / nearest
+        east = turns.max(axis=0) + widen / nearest
     same_side = np.sign(denom[ends[0]]) == np.sign(denom[ends[1]])  # NaN: False
     exact = np.isfinite(points).all(axis=(0, 1)) & (scale >= np.finfo(float).tiny)
     ahead = same_side & exact & (z > 0).all(axis=0)
-    # An unsure row's range spans everything, so its bins span every row.
+    # An unsure segment's range spans everything, so its bins span every row.
     low, high = np.where(ahead, low, -np.inf), np.where(ahead, high, np.inf)
     missed = (high < spec.range_min) | (low > spec.range_max)
-    if echo_rows is not None:
-        first, last = (spec.polar_to_bin(bound, 0.0)[0].astype(int) for bound in (low, high))
-        held = np.concatenate([[0], np.cumsum(echo_rows)])
-        missed |= held[last + 1] == held[first]
+    if held is not None:
+        facing = ahead & (nearest > widen)  # else every column
+        west, east = np.where(facing, west, -np.inf), np.where(facing, east, np.inf)
+        top, left = (coords.astype(int) for coords in spec.polar_to_bin(low, west))
+        bottom, right = (coords.astype(int) for coords in spec.polar_to_bin(high, east))
+        box = (held[bottom + 1, right + 1] - held[top, right + 1] - held[bottom + 1, left]
+               + held[top, left])
+        missed |= box == 0
     behind = same_side & exact & (z <= 0).all(axis=0)
     return ~(behind | (ahead & (outside | missed)))

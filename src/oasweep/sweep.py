@@ -470,11 +470,10 @@ def run_pipeline(camera_image: np.ndarray, sonar_image, calibration, config: Swe
         son_features = extract_features(sonar_image.values, config.extractor, config.patch_radius)
         live = live_cells(son_features)
     # A lookup into a dead cell samples the zero vector. Where that never
-    # scores, the grid keeps only the entries whose range-bin row holds a
-    # live cell.
+    # scores, the grid keeps only the entries that look up a live cell.
     grid = build_warp_grid(calibration.intrinsics, calibration.extrinsics, calibration.planes,
                            spec, shape=camera_image.shape, origin=origin,
-                           echo_rows=None if _zero_scores(config.metric) else live.any(axis=1))
+                           echo=None if _zero_scores(config.metric) else live)
     cam_features = extract_features(camera_image, config.extractor, config.patch_radius,
                                     rows=grid.rows)
     if son_features is None:

@@ -8,6 +8,7 @@ import pytest
 from scipy import ndimage
 
 from oasweep.config import CalibrationBundle, camera_rotation, default_rig
+from oasweep.formats import SSCV_INVALID_COST, SSCV_MAGIC
 from oasweep.geometry import (
     CameraIntrinsics,
     PlaneHypothesisSet,
@@ -230,10 +231,11 @@ def solve_ray_plane(us, vs, intrinsics: CameraIntrinsics, extrinsics: RigidTrans
 
 
 def dense_warp_grid(intrinsics, extrinsics, planes, spec, shape=None, origin=(0, 0),
-                    echo_rows=None, step=1):
+                    echo=None, step=1):
     """Oracle for the warp grid: solve and gate every (pixel, plane) entry at once.
 
-    With ``echo_rows``, an entry also needs its :func:`range_bin_rows` row
+    With ``echo``, a (range_bins, bearing_bins) mask, an entry also needs its
+    cell, row :func:`range_bin_rows` and column :func:`bearing_bin_cols`,
     marked there.
     With ``step``, only every step-th row and column of the window is solved.
 
@@ -254,9 +256,9 @@ def dense_warp_grid(intrinsics, extrinsics, planes, spec, shape=None, origin=(0,
     valid = (ok & (ranges >= spec.range_min) & (ranges <= spec.range_max)
              & (np.abs(bearings) <= spec.bearing_fov / 2)
              & (np.abs(elevation) <= spec.elevation_fov / 2))
-    if echo_rows is not None:
-        valid &= np.asarray(echo_rows)[range_bin_rows(np.where(valid, ranges, spec.range_min),
-                                                      spec)]
+    if echo is not None:
+        valid &= np.asarray(echo)[range_bin_rows(np.where(valid, ranges, spec.range_min), spec),
+                                  bearing_bin_cols(np.where(valid, bearings, 0.0), spec)]
     return ranges, bearings, valid
 
 
@@ -266,6 +268,14 @@ def range_bin_rows(ranges, spec) -> np.ndarray:
     size = (spec.range_max - spec.range_min) / spec.range_bins
     row = np.floor((np.asarray(ranges) - spec.range_min) / size - 0.5)
     return np.clip(row, 0, spec.range_bins - 1).astype(int)
+
+
+def bearing_bin_cols(bearings, spec) -> np.ndarray:
+    """The bearing-bin column each bearing looks up:
+    floor((bearing + bearing_fov / 2) / bin size - 0.5), clamped to [0, bearing_bins - 1]."""
+    size = spec.bearing_fov / spec.bearing_bins
+    col = np.floor((np.asarray(bearings) + spec.bearing_fov / 2) / size - 0.5)
+    return np.clip(col, 0, spec.bearing_bins - 1).astype(int)
 
 
 def dense_zncc_patches(image, r) -> np.ndarray:
@@ -296,6 +306,22 @@ def densify(entries, valid, fill=np.nan) -> np.ndarray:
     dense = np.full(valid.shape, fill, dtype=entries.dtype)
     np.moveaxis(dense, 2, 0)[np.moveaxis(valid, 2, 0)] = entries
     return dense
+
+
+def dense_encode_cost_volume(volume) -> bytearray:
+    """Oracle for the SSCV1 encoder: the whole file in one buffer, the cost and flag
+    blocks filled through their (i, v, u) views of it."""
+    h, w, n = volume.shape
+    header = SSCV_MAGIC + np.array([h, w, n], dtype="<u4").tobytes()
+    out = bytearray(len(header) + 5 * h * w * n)  # zero flags
+    out[:len(header)] = header
+    dense = np.frombuffer(out, dtype="<f4", count=h * w * n, offset=len(header))
+    flags = np.frombuffer(out, dtype=np.uint8, offset=len(header) + dense.nbytes)
+    dense[:] = SSCV_INVALID_COST
+    entries = np.moveaxis(volume.valid, 2, 0)
+    dense.reshape(w, h, n).transpose(2, 1, 0)[entries] = volume.costs
+    flags.reshape(w, h, n).transpose(2, 1, 0)[entries] = 1
+    return out
 
 
 def compact_volume(costs, valid) -> CostVolume:

@@ -32,7 +32,7 @@ from oasweep.geometry import CameraIntrinsics, PlaneHypothesisSet
 from oasweep.simulator import SpherePrimitive
 from oasweep.sweep import CostVolume
 
-from conftest import compact_volume
+from conftest import compact_volume, dense_encode_cost_volume
 
 
 class TestPGM:
@@ -133,7 +133,7 @@ class TestCostVolume:
         # 1x2x2 volume: u index varies slowest in the payload.
         costs = np.array([[[0.0, 1.0], [2.0, 3.0]]], dtype=np.float32)
         valid = np.ones((1, 2, 2), dtype=bool)
-        raw = encode_cost_volume(compact_volume(costs, valid))
+        raw = b"".join(encode_cost_volume(compact_volume(costs, valid)))
         assert raw[:5] == b"SSCV1"
         h, w, n = np.frombuffer(raw, dtype="<u4", count=3, offset=5)
         assert (h, w, n) == (1, 2, 2)
@@ -379,7 +379,13 @@ class TestExactRoundTrips:
     @settings(max_examples=200, deadline=None)
     def test_cost_volume(self, fuzz_path, volume):
         costs, valid = volume
-        fuzz_path.write_bytes(encode_cost_volume(compact_volume(costs, valid)))
+        blocks = encode_cost_volume(compact_volume(costs, valid))
+        # The header, then one cost and one flag block per u, each H*N long.
+        h, w, n = costs.shape
+        assert len(blocks) == 1 + 2 * w
+        assert [np.asarray(b).size for b in blocks[1:]] == [h * n] * (2 * w)
+        assert b"".join(blocks) == dense_encode_cost_volume(compact_volume(costs, valid))
+        atomic_write(fuzz_path, blocks)
         got_costs, got_valid = read_cost_volume(fuzz_path)
         assert got_costs.dtype == np.float32 and got_costs.shape == costs.shape
         assert got_costs.tobytes() == np.where(valid, costs, SSCV_INVALID_COST).tobytes()

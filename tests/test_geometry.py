@@ -24,10 +24,11 @@ from oasweep.geometry import (
     ray_plane_terms,
     spherical_to_cartesian,
 )
-from oasweep.sweep import extract_features, live_cells, regress_depth_map
+from oasweep.sweep import build_cost_volume, extract_features, live_cells, regress_depth_map
 
 from conftest import (
     backproject_sonar_to_plane,
+    bearing_bin_cols,
     compact_grid,
     dense_lookups,
     dense_warp_grid,
@@ -171,6 +172,17 @@ class TestRigidTransform:
         r = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError):
             RigidTransform(r, np.zeros(3))
+
+    @pytest.mark.parametrize("entry", [1.3407807929942597e154, 1e300, -1e300])
+    def test_rejects_huge_entry_without_a_warning(self, entry):
+        # R^T R overflows to inf (or inf - inf = NaN): still a ValueError, not
+        # a RuntimeWarning, and NaN does not slip past the check.
+        r = np.eye(3)
+        r[0, 0] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="orthonormal"):
+                RigidTransform(r, np.zeros(3))
 
 
 class TestSolveRayPlane:
@@ -465,14 +477,14 @@ def edge_apertures(rig):
 
 
 def range_edges(rig):
-    """(spec, echo_rows) pairs that put a range-bin edge through a row end of plane 1.
+    """(spec, echo) pairs that put a range-bin edge through a row end of plane 1.
 
     A row qualifies when every pixel of it meets plane 1 in front of the
     camera, and its least or its greatest range falls on its first or last
     pixel, which passes the bearing and elevation terms. Its spec stretches
     range_max so that, in exact arithmetic, the edge at the bottom of that
-    end's range bin passes through the end's range, and its echo rows mark
-    only the bin the oracle's formula puts the end pixel in: its own, or the
+    end's range bin passes through the end's range, and its echo marks only
+    the cell the oracle's formulas put the end pixel in: its own row, or the
     one below when rounding leaves the range under the edge, and then the
     end pixel is the row's only entry there. Ordered by how little the spec
     is stretched.
@@ -498,16 +510,67 @@ def range_edges(rig):
             stretched = dataclasses.replace(
                 spec, range_max=spec.range_min + spec.range_bins * (r - spec.range_min) / (k + 0.5))
             if r <= stretched.range_max:
-                echo = np.zeros(spec.range_bins, dtype=bool)
-                echo[range_bin_rows(r, stretched)] = True
-                edges.append((stretched, echo))
+                edges.append((stretched, one_cell(r, bearings[v, end], stretched)))
     return sorted(edges, key=lambda edge: abs(edge[0].range_max - spec.range_max))
+
+
+def bearing_edges(rig):
+    """(spec, echo) pairs that put a bearing-bin edge through a piece end of plane 1.
+
+    The pieces are the PIECE_PIXELS-wide pieces of each row that the warp
+    grid's row filter tests when it has echo cells. A piece qualifies when
+    every pixel of its row meets plane 1 in front of the camera, and its
+    first or last pixel holds its least or greatest bearing and passes the
+    range and elevation terms. Its spec sets bearing_fov so that, in exact
+    arithmetic, the edge at the bottom of that end's bearing bin passes
+    through the end's bearing, and its echo marks only the cell the oracle's
+    formulas put the end pixel in. Ordered by how little bearing_fov changes.
+    """
+    h, w = rig.intrinsics.height, rig.intrinsics.width
+    vs, us = np.meshgrid(np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij")
+    points, ok = solve_ray_plane(us[:, :, None], vs[:, :, None], rig.intrinsics, rig.extrinsics,
+                                 rig.planes, [1])
+    points, ok = points[:, :, 0], ok[:, :, 0]
+    ranges, bearings = sonar_polar(points)
+    elevation = np.arctan2(points[..., 2], ranges)
+    spec = rig.sonar
+    admit = ((ranges >= spec.range_min) & (ranges <= spec.range_max)
+             & (np.abs(elevation) <= spec.elevation_fov / 2))
+    bins, size = spec.bearing_bins, spec.bearing_fov / spec.bearing_bins
+    edges = []
+    for v in np.flatnonzero(ok.all(axis=1)):
+        for first in range(0, w, geometry.PIECE_PIXELS):
+            piece = bearings[v, first:first + geometry.PIECE_PIXELS]
+            for end in (first, first + piece.size - 1):
+                b = bearings[v, end]
+                k = math.floor((b + spec.bearing_fov / 2) / size - 0.5)
+                if not (admit[v, end] and b in (piece.min(), piece.max()) and 1 <= k < bins
+                        and k + 0.5 != bins / 2):
+                    continue
+                fov = b * bins / (k + 0.5 - bins / 2)
+                if 0 < fov < math.pi and abs(b) <= fov / 2:
+                    stretched = dataclasses.replace(spec, bearing_fov=fov)
+                    edges.append((stretched, one_cell(ranges[v, end], b, stretched)))
+    return sorted(edges, key=lambda edge: abs(edge[0].bearing_fov - spec.bearing_fov))
+
+
+def one_cell(r, b, spec):
+    """An echo mask of the spec's bins holding only the cell that range r and bearing b
+    look up."""
+    echo = np.zeros((spec.range_bins, spec.bearing_bins), dtype=bool)
+    echo[range_bin_rows(r, spec), bearing_bin_cols(b, spec)] = True
+    return echo
+
+
+def whole_rows(echo_rows, spec):
+    """An echo mask of the spec's bins holding every cell of the marked range-bin rows."""
+    return np.repeat(np.asarray(echo_rows)[:, None], spec.bearing_bins, axis=1)
 
 
 class TestWarpGrid:
     def test_zero_size_image(self, rig):
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar, shape=(0, 0),
-                               origin=(0, 0), echo_rows=None)
+                               origin=(0, 0), echo=None)
         assert grid.shape == (0, 0, rig.planes.n)
         assert grid.ranges.shape == grid.bearings.shape == (0,)
 
@@ -516,7 +579,7 @@ class TestWarpGrid:
         # solutions, and every valid entry is an admissible candidate: solved,
         # in front of the camera, inside the sector and the vertical aperture.
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
-                               shape=(24, 32), origin=(100, 60), echo_rows=None)
+                               shape=(24, 32), origin=(100, 60), echo=None)
         planes = rig.planes
         valid = grid.valid
         assert valid.any()
@@ -546,7 +609,7 @@ class TestWarpGrid:
         # 0.956 before the elevation gate), in one run of rows per column.
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
                                shape=(rig.intrinsics.height, rig.intrinsics.width), origin=(0, 0),
-                               echo_rows=None)
+                               echo=None)
         mid = grid.valid[:, :, rig.planes.n // 2]
         assert mid.mean() >= 0.25
         for column in mid.T:
@@ -565,7 +628,7 @@ class TestWarpGrid:
         spec = SonarSpec(range_min=0.1, range_max=5.0, bearing_fov=math.radians(60.0),
                          elevation_fov=math.radians(12.0), range_bins=64, bearing_bins=32)
         grid = build_warp_grid(intr, extr, planes, spec, shape=(31, 21), origin=(0, 0),
-                               echo_rows=None)
+                               echo=None)
         cases = {"inside": (10, 10, 1), "near": (10, 10, 0), "far": (10, 10, 2),
                  "wide": (10, 20, 1), "elevation": (15, 10, 1), "behind": (30, 10, 1)}
         assert {name: bool(grid.valid[entry]) for name, entry in cases.items()} == {
@@ -582,9 +645,9 @@ class TestWarpGrid:
             range_bins=rig.sonar.range_bins, bearing_bins=rig.sonar.bearing_bins,
         )
         wide = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
-                               shape=(40, 60), origin=(0, 0), echo_rows=None)
+                               shape=(40, 60), origin=(0, 0), echo=None)
         narrow = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, narrow_spec,
-                                 shape=(40, 60), origin=(0, 0), echo_rows=None)
+                                 shape=(40, 60), origin=(0, 0), echo=None)
         assert not np.any(narrow.valid & ~wide.valid)
 
     @staticmethod
@@ -604,7 +667,7 @@ class TestWarpGrid:
                                      n=n)
         args = (rig.intrinsics, rig.extrinsics, planes, rig.sonar)
         grid = build_warp_grid(*args, shape=(rig.intrinsics.height, rig.intrinsics.width),
-                               origin=(0, 0), echo_rows=None)
+                               origin=(0, 0), echo=None)
         assert 0.2 < grid.valid.mean() < 0.3
         self.assert_matches_oracle(grid, dense_warp_grid(*args))
 
@@ -616,7 +679,7 @@ class TestWarpGrid:
         # tens to hundreds of meters from the sonar as well.
         rig = random_calibration(np.random.default_rng(seed), far=far)
         args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
-        grid = build_warp_grid(*args, shape=(40, 40), origin=(u0, v0), echo_rows=None)
+        grid = build_warp_grid(*args, shape=(40, 40), origin=(u0, v0), echo=None)
         self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=(40, 40), origin=(u0, v0)))
 
     @given(seed=st.integers(0, 2**32 - 1), far=st.booleans(), roll=st.floats(-90.0, 90.0))
@@ -630,7 +693,7 @@ class TestWarpGrid:
         rig = rolled(random_calibration(np.random.default_rng(seed), far=far), roll)
         args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
         with mock.patch.object(geometry, "BLOCK_PIXELS", 320):
-            grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo_rows=None)
+            grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo=None)
         self.assert_matches_oracle(grid, dense_warp_grid(*args))
 
     @given(seed=st.integers(0, 2**32 - 1), far=st.booleans())
@@ -648,7 +711,7 @@ class TestWarpGrid:
         for spec in edge_apertures(rig)[:8]:
             args = (rig.intrinsics, rig.extrinsics, rig.planes, spec)
             with mock.patch.object(geometry, "BLOCK_PIXELS", 320):
-                grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo_rows=None)
+                grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo=None)
             self.assert_matches_oracle(grid, dense_warp_grid(*args))
 
     @given(seed=st.integers(0, 2**32 - 1), rig_kind=st.sampled_from(["near", "far", "rolled"]),
@@ -656,14 +719,14 @@ class TestWarpGrid:
     @settings(max_examples=15, deadline=None)
     def test_matches_dense_oracle_with_echo_rows_on_full_frame_random_rigs(self, seed, rig_kind,
                                                                            echo):
-        # With echo rows each plane is gated only on the rows whose widened
-        # range interval reaches [range_min, range_max] and a marked
-        # range-bin row, and the gate's sixth term keeps the entries that
-        # look up a marked row. A single row is the bin of an entry the
-        # oracle admits, so a row band that misses it, or an interval that
-        # misses an inner range minimum, loses entries; rows 0 and R - 1
-        # hold the clamped lookups; no row admits nothing; every row is the
-        # grid without echo rows.
+        # Echo cells that fill whole range-bin rows: each plane is gated only
+        # on the segments whose widened range interval reaches
+        # [range_min, range_max] and a marked row, and the gate's sixth term
+        # keeps the entries that look up a marked row. A single row is the
+        # bin of an entry the oracle admits, so a segment filter that misses
+        # it, or an interval that misses an inner range minimum, loses
+        # entries; rows 0 and R - 1 hold the clamped lookups; no row admits
+        # nothing; every row is the grid without echo cells.
         rng = np.random.default_rng(seed)
         rig = random_calibration(rng, far=rig_kind == "far")
         if rig_kind == "rolled":
@@ -676,27 +739,108 @@ class TestWarpGrid:
                 echo_rows[rng.choice(range_bin_rows(ranges[valid], rig.sonar))] = True
         else:
             echo_rows[{"first": [0], "last": [-1], "none": [], "all": slice(None)}[echo]] = True
-        grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo_rows=echo_rows)
-        self.assert_matches_oracle(grid, dense_warp_grid(*args, echo_rows=echo_rows))
+        cells = whole_rows(echo_rows, rig.sonar)
+        grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo=cells)
+        self.assert_matches_oracle(grid, dense_warp_grid(*args, echo=cells))
         if echo == "all":
             self.assert_matches_oracle(grid, dense_warp_grid(*args))
+
+    @given(seed=st.integers(0, 2**32 - 1), rig_kind=st.sampled_from(["near", "far", "rolled"]),
+           echo=st.sampled_from(["single", "corners", "column", "sparse", "none"]))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_dense_oracle_with_echo_cells_on_full_frame_random_rigs(self, seed, rig_kind,
+                                                                            echo):
+        # Each plane is gated only on the rows, then the row pieces, whose
+        # range-bin rows times bearing-bin columns hold an echo cell, and the
+        # gate's sixth term keeps the entries that look up one. A single cell
+        # is the cell of an entry the oracle admits, so a row or piece whose
+        # bearing interval misses it loses entries; the corner cells hold the
+        # clamped lookups; one bearing column crosses every range row; a
+        # sparse mask marks 3% of the cells at random; no cell admits nothing.
+        rng = np.random.default_rng(seed)
+        rig = random_calibration(rng, far=rig_kind == "far")
+        if rig_kind == "rolled":
+            rig = rolled(rig, rng.uniform(-90.0, 90.0))
+        spec = rig.sonar
+        args = (rig.intrinsics, rig.extrinsics, rig.planes, spec)
+        cells = np.zeros((spec.range_bins, spec.bearing_bins), dtype=bool)
+        if echo in ("single", "column"):
+            ranges, bearings, valid = dense_warp_grid(*args, step=4)
+            if valid.any():
+                k = rng.integers(np.count_nonzero(valid))
+                col = bearing_bin_cols(bearings[valid][k], spec)
+                cells[range_bin_rows(ranges[valid][k], spec) if echo == "single" else slice(None),
+                      col] = True
+        elif echo == "corners":
+            cells[[0, 0, -1, -1], [0, -1, 0, -1]] = True
+        elif echo == "sparse":
+            cells = rng.random(cells.shape) < 0.03
+        grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo=cells)
+        self.assert_matches_oracle(grid, dense_warp_grid(*args, echo=cells))
 
     @given(seed=st.integers(0, 2**32 - 1), far=st.booleans())
     @settings(max_examples=10, deadline=None)
     def test_matches_dense_oracle_at_an_echo_edge(self, seed, far):
         # A range-bin edge passes through a row's end pixel where the row's
-        # range is least or greatest, and only that pixel's bin is an echo
-        # row: the row filter's widened range interval must still reach it.
+        # range is least or greatest, and only that pixel's cell is an echo
+        # cell: the row filter's widened range interval must still reach it.
         # The first 8 such rows of the rig's middle plane are tried, on a
         # two-plane set whose first plane is that plane, bit for bit.
         rig = random_calibration(np.random.default_rng(seed), far=far)
         planes = rig.planes
         middle = planes.distances()[planes.n // 2]
         rig = dataclasses.replace(rig, planes=dataclasses.replace(planes, d0=middle, n=2))
-        for spec, echo_rows in range_edges(rig)[:8]:
+        for spec, echo in range_edges(rig)[:8]:
             args = (rig.intrinsics, rig.extrinsics, rig.planes, spec)
-            grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo_rows=echo_rows)
-            self.assert_matches_oracle(grid, dense_warp_grid(*args, echo_rows=echo_rows))
+            grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo=echo)
+            self.assert_matches_oracle(grid, dense_warp_grid(*args, echo=echo))
+
+    @given(seed=st.integers(0, 2**32 - 1), far=st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_matches_dense_oracle_at_a_bearing_edge(self, seed, far):
+        # A bearing-bin edge passes through a row piece's end pixel where the
+        # piece's bearing is least or greatest, and only that pixel's cell is
+        # an echo cell: the filter's widened bearing interval must still
+        # reach it, on the row and on the piece. The first 8 such pieces of
+        # the rig's middle plane are tried, on a two-plane set whose first
+        # plane is that plane, bit for bit.
+        rig = random_calibration(np.random.default_rng(seed), far=far)
+        planes = rig.planes
+        middle = planes.distances()[planes.n // 2]
+        rig = dataclasses.replace(rig, planes=dataclasses.replace(planes, d0=middle, n=2))
+        for spec, echo in bearing_edges(rig)[:8]:
+            args = (rig.intrinsics, rig.extrinsics, rig.planes, spec)
+            grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo=echo)
+            self.assert_matches_oracle(grid, dense_warp_grid(*args, echo=echo))
+
+    def test_row_across_the_sonar_axis_kept_like_oracle(self):
+        # The camera sits at the sonar origin looking straight up, turned 45
+        # degrees about its axis, so pixel ray (x, y, 1) lifts to the sonar
+        # direction ((x - y) / sqrt(2), (x + y) / sqrt(2), 1). Row v = 24
+        # (y = -0.5) runs from bearing -149 degrees (x = -2) across the
+        # negative forward axis (180) and the lateral axis (90) to 59 degrees
+        # (x = 1.94), so the pixels in front of the sonar with bearings 60 to
+        # 80 degrees lie outside the interval of the row's end bearings. A
+        # row whose forward is not positive at both ends must keep every
+        # bearing-bin column: with echo cells only where those pixels look,
+        # the grid still holds them.
+        intr = CameraIntrinsics(fx=16.0, fy=16.0, cx=32.0, cy=32.0, width=64, height=64)
+        turn = np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, math.sqrt(2.0)]])
+        extr = RigidTransform(turn / math.sqrt(2.0), np.zeros(3))
+        planes = PlaneHypothesisSet(alpha=math.radians(80.0), d0=1.0, k=2.0, n=2)
+        spec = SonarSpec(range_min=0.1, range_max=20.0, bearing_fov=math.radians(160.0),
+                         elevation_fov=math.radians(150.0), range_bins=64, bearing_bins=64)
+        args = (intr, extr, planes, spec)
+        ranges, bearings, valid = dense_warp_grid(*args)
+        ends = bearings[24, [0, -1], 0]
+        beyond = valid[24, :, 0] & (bearings[24, :, 0] > ends.max() + spec.bearing_bin_size)
+        assert beyond.sum() >= 10
+        echo = np.zeros((spec.range_bins, spec.bearing_bins), dtype=bool)
+        echo[range_bin_rows(ranges[24, beyond, 0], spec),
+             bearing_bin_cols(bearings[24, beyond, 0], spec)] = True
+        grid = build_warp_grid(*args, shape=(64, 64), origin=(0, 0), echo=echo)
+        assert grid.valid[24, beyond, 0].all()
+        self.assert_matches_oracle(grid, dense_warp_grid(*args, echo=echo))
 
     def test_aimed_far_rigs_reach_the_sweep_in_the_oracle(self):
         # Far rigs are drawn aimed at the sonar, with focal lengths grown with
@@ -716,12 +860,15 @@ class TestWarpGrid:
     def test_stock_crop_gates_its_kept_rows_like_oracle(self, rig, monkeypatch):
         # On the stock crop the gate tasks cover only each plane's rows that
         # may reach the elevation wedge and [range_min, range_max]: 27.3% of
-        # the H*W*N entries, and 12.0% once they must also reach one of pool
-        # frame 0's echo rows. Each task is a piece of one run of kept rows,
-        # and both grids have the dense oracle's bytes.
+        # the H*W*N entries. With pool frame 0's live cells they cover only
+        # the row pieces whose range-bin rows times bearing-bin columns hold
+        # one: 2.0%, and the grid holds exactly the full grid's lookups that
+        # hit a live cell (34,393). Each task holds runs of one plane's
+        # pixels, at most BLOCK_PIXELS in all, and both grids have the dense
+        # oracle's bytes.
         prepared, window, frame = stock_inputs(rig)
         shape, origin = prepared.shape, (window.u0, window.v0)
-        echo = live_cells(extract_features(frame.values, "zncc-patch", 2)).any(axis=1)
+        live = live_cells(extract_features(frame.values, "zncc-patch", 2))
         tasks = []
 
         def spy(fn, items):
@@ -731,15 +878,46 @@ class TestWarpGrid:
 
         monkeypatch.setattr(geometry, "map_in_order", spy)
         args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
-        for echo_rows, share in ((None, 0.30), (echo, 0.13)):
+        grids = {}
+        for echo, share in ((None, 0.30), (live, 0.03)):
             tasks.clear()
-            grid = build_warp_grid(*args, shape=shape, origin=origin, echo_rows=echo_rows)
-            gated = sum(block.stop - block.start for _, block in tasks)
-            assert gated <= share * grid.valid.size
-            assert all(0 < block.stop - block.start <= geometry.BLOCK_PIXELS
-                       and block.stop <= grid.valid[:, :, 0].size for _, block in tasks)
+            grid = grids[echo is None] = build_warp_grid(*args, shape=shape, origin=origin,
+                                                         echo=echo)
+            sizes = [runs[:, 1] - runs[:, 0] for _, runs in tasks]
+            assert sum(size.sum() for size in sizes) <= share * grid.valid.size
+            assert all(size.min() > 0 and size.sum() <= geometry.BLOCK_PIXELS for size in sizes)
+            assert all(np.all(runs[1:, 0] > runs[:-1, 1]) and runs[-1, 1] <= shape[0] * shape[1]
+                       for _, runs in tasks)
             self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=shape, origin=origin,
-                                                             echo_rows=echo_rows))
+                                                             echo=echo))
+        full, cut = grids[True], grids[False]
+        rb, bb = rig.sonar.polar_to_bin(full.ranges, full.bearings)
+        hit = live[rb.astype(int), bb.astype(int)]
+        assert cut.ranges.size == np.count_nonzero(hit) == 34393
+        assert cut.ranges.tobytes() == full.ranges[hit].tobytes()
+        assert cut.bearings.tobytes() == full.bearings[hit].tobytes()
+
+    @pytest.mark.parametrize("frame", range(4))
+    def test_cell_grid_volume_matches_full_grid_and_dense_oracle_on_pool_frames(self, rig,
+                                                                                 frame):
+        # With each of the benchmark's pool frames, the stock crop's grid cut
+        # to the frame's live cells has the dense oracle's bytes, and under
+        # neg-zncc its cost volume is the full grid's, bit for bit.
+        prepared, window, sonar = stock_inputs(rig, frame)
+        shape, origin = prepared.shape, (window.u0, window.v0)
+        son = extract_features(sonar.values, "zncc-patch", 2)
+        cam = extract_features(prepared / 255.0, "zncc-patch", 2)
+        live = live_cells(son)
+        args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
+        cut = build_warp_grid(*args, shape=shape, origin=origin, echo=live)
+        self.assert_matches_oracle(cut, dense_warp_grid(*args, shape=shape, origin=origin,
+                                                        echo=live))
+        full = build_warp_grid(*args, shape=shape, origin=origin, echo=None)
+        got, want = (build_cost_volume(cam, son, grid, rig.sonar, "neg-zncc", live)
+                     for grid in (cut, full))
+        assert want.valid.any()
+        assert got.costs.tobytes() == want.costs.tobytes()
+        np.testing.assert_array_equal(got.valid, want.valid)
 
     @pytest.mark.parametrize("scale", [1e-200, 1e155, 3e307])
     def test_matches_dense_oracle_at_extreme_scales(self, rig, scale, monkeypatch):
@@ -759,7 +937,7 @@ class TestWarpGrid:
             monkeypatch.setattr(geometry, "usable_cpus", lambda: cpus)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                grid = build_warp_grid(*args, shape=(60, 80), origin=(120, 100), echo_rows=None)
+                grid = build_warp_grid(*args, shape=(60, 80), origin=(120, 100), echo=None)
             assert grid.valid.any()
             self.assert_matches_oracle(grid, oracle)
 
@@ -769,10 +947,24 @@ class TestWarpGrid:
         # 60x80 crop all give the oracle's bytes.
         args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
         monkeypatch.setattr(geometry, "BLOCK_PIXELS", block)
-        grid = build_warp_grid(*args, shape=(60, 80), origin=(120, 100), echo_rows=None)
+        grid = build_warp_grid(*args, shape=(60, 80), origin=(120, 100), echo=None)
         assert grid.valid.any()
         self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=(60, 80),
                                                          origin=(120, 100)))
+
+    @pytest.mark.parametrize("block", [7, 1000, 4800])
+    def test_block_size_keeps_oracle_bytes_with_echo_cells(self, rig, monkeypatch, block):
+        # With a random 20% of the cells live, tasks join runs of kept row
+        # pieces: blocks that split a piece, leave a short tail block or hold
+        # every kept piece of a plane give the oracle's bytes too.
+        args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
+        cells = np.random.default_rng(block).random((rig.sonar.range_bins,
+                                                     rig.sonar.bearing_bins)) < 0.2
+        monkeypatch.setattr(geometry, "BLOCK_PIXELS", block)
+        grid = build_warp_grid(*args, shape=(60, 80), origin=(120, 100), echo=cells)
+        assert grid.valid.any()
+        self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=(60, 80),
+                                                         origin=(120, 100), echo=cells))
 
     def test_grazing_row_masked_like_oracle(self):
         # Row v = cy runs parallel to the plane family: its column denominator
@@ -788,7 +980,7 @@ class TestWarpGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             grid = build_warp_grid(*args, shape=(rig.intrinsics.height, rig.intrinsics.width),
-                                   origin=(0, 0), echo_rows=None)
+                                   origin=(0, 0), echo=None)
         assert grid.valid.any() and not grid.valid[int(rig.intrinsics.cy)].any()
         self.assert_matches_oracle(grid, dense_warp_grid(*args))
 

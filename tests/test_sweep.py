@@ -38,6 +38,7 @@ from conftest import (
     compact_volume,
     compact,
     dense_cost_volume,
+    dense_encode_cost_volume,
     dense_lookups,
     dense_regularize,
     dense_soft_argmin,
@@ -311,7 +312,7 @@ class TestBuildCostVolume:
         # else in the dense layout compact to the same grid and volume.
         spec = rig.sonar
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, spec,
-                               shape=(6, 8), origin=(156, 116), echo_rows=None)
+                               shape=(6, 8), origin=(156, 116), echo=None)
         assert grid.valid.any() and not grid.valid.all()
         holed = compact_grid(*dense_lookups(grid), grid.valid)
         assert holed.ranges.tobytes() == grid.ranges.tobytes()
@@ -363,7 +364,7 @@ class TestBuildCostVolume:
         if config.zero_sonar_features:
             son = np.zeros_like(son)
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
-                               shape=prepared.shape, origin=(window.u0, window.v0), echo_rows=None)
+                               shape=prepared.shape, origin=(window.u0, window.v0), echo=None)
         got = build_cost_volume(cam, son, grid, rig.sonar, config.metric, live_cells(son))
         want = dense_cost_volume(cam, son, grid, rig.sonar, config.metric)
         assert got.valid.any()
@@ -379,9 +380,10 @@ class TestBuildCostVolume:
     def test_echo_grid_volume_equals_full_grid_volume_on_pool_frames(self, rig, monkeypatch,
                                                                       frame):
         # Under neg-zncc run_pipeline builds the stock crop's grid cut to the
-        # range-bin rows that hold a live cell, and the camera features of the
-        # rows that grid admits only: on each of the benchmark's pool frames
-        # its cost volume is the full grid's, bit for bit.
+        # live cells, and the camera features of the rows that grid admits
+        # only: on each of the benchmark's pool frames its cost volume is the
+        # full grid's, bit for bit, from under 5% of its lookups (3.8% on
+        # frame 0).
         prepared, window, sonar = stock_inputs(rig, frame)
         origin = (window.u0, window.v0)
         seen = {}
@@ -393,11 +395,11 @@ class TestBuildCostVolume:
         run_pipeline(prepared, sonar, rig, SweepConfig(), origin=origin)
         son = extract_features(sonar.values, "zncc-patch", 2)
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
-                               shape=prepared.shape, origin=origin, echo_rows=None)
+                               shape=prepared.shape, origin=origin, echo=None)
         want = build_cost_volume(extract_features(prepared / 255.0, "zncc-patch", 2), son, grid,
                                  rig.sonar, "neg-zncc", live_cells(son))
         assert want.valid.any()
-        assert np.count_nonzero(seen["grid"].valid) < 0.4 * np.count_nonzero(grid.valid)
+        assert np.count_nonzero(seen["grid"].valid) < 0.05 * np.count_nonzero(grid.valid)
         assert seen["volume"].costs.tobytes() == want.costs.tobytes()
         np.testing.assert_array_equal(seen["volume"].valid, want.valid)
 
@@ -609,7 +611,7 @@ def swept_rig(request):
     rig = rig_with_planes(*request.param)
     prepared, window, frame = stock_inputs(rig)
     grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
-                           shape=prepared.shape, origin=(window.u0, window.v0), echo_rows=None)
+                           shape=prepared.shape, origin=(window.u0, window.v0), echo=None)
     return rig, prepared.astype(np.float64) / 255.0, frame, grid
 
 
@@ -742,7 +744,7 @@ def random_rig_chain(rig, camera, sonar_map, window, extractor, patch_radius, me
     soft_argmin of one window, as run_pipeline chains them."""
     features = [extract_features(image, extractor, patch_radius) for image in (camera, sonar_map)]
     grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
-                           shape=camera.shape, origin=(window.u0, window.v0), echo_rows=None)
+                           shape=camera.shape, origin=(window.u0, window.v0), echo=None)
     volume = build_cost_volume(*features, grid, rig.sonar, metric, live_cells(features[1]))
     regularized = regularize_cost_volume(volume, radius, passes)
     scaled = scale_costs(regularized, SweepConfig().cost_scale)
@@ -805,12 +807,12 @@ class TestRandomRig:
             assert volume.costs.tobytes() == want.costs.tobytes()
             np.testing.assert_array_equal(volume.valid, want.valid)
             if metric == "neg-zncc":
-                # A dead cell scores nothing here: the grid cut to the range-bin
-                # rows that hold a live cell gives the same volume.
+                # A dead cell scores nothing here: the grid cut to the live
+                # cells gives the same volume.
                 live = live_cells(features[1])
                 cut = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, spec,
                                       shape=camera.shape, origin=(window.u0, window.v0),
-                                      echo_rows=live.any(axis=1))
+                                      echo=live)
                 assert not np.any(cut.valid & ~grid.valid)
                 got = build_cost_volume(*features, cut, spec, metric, live)
                 assert got.costs.tobytes() == volume.costs.tobytes()
@@ -950,7 +952,7 @@ class TestRunPipeline:
         # masks keep each plane contiguous.
         rig, _, _, prepared, window, _, volume = default_run
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
-                               shape=prepared.shape, origin=(window.u0, window.v0), echo_rows=None)
+                               shape=prepared.shape, origin=(window.u0, window.v0), echo=None)
         for mask in (grid.valid, volume.valid):
             assert mask.shape == prepared.shape + (rig.planes.n,)
             assert np.moveaxis(mask, 2, 0).flags.c_contiguous
@@ -967,7 +969,8 @@ class TestRunPipeline:
                                 for v in (volume, copy))
         for got, want in zip(plane_major, c_order):
             assert got.tobytes() == want.tobytes()
-        assert encode_cost_volume(volume) == encode_cost_volume(copy)
+        encoded = b"".join(encode_cost_volume(volume))
+        assert encoded == b"".join(encode_cost_volume(copy)) == dense_encode_cost_volume(volume)
 
     def test_geometry_prior_never_reads_the_camera(self, default_run, rng):
         # The sonar-zeroed neg-dot pass scores every admissible entry 0, so its
@@ -993,7 +996,7 @@ class TestRunPipeline:
         origin = (window.u0, window.v0)
         camera = prepared.astype(np.float64) / 255.0
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
-                               shape=prepared.shape, origin=origin, echo_rows=None)
+                               shape=prepared.shape, origin=origin, echo=None)
         son = np.zeros_like(extract_features(sonar.values, extractor, config.patch_radius))
         want = build_cost_volume(extract_features(camera, extractor, config.patch_radius), son,
                                  grid, rig.sonar, config.metric, live_cells(son))
