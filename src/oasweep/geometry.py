@@ -209,9 +209,18 @@ class SonarSpec:
         sampling. Coordinates are clamped to [0, bins - 1], so the half bin
         between the sector's edge and the edge bin's center maps to that center.
         """
-        rb = (np.asarray(ranges, dtype=float) - self.range_min) / self.range_bin_size - 0.5
-        bb = (np.asarray(bearings, dtype=float) + self.bearing_fov / 2) / self.bearing_bin_size - 0.5
-        return np.clip(rb, 0.0, self.range_bins - 1.0), np.clip(bb, 0.0, self.bearing_bins - 1.0)
+        return self._bins_in_place(np.array(ranges, dtype=float), np.array(bearings, dtype=float))
+
+    def _bins_in_place(self, rb, bb):
+        """:meth:`polar_to_bin` of float arrays of ranges and bearings, written over them."""
+        rb -= self.range_min
+        rb /= self.range_bin_size
+        rb -= 0.5
+        bb += self.bearing_fov / 2
+        bb /= self.bearing_bin_size
+        bb -= 0.5
+        return (np.clip(rb, 0.0, self.range_bins - 1.0, out=rb),
+                np.clip(bb, 0.0, self.bearing_bins - 1.0, out=bb))
 
 
 @dataclass(frozen=True)
@@ -301,29 +310,29 @@ class WarpGrid:
     """Per-pixel, per-plane sampling coordinates of the sweep, admissible entries only.
 
     Attributes:
-        ranges, bearings: Polar lookup coordinates of the valid entries, 1-D,
-            plane-major and, within plane i, in ``np.nonzero(valid[:, :, i])``
-            order; no other entry has a lookup.
+        rb, bb: The valid entries' continuous lookup coordinates, as
+            :meth:`SonarSpec.polar_to_bin` gives them: bin-centred (a bin's
+            center is its integer index) and clamped to [0, range_bins - 1] x
+            [0, bearing_bins - 1]. 1-D, plane-major and, within plane i, in
+            ``np.nonzero(valid[:, :, i])`` order; no other entry has a lookup.
         valid: (H, W, N) mask; False where the ray ran parallel to the plane,
             the intersection fell behind the camera, the lookup left the
             sonar sector, or the candidate point sat outside the vertical
             aperture; and, for a grid built with echo cells, where the
-            lookup's bin cell (floor(rb), floor(bb)) of
-            :meth:`SonarSpec.polar_to_bin` holds no echo. Stored
+            lookup's bin cell (floor(rb), floor(bb)) holds no echo. Stored
             plane-major: the (H, W, N) transpose of an (N, H, W) array, so
             each plane ``valid[:, :, i]`` is contiguous.
     """
 
-    ranges: np.ndarray
-    bearings: np.ndarray
+    rb: np.ndarray
+    bb: np.ndarray
     valid: np.ndarray
 
     def __post_init__(self):
         count = np.count_nonzero(self.valid)
-        if self.valid.ndim != 3 or not self.ranges.shape == self.bearings.shape == (count,):
+        if self.valid.ndim != 3 or not self.rb.shape == self.bb.shape == (count,):
             raise ValueError(f"need an (H, W, N) mask and {count} lookups, got mask "
-                             f"{self.valid.shape}, lookups {self.ranges.shape} and "
-                             f"{self.bearings.shape}")
+                             f"{self.valid.shape}, lookups {self.rb.shape} and {self.bb.shape}")
 
     @property
     def shape(self):
@@ -338,23 +347,24 @@ class WarpGrid:
 def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
                     planes: PlaneHypothesisSet, spec: SonarSpec,
                     shape: tuple, origin: tuple, echo) -> WarpGrid:
-    """Ray-plane intersections and sonar lookups for every (pixel, plane) pair.
+    """Ray-plane intersections and sonar-bin lookups for every (pixel, plane) pair.
 
-    A polar lookup only needs range and bearing, but a candidate point
-    outside the sonar's vertical aperture can never have produced an echo,
-    so such entries are gated out as inadmissible.
+    A lookup only needs range and bearing, but a candidate point outside the
+    sonar's vertical aperture can never have produced an echo, so such
+    entries are gated out as inadmissible.
 
     Every pixel's ray is intersected with each plane through the closed-form
     depth of :func:`ray_plane_terms`, lifted to the sonar frame,
     P_s = R^T (Z_c K^-1 [u, v, 1]^T - t), projected orthographically (range
     and bearing from the horizontal components alone) and gated by five
     terms: Z_c > 0, range >= range_min, range <= range_max,
-    |bearing| <= bearing_fov / 2 and |elevation| <= elevation_fov / 2. With
-    ``echo``, a sixth term keeps only the entries whose bin cell
-    (floor(rb), floor(bb)), both from one :meth:`SonarSpec.polar_to_bin`
-    call, is marked in it: a caller whose dead sonar cells can score nothing
-    passes its live cells, and the grid keeps exactly the entries that can.
-    Only the valid entries' lookups are kept.
+    |bearing| <= bearing_fov / 2 and |elevation| <= elevation_fov / 2. The
+    survivors' ranges and bearings are copied out and converted once, in
+    place, to the :meth:`SonarSpec.polar_to_bin` coordinates (rb, bb) the
+    grid keeps. With ``echo``, a sixth term keeps only the entries whose bin cell
+    (floor(rb), floor(bb)) is marked in it: a caller whose dead sonar cells
+    can score nothing passes its live cells, and the grid keeps exactly the
+    entries that can. Only the valid entries' lookups are kept.
 
     Each plane is gated only on the row segments that :func:`_wedge_rows`
     keeps: first on whole crop rows, then, with ``echo``, on the
@@ -365,10 +375,10 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     tasks in one set of BLOCK_PIXELS-sized scratch buffers, into which it
     gathers a task's denominators and rays unless the task is one run, so
     that they stay in cache and every allocation has one size, whatever the
-    task. The tasks are shared
-    between threads by :func:`map_in_order`. Each task writes its own pixels
-    of the mask and returns its survivors' lookups, which are joined in task
-    order: the grid is the same bit for bit whatever the thread count.
+    task; beyond them it allocates only the lookups it keeps. The tasks are
+    shared between threads by :func:`map_in_order`. Each task writes its own
+    pixels of the mask and returns its survivors' lookups, which are joined
+    in task order: the grid is the same bit for bit whatever the thread count.
 
     Args:
         intrinsics: Camera model.
@@ -445,14 +455,13 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
             good &= np.less_equal(np.abs(bearings, out=z), spec.bearing_fov / 2, out=term)
             good &= np.less_equal(np.abs(elevation, out=elevation), spec.elevation_fov / 2,
                                   out=term)
-        ranges, bearings = ranges[good], bearings[good]
+        rb, bb = spec._bins_in_place(ranges[good], bearings[good])
         if echo is not None:
-            rb, bb = spec.polar_to_bin(ranges, bearings)
             hit = echo[rb.astype(int), bb.astype(int)]  # >= 0: the cast is the floor
             good[good] = hit
-            ranges, bearings = ranges[hit], bearings[hit]
+            rb, bb = rb[hit], bb[hit]
         valid[i, pixels] = good
-        return ranges, bearings
+        return rb, bb
 
     tasks = []
     if h * w:
@@ -474,13 +483,11 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
                                np.stack([first, stop - 1]), held)
             plane, first, stop = plane[kept], first[kept], stop[kept]
         tasks = _gate_tasks(plane, first, stop, block_pixels)
-    # The pieces are joined one coordinate at a time, so that the range pieces
-    # are freed before the bearings are joined; the empty leading pieces keep
-    # the join defined when no task runs.
-    ranges, bearings = zip((np.empty(0), np.empty(0)), *map_in_order(gate, tasks))
-    ranges = np.concatenate(ranges)
-    return WarpGrid(ranges, np.concatenate(bearings),
-                    valid.reshape(planes.n, h, w).transpose(1, 2, 0))
+    # Joined one coordinate at a time, so that the rb pieces are freed before
+    # the bb pieces are joined; the empty leading pieces define an empty join.
+    rb, bb = zip((np.empty(0), np.empty(0)), *map_in_order(gate, tasks))
+    rb = np.concatenate(rb)
+    return WarpGrid(rb, np.concatenate(bb), valid.reshape(planes.n, h, w).transpose(1, 2, 0))
 
 
 def _gate_tasks(plane, first, stop, block: int) -> list:

@@ -14,7 +14,6 @@ from scipy import ndimage
 from .geometry import (
     CameraIntrinsics,
     RigidTransform,
-    SonarSpec,
     WarpGrid,
     build_warp_grid,
     map_in_order,
@@ -176,7 +175,7 @@ def live_cells(sonar_features: np.ndarray) -> np.ndarray:
 
 def _bilinear_sample(values: np.ndarray, rows, cols) -> np.ndarray:
     """Bilinear lookup of an (R, C, F) map at 1-D coordinates in [0, R - 1] x [0, C - 1]
-    (as SonarSpec.polar_to_bin returns them); returns (K, F) float64.
+    (a WarpGrid's rb and bb); returns (K, F) float64.
 
     The coordinates are >= 0, so the integer cast is their floor. Each corner
     is gathered from the (R*C, F) view and upcast once; the products and sums
@@ -213,9 +212,6 @@ def _pair_cost(cam: np.ndarray, son: np.ndarray, metric: str):
     if metric == "neg-zncc":
         son_c = son - son.mean(axis=-1, keepdims=True)
         son_n = np.linalg.norm(son_c, axis=-1)
-        if not np.any(son_n >= _NORM_EPS):  # a sonar side without norm: nothing is defined
-            shape = np.broadcast_shapes(cam.shape[:-1], son_n.shape)
-            return np.zeros(shape), np.zeros(shape, dtype=bool)
         cam_c = cam - cam.mean(axis=-1, keepdims=True)
         cam_n = np.linalg.norm(cam_c, axis=-1)
         defined = (cam_n >= _NORM_EPS) & (son_n >= _NORM_EPS)
@@ -228,26 +224,24 @@ def _pair_cost(cam: np.ndarray, son: np.ndarray, metric: str):
 def _zero_scores(metric: str) -> bool:
     """Whether a lookup that samples the zero sonar vector can score a defined cost.
 
-    _pair_cost's sonar-side early-out leaves the zero vector undefined
-    against every camera vector (neg-zncc), while sad and neg-dot define
-    every pair, so one probe pair tells them apart.
+    The zero vector has no centred norm, so neg-zncc leaves it undefined
+    against every camera vector, while sad and neg-dot define every pair, so
+    one probe pair tells them apart.
     """
     return bool(_pair_cost(np.array([[0.0, 1.0]]), np.zeros(2), metric)[1].all())
 
 
 def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
-                      grid: WarpGrid, spec: SonarSpec, metric: str,
-                      live: np.ndarray) -> CostVolume:
+                      grid: WarpGrid, metric: str, live: np.ndarray) -> CostVolume:
     """Warp sonar features through the grid and score them against the camera.
 
     Only the entries the warp grid admits are touched: plane by plane, each
-    admissible (pixel, plane) lookup, sliced out of the grid's compact
-    lookups, samples the sonar feature map bilinearly in (range-bin,
-    bearing-bin) space and is scored, in float64, against that pixel's
-    camera feature; the defined costs are kept, in the grid's order. The
-    planes are shared between threads by :func:`map_in_order`, one task
-    per plane, each writing its own row of the mask, so the volume is the
-    same bit for bit whatever the thread count.
+    admissible (pixel, plane) lookup samples the sonar feature map
+    bilinearly at the grid's bin coordinates and is scored, in float64,
+    against that pixel's camera feature; the defined costs are kept, in the
+    grid's order. The planes are shared between threads by
+    :func:`map_in_order`, one task per plane, each writing its own row of the
+    mask, so the volume is the same bit for bit whatever the thread count.
 
     A lookup whose bilinear cell has four +0.0 corners samples exactly the
     zero vector, so it takes its pixel's zero-sample cost, scored once per
@@ -260,8 +254,8 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
     Args:
         camera_features: (H, W, F).
         sonar_features: (range_bins, bearing_bins, F) feature map.
-        grid: Warp grid of shape (H, W, N).
-        spec: Sonar geometry the feature map is binned by.
+        grid: Warp grid of shape (H, W, N); its bin coordinates must lie on
+            the feature map (NaN does not), else ValueError, before any lookup.
         metric: One of sad, neg-dot, neg-zncc. Entries where the metric is
             undefined (degenerate vectors under neg-zncc) go invalid rather
             than fake a score.
@@ -273,11 +267,10 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
     """
     camera_features = np.asarray(camera_features)
     sonar_features = np.asarray(sonar_features)
-    if sonar_features.shape[:2] != (spec.range_bins, spec.bearing_bins):
-        raise ValueError(
-            f"sonar feature dims {sonar_features.shape[:2]} do not match spec bins "
-            f"({spec.range_bins}, {spec.bearing_bins})"
-        )
+    bins = sonar_features.shape[:2]
+    if not all(0 <= coords.min(initial=0) and coords.max(initial=0) <= size - 1
+               for coords, size in zip((grid.rb, grid.bb), bins)):
+        raise ValueError(f"warp grid lookups fall outside the {bins[0]}x{bins[1]} sonar map")
     if camera_features.shape[-1] != sonar_features.shape[-1]:
         raise ValueError(
             f"feature channel mismatch: camera F={camera_features.shape[-1]}, "
@@ -285,9 +278,8 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
         )
     if camera_features.shape[:2] != grid.shape[:2]:
         raise ValueError(f"grid mismatch: {camera_features.shape[:2]} vs {grid.shape[:2]}")
-    if live.shape != sonar_features.shape[:2]:
-        raise ValueError(f"live cells {live.shape} do not match the sonar map "
-                         f"{sonar_features.shape[:2]}")
+    if live.shape != bins:
+        raise ValueError(f"live cells {live.shape} do not match the sonar map {bins}")
     h, w, n = grid.shape
     zero = np.zeros(sonar_features.shape[-1])
     cost0, defined0 = np.zeros((h, w)), np.zeros((h, w), dtype=bool)
@@ -305,7 +297,7 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
     def score(i):
         pixels = np.flatnonzero(masks[i])
         lookups = slice(ends[i] - pixels.size, ends[i])
-        rb, bb = spec.polar_to_bin(grid.ranges[lookups], grid.bearings[lookups])
+        rb, bb = grid.rb[lookups], grid.bb[lookups]
         hit = live[rb.astype(int), bb.astype(int)]  # >= 0: the cast is the floor
         cost, defined = cost0.ravel()[pixels], defined0.ravel()[pixels]
         cost[hit], defined[hit] = _pair_cost(camera_features[pixels[hit]].astype(np.float64),
@@ -478,7 +470,7 @@ def run_pipeline(camera_image: np.ndarray, sonar_image, calibration, config: Swe
                                     rows=grid.rows)
     if son_features is None:
         son_features = np.zeros(sonar_image.values.shape + cam_features.shape[-1:], np.float32)
-    volume = build_cost_volume(cam_features, son_features, grid, spec, config.metric, live)
+    volume = build_cost_volume(cam_features, son_features, grid, config.metric, live)
     del camera_image, cam_features, son_features, grid  # the later stages read only the volume
     volume = regularize_cost_volume(volume, config.box_radius, config.box_passes)
 

@@ -241,7 +241,8 @@ def dense_warp_grid(intrinsics, extrinsics, planes, spec, shape=None, origin=(0,
 
     Returns:
         (ranges, bearings, valid), each (H, W, N) (or the lattice's size);
-        lookups are kept at invalid entries too.
+        lookups are kept at invalid entries too; the builder's WarpGrid holds
+        the valid entries' :func:`bin_coords`.
     """
     if shape is None:
         shape = (intrinsics.height, intrinsics.width)
@@ -262,20 +263,27 @@ def dense_warp_grid(intrinsics, extrinsics, planes, spec, shape=None, origin=(0,
     return ranges, bearings, valid
 
 
-def range_bin_rows(ranges, spec) -> np.ndarray:
-    """The range-bin row each range looks up: floor((range - range_min) / bin size - 0.5),
-    clamped to [0, range_bins - 1]."""
+def bin_coords(ranges, bearings, spec):
+    """Oracle for SonarSpec.polar_to_bin: the continuous range-bin coordinate
+    (range - range_min) / ((range_max - range_min) / range_bins) - 0.5 and the
+    bearing-bin coordinate (bearing + bearing_fov / 2) / (bearing_fov / bearing_bins) - 0.5,
+    each clamped to [0, bins - 1]."""
     size = (spec.range_max - spec.range_min) / spec.range_bins
-    row = np.floor((np.asarray(ranges) - spec.range_min) / size - 0.5)
-    return np.clip(row, 0, spec.range_bins - 1).astype(int)
+    rb = (np.asarray(ranges, dtype=float) - spec.range_min) / size - 0.5
+    size = spec.bearing_fov / spec.bearing_bins
+    bb = (np.asarray(bearings, dtype=float) + spec.bearing_fov / 2) / size - 0.5
+    return np.clip(rb, 0.0, spec.range_bins - 1.0), np.clip(bb, 0.0, spec.bearing_bins - 1.0)
+
+
+def range_bin_rows(ranges, spec) -> np.ndarray:
+    """The range-bin row each range looks up: the floor of its :func:`bin_coords` coordinate."""
+    return np.floor(bin_coords(ranges, 0.0, spec)[0]).astype(int)
 
 
 def bearing_bin_cols(bearings, spec) -> np.ndarray:
-    """The bearing-bin column each bearing looks up:
-    floor((bearing + bearing_fov / 2) / bin size - 0.5), clamped to [0, bearing_bins - 1]."""
-    size = spec.bearing_fov / spec.bearing_bins
-    col = np.floor((np.asarray(bearings) + spec.bearing_fov / 2) / size - 0.5)
-    return np.clip(col, 0, spec.bearing_bins - 1).astype(int)
+    """The bearing-bin column each bearing looks up: the floor of its :func:`bin_coords`
+    coordinate."""
+    return np.floor(bin_coords(spec.range_min, bearings, spec)[1]).astype(int)
 
 
 def dense_zncc_patches(image, r) -> np.ndarray:
@@ -329,16 +337,18 @@ def compact_volume(costs, valid) -> CostVolume:
     return CostVolume(costs=compact(costs, valid), valid=valid)
 
 
-def compact_grid(ranges, bearings, valid) -> WarpGrid:
-    """Adapter from dense (H, W, N) lookups to a WarpGrid that keeps the valid entries' lookups."""
-    return WarpGrid(ranges=compact(np.asarray(ranges, dtype=float), valid),
-                    bearings=compact(np.asarray(bearings, dtype=float), valid),
+def compact_grid(rb, bb, valid) -> WarpGrid:
+    """Adapter from dense (H, W, N) bin coordinates to a WarpGrid that keeps the
+    valid entries' lookups."""
+    return WarpGrid(rb=compact(np.asarray(rb, dtype=float), valid),
+                    bb=compact(np.asarray(bb, dtype=float), valid),
                     valid=np.asarray(valid, dtype=bool))
 
 
 def dense_lookups(grid: WarpGrid):
-    """Adapter from a WarpGrid to dense (H, W, N) ranges and bearings, NaN at invalid entries."""
-    return densify(grid.ranges, grid.valid), densify(grid.bearings, grid.valid)
+    """Adapter from a WarpGrid to dense (H, W, N) range-bin and bearing-bin coordinates,
+    NaN at invalid entries."""
+    return densify(grid.rb, grid.valid), densify(grid.bb, grid.valid)
 
 
 def oracle_bilinear(values, rows, cols) -> np.ndarray:
@@ -372,17 +382,17 @@ def oracle_pair_cost(cam, son, metric):
     return np.where(defined, cost, 0.0), defined
 
 
-def dense_cost_volume(camera_features, sonar_features, grid, spec, metric) -> CostVolume:
+def dense_cost_volume(camera_features, sonar_features, grid, metric) -> CostVolume:
     """Oracle for the cost-volume builder: gather and score every admissible
     lookup, whether or not its bilinear cell touches a non-zero sonar bin."""
-    ranges, bearings = dense_lookups(grid)
+    rb, bb = dense_lookups(grid)
     costs = np.zeros(grid.shape, dtype=np.float32)
     valid = np.zeros(grid.shape, dtype=bool)
     for i in range(grid.shape[2]):
         v, u = np.nonzero(grid.valid[:, :, i])
-        rb, bb = spec.polar_to_bin(ranges[v, u, i], bearings[v, u, i])
         cost, defined = oracle_pair_cost(camera_features[v, u].astype(np.float64),
-                                         oracle_bilinear(sonar_features, rb, bb), metric)
+                                         oracle_bilinear(sonar_features, rb[v, u, i],
+                                                         bb[v, u, i]), metric)
         costs[v[defined], u[defined], i] = cost[defined]
         valid[v, u, i] = defined
     return compact_volume(costs, valid)

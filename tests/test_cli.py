@@ -592,6 +592,94 @@ class TestNonFiniteValues:
         assert not out.exists()
 
 
+def _preprocess(frames=True, background=True, camera=None, calibration=None):
+    """Argv maker: preprocess a frames and a background directory, each holding one zero
+    384x224 sonar.pfm unless told not to; ``camera``, an (H, W) shape, adds a gray
+    camera.pgm to the frames, and ``calibration`` is passed as the rig."""
+    def make(dataset, tmp_path, out):
+        dirs = {"frames": tmp_path / "target", "background": tmp_path / "object-free"}
+        for path, filled in zip(dirs.values(), (frames, background)):
+            path.mkdir()
+            if filled:
+                write_pfm(path / "sonar.pfm", np.zeros((384, 224), dtype=np.float32))
+        if camera is not None:
+            write_pgm(dirs["frames"] / "camera.pgm", np.full(camera, 128, dtype=np.uint8))
+        argv = ["preprocess", "--frames", dirs["frames"], "--background", dirs["background"],
+                "--out", out]
+        if calibration is not None:
+            calibration.save(tmp_path / "calibration.json")
+            argv += ["--calibration", tmp_path / "calibration.json"]
+        return argv
+    return make
+
+
+def _sweep_camera_of_wrong_size(dataset, tmp_path, out):
+    """Argv maker: sweep a copy of the dataset whose camera.pgm is one column wider than
+    the intrinsics."""
+    copy_dir = tmp_path / "dataset"
+    copy_dir.mkdir()
+    for name in ("calibration.json", "sonar.pfm"):
+        shutil.copy(dataset / name, copy_dir / name)
+    write_pgm(copy_dir / "camera.pgm", np.zeros((240, 321), dtype=np.uint8))
+    return ["sweep", "--dataset", copy_dir, "--out", out]
+
+
+def _eval_mismatch(what):
+    """Argv maker: evaluate a 2x3 prediction against a 2x3 ground truth with a 3x2
+    prediction mask, or against a 2x4 ground truth."""
+    def make(dataset, tmp_path, out):
+        write_pfm(tmp_path / "pred.pfm", np.ones((2, 3), dtype=np.float32))
+        write_pfm(tmp_path / "gt.pfm", np.ones((2, 3) if what == "mask" else (2, 4),
+                                               dtype=np.float32))
+        argv = ["eval", "--pred", tmp_path / "pred.pfm", "--gt", tmp_path / "gt.pfm",
+                "--json", out / "m.json"]
+        if what == "mask":
+            write_pgm(tmp_path / "mask.pgm", np.full((3, 2), 255, dtype=np.uint8))
+            argv += ["--pred-mask", tmp_path / "mask.pgm"]
+        return argv
+    return make
+
+
+def _turbidity_type_and_t1(dataset, tmp_path, out):
+    write_pgm(tmp_path / "in.pgm", np.full((2, 2), 128, dtype=np.uint8))
+    return ["turbidity", "--input", tmp_path / "in.pgm", "--out", out / "t.pgm", "--type", "1C",
+            "--t1", 0.7, 0.8, 0.9]
+
+
+class TestValidationExits:
+    """Each command's own validation exits: the exit code, one error line, no traceback
+    and no output."""
+
+    @pytest.mark.parametrize("argv, code, says", [
+        pytest.param(lambda ds, tmp, out: ["sweep", "--dataset", tmp / "missing", "--out", out],
+                     2, "dataset directory not found", id="sweep-missing-dataset"),
+        pytest.param(_preprocess(frames=False), 2, "/target",
+                     id="preprocess-frames-without-sonar"),
+        pytest.param(_preprocess(background=False), 2, "/object-free",
+                     id="preprocess-background-without-sonar"),
+        pytest.param(_preprocess(camera=(10, 12)), 3, "(10, 12) does not match intrinsics",
+                     id="preprocess-camera-of-wrong-size"),
+        pytest.param(_preprocess(camera=(240, 320), calibration=turned_camera(default_rig())), 4,
+                     "behind the camera", id="preprocess-camera-facing-away"),
+        pytest.param(_sweep_camera_of_wrong_size, 3, "(240, 321) does not match intrinsics",
+                     id="sweep-camera-of-wrong-size"),
+        pytest.param(_eval_mismatch("mask"), 3, "mask shape (3, 2)", id="eval-pred-mask-shape"),
+        pytest.param(_eval_mismatch("size"), 3, "differ in size", id="eval-pred-and-gt-sizes"),
+        pytest.param(lambda ds, tmp, out: ["eval", "--pred", ds / "depth_gt.pfm",
+                                           "--gt", ds / "depth_gt.pfm", "--json", out / "m.json",
+                                           "--csv", out / "bins.csv"],
+                     2, "--csv requires --bin-edges", id="eval-csv-without-bin-edges"),
+        pytest.param(_turbidity_type_and_t1, 2, "mutually exclusive", id="turbidity-type-and-t1"),
+    ])
+    def test_exits_with_one_error_line(self, dataset, tmp_path, capsys, argv, code, says):
+        out = tmp_path / "out"
+        assert run_cli(*argv(dataset, tmp_path, out)) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and says in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestJSONTypeRule:
     """Counts are JSON integers, other numbers any JSON number: a calibration or scene value
     once coerced with int() or float() exits 3, naming its key, and writes nothing."""

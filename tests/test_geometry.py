@@ -29,6 +29,7 @@ from oasweep.sweep import build_cost_volume, extract_features, live_cells, regre
 from conftest import (
     backproject_sonar_to_plane,
     bearing_bin_cols,
+    bin_coords,
     compact_grid,
     dense_lookups,
     dense_warp_grid,
@@ -161,6 +162,42 @@ class TestSonarSpec:
                       & (np.abs(bearings) <= spec.bearing_fov / 2))
         assert rb.min() == 0.0 and rb.max() == spec.range_bins - 1
         assert bb.min() == 0.0 and bb.max() == spec.bearing_bins - 1
+
+    def test_bin_centers_map_to_their_index(self, rig):
+        spec = rig.sonar
+        ranges = spec.range_min + (np.arange(spec.range_bins) + 0.5) * spec.range_bin_size
+        rb, _ = spec.polar_to_bin(ranges, 0.0)
+        _, bb = spec.polar_to_bin(spec.range_min, spec.bearing_bin_centers())
+        np.testing.assert_allclose(rb, np.arange(spec.range_bins), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(bb, np.arange(spec.bearing_bins), rtol=0, atol=1e-9)
+
+    def test_midpoint_between_centers_maps_halfway(self, rig):
+        # The bilinear sample there averages the two bins evenly.
+        spec = rig.sonar
+        k = np.arange(spec.range_bins - 1)
+        rb, _ = spec.polar_to_bin(spec.range_min + (k + 1.0) * spec.range_bin_size, 0.0)
+        np.testing.assert_allclose(rb, k + 0.5, rtol=0, atol=1e-9)
+        k = np.arange(spec.bearing_bins - 1)
+        _, bb = spec.polar_to_bin(spec.range_min,
+                                  -spec.bearing_fov / 2 + (k + 1.0) * spec.bearing_bin_size)
+        np.testing.assert_allclose(bb, k + 0.5, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("where", ["edge-half-bin", "out-of-sector"])
+    def test_lookups_past_the_edge_centers_clamp_to_them(self, rig, where):
+        # The half bin between a sector edge and its edge bin's center, and
+        # any lookup outside the sector, map to the edge bin's center.
+        spec = rig.sonar
+        if where == "edge-half-bin":  # bins inward from each edge
+            inward = np.linspace(0.0, 0.45, 10)
+        else:
+            inward = -np.array([0.01, 0.5, 1.0, 7.0, 1e6, np.inf])
+        r, b = spec.range_bin_size * inward, spec.bearing_bin_size * inward
+        rb, bb = spec.polar_to_bin(np.concatenate([spec.range_min + r, spec.range_max - r]),
+                                   np.concatenate([-spec.bearing_fov / 2 + b,
+                                                   spec.bearing_fov / 2 - b]))
+        ends = np.repeat([0.0, 1.0], inward.size)
+        np.testing.assert_array_equal(rb, ends * (spec.range_bins - 1))
+        np.testing.assert_array_equal(bb, ends * (spec.bearing_bins - 1))
 
 
 class TestRigidTransform:
@@ -572,12 +609,13 @@ class TestWarpGrid:
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar, shape=(0, 0),
                                origin=(0, 0), echo=None)
         assert grid.shape == (0, 0, rig.planes.n)
-        assert grid.ranges.shape == grid.bearings.shape == (0,)
+        assert grid.rb.shape == grid.bb.shape == (0,)
 
     def test_invariants_on_default_rig(self, rig):
-        # The grid's lookups are the polar coordinates of the ray-plane
-        # solutions, and every valid entry is an admissible candidate: solved,
-        # in front of the camera, inside the sector and the vertical aperture.
+        # The grid's lookups are the bin coordinates of the ray-plane
+        # solutions' ranges and bearings, and every valid entry is an
+        # admissible candidate: solved, in front of the camera, inside the
+        # sector and the vertical aperture.
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
                                shape=(24, 32), origin=(100, 60), echo=None)
         planes = rig.planes
@@ -590,9 +628,8 @@ class TestWarpGrid:
         spec = rig.sonar
         in_sector = ((ranges >= spec.range_min) & (ranges <= spec.range_max)
                      & (np.abs(bearings) <= spec.bearing_fov / 2))
-        grid_ranges, grid_bearings = dense_lookups(grid)
-        np.testing.assert_array_equal(grid_ranges[valid], ranges[valid])
-        np.testing.assert_array_equal(grid_bearings[valid], bearings[valid])
+        for got, want in zip(dense_lookups(grid), bin_coords(ranges, bearings, spec)):
+            np.testing.assert_array_equal(got[valid], want[valid])
         cam = rig.extrinsics.apply(points)
         assert np.all((ok & in_sector & (cam[..., 2] > 0))[valid])
         elevation = np.arctan2(points[..., 2], ranges)
@@ -634,9 +671,11 @@ class TestWarpGrid:
         assert {name: bool(grid.valid[entry]) for name, entry in cases.items()} == {
             "inside": True, "near": False, "far": False, "wide": False, "elevation": False,
             "behind": False}
-        ranges, bearings = dense_lookups(grid)
-        assert ranges[10, 10, 1] == pytest.approx(2.0, rel=1e-12)
-        assert bearings[10, 10, 1] == pytest.approx(0.0, abs=1e-12)
+        # Range 2 m is range bin (2.0 - 0.1) / (4.9 / 64) - 0.5; bearing 0 is
+        # the sector's middle, between bearing bins 15 and 16.
+        rb, bb = dense_lookups(grid)
+        assert rb[10, 10, 1] == pytest.approx(1.9 * 64 / 4.9 - 0.5, rel=1e-12)
+        assert bb[10, 10, 1] == pytest.approx(15.5, rel=1e-12)
 
     def test_validity_monotone_in_bearing_fov(self, rig):
         narrow_spec = SonarSpec(
@@ -651,11 +690,13 @@ class TestWarpGrid:
         assert not np.any(narrow.valid & ~wide.valid)
 
     @staticmethod
-    def assert_matches_oracle(grid, oracle):
-        want = compact_grid(*oracle)
+    def assert_matches_oracle(grid, args, **oracle):
+        """The grid holds the mask and the bin coordinates of dense_warp_grid(*args, **oracle)."""
+        ranges, bearings, valid = dense_warp_grid(*args, **oracle)
+        want = compact_grid(*bin_coords(ranges, bearings, args[3]), valid)
         np.testing.assert_array_equal(grid.valid, want.valid)
-        assert grid.ranges.tobytes() == want.ranges.tobytes()
-        assert grid.bearings.tobytes() == want.bearings.tobytes()
+        assert grid.rb.tobytes() == want.rb.tobytes()
+        assert grid.bb.tobytes() == want.bb.tobytes()
 
     @pytest.mark.parametrize("n", [48, 95], ids=["stock", "fine-planes"])
     def test_matches_dense_oracle(self, rig, n):
@@ -669,7 +710,7 @@ class TestWarpGrid:
         grid = build_warp_grid(*args, shape=(rig.intrinsics.height, rig.intrinsics.width),
                                origin=(0, 0), echo=None)
         assert 0.2 < grid.valid.mean() < 0.3
-        self.assert_matches_oracle(grid, dense_warp_grid(*args))
+        self.assert_matches_oracle(grid, args)
 
     @given(seed=st.integers(0, 2**32 - 1), far=st.booleans(), u0=st.integers(0, 280),
            v0=st.integers(0, 200))
@@ -680,7 +721,7 @@ class TestWarpGrid:
         rig = random_calibration(np.random.default_rng(seed), far=far)
         args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
         grid = build_warp_grid(*args, shape=(40, 40), origin=(u0, v0), echo=None)
-        self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=(40, 40), origin=(u0, v0)))
+        self.assert_matches_oracle(grid, args, shape=(40, 40), origin=(u0, v0))
 
     @given(seed=st.integers(0, 2**32 - 1), far=st.booleans(), roll=st.floats(-90.0, 90.0))
     @settings(max_examples=10, deadline=None)
@@ -694,7 +735,7 @@ class TestWarpGrid:
         args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
         with mock.patch.object(geometry, "BLOCK_PIXELS", 320):
             grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo=None)
-        self.assert_matches_oracle(grid, dense_warp_grid(*args))
+        self.assert_matches_oracle(grid, args)
 
     @given(seed=st.integers(0, 2**32 - 1), far=st.booleans())
     @settings(max_examples=10, deadline=None)
@@ -712,7 +753,7 @@ class TestWarpGrid:
             args = (rig.intrinsics, rig.extrinsics, rig.planes, spec)
             with mock.patch.object(geometry, "BLOCK_PIXELS", 320):
                 grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo=None)
-            self.assert_matches_oracle(grid, dense_warp_grid(*args))
+            self.assert_matches_oracle(grid, args)
 
     @given(seed=st.integers(0, 2**32 - 1), rig_kind=st.sampled_from(["near", "far", "rolled"]),
            echo=st.sampled_from(["single", "first", "last", "none", "all"]))
@@ -741,9 +782,9 @@ class TestWarpGrid:
             echo_rows[{"first": [0], "last": [-1], "none": [], "all": slice(None)}[echo]] = True
         cells = whole_rows(echo_rows, rig.sonar)
         grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo=cells)
-        self.assert_matches_oracle(grid, dense_warp_grid(*args, echo=cells))
+        self.assert_matches_oracle(grid, args, echo=cells)
         if echo == "all":
-            self.assert_matches_oracle(grid, dense_warp_grid(*args))
+            self.assert_matches_oracle(grid, args)
 
     @given(seed=st.integers(0, 2**32 - 1), rig_kind=st.sampled_from(["near", "far", "rolled"]),
            echo=st.sampled_from(["single", "corners", "column", "sparse", "none"]))
@@ -776,7 +817,7 @@ class TestWarpGrid:
         elif echo == "sparse":
             cells = rng.random(cells.shape) < 0.03
         grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo=cells)
-        self.assert_matches_oracle(grid, dense_warp_grid(*args, echo=cells))
+        self.assert_matches_oracle(grid, args, echo=cells)
 
     @given(seed=st.integers(0, 2**32 - 1), far=st.booleans())
     @settings(max_examples=10, deadline=None)
@@ -793,7 +834,7 @@ class TestWarpGrid:
         for spec, echo in range_edges(rig)[:8]:
             args = (rig.intrinsics, rig.extrinsics, rig.planes, spec)
             grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo=echo)
-            self.assert_matches_oracle(grid, dense_warp_grid(*args, echo=echo))
+            self.assert_matches_oracle(grid, args, echo=echo)
 
     @given(seed=st.integers(0, 2**32 - 1), far=st.booleans())
     @settings(max_examples=10, deadline=None)
@@ -811,7 +852,7 @@ class TestWarpGrid:
         for spec, echo in bearing_edges(rig)[:8]:
             args = (rig.intrinsics, rig.extrinsics, rig.planes, spec)
             grid = build_warp_grid(*args, shape=(240, 320), origin=(0, 0), echo=echo)
-            self.assert_matches_oracle(grid, dense_warp_grid(*args, echo=echo))
+            self.assert_matches_oracle(grid, args, echo=echo)
 
     def test_row_across_the_sonar_axis_kept_like_oracle(self):
         # The camera sits at the sonar origin looking straight up, turned 45
@@ -840,7 +881,7 @@ class TestWarpGrid:
              bearing_bin_cols(bearings[24, beyond, 0], spec)] = True
         grid = build_warp_grid(*args, shape=(64, 64), origin=(0, 0), echo=echo)
         assert grid.valid[24, beyond, 0].all()
-        self.assert_matches_oracle(grid, dense_warp_grid(*args, echo=echo))
+        self.assert_matches_oracle(grid, args, echo=echo)
 
     def test_aimed_far_rigs_reach_the_sweep_in_the_oracle(self):
         # Far rigs are drawn aimed at the sonar, with focal lengths grown with
@@ -888,14 +929,12 @@ class TestWarpGrid:
             assert all(size.min() > 0 and size.sum() <= geometry.BLOCK_PIXELS for size in sizes)
             assert all(np.all(runs[1:, 0] > runs[:-1, 1]) and runs[-1, 1] <= shape[0] * shape[1]
                        for _, runs in tasks)
-            self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=shape, origin=origin,
-                                                             echo=echo))
+            self.assert_matches_oracle(grid, args, shape=shape, origin=origin, echo=echo)
         full, cut = grids[True], grids[False]
-        rb, bb = rig.sonar.polar_to_bin(full.ranges, full.bearings)
-        hit = live[rb.astype(int), bb.astype(int)]
-        assert cut.ranges.size == np.count_nonzero(hit) == 34393
-        assert cut.ranges.tobytes() == full.ranges[hit].tobytes()
-        assert cut.bearings.tobytes() == full.bearings[hit].tobytes()
+        hit = live[full.rb.astype(int), full.bb.astype(int)]
+        assert cut.rb.size == np.count_nonzero(hit) == 34393
+        assert cut.rb.tobytes() == full.rb[hit].tobytes()
+        assert cut.bb.tobytes() == full.bb[hit].tobytes()
 
     @pytest.mark.parametrize("frame", range(4))
     def test_cell_grid_volume_matches_full_grid_and_dense_oracle_on_pool_frames(self, rig,
@@ -910,10 +949,9 @@ class TestWarpGrid:
         live = live_cells(son)
         args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
         cut = build_warp_grid(*args, shape=shape, origin=origin, echo=live)
-        self.assert_matches_oracle(cut, dense_warp_grid(*args, shape=shape, origin=origin,
-                                                        echo=live))
+        self.assert_matches_oracle(cut, args, shape=shape, origin=origin, echo=live)
         full = build_warp_grid(*args, shape=shape, origin=origin, echo=None)
-        got, want = (build_cost_volume(cam, son, grid, rig.sonar, "neg-zncc", live)
+        got, want = (build_cost_volume(cam, son, grid, "neg-zncc", live)
                      for grid in (cut, full))
         assert want.valid.any()
         assert got.costs.tobytes() == want.costs.tobytes()
@@ -931,15 +969,14 @@ class TestWarpGrid:
         planes = dataclasses.replace(rig.planes, d0=rig.planes.d0 * scale)
         extrinsics = RigidTransform(rig.extrinsics.rotation, rig.extrinsics.translation * scale)
         args = (rig.intrinsics, extrinsics, planes, sonar)
-        with np.errstate(over="ignore", invalid="ignore"):
-            oracle = dense_warp_grid(*args, shape=(60, 80), origin=(120, 100))
         for cpus in (1, 3):
             monkeypatch.setattr(geometry, "usable_cpus", lambda: cpus)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 grid = build_warp_grid(*args, shape=(60, 80), origin=(120, 100), echo=None)
             assert grid.valid.any()
-            self.assert_matches_oracle(grid, oracle)
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.assert_matches_oracle(grid, args, shape=(60, 80), origin=(120, 100))
 
     @pytest.mark.parametrize("block", [7, 1000, 4800])
     def test_block_size_does_not_change_bytes(self, rig, monkeypatch, block):
@@ -949,8 +986,7 @@ class TestWarpGrid:
         monkeypatch.setattr(geometry, "BLOCK_PIXELS", block)
         grid = build_warp_grid(*args, shape=(60, 80), origin=(120, 100), echo=None)
         assert grid.valid.any()
-        self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=(60, 80),
-                                                         origin=(120, 100)))
+        self.assert_matches_oracle(grid, args, shape=(60, 80), origin=(120, 100))
 
     @pytest.mark.parametrize("block", [7, 1000, 4800])
     def test_block_size_keeps_oracle_bytes_with_echo_cells(self, rig, monkeypatch, block):
@@ -963,8 +999,7 @@ class TestWarpGrid:
         monkeypatch.setattr(geometry, "BLOCK_PIXELS", block)
         grid = build_warp_grid(*args, shape=(60, 80), origin=(120, 100), echo=cells)
         assert grid.valid.any()
-        self.assert_matches_oracle(grid, dense_warp_grid(*args, shape=(60, 80),
-                                                         origin=(120, 100), echo=cells))
+        self.assert_matches_oracle(grid, args, shape=(60, 80), origin=(120, 100), echo=cells)
 
     def test_grazing_row_masked_like_oracle(self):
         # Row v = cy runs parallel to the plane family: its column denominator
@@ -982,13 +1017,13 @@ class TestWarpGrid:
             grid = build_warp_grid(*args, shape=(rig.intrinsics.height, rig.intrinsics.width),
                                    origin=(0, 0), echo=None)
         assert grid.valid.any() and not grid.valid[int(rig.intrinsics.cy)].any()
-        self.assert_matches_oracle(grid, dense_warp_grid(*args))
+        self.assert_matches_oracle(grid, args)
 
     def test_lookups_must_match_mask(self):
         valid = np.zeros((2, 3, 4), dtype=bool)
         valid[1, 2, 3] = True
-        WarpGrid(ranges=np.ones(1), bearings=np.zeros(1), valid=valid)
+        WarpGrid(rb=np.ones(1), bb=np.zeros(1), valid=valid)
         with pytest.raises(ValueError):
-            WarpGrid(ranges=np.ones(2), bearings=np.zeros(2), valid=valid)
+            WarpGrid(rb=np.ones(2), bb=np.zeros(2), valid=valid)
         with pytest.raises(ValueError):
-            WarpGrid(ranges=np.ones((2, 3, 4)), bearings=np.zeros((2, 3, 4)), valid=valid)
+            WarpGrid(rb=np.ones((2, 3, 4)), bb=np.zeros((2, 3, 4)), valid=valid)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oasweep import geometry, sweep
 from oasweep.config import default_rig
 from oasweep.formats import encode_cost_volume
-from oasweep.geometry import PlaneHypothesisSet, SonarSpec, build_warp_grid
+from oasweep.geometry import PlaneHypothesisSet, build_warp_grid
 from scipy import ndimage
 
 from oasweep.simulator import Scene, default_scene, render_camera, render_sonar
@@ -143,40 +143,31 @@ class TestExtractFeatures:
             extract_features(np.ones((0, 4)), "intensity", 0)
 
 
-def tiny_grid(ranges, bearings, valid=None):
-    """WarpGrid stub with explicit dense (H, W, N) polar lookups."""
-    ranges = np.asarray(ranges, dtype=float)
+def bin_grid(rb, bb, valid=None):
+    """WarpGrid stub looking up the given dense (H, W, N) (range-bin, bearing-bin)
+    coordinates; integer coordinates are bin centers."""
+    rb = np.asarray(rb, dtype=float)
     if valid is None:
-        valid = np.ones(ranges.shape, dtype=bool)
-    return compact_grid(ranges, bearings, valid)
+        valid = np.ones(rb.shape, dtype=bool)
+    return compact_grid(rb, bb, valid)
 
 
-def bin_grid(spec, range_bins, bearing_bins, valid=None):
-    """WarpGrid stub looking up the given (range-bin, bearing-bin) coordinates;
-    integer coordinates are bin centers."""
-    ranges = spec.range_min + (np.asarray(range_bins) + 0.5) * spec.range_bin_size
-    bearings = -spec.bearing_fov / 2 + (np.asarray(bearing_bins) + 0.5) * spec.bearing_bin_size
-    return tiny_grid(ranges, bearings, valid)
-
-
-def warp_values(grid, sonar_map, spec):
+def warp_values(grid, sonar_map):
     """Warped sonar intensities read through the builder: -cost under neg-dot
     with unit intensity camera features."""
     camera = np.ones(grid.shape[:2] + (1,), dtype=np.float32)
     sonar = sonar_map[:, :, None]
-    vol = build_cost_volume(camera, sonar, grid, spec, "neg-dot", live_cells(sonar))
+    vol = build_cost_volume(camera, sonar, grid, "neg-dot", live_cells(sonar))
     return -densify(vol.costs, vol.valid), vol.valid
 
 
-# 16 x 8 bins of 1 m x 0.25 rad: every quarter-bin lookup converts to exact
-# bin coordinates, so bin centers carry bilinear weights of exactly 0.
-SPARSE_SPEC = SonarSpec(range_min=0.5, range_max=16.5, bearing_fov=2.0,
-                        elevation_fov=0.2, range_bins=16, bearing_bins=8)
+# The sparse feature maps' 16 x 8 bins.
+SPARSE_BINS = (16, 8)
 
 
 def sparse_sonar(case, rng):
-    """A 3-channel SPARSE_SPEC feature map, +0.0 except at the bins the case names."""
-    r, b = SPARSE_SPEC.range_bins, SPARSE_SPEC.bearing_bins
+    """A 3-channel SPARSE_BINS feature map, +0.0 except at the bins the case names."""
+    r, b = SPARSE_BINS
     sonar = np.zeros((r, b, 3), dtype=np.float32)
     if case == "single":
         sonar[7, 3] = rng.uniform(0.5, 1.0, size=3)
@@ -202,7 +193,7 @@ class TestWarpSonarFeatures:
         spec = rig.sonar
         sonar_map = np.zeros((spec.range_bins, spec.bearing_bins), dtype=np.float32)
         sonar_map[10, 5] = 0.75
-        warped, valid = warp_values(bin_grid(spec, [[[10]]], [[[5]]]), sonar_map, spec)
+        warped, valid = warp_values(bin_grid([[[10]]], [[[5]]]), sonar_map)
         assert valid[0, 0, 0]
         assert warped[0, 0, 0] == pytest.approx(0.75, abs=1e-6)
 
@@ -211,17 +202,16 @@ class TestWarpSonarFeatures:
         sonar_map = np.zeros((spec.range_bins, spec.bearing_bins), dtype=np.float32)
         sonar_map[10, 5] = 0.2
         sonar_map[11, 5] = 0.6
-        d = spec.range_min + 11.0 * spec.range_bin_size  # midway between centers 10 and 11
-        th = -spec.bearing_fov / 2 + 5.5 * spec.bearing_bin_size
-        warped, _ = warp_values(tiny_grid([[[d]]], [[[th]]]), sonar_map, spec)
+        warped, _ = warp_values(bin_grid([[[10.5]]], [[[5]]]), sonar_map)
         assert warped[0, 0, 0] == pytest.approx(0.4, abs=1e-6)
 
     def test_constant_map_warps_constant(self, rig, rng):
         spec = rig.sonar
         sonar_map = np.full((spec.range_bins, spec.bearing_bins), 0.31, dtype=np.float32)
-        d = rng.uniform(spec.range_min, spec.range_max, size=(4, 5, 6))
-        th = rng.uniform(-spec.bearing_fov / 2, spec.bearing_fov / 2, size=(4, 5, 6))
-        warped, valid = warp_values(tiny_grid(d, th), sonar_map, spec)
+        rb = rng.uniform(0, spec.range_bins - 1, size=(4, 5, 6))
+        bb = rng.uniform(0, spec.bearing_bins - 1, size=(4, 5, 6))
+        rb[0, 0, :2], bb[0, 0, :2] = (0, spec.range_bins - 1), (spec.bearing_bins - 1, 0)
+        warped, valid = warp_values(bin_grid(rb, bb), sonar_map)
         assert valid.all()
         np.testing.assert_allclose(warped, 0.31, atol=1e-6)
 
@@ -232,15 +222,31 @@ class TestWarpSonarFeatures:
         sonar_map = rng.random((spec.range_bins, spec.bearing_bins)).astype(np.float32)
         rb = rng.uniform(0, spec.range_bins - 1, size=(3, 4, n))
         bb = rng.uniform(0, spec.bearing_bins - 1, size=(3, 4, n))
-        warped, _ = warp_values(bin_grid(spec, rb, bb), sonar_map, spec)
+        warped, _ = warp_values(bin_grid(rb, bb), sonar_map)
         expected = ndimage.map_coordinates(sonar_map.astype(np.float64), [rb, bb], order=1)
         np.testing.assert_allclose(warped, expected, atol=1e-5)
 
     def test_dimension_mismatch(self, rig):
-        grid = tiny_grid([[[1.0]]], [[[0.0]]])
+        # A lookup of the rig's sonar, on the axis at 1 m, reaches past a 4x4 map.
+        grid = bin_grid(*rig.sonar.polar_to_bin([[[1.0]]], [[[0.0]]]))
         with pytest.raises(ValueError):
-            build_cost_volume(np.ones((1, 1, 1)), np.ones((4, 4, 1)), grid, rig.sonar, "sad",
+            build_cost_volume(np.ones((1, 1, 1)), np.ones((4, 4, 1)), grid, "sad",
                               np.ones((4, 4), dtype=bool))
+
+    @pytest.mark.parametrize("rb, bb", [(15.0 + 1e-9, 0.0), (0.0, 7.0 + 1e-9), (-1e-9, 0.0),
+                                        (0.0, -0.5), (np.nan, 0.0), (0.0, np.nan)],
+                             ids=["past-last-row", "past-last-column", "before-first-row",
+                                  "before-first-column", "nan-row", "nan-column"])
+    def test_lookups_off_the_map_rejected_before_sampling(self, monkeypatch, rb, bb):
+        # The last in-map lookups are (15, 7) on a 16 x 8 map; a grid that
+        # leaves it, however little, is refused before any sample is read.
+        def unreachable(*args):
+            raise AssertionError("sampled a grid that leaves the map")
+        monkeypatch.setattr(sweep, "_bilinear_sample", unreachable)
+        sonar = np.ones(SPARSE_BINS + (1,), dtype=np.float32)
+        grid = bin_grid([[[15.0, rb]]], [[[7.0, bb]]])
+        with pytest.raises(ValueError, match="outside the 16x8 sonar map"):
+            build_cost_volume(np.ones((1, 1, 1)), sonar, grid, "sad", live_cells(sonar))
 
 
 class TestBuildCostVolume:
@@ -251,8 +257,7 @@ class TestBuildCostVolume:
         rbins = rng.integers(0, spec.range_bins, size=(3, 4, 1)).repeat(2, axis=2)
         bbins = rng.integers(0, spec.bearing_bins, size=(3, 4, 1)).repeat(2, axis=2)
         camera = sonar[rbins[..., 0], bbins[..., 0]]
-        vol = build_cost_volume(camera, sonar, bin_grid(spec, rbins, bbins), spec, "sad",
-                                live_cells(sonar))
+        vol = build_cost_volume(camera, sonar, bin_grid(rbins, bbins), "sad", live_cells(sonar))
         assert vol.valid.all()
         np.testing.assert_allclose(vol.costs, 0.0, atol=1e-5)
 
@@ -262,8 +267,8 @@ class TestBuildCostVolume:
         sonar = np.zeros((spec.range_bins, spec.bearing_bins, 2), dtype=np.float32)
         sonar[3, 4] = [0.0, 1.0]   # orthogonal
         sonar[7, 8] = [1.0, 0.0]   # parallel
-        grid = bin_grid(spec, [[[3, 7]]], [[[4, 8]]])
-        vol = build_cost_volume(camera, sonar, grid, spec, "neg-dot", live_cells(sonar))
+        grid = bin_grid([[[3, 7]]], [[[4, 8]]])
+        vol = build_cost_volume(camera, sonar, grid, "neg-dot", live_cells(sonar))
         costs = densify(vol.costs, vol.valid)
         assert costs[0, 0, 0] == pytest.approx(0.0, abs=1e-6)
         assert costs[0, 0, 1] == pytest.approx(-1.0, abs=1e-6)
@@ -272,8 +277,8 @@ class TestBuildCostVolume:
         spec = rig.sonar
         camera = np.ones((1, 1, 1), dtype=np.float32)  # F=1 has zero variance
         sonar = np.ones((spec.range_bins, spec.bearing_bins, 1), dtype=np.float32)
-        vol = build_cost_volume(camera, sonar, bin_grid(spec, [[[3]]], [[[4]]]), spec,
-                                "neg-zncc", live_cells(sonar))
+        vol = build_cost_volume(camera, sonar, bin_grid([[[3]]], [[[4]]]), "neg-zncc",
+                                live_cells(sonar))
         assert not vol.valid[0, 0, 0]
         assert vol.costs.size == 0
 
@@ -282,7 +287,7 @@ class TestBuildCostVolume:
         with pytest.raises(ValueError):
             build_cost_volume(np.ones((1, 1, 3), np.float32),
                               np.ones((spec.range_bins, spec.bearing_bins, 4), np.float32),
-                              tiny_grid([[[1.0]]], [[[0.0]]]), spec, "sad",
+                              bin_grid([[[1.0]]], [[[0.0]]]), "sad",
                               np.ones((spec.range_bins, spec.bearing_bins), dtype=bool))
 
     def test_grid_mismatch(self, rig):
@@ -290,7 +295,7 @@ class TestBuildCostVolume:
         with pytest.raises(ValueError):
             build_cost_volume(np.ones((2, 2, 1), np.float32),
                               np.ones((spec.range_bins, spec.bearing_bins, 1), np.float32),
-                              tiny_grid([[[1.0]]], [[[0.0]]]), spec, "sad",
+                              bin_grid([[[1.0]]], [[[0.0]]]), "sad",
                               np.ones((spec.range_bins, spec.bearing_bins), dtype=bool))
 
     def test_invalid_entries_hold_no_cost(self, rig):
@@ -299,8 +304,8 @@ class TestBuildCostVolume:
         spec = rig.sonar
         camera = np.ones((1, 1, 2), dtype=np.float32)
         sonar = np.ones((spec.range_bins, spec.bearing_bins, 2), dtype=np.float32)
-        grid = tiny_grid([[[1.0, 2.0]]], [[[0.0, 0.0]]], valid=[[[True, False]]])
-        vol = build_cost_volume(camera, sonar, grid, spec, "sad", live_cells(sonar))
+        grid = bin_grid([[[1.0, 2.0]]], [[[0.0, 0.0]]], valid=[[[True, False]]])
+        vol = build_cost_volume(camera, sonar, grid, "sad", live_cells(sonar))
         np.testing.assert_array_equal(vol.valid, [[[True, False]]])
         assert vol.costs.shape == (1,)
         assert vol.costs[0] == pytest.approx(0.0, abs=1e-6)
@@ -315,12 +320,12 @@ class TestBuildCostVolume:
                                shape=(6, 8), origin=(156, 116), echo=None)
         assert grid.valid.any() and not grid.valid.all()
         holed = compact_grid(*dense_lookups(grid), grid.valid)
-        assert holed.ranges.tobytes() == grid.ranges.tobytes()
-        assert holed.bearings.tobytes() == grid.bearings.tobytes()
+        assert holed.rb.tobytes() == grid.rb.tobytes()
+        assert holed.bb.tobytes() == grid.bb.tobytes()
         camera = rng.random((6, 8, 3)).astype(np.float32)
         sonar = rng.random((spec.range_bins, spec.bearing_bins, 3)).astype(np.float32)
-        want = build_cost_volume(camera, sonar, grid, spec, metric, live_cells(sonar))
-        got = build_cost_volume(camera, sonar, holed, spec, metric, live_cells(sonar))
+        want = build_cost_volume(camera, sonar, grid, metric, live_cells(sonar))
+        got = build_cost_volume(camera, sonar, holed, metric, live_cells(sonar))
         np.testing.assert_array_equal(got.valid, want.valid)
         np.testing.assert_array_equal(got.costs, want.costs)
 
@@ -329,25 +334,24 @@ class TestBuildCostVolume:
                                       "negative-zero"])
     @pytest.mark.parametrize("metric", METRICS)
     def test_sparse_sonar_matches_dense_oracle(self, rng, metric, case):
-        # Every quarter-bin lookup over bin coordinates [-1, R + 1] x [-1, B + 1]
-        # (clamped lookups included), one per pixel. Plane j shifts the
-        # lookups by j pixels, so each one meets a camera feature of each
+        # Every quarter-bin lookup over bin coordinates [0, R - 1] x [0, B - 1]
+        # (the last row and column included), one per pixel. Plane j shifts
+        # the lookups by j pixels, so each one meets a camera feature of each
         # kind: zero, constant, negative, -0.0 and generic; some are masked.
-        spec = SPARSE_SPEC
-        rb, bb = np.meshgrid(np.arange(-4, 4 * spec.range_bins + 5) / 4,
-                             np.arange(-4, 4 * spec.bearing_bins + 5) / 4, indexing="ij")
+        r, b = SPARSE_BINS
+        rb, bb = np.meshgrid(np.arange(4 * r - 3) / 4, np.arange(4 * b - 3) / 4, indexing="ij")
         camera = rng.normal(size=rb.shape + (3,)).astype(np.float32)
         kind = np.arange(rb.size).reshape(rb.shape) % 5
         camera[kind == 0] = 0.0
         camera[kind == 1] = 1.0
         camera[kind == 2] = -np.abs(camera[kind == 2])
         camera[kind == 3] = -0.0
-        grid = bin_grid(spec, np.stack([np.roll(rb, j) for j in range(5)], axis=-1),
+        grid = bin_grid(np.stack([np.roll(rb, j) for j in range(5)], axis=-1),
                         np.stack([np.roll(bb, j) for j in range(5)], axis=-1),
                         valid=rng.random(rb.shape + (5,)) < 0.9)
         sonar = sparse_sonar(case, rng)
-        got = build_cost_volume(camera, sonar, grid, spec, metric, live_cells(sonar))
-        want = dense_cost_volume(camera, sonar, grid, spec, metric)
+        got = build_cost_volume(camera, sonar, grid, metric, live_cells(sonar))
+        want = dense_cost_volume(camera, sonar, grid, metric)
         assert got.costs.tobytes() == want.costs.tobytes()
         np.testing.assert_array_equal(got.valid, want.valid)
 
@@ -365,8 +369,8 @@ class TestBuildCostVolume:
             son = np.zeros_like(son)
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
                                shape=prepared.shape, origin=(window.u0, window.v0), echo=None)
-        got = build_cost_volume(cam, son, grid, rig.sonar, config.metric, live_cells(son))
-        want = dense_cost_volume(cam, son, grid, rig.sonar, config.metric)
+        got = build_cost_volume(cam, son, grid, config.metric, live_cells(son))
+        want = dense_cost_volume(cam, son, grid, config.metric)
         assert got.valid.any()
         assert got.costs.tobytes() == want.costs.tobytes()
         np.testing.assert_array_equal(got.valid, want.valid)
@@ -397,7 +401,7 @@ class TestBuildCostVolume:
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
                                shape=prepared.shape, origin=origin, echo=None)
         want = build_cost_volume(extract_features(prepared / 255.0, "zncc-patch", 2), son, grid,
-                                 rig.sonar, "neg-zncc", live_cells(son))
+                                 "neg-zncc", live_cells(son))
         assert want.valid.any()
         assert np.count_nonzero(seen["grid"].valid) < 0.05 * np.count_nonzero(grid.valid)
         assert seen["volume"].costs.tobytes() == want.costs.tobytes()
@@ -629,7 +633,7 @@ class TestSoftArgminMatchesDenseOracle:
         if config.zero_sonar_features:
             son = np.zeros_like(son)
         volume = build_cost_volume(extract_features(camera, config.extractor, config.patch_radius),
-                                   son, grid, rig.sonar, config.metric, live_cells(son))
+                                   son, grid, config.metric, live_cells(son))
         volume = scale_costs(regularize_cost_volume(volume, config.box_radius, config.box_passes),
                              config.cost_scale)
         distances = rig.planes.distances()
@@ -664,7 +668,7 @@ def traced_ablation():
 
     def grid(*args, **kwargs):
         out = build_warp_grid(*args, **kwargs)
-        seen["lookups"] = out.ranges.nbytes + out.bearings.nbytes
+        seen["lookups"] = out.rb.nbytes + out.bb.nbytes
         return out
 
     def softargmin(volume, distances):
@@ -745,7 +749,7 @@ def random_rig_chain(rig, camera, sonar_map, window, extractor, patch_radius, me
     features = [extract_features(image, extractor, patch_radius) for image in (camera, sonar_map)]
     grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
                            shape=camera.shape, origin=(window.u0, window.v0), echo=None)
-    volume = build_cost_volume(*features, grid, rig.sonar, metric, live_cells(features[1]))
+    volume = build_cost_volume(*features, grid, metric, live_cells(features[1]))
     regularized = regularize_cost_volume(volume, radius, passes)
     scaled = scale_costs(regularized, SweepConfig().cost_scale)
     return features, grid, volume, regularized, scaled, soft_argmin(scaled, rig.planes.distances())
@@ -754,7 +758,7 @@ def random_rig_chain(rig, camera, sonar_map, window, extractor, patch_radius, me
 def chain_bytes(chain):
     """The bytes of every array random_rig_chain returns."""
     _, grid, volume, regularized, _, out = chain
-    return [a.tobytes() for a in (grid.ranges, grid.bearings, grid.valid, volume.costs,
+    return [a.tobytes() for a in (grid.rb, grid.bb, grid.valid, volume.costs,
                                   volume.valid, regularized.costs, *out)]
 
 
@@ -803,7 +807,7 @@ class TestRandomRig:
             if metric == METRICS[0]:
                 event(f"{rig_kind} rig, window admits "
                       f"{'some entry' if grid.valid.any() else 'none'}")
-            want = dense_cost_volume(*features, grid, spec, metric)
+            want = dense_cost_volume(*features, grid, metric)
             assert volume.costs.tobytes() == want.costs.tobytes()
             np.testing.assert_array_equal(volume.valid, want.valid)
             if metric == "neg-zncc":
@@ -814,7 +818,7 @@ class TestRandomRig:
                                       shape=camera.shape, origin=(window.u0, window.v0),
                                       echo=live)
                 assert not np.any(cut.valid & ~grid.valid)
-                got = build_cost_volume(*features, cut, spec, metric, live)
+                got = build_cost_volume(*features, cut, metric, live)
                 assert got.costs.tobytes() == volume.costs.tobytes()
                 np.testing.assert_array_equal(got.valid, volume.valid)
             want = dense_regularize(volume, radius, passes)
@@ -999,7 +1003,7 @@ class TestRunPipeline:
                                shape=prepared.shape, origin=origin, echo=None)
         son = np.zeros_like(extract_features(sonar.values, extractor, config.patch_radius))
         want = build_cost_volume(extract_features(camera, extractor, config.patch_radius), son,
-                                 grid, rig.sonar, config.metric, live_cells(son))
+                                 grid, config.metric, live_cells(son))
         want = regularize_cost_volume(want, config.box_radius, config.box_passes)
         extracted = []
 
