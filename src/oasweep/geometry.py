@@ -370,11 +370,12 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     keeps: first on whole crop rows, then, with ``echo``, on the
     PIECE_PIXELS-wide pieces of the kept rows. A skipped segment cannot hold
     an entry that passes the gate, so its mask stays False, as the gate would
-    set it. Each plane's kept pixels, as runs of adjacent kept segments, are
-    cut into tasks of at most BLOCK_PIXELS pixels; each thread gates its
-    tasks in one set of BLOCK_PIXELS-sized scratch buffers, into which it
-    gathers a task's denominators and rays unless the task is one run, so
-    that they stay in cache and every allocation has one size, whatever the
+    set it. Each plane's kept pixels, in order, are cut into tasks of at most
+    BLOCK_PIXELS pixels: a slice where the task's pixels have no gap, an
+    index array otherwise. Each thread gates its tasks in one set of
+    BLOCK_PIXELS-sized scratch buffers, into which it gathers an index
+    array's denominators and rays (a slice is read through views), so that
+    they stay in cache and every allocation has one size, whatever the
     task; beyond them it allocates only the lookups it keeps. The tasks are
     shared between threads by :func:`map_in_order`. Each task writes its own
     pixels of the mask and returns its survivors' lookups, which are joined
@@ -412,29 +413,20 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     scratch = threading.local()
 
     def gate(task):
-        i, runs = task
-        sizes = runs[:, 1] - runs[:, 0]
-        size = int(sizes.sum())
+        i, pixels = task
+        size = pixels.stop - pixels.start if isinstance(pixels, slice) else pixels.size
         if not hasattr(scratch, "floats"):  # this thread's first task
             scratch.floats = np.empty((10, block_pixels))
             scratch.flags = np.empty((2, block_pixels), dtype=bool)
-            scratch.pixels = np.empty(block_pixels, dtype=np.intp)
         # Leading slices; the (3, size) ones contiguous, so that the lift's
         # matrix product runs as it would on a fresh array.
         z, ranges, bearings, elevation = scratch.floats[:4, :size]
         points, sonar = (coords.ravel()[:3 * size].reshape(3, size)
                          for coords in (scratch.floats[4:7], scratch.floats[7:]))
         good, term = scratch.flags[:, :size]
-        if len(runs) == 1:  # one run is read through views, with no gather
-            pixels = slice(*runs[0])
+        if isinstance(pixels, slice):  # pixels with no gap are read through views
             column, ray = denom[pixels], rays[:, pixels]
         else:
-            # The runs' pixels, as the running sum of steps of 1 in which each
-            # run starts with the step from the previous run's last pixel.
-            pixels = scratch.pixels[:size]
-            pixels.fill(1)
-            pixels[np.cumsum(sizes) - sizes] = runs[:, 0] - np.append(0, runs[:-1, 1] - 1)
-            np.cumsum(pixels, out=pixels)
             # The gathers take the pixels in range, so mode="clip" changes no
             # index; it spares the copy that the default mode makes of out=.
             column = np.take(denom, pixels, out=z, mode="clip")
@@ -467,18 +459,15 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     if h * w:
         # held[r, c]: the echo cells in rows < r and columns < c.
         held = None if echo is None else np.pad(np.cumsum(np.cumsum(echo, 0), 1), ((1, 0), (1, 0)))
-        rows = np.arange(h) * w
-        keep = _wedge_rows(rays, denom, np.repeat(numers, h), extrinsics, spec,
-                           np.tile([rows, rows + w - 1], planes.n), held)
-        plane, row = np.divmod(np.flatnonzero(keep), h)  # the kept (plane, row) pairs
-        # Each kept row's segments [first, stop) in pixels: the whole row, or,
-        # with echo cells, its pieces, which the filter tests again.
-        piece = w if echo is None else PIECE_PIXELS
-        cuts = np.arange(0, w, piece)
-        first = (row[:, None] * w + cuts).ravel()
-        stop = (row[:, None] * w + np.minimum(cuts + piece, w)).ravel()
-        plane = np.repeat(plane, cuts.size)
-        if echo is not None:
+        # Each plane's segments [first, stop) in pixels: its whole rows, then,
+        # with echo cells, the kept rows' pieces, which the filter tests again.
+        plane, first = np.repeat(np.arange(planes.n), h), np.tile(np.arange(h) * w, planes.n)
+        stop = first + w
+        for piece in (w,) if echo is None else (w, PIECE_PIXELS):
+            cuts = np.arange(0, w, piece)
+            plane = np.repeat(plane, cuts.size)
+            first, stop = ((first[:, None] + cuts).ravel(),
+                           np.minimum(first[:, None] + cuts + piece, stop[:, None]).ravel())
             kept = _wedge_rows(rays, denom, numers[plane], extrinsics, spec,
                                np.stack([first, stop - 1]), held)
             plane, first, stop = plane[kept], first[kept], stop[kept]
@@ -491,31 +480,22 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
 
 
 def _gate_tasks(plane, first, stop, block: int) -> list:
-    """The gate's (plane, runs) tasks over pixel segments [first, stop), listed in
+    """The gate's (plane, pixels) tasks over pixel segments [first, stop), listed in
     (plane, pixel) order.
 
-    A plane's adjacent segments join into one run, and its runs are cut after
-    every ``block`` pixels, so that each task holds at most ``block`` pixels
-    of one plane, as an (R, 2) array of [start, stop) runs in pixel order.
+    Each plane's pixels, in increasing order, are cut after every ``block``
+    of them, so that each task holds at most ``block`` pixels of one plane:
+    as a slice where they have no gap, else as an index array.
     """
     tasks = []
-    if plane.size == 0:
-        return tasks
-    apart = (plane[1:] != plane[:-1]) | (first[1:] != stop[:-1])
-    heads = np.append(True, apart)
-    plane, runs = plane[heads], np.stack([first[heads], stop[np.append(apart, True)]], axis=1)
-    bounds = np.flatnonzero(np.diff(plane)) + 1
-    for i, own in zip(plane[np.append(0, bounds)], np.split(runs, bounds)):
-        sizes = own[:, 1] - own[:, 0]
-        done = np.cumsum(sizes)  # the plane's pixels up to each run's end
-        for start in range(0, int(done[-1]), block):
-            end = min(start + block, int(done[-1]))
-            # The runs that hold the plane's pixels [start, end), cut to them.
-            a, b = np.searchsorted(done, start, side="right"), np.searchsorted(done, end)
-            cut = own[a:b + 1].copy()
-            cut[0, 0] += start - (done[a] - sizes[a])
-            cut[-1, 1] -= done[b] - end
-            tasks.append((int(i), cut))
+    heads = np.flatnonzero(np.diff(plane, prepend=-1))
+    for a, b in zip(heads, np.append(heads[1:], plane.size)):
+        sizes = stop[a:b] - first[a:b]
+        # A pixel: its segment's start, plus its place in the plane's list less the start's.
+        pixels = np.repeat(first[a:b] - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        for cut in np.split(pixels, np.arange(block, pixels.size, block)):
+            whole = cut[-1] - cut[0] + 1 == cut.size
+            tasks.append((int(plane[a]), slice(int(cut[0]), int(cut[-1]) + 1) if whole else cut))
     return tasks
 
 

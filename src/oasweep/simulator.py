@@ -338,7 +338,11 @@ def add_sonar_noise(image: PolarSonarImage, speckle_sigma: float, background: fl
     values = image.values
     if speckle_sigma > 0:
         rng = np.random.default_rng(seed)
-        values = values * (1.0 + speckle_sigma * rng.standard_normal(values.shape))
+        # A sigma past about 4e307 overflows the factor to +-inf, which
+        # saturates each echo to 0 or 1; an empty bin stays empty, not 0 * inf.
+        with np.errstate(over="ignore"):
+            factor = 1.0 + speckle_sigma * rng.standard_normal(values.shape)
+            values = np.multiply(values, factor, out=np.zeros_like(values), where=values > 0)
         values = np.maximum(values, 0.0)  # speckle cannot flip intensity negative
     values = np.clip(values + background, 0.0, 1.0)
     return PolarSonarImage(values=values, spec=image.spec)

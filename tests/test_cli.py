@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,23 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "--frames must be in [1, 1162] for the 384x224 sonar map, got 1163" in err
         assert not out.exists()
+
+    def test_overflowing_speckle_saturates_echoes(self, tmp_path):
+        # sigma * N(0, 1) overflows to +-inf past sigma ~ 4e307: every echo
+        # clips to 0 or 1 before the background is added, and an empty bin
+        # keeps the background instead of 0 * inf = NaN, without a warning.
+        clean, noisy = tmp_path / "clean", tmp_path / "noisy"
+        assert run_cli("simulate", "--out", clean) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("simulate", "--out", noisy, "--speckle", 1e308,
+                           "--background", 0.05) == 0
+        echo = read_pfm(clean / "sonar.pfm") > 0
+        values = read_pfm(noisy / "sonar.pfm")
+        assert np.isfinite(values).all() and values.min() >= 0 and values.max() <= 1
+        background = np.float32(0.05)
+        assert echo.any() and (values[~echo] == background).all()
+        assert np.isin(values[echo], [background, 1]).all()
 
     def test_validation_of_noise_params(self, tmp_path):
         assert run_cli("simulate", "--out", tmp_path / "x", "--speckle", -1) == 2

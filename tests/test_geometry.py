@@ -904,37 +904,71 @@ class TestWarpGrid:
         # the H*W*N entries. With pool frame 0's live cells they cover only
         # the row pieces whose range-bin rows times bearing-bin columns hold
         # one: 2.0%, and the grid holds exactly the full grid's lookups that
-        # hit a live cell (34,393). Each task holds runs of one plane's
-        # pixels, at most BLOCK_PIXELS in all, and both grids have the dense
+        # hit a live cell (34,393). Whole kept rows leave no gap, so without
+        # echo cells every task is a slice and none of the 976,960 gated
+        # pixels is gathered; the kept pieces leave gaps, so with the live
+        # cells every task is an index array. Each task holds at most
+        # BLOCK_PIXELS strictly increasing pixels of one plane, a plane's
+        # tasks hold exactly its kept pixels, and both grids have the dense
         # oracle's bytes.
         prepared, window, frame = stock_inputs(rig)
         shape, origin = prepared.shape, (window.u0, window.v0)
         live = live_cells(extract_features(frame.values, "zncc-patch", 2))
-        tasks = []
+        segments, tasks = [], []
+        gate_tasks = geometry._gate_tasks
 
-        def spy(fn, items):
-            items = list(items)
-            tasks.extend(items)
-            return map_in_order(fn, items)
+        def spy(plane, first, stop, block):
+            segments.append((plane, first, stop))
+            tasks.extend(gate_tasks(plane, first, stop, block))
+            return tasks
 
-        monkeypatch.setattr(geometry, "map_in_order", spy)
+        monkeypatch.setattr(geometry, "_gate_tasks", spy)
         args = (rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar)
         grids = {}
-        for echo, share in ((None, 0.30), (live, 0.03)):
+        for echo, share, kind, count in ((None, 0.30, slice, 91), (live, 0.03, np.ndarray, 26)):
+            segments.clear()
             tasks.clear()
             grid = grids[echo is None] = build_warp_grid(*args, shape=shape, origin=origin,
                                                          echo=echo)
-            sizes = [runs[:, 1] - runs[:, 0] for _, runs in tasks]
-            assert sum(size.sum() for size in sizes) <= share * grid.valid.size
-            assert all(size.min() > 0 and size.sum() <= geometry.BLOCK_PIXELS for size in sizes)
-            assert all(np.all(runs[1:, 0] > runs[:-1, 1]) and runs[-1, 1] <= shape[0] * shape[1]
-                       for _, runs in tasks)
+            assert len(tasks) == count and all(isinstance(px, kind) for _, px in tasks)
+            pixels = [np.arange(shape[0] * shape[1])[px] for _, px in tasks]
+            assert all(0 < px.size <= geometry.BLOCK_PIXELS and np.all(np.diff(px) > 0)
+                       for px in pixels)
+            assert sum(px.size for px in pixels) <= share * grid.valid.size
+            if echo is None:
+                assert sum(px.size for px in pixels) == 976960
+            (plane, first, stop), = segments
+            for i in range(rig.planes.n):
+                own = plane == i
+                kept = np.concatenate([np.arange(f, s) for f, s in zip(first[own], stop[own])]
+                                      + [np.empty(0, dtype=int)])
+                held = [px for (j, _), px in zip(tasks, pixels) if j == i]
+                np.testing.assert_array_equal(np.concatenate(held + [np.empty(0, dtype=int)]),
+                                              kept)
             self.assert_matches_oracle(grid, args, shape=shape, origin=origin, echo=echo)
         full, cut = grids[True], grids[False]
         hit = live[full.rb.astype(int), full.bb.astype(int)]
         assert cut.rb.size == np.count_nonzero(hit) == 34393
         assert cut.rb.tobytes() == full.rb[hit].tobytes()
         assert cut.bb.tobytes() == full.bb[hit].tobytes()
+
+    @pytest.mark.parametrize("plane, first, stop, block, want", [
+        ([0, 0], [0, 5], [5, 9], 100, [(0, slice(0, 9))]),
+        ([0, 0], [0, 6], [5, 9], 100, [(0, [0, 1, 2, 3, 4, 6, 7, 8])]),
+        ([0], [10], [25], 10, [(0, slice(10, 20)), (0, slice(20, 25))]),
+        ([0, 0], [0, 20], [4, 23], 4, [(0, slice(0, 4)), (0, slice(20, 23))]),
+        ([0, 0], [0, 20], [4, 23], 5, [(0, [0, 1, 2, 3, 20]), (0, slice(21, 23))]),
+        ([0, 1], [0, 5], [5, 9], 100, [(0, slice(0, 5)), (1, slice(5, 9))]),
+        ([], [], [], 100, []),
+    ], ids=["adjacent", "gap", "cut-in-segment", "cut-at-boundary", "cut-after-gap",
+            "plane-change", "none"])
+    def test_gate_tasks(self, plane, first, stop, block, want):
+        # Adjacent segments of a plane share a task, which is a slice when its
+        # pixels have no gap and an index array otherwise; blocks cut inside a
+        # segment or at its end, and a plane change always starts a new task.
+        tasks = geometry._gate_tasks(*(np.array(a, dtype=np.intp) for a in (plane, first, stop)),
+                                     block)
+        assert [(i, px if isinstance(px, slice) else px.tolist()) for i, px in tasks] == want
 
     @pytest.mark.parametrize("frame", range(4))
     def test_cell_grid_volume_matches_full_grid_and_dense_oracle_on_pool_frames(self, rig,
