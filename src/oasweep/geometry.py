@@ -329,9 +329,10 @@ class WarpGrid:
     valid: np.ndarray
 
     def __post_init__(self):
-        count = np.count_nonzero(self.valid)
-        if self.valid.ndim != 3 or not self.rb.shape == self.bb.shape == (count,):
-            raise ValueError(f"need an (H, W, N) mask and {count} lookups, got mask "
+        # Counted plane-major, the contiguous layout build_warp_grid stores.
+        if self.valid.ndim != 3 or not (self.rb.shape == self.bb.shape ==
+                                        (np.count_nonzero(np.moveaxis(self.valid, 2, 0)),)):
+            raise ValueError(f"need an (H, W, N) mask and one lookup per valid entry, got mask "
                              f"{self.valid.shape}, lookups {self.rb.shape} and {self.bb.shape}")
 
     @property

@@ -39,7 +39,8 @@ class CostVolume:
     def __post_init__(self):
         costs = np.asarray(self.costs, dtype=np.float32)
         valid = np.asarray(self.valid, dtype=bool)
-        if valid.ndim != 3 or costs.shape != (np.count_nonzero(valid),):
+        # Counted plane-major, the contiguous layout of the masks the stages build.
+        if valid.ndim != 3 or costs.shape != (np.count_nonzero(np.moveaxis(valid, 2, 0)),):
             raise ValueError(f"need an (H, W, N) mask and one cost per valid entry, got mask "
                              f"{valid.shape} and costs {costs.shape}")
         if not np.all(np.isfinite(costs)):
@@ -85,8 +86,11 @@ class SweepConfig:
     the softmax; larger values sharpen the regression toward the best
     hypothesis (the learned regularizer plays this role in a trained stack).
     zero_sonar_features replaces the sonar feature map with zeros, the
-    geometry-prior ablation used by the turbidity robustness experiment
-    (under neg-dot every cost is 0, so it never reads the camera).
+    geometry-prior ablation used by the turbidity robustness experiment. It
+    needs the neg-dot metric, under which every cost is 0 whatever the
+    camera, so :func:`run_pipeline` computes it in closed form from the warp
+    grid's mask alone: each pixel's depth averages its admissible planes
+    (see :func:`_geometry_prior`), and neither image's values are read.
     """
 
     extractor: str = "zncc-patch"
@@ -106,6 +110,8 @@ class SweepConfig:
             raise ValueError("radii and passes must be >= 0")
         if not 0 < self.cost_scale < np.inf:
             raise ValueError(f"cost_scale must be positive and finite, got {self.cost_scale}")
+        if self.zero_sonar_features and self.metric != "neg-dot":
+            raise ValueError(f"zero_sonar_features needs the neg-dot metric, got {self.metric!r}")
 
 
 def extract_features(image: np.ndarray, kind: str, patch_radius: int,
@@ -431,6 +437,48 @@ def to_full_frame(depth: DepthMap, window, shape: tuple) -> DepthMap:
     return DepthMap(depth=full_depth, valid=full_valid)
 
 
+def _geometry_prior(shape: tuple, sonar_image, calibration, origin: tuple):
+    """The sonar-zeroed neg-dot pass of :func:`run_pipeline`, in closed form.
+
+    Why it is exact: against the zero sonar vector every neg-dot cost is the
+    negated sum of +-0.0 products, +-0.0 whatever the camera, and defined, so
+    the volume is valid on the full grid (no echo term) and holds only +-0.0;
+    the regularizer's box means and the gain keep every cost +-0.0. In
+    :func:`soft_argmin` each term is then exp(+-0.0 - +-0.0) == 1.0, each
+    pixel's total is the count c of its admissible planes (exact in float64)
+    and each probability is 1.0 / c. So d_hat adds (1.0 / c) * d_i over the
+    pixel's planes in plane order from 0.0, masked where c == 0: the chain's
+    d_hat bit for bit, hence its depth through :func:`regress_depth_map`.
+
+    No features, cost volume, regularizer or softmax are computed, and only
+    the shapes of the camera crop and the sonar frame are read. The volume
+    returned holds the grid's mask and a +0.0 cost per entry: the chain's
+    regularized volume byte for byte whenever the box filter runs, whose
+    running sums start from its +0.0 border; with radius or passes 0 the
+    chain keeps the raw costs, equal to these but signed like the camera's
+    features.
+    """
+    spec = calibration.sonar
+    if sonar_image.values.shape != (spec.range_bins, spec.bearing_bins):
+        raise ValueError(f"sonar frame {sonar_image.values.shape} does not match the rig's "
+                         f"{spec.range_bins}x{spec.bearing_bins} bins")
+    if len(shape) != 2 or 0 in shape:
+        raise ValueError(f"expected a nonempty 2-D image, got shape {shape}")
+    grid = build_warp_grid(calibration.intrinsics, calibration.extrinsics, calibration.planes,
+                           spec, shape=shape, origin=origin, echo=None)
+    h, w, n = grid.shape
+    masks = np.moveaxis(grid.valid, 2, 0).reshape(n, h * w)
+    count = masks.sum(axis=0, dtype=np.float64)
+    share = 1.0 / np.maximum(count, 1.0)
+    d_hat = np.zeros(h * w)
+    for mask, d_i in zip(masks, calibration.planes.distances()):
+        np.add(d_hat, share * d_i, out=d_hat, where=mask)
+    depth = regress_depth_map(d_hat.reshape(h, w), (count > 0).reshape(h, w),
+                              calibration.intrinsics, calibration.extrinsics,
+                              calibration.planes.alpha, origin=origin)
+    return depth, CostVolume(costs=np.zeros(grid.rb.size, np.float32), valid=grid.valid)
+
+
 def run_pipeline(camera_image: np.ndarray, sonar_image, calibration, config: SweepConfig,
                  origin: tuple):
     """The full sweep: features, warp, cost volume, regression, metric depth.
@@ -451,25 +499,21 @@ def run_pipeline(camera_image: np.ndarray, sonar_image, calibration, config: Swe
         (depth, volume): crop-sized DepthMap and the regularized (unscaled)
         CostVolume, one cost per valid entry, exportable as SSCV1.
     """
+    if config.zero_sonar_features:
+        return _geometry_prior(np.shape(camera_image), sonar_image, calibration, origin)
     camera_image = np.asarray(camera_image)
     if camera_image.dtype == np.uint8:
         camera_image = camera_image.astype(np.float64) / 255.0
-    spec = calibration.sonar
 
-    if config.zero_sonar_features:  # zero features of the camera's depth, made below
-        son_features, live = None, np.zeros((spec.range_bins, spec.bearing_bins), dtype=bool)
-    else:
-        son_features = extract_features(sonar_image.values, config.extractor, config.patch_radius)
-        live = live_cells(son_features)
+    son_features = extract_features(sonar_image.values, config.extractor, config.patch_radius)
+    live = live_cells(son_features)
     # A lookup into a dead cell samples the zero vector. Where that never
     # scores, the grid keeps only the entries that look up a live cell.
     grid = build_warp_grid(calibration.intrinsics, calibration.extrinsics, calibration.planes,
-                           spec, shape=camera_image.shape, origin=origin,
+                           calibration.sonar, shape=camera_image.shape, origin=origin,
                            echo=None if _zero_scores(config.metric) else live)
     cam_features = extract_features(camera_image, config.extractor, config.patch_radius,
                                     rows=grid.rows)
-    if son_features is None:
-        son_features = np.zeros(sonar_image.values.shape + cam_features.shape[-1:], np.float32)
     volume = build_cost_volume(cam_features, son_features, grid, config.metric, live)
     del camera_image, cam_features, son_features, grid  # the later stages read only the volume
     volume = regularize_cost_volume(volume, config.box_radius, config.box_passes)

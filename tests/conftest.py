@@ -15,6 +15,7 @@ from oasweep.geometry import (
     RigidTransform,
     SonarSpec,
     WarpGrid,
+    build_warp_grid,
 )
 from oasweep.preprocess import prepare_camera, preprocess_sonar_frames
 from oasweep.simulator import (
@@ -25,7 +26,16 @@ from oasweep.simulator import (
     render_camera,
     render_sonar,
 )
-from oasweep.sweep import CostVolume
+from oasweep.sweep import (
+    CostVolume,
+    build_cost_volume,
+    extract_features,
+    live_cells,
+    regress_depth_map,
+    regularize_cost_volume,
+    scale_costs,
+    soft_argmin,
+)
 
 
 @pytest.fixture
@@ -472,6 +482,30 @@ def flat_soft_argmin(volume: CostVolume, distances):
     d_hat = np.bincount(pixel, np.multiply(probs, weighted, out=weighted),
                         minlength=h * w).reshape(h, w)
     return d_hat, probs, volume.valid.any(axis=2)
+
+
+def geometry_prior_chain(camera, sonar_values, rig, config, origin):
+    """Oracle for run_pipeline's closed-form geometry prior: the general chain on
+    zero sonar features. The camera's features are scored under neg-dot against
+    the zero vector on the full warp grid, regularized, scaled and soft-argmined,
+    and the regressed distances are turned into depth.
+
+    Returns:
+        (depth, volume): the DepthMap and the regularized CostVolume.
+    """
+    camera = np.asarray(camera)
+    if camera.dtype == np.uint8:
+        camera = camera.astype(np.float64) / 255.0
+    grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
+                           shape=camera.shape, origin=origin, echo=None)
+    cam = extract_features(camera, config.extractor, config.patch_radius)
+    son = np.zeros(np.shape(sonar_values) + cam.shape[-1:], np.float32)
+    volume = build_cost_volume(cam, son, grid, "neg-dot", live_cells(son))
+    volume = regularize_cost_volume(volume, config.box_radius, config.box_passes)
+    d_hat, _, ok = soft_argmin(scale_costs(volume, config.cost_scale), rig.planes.distances())
+    depth = regress_depth_map(d_hat, ok, rig.intrinsics, rig.extrinsics, rig.planes.alpha,
+                              origin=origin)
+    return depth, volume
 
 
 def argmin_planes(volume):

@@ -317,8 +317,8 @@ def test_ac9_turbidity_robustness_trend(stock):
 
     fused = SweepConfig()
     # Geometry-prior ablation: sonar features zeroed. neg-dot keeps the costs
-    # defined (uniform), so the output is the geometry prior alone and never
-    # reads the camera.
+    # defined (uniform), so the output is the geometry prior alone, computed
+    # in closed form, and never reads the camera.
     ablation = SweepConfig(metric="neg-dot", zero_sonar_features=True)
 
     results = {}

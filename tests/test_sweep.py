@@ -14,7 +14,7 @@ from oasweep.formats import encode_cost_volume
 from oasweep.geometry import PlaneHypothesisSet, build_warp_grid
 from scipy import ndimage
 
-from oasweep.simulator import Scene, default_scene, render_camera, render_sonar
+from oasweep.simulator import PolarSonarImage, Scene, default_scene, render_camera, render_sonar
 from oasweep.preprocess import CropWindow, prepare_camera
 from oasweep.sweep import (
     METRICS,
@@ -46,6 +46,7 @@ from conftest import (
     dense_zncc_patches,
     densify,
     flat_soft_argmin,
+    geometry_prior_chain,
     grazing_rig,
     hypothesis_plane_primitive,
     identity_transform,
@@ -652,13 +653,15 @@ class TestSoftArgminMatchesDenseOracle:
 
 
 @pytest.fixture(scope="class")
-def traced_ablation():
-    """A stock geometry-prior ablation run_pipeline under tracemalloc: the traced level
-    above the inputs when soft_argmin starts, the sizes of the arrays the cost
-    volume consumed, and the scaled volume soft_argmin was given."""
+def traced_dense():
+    """A stock neg-dot run_pipeline under tracemalloc: the traced level above the
+    inputs when soft_argmin starts, the sizes of the arrays the cost volume
+    consumed, and the scaled volume soft_argmin was given. The zero sonar vector
+    scores under neg-dot, so the grid has no echo term and the volume keeps
+    every warp-valid entry, soft_argmin's heaviest input."""
     rig = default_rig()
     prepared, window, frame = stock_inputs(rig)
-    config = SweepConfig(metric="neg-dot", zero_sonar_features=True)
+    config = SweepConfig(metric="neg-dot")
     seen = {"features": []}
 
     def features(*args, **kwargs):
@@ -692,21 +695,22 @@ def traced_ablation():
 class TestLiveSet:
     """Each big array is held only while a later stage reads it (tracemalloc sizes)."""
 
-    def test_soft_argmin_starts_without_features_or_grid(self, traced_ablation):
+    def test_soft_argmin_starts_without_features_or_grid(self, traced_dense):
         # When soft_argmin starts, the pipeline holds the regularized volume and
         # its scaled copy (one mask between them), and less than one more
-        # (H, W) float64 buffer: not the features, nor the grid's lookups.
-        _, seen = traced_ablation
+        # (H, W) float64 buffer: not the sonar or camera features, nor the
+        # grid's lookups.
+        _, seen = traced_dense
         volume = seen["volume"]
         h, w, _ = volume.shape
         released = seen["features"] + [seen["lookups"]]
-        assert len(released) == 2 and min(released) > 8 * h * w
+        assert len(released) == 3 and min(released) > 8 * h * w
         assert seen["level"] <= 2 * volume.costs.nbytes + volume.valid.nbytes + 8 * h * w
 
-    def test_soft_argmin_peak_is_probs_plus_one_index(self, traced_ablation):
+    def test_soft_argmin_peak_is_probs_plus_one_index(self, traced_dense):
         # Its own peak: the float64 probabilities, one int64 pixel index per entry,
         # and a few (H, W) float64 buffers; no per-entry gather or weight.
-        rig, seen = traced_ablation
+        rig, seen = traced_dense
         volume = seen["volume"]
         h, w, _ = volume.shape
         assert volume.costs.size == np.count_nonzero(volume.valid) > 10 * h * w
@@ -742,6 +746,26 @@ class TestThreadCountInvariance:
         assert outputs[0] == outputs[1]
 
 
+def random_rig_window(rng, rig_kind):
+    """A random_calibration of the kind near, far or far-unaimed, and a window of
+    2x2 to 40x40 centred, as far as the image allows, on a pixel of a 4-pixel
+    lattice that the dense oracle admits on some plane (anywhere if it admits
+    none: a far camera not aimed at the sonar mostly sees nothing, which keeps
+    the empty chain checked)."""
+    rig = random_calibration(rng, far=rig_kind != "near", aimed=rig_kind != "far-unaimed")
+    intr = rig.intrinsics
+    _, _, admitted = dense_warp_grid(intr, rig.extrinsics, rig.planes, rig.sonar, step=4)
+    pixels = 4 * np.argwhere(admitted.any(axis=2))
+    if pixels.size:
+        v, u = pixels[rng.integers(len(pixels))]
+    else:
+        v, u = rng.integers(intr.height), rng.integers(intr.width)
+    # Two pixels a side at least: the gradient extractor needs them.
+    h, w = (int(rng.integers(2, 41)) for _ in range(2))
+    return rig, CropWindow(u0=int(np.clip(u - w // 2, 0, intr.width - w)),
+                           v0=int(np.clip(v - h // 2, 0, intr.height - h)), width=w, height=h)
+
+
 def random_rig_chain(rig, camera, sonar_map, window, extractor, patch_radius, metric,
                      radius, passes):
     """Features, warp grid, cost volume, regularized and scaled volumes and the
@@ -774,26 +798,11 @@ class TestRandomRig:
     @settings(max_examples=30, deadline=None)
     def test_chain_matches_oracles(self, seed, rig_kind, live, extractor, patch_radius, radius,
                                    passes):
-        # A window of 2x2 to 40x40 centred, as far as the image allows, on a
-        # pixel of a 4-pixel lattice that the dense oracle admits on some
-        # plane (anywhere if it admits none: a far camera not aimed at the
-        # sonar mostly sees nothing, which keeps the empty chain checked), a
-        # random camera image and a 128x64 sonar map of +0.0, -0.0 and live
-        # cells.
+        # A random rig and window (random_rig_window), a random camera image
+        # and a 128x64 sonar map of +0.0, -0.0 and live cells.
         rng = np.random.default_rng(seed)
-        rig = random_calibration(rng, far=rig_kind != "near", aimed=rig_kind != "far-unaimed")
-        intr = rig.intrinsics
-        _, _, admitted = dense_warp_grid(intr, rig.extrinsics, rig.planes, rig.sonar, step=4)
-        pixels = 4 * np.argwhere(admitted.any(axis=2))
-        if pixels.size:
-            v, u = pixels[rng.integers(len(pixels))]
-        else:
-            v, u = rng.integers(intr.height), rng.integers(intr.width)
-        # Two pixels a side at least: the gradient extractor needs them.
-        h, w = (int(rng.integers(2, 41)) for _ in range(2))
-        window = CropWindow(u0=int(np.clip(u - w // 2, 0, intr.width - w)),
-                            v0=int(np.clip(v - h // 2, 0, intr.height - h)), width=w, height=h)
-        camera = rng.random((h, w))
+        rig, window = random_rig_window(rng, rig_kind)
+        camera = rng.random((window.height, window.width))
         spec = rig.sonar
         sonar_map = np.where(rng.random((spec.range_bins, spec.bearing_bins)) < live,
                              rng.random((spec.range_bins, spec.bearing_bins)), 0.0)
@@ -838,6 +847,83 @@ class TestRandomRig:
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(geometry, "usable_cpus", lambda: cpus)
                     assert chain_bytes(random_rig_chain(*args)) == chain_bytes(chain)
+
+
+BOXES = [(3, 2), (0, 0), (9, 3)]
+
+
+class TestGeometryPrior:
+    """run_pipeline's closed-form geometry prior (zero_sonar_features) against the
+    general chain on zero sonar features, conftest's geometry_prior_chain."""
+
+    @staticmethod
+    def assert_matches_chain(camera, sonar, rig, config, origin):
+        depth, volume = run_pipeline(camera, sonar, rig, config, origin=origin)
+        want_depth, want = geometry_prior_chain(camera, sonar.values, rig, config, origin)
+        assert depth.depth.tobytes() == want_depth.depth.tobytes()
+        assert depth.valid.tobytes() == want_depth.valid.tobytes()
+        assert np.moveaxis(volume.valid, 2, 0).flags.c_contiguous
+        np.testing.assert_array_equal(volume.valid, want.valid)
+        if config.box_radius and config.box_passes:
+            assert volume.costs.tobytes() == want.costs.tobytes()
+        else:  # the chain's unregularized costs carry the camera features' signs
+            assert not np.signbit(volume.costs).any()
+            np.testing.assert_array_equal(volume.costs, want.costs)
+        return depth
+
+    @pytest.mark.parametrize("box", BOXES, ids=[f"box-{r}x{p}" for r, p in BOXES])
+    @pytest.mark.parametrize("extractor", ["zncc-patch", "gradient"])
+    def test_matches_chain_on_swept_rigs(self, swept_rig, extractor, box):
+        rig, camera, frame, grid = swept_rig
+        config = SweepConfig(extractor=extractor, metric="neg-dot", box_radius=box[0],
+                             box_passes=box[1], zero_sonar_features=True)
+        window = stock_inputs(rig)[1]
+        depth = self.assert_matches_chain(camera, frame, rig, config, (window.u0, window.v0))
+        assert depth.valid.any()
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           rig_kind=st.sampled_from(["near", "far", "far-unaimed"]),
+           extractor=st.sampled_from(["zncc-patch", "gradient"]), box=st.sampled_from(BOXES))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_chain_on_random_rigs(self, seed, rig_kind, extractor, box):
+        # The rigs and windows of TestRandomRig, a random camera image and a
+        # random sonar frame; neither is read.
+        rng = np.random.default_rng(seed)
+        rig, window = random_rig_window(rng, rig_kind)
+        camera = rng.random((window.height, window.width))
+        spec = rig.sonar
+        sonar = PolarSonarImage(values=rng.random((spec.range_bins, spec.bearing_bins)),
+                                spec=spec)
+        config = SweepConfig(extractor=extractor, metric="neg-dot", box_radius=box[0],
+                             box_passes=box[1], zero_sonar_features=True)
+        depth = self.assert_matches_chain(camera, sonar, rig, config, (window.u0, window.v0))
+        event(f"{rig_kind} rig, prior {'valid' if depth.valid.any() else 'empty'}")
+
+    @pytest.mark.parametrize("metric", ["sad", "neg-zncc"])
+    def test_needs_neg_dot(self, metric):
+        # Only under neg-dot is every cost against the zero vector 0.
+        with pytest.raises(ValueError, match="neg-dot"):
+            SweepConfig(metric=metric, zero_sonar_features=True)
+
+    @pytest.mark.parametrize("bins", [(-1, 0), (0, 1)], ids=["fewer-range-bins",
+                                                            "more-bearing-bins"])
+    def test_mismatched_sonar_frame_raises(self, default_run, bins):
+        rig, _, _, prepared, window, _, _ = default_run
+        spec = dataclasses.replace(rig.sonar, range_bins=rig.sonar.range_bins + bins[0],
+                                   bearing_bins=rig.sonar.bearing_bins + bins[1])
+        frame = PolarSonarImage(values=np.zeros((spec.range_bins, spec.bearing_bins)),
+                                spec=spec)
+        config = SweepConfig(metric="neg-dot", zero_sonar_features=True)
+        with pytest.raises(ValueError, match="sonar frame"):
+            run_pipeline(prepared, frame, rig, config, origin=(window.u0, window.v0))
+
+
+    def test_empty_camera_raises(self, default_run):
+        # As the chain's camera feature extraction raised.
+        rig, _, sonar, _, window, _, _ = default_run
+        config = SweepConfig(metric="neg-dot", zero_sonar_features=True)
+        with pytest.raises(ValueError, match="nonempty 2-D"):
+            run_pipeline(np.zeros((0, 5)), sonar, rig, config, origin=(window.u0, window.v0))
 
 
 class TestArgminPlanes:
@@ -992,9 +1078,9 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("extractor", ["zncc-patch", "intensity"])
     def test_ablation_extracts_no_sonar_features(self, default_run, monkeypatch, extractor):
-        # The geometry-prior ablation builds its zero sonar features directly:
-        # no sonar extraction runs, and the volume has the bytes of zeroing
-        # extracted ones.
+        # The geometry-prior ablation is computed in closed form: no extraction
+        # runs, camera or sonar, nor any later matching stage, and the volume
+        # has the bytes of the chain run on zeroed sonar features.
         rig, _, sonar, prepared, window, _, _ = default_run
         config = SweepConfig(extractor=extractor, metric="neg-dot", zero_sonar_features=True)
         origin = (window.u0, window.v0)
@@ -1005,14 +1091,14 @@ class TestRunPipeline:
         want = build_cost_volume(extract_features(camera, extractor, config.patch_radius), son,
                                  grid, config.metric, live_cells(son))
         want = regularize_cost_volume(want, config.box_radius, config.box_passes)
-        extracted = []
-
-        def recording(image, kind, patch_radius, **kwargs):
-            extracted.append(image.shape)
-            return extract_features(image, kind, patch_radius, **kwargs)
-        monkeypatch.setattr(sweep, "extract_features", recording)
+        called = []
+        for name in ("extract_features", "build_cost_volume", "regularize_cost_volume",
+                     "scale_costs", "soft_argmin"):
+            monkeypatch.setattr(sweep, name,
+                                lambda *args, name=name, stage=getattr(sweep, name), **kwargs:
+                                called.append(name) or stage(*args, **kwargs))
         _, volume = run_pipeline(prepared, sonar, rig, config, origin=origin)
-        assert extracted == [prepared.shape]
+        assert called == []
         assert volume.costs.tobytes() == want.costs.tobytes()
         np.testing.assert_array_equal(volume.valid, want.valid)
 
