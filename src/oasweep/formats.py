@@ -203,25 +203,22 @@ def read_pfm(path) -> np.ndarray:
 
 
 def encode_cost_volume(volume) -> list:
-    """SSCV1 bytes from a sweep CostVolume (its (H, W, N) mask and one cost per valid
+    """SSCV1 bytes from a sweep CostVolume (its per-plane pixel lists and one cost per
     entry), as a list of blocks in file order: the header, then one block of H*N
     float32 costs per u, then one block of H*N u8 flags per u, each v-major.
 
-    No allocation has the volume's dense size: the valid entries, in the costs'
-    (i, v, u) order, are grouped by u with a stable sort, and each block is
-    filled at its entries' slots v N + i. :func:`atomic_write` writes the list."""
+    No allocation has the volume's dense size: the entries, in the lists' (i, v, u)
+    order, are grouped by u with a stable sort, and each block is filled at its
+    entries' slots v N + i. :func:`atomic_write` writes the list."""
     h, w, n = volume.shape
     header = SSCV_MAGIC + np.array([h, w, n], dtype="<u4").tobytes()
-    # Each entry's u, in the narrowest type that holds it, so that the stable
-    # sort runs as a radix sort, and its slot, one plane at a time.
-    columns, slots = [np.empty(0, np.min_scalar_type(w))], [np.empty(0, int)]
-    for i, mask in enumerate(np.moveaxis(volume.valid, 2, 0).reshape(n, h * w)):
-        row, column = np.divmod(np.flatnonzero(mask), w)
-        columns.append(column.astype(columns[0].dtype))
-        slots.append(row * n + i)
-    column = np.concatenate(columns)
+    row, column = np.divmod(volume.pixels, w)
+    # Each entry's u in the narrowest type that holds it, so that the stable
+    # sort runs as a radix sort.
+    column = column.astype(np.min_scalar_type(w))
     order = np.argsort(column, kind="stable")
-    slots, costs = np.concatenate(slots)[order], volume.costs[order]
+    slots = row.astype(np.intp) * n + np.repeat(np.arange(n), np.diff(volume.ends))
+    slots, costs = slots[order], volume.costs[order]
     ends = np.cumsum(np.bincount(column, minlength=w))
     cost_blocks, flag_blocks = [], []
     for start, end in zip(np.append(0, ends[:-1]), ends):

@@ -306,43 +306,85 @@ def ray_plane_terms(us, vs, d_hat, intrinsics: CameraIntrinsics,
 
 
 @dataclass(frozen=True)
-class WarpGrid:
-    """Per-pixel, per-plane sampling coordinates of the sweep, admissible entries only.
+class PlaneEntries:
+    """The (pixel, plane) entries of an (H, W, N) sweep, as per-plane pixel lists.
+
+    The one layout of the sweep's entries, shared by :class:`WarpGrid` and
+    ``sweep.CostVolume``, which add one value per entry in the same order.
 
     Attributes:
-        rb, bb: The valid entries' continuous lookup coordinates, as
+        pixels: int32 flat pixels ``v * W + u``, plane-major and increasing
+            within a plane.
+        ends: (N + 1,) offsets into ``pixels``: plane i's entries are
+            ``pixels[ends[i]:ends[i + 1]]``.
+        shape: (H, W, N).
+    """
+
+    pixels: np.ndarray
+    ends: np.ndarray
+    shape: tuple
+
+    def _check(self, *values) -> None:
+        """Raise ValueError unless the lists are a layout of ``shape`` with one of each
+        of ``values`` per entry."""
+        h, w, n = self.shape
+        pixels, ends = np.asarray(self.pixels), np.asarray(self.ends)
+        if not (min(h, w, n) >= 0 and pixels.dtype == np.int32 and pixels.ndim == 1
+                and ends.dtype.kind in "iu" and ends.shape == (n + 1,) and ends[0] == 0
+                and ends[-1] == pixels.size and np.all(ends[:-1] <= ends[1:])
+                and all(np.shape(v) == pixels.shape for v in values)):
+            raise ValueError(f"need int32 pixels, N + 1 nondecreasing ends from 0 to the entry "
+                             f"count, and one value per entry for shape {self.shape}, got "
+                             f"pixels {pixels.dtype} {pixels.shape}, ends {ends.tolist()} and "
+                             f"values {[np.shape(v) for v in values]}")
+        if not all(plane.size == 0 or (plane[0] >= 0 and plane[-1] < h * w
+                                       and np.all(plane[1:] > plane[:-1]))
+                   for plane in np.split(pixels, ends[1:-1])):
+            raise ValueError(f"each plane's pixels must increase within [0, {h * w})")
+
+    @property
+    def valid(self) -> np.ndarray:
+        """The (H, W, N) mask of the entries, built on each call; no stage reads it.
+
+        Stored plane-major: the (H, W, N) transpose of an (N, H, W) array, so each
+        plane ``valid[:, :, i]`` is contiguous.
+        """
+        h, w, n = self.shape
+        mask = np.zeros((n, h * w), dtype=bool)
+        mask[np.repeat(np.arange(n), np.diff(self.ends)), self.pixels] = True
+        return mask.reshape(n, h, w).transpose(1, 2, 0)
+
+
+@dataclass(frozen=True)
+class WarpGrid(PlaneEntries):
+    """Per-pixel, per-plane sampling coordinates of the sweep, admissible entries only.
+
+    Its entries are those where the ray meets the plane in front of the
+    camera, the lookup falls inside the sonar sector and the candidate point
+    inside the vertical aperture; and, for a grid built with echo cells,
+    where the lookup's bin cell (floor(rb), floor(bb)) holds an echo.
+
+    Attributes:
+        rb, bb: Each entry's continuous lookup coordinates, as
             :meth:`SonarSpec.polar_to_bin` gives them: bin-centred (a bin's
             center is its integer index) and clamped to [0, range_bins - 1] x
-            [0, bearing_bins - 1]. 1-D, plane-major and, within plane i, in
-            ``np.nonzero(valid[:, :, i])`` order; no other entry has a lookup.
-        valid: (H, W, N) mask; False where the ray ran parallel to the plane,
-            the intersection fell behind the camera, the lookup left the
-            sonar sector, or the candidate point sat outside the vertical
-            aperture; and, for a grid built with echo cells, where the
-            lookup's bin cell (floor(rb), floor(bb)) holds no echo. Stored
-            plane-major: the (H, W, N) transpose of an (N, H, W) array, so
-            each plane ``valid[:, :, i]`` is contiguous.
+            [0, bearing_bins - 1]; in the order of ``pixels``.
     """
 
     rb: np.ndarray
     bb: np.ndarray
-    valid: np.ndarray
 
     def __post_init__(self):
-        # Counted plane-major, the contiguous layout build_warp_grid stores.
-        if self.valid.ndim != 3 or not (self.rb.shape == self.bb.shape ==
-                                        (np.count_nonzero(np.moveaxis(self.valid, 2, 0)),)):
-            raise ValueError(f"need an (H, W, N) mask and one lookup per valid entry, got mask "
-                             f"{self.valid.shape}, lookups {self.rb.shape} and {self.bb.shape}")
-
-    @property
-    def shape(self):
-        return self.valid.shape
+        self._check(self.rb, self.bb)
 
     @cached_property
     def rows(self) -> np.ndarray:
         """(H,) mask of the rows where some plane admits an entry."""
-        return np.moveaxis(self.valid, 2, 0).any(axis=0).any(axis=1)
+        rows = np.zeros(self.shape[0], dtype=bool)
+        # A plane at a time, so that the index copies stay one plane long.
+        for plane in map(slice, self.ends[:-1], self.ends[1:]):
+            rows[self.pixels[plane] // self.shape[1]] = True
+        return rows
 
 
 def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
@@ -370,17 +412,18 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     Each plane is gated only on the row segments that :func:`_wedge_rows`
     keeps: first on whole crop rows, then, with ``echo``, on the
     PIECE_PIXELS-wide pieces of the kept rows. A skipped segment cannot hold
-    an entry that passes the gate, so its mask stays False, as the gate would
-    set it. Each plane's kept pixels, in order, are cut into tasks of at most
+    an entry that passes the gate, so it has no entry, as the gate would
+    find. Each plane's kept pixels, in order, are cut into tasks of at most
     BLOCK_PIXELS pixels: a slice where the task's pixels have no gap, an
     index array otherwise. Each thread gates its tasks in one set of
     BLOCK_PIXELS-sized scratch buffers, into which it gathers an index
     array's denominators and rays (a slice is read through views), so that
     they stay in cache and every allocation has one size, whatever the
     task; beyond them it allocates only the lookups it keeps. The tasks are
-    shared between threads by :func:`map_in_order`. Each task writes its own
-    pixels of the mask and returns its survivors' lookups, which are joined
-    in task order: the grid is the same bit for bit whatever the thread count.
+    shared between threads by :func:`map_in_order`. Each task returns its
+    survivors' pixels and lookups, which are joined in task order, the
+    grid's plane-major order: the grid is the same bit for bit whatever the
+    thread count.
 
     Args:
         intrinsics: Camera model.
@@ -394,7 +437,7 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
 
     Returns:
         WarpGrid of shape (H, W, N). Parallel rays and behind-camera
-        intersections are flagged invalid per entry, never raised.
+        intersections are left out per entry, never raised.
     """
     h, w = shape
     u0, v0 = origin
@@ -406,10 +449,8 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     rays, denom, numers = ray_plane_terms(us.reshape(-1, 1), vs.reshape(-1, 1),
                                           planes.distances(), intrinsics, extrinsics,
                                           planes.alpha)
+    # Coordinate-major rays: each task's gathers walk rows.
     rays, denom = np.ascontiguousarray(rays.reshape(-1, 3).T), denom.reshape(-1)
-    # Plane-major mask, coordinate-major rays: each task's writes and gathers
-    # walk rows.
-    valid = np.zeros((planes.n, h * w), dtype=bool)
     block_pixels = BLOCK_PIXELS
     scratch = threading.local()
 
@@ -453,8 +494,8 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
             hit = echo[rb.astype(int), bb.astype(int)]  # >= 0: the cast is the floor
             good[good] = hit
             rb, bb = rb[hit], bb[hit]
-        valid[i, pixels] = good
-        return rb, bb
+        kept = np.flatnonzero(good) + pixels.start if isinstance(pixels, slice) else pixels[good]
+        return kept.astype(np.int32), rb, bb
 
     tasks = []
     if h * w:
@@ -473,11 +514,17 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
                                np.stack([first, stop - 1]), held)
             plane, first, stop = plane[kept], first[kept], stop[kept]
         tasks = _gate_tasks(plane, first, stop, block_pixels)
-    # Joined one coordinate at a time, so that the rb pieces are freed before
-    # the bb pieces are joined; the empty leading pieces define an empty join.
-    rb, bb = zip((np.empty(0), np.empty(0)), *map_in_order(gate, tasks))
+    # Joined one coordinate at a time, so that each one's pieces are freed before
+    # the next is joined; the empty leading pieces define an empty join.
+    pixels, rb, bb = zip((np.empty(0, np.int32), np.empty(0), np.empty(0)),
+                         *map_in_order(gate, tasks))
+    # Plane i's entries start after those of the tasks on the planes before it.
+    sizes = np.cumsum([0] + [kept.size for kept in pixels[1:]])
+    ends = sizes[np.searchsorted([i for i, _ in tasks], np.arange(planes.n + 1))]
+    pixels = np.concatenate(pixels)
     rb = np.concatenate(rb)
-    return WarpGrid(rb, np.concatenate(bb), valid.reshape(planes.n, h, w).transpose(1, 2, 0))
+    return WarpGrid(pixels=pixels, ends=ends, shape=(h, w, planes.n), rb=rb,
+                    bb=np.concatenate(bb))
 
 
 def _gate_tasks(plane, first, stop, block: int) -> list:
@@ -510,7 +557,7 @@ def _wedge_rows(rays, denom, numers, extrinsics: RigidTransform, spec: SonarSpec
     and the summed-area table of its echo cells (held[r, c]: the cells in
     rows < r and columns < c), or None. A segment is dropped only when no
     pixel of it can pass the gate's Z_c > 0, elevation or range terms, or
-    its echo term, so gating the kept segments alone leaves every mask bit
+    its echo term, so gating the kept segments alone leaves every entry
     and lookup as the full gate sets it.
 
     Along a row the rays K^-1 [u, v, 1]^T are affine in u and so is their

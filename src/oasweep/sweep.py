@@ -6,6 +6,7 @@ an external learned regularizer can be attached instead. Costs are "lower is
 better" throughout and enter the regression as exp(-cost).
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy import ndimage
 
 from .geometry import (
     CameraIntrinsics,
+    PlaneEntries,
     RigidTransform,
     WarpGrid,
     build_warp_grid,
@@ -28,29 +30,19 @@ _VAR_EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class CostVolume:
+class CostVolume(PlaneEntries):
     """Matching costs of an (H, W, N) volume: ``costs`` holds one finite float32
-    per ``valid`` entry, in the order of the WarpGrid lookups (plane-major).
-    ``valid`` from build_cost_volume is stored plane-major like the WarpGrid's."""
+    per entry of the :class:`PlaneEntries` lists, in their order (plane-major,
+    increasing pixel within a plane)."""
 
     costs: np.ndarray
-    valid: np.ndarray
 
     def __post_init__(self):
         costs = np.asarray(self.costs, dtype=np.float32)
-        valid = np.asarray(self.valid, dtype=bool)
-        # Counted plane-major, the contiguous layout of the masks the stages build.
-        if valid.ndim != 3 or costs.shape != (np.count_nonzero(np.moveaxis(valid, 2, 0)),):
-            raise ValueError(f"need an (H, W, N) mask and one cost per valid entry, got mask "
-                             f"{valid.shape} and costs {costs.shape}")
+        self._check(costs)
         if not np.all(np.isfinite(costs)):
             raise ValueError("costs must be finite")
         object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "valid", valid)
-
-    @property
-    def shape(self):
-        return self.valid.shape
 
 
 @dataclass(frozen=True)
@@ -242,12 +234,12 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
     """Warp sonar features through the grid and score them against the camera.
 
     Only the entries the warp grid admits are touched: plane by plane, each
-    admissible (pixel, plane) lookup samples the sonar feature map
-    bilinearly at the grid's bin coordinates and is scored, in float64,
-    against that pixel's camera feature; the defined costs are kept, in the
-    grid's order. The planes are shared between threads by
-    :func:`map_in_order`, one task per plane, each writing its own row of the
-    mask, so the volume is the same bit for bit whatever the thread count.
+    of the plane's grid pixels samples the sonar feature map bilinearly at
+    its bin coordinates and is scored, in float64, against that pixel's
+    camera feature; the pixels with a defined cost and their costs are kept,
+    in the grid's order. The planes are shared between threads by
+    :func:`map_in_order`, one task per plane, whose lists are joined in plane
+    order, so the volume is the same bit for bit whatever the thread count.
 
     A lookup whose bilinear cell has four +0.0 corners samples exactly the
     zero vector, so it takes its pixel's zero-sample cost, scored once per
@@ -268,8 +260,7 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
         live: :func:`live_cells` of the sonar features.
 
     Returns:
-        CostVolume valid where the grid admits the entry and the metric is
-        defined.
+        CostVolume of the grid's entries where the metric is defined.
     """
     camera_features = np.asarray(camera_features)
     sonar_features = np.asarray(sonar_features)
@@ -295,79 +286,77 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
             cost0[r], defined0[r] = _pair_cost(camera_features[r].astype(np.float64), zero,
                                                metric)
     camera_features = camera_features.reshape(h * w, camera_features.shape[-1])
-    masks = np.moveaxis(grid.valid, 2, 0).reshape(n, h * w)
-    # Plane i's lookups are the grid's entries ends[i - 1]:ends[i].
-    ends = np.cumsum([np.count_nonzero(mask) for mask in masks])
-    valid = np.zeros((n, h * w), dtype=bool)  # plane-major, returned as an (H, W, N) view
 
     def score(i):
-        pixels = np.flatnonzero(masks[i])
-        lookups = slice(ends[i] - pixels.size, ends[i])
-        rb, bb = grid.rb[lookups], grid.bb[lookups]
+        lookups = slice(grid.ends[i], grid.ends[i + 1])
+        pixels, rb, bb = grid.pixels[lookups], grid.rb[lookups], grid.bb[lookups]
         hit = live[rb.astype(int), bb.astype(int)]  # >= 0: the cast is the floor
         cost, defined = cost0.ravel()[pixels], defined0.ravel()[pixels]
         cost[hit], defined[hit] = _pair_cost(camera_features[pixels[hit]].astype(np.float64),
                                              _bilinear_sample(sonar_features, rb[hit], bb[hit]),
                                              metric)
-        valid[i, pixels] = defined
-        return cost[defined].astype(np.float32)
+        return pixels[defined], cost[defined].astype(np.float32)
 
-    costs = np.concatenate(map_in_order(score, range(n)))
-    return CostVolume(costs=costs, valid=valid.reshape(n, h, w).transpose(1, 2, 0))
+    # The empty leading pieces define an empty join.
+    pixels, costs = zip((np.empty(0, np.int32), np.empty(0, np.float32)),
+                        *map_in_order(score, range(n)))
+    return CostVolume(pixels=np.concatenate(pixels),
+                      ends=np.cumsum([0] + [kept.size for kept in pixels[1:]]),
+                      shape=grid.shape, costs=np.concatenate(costs))
 
 
 def regularize_cost_volume(volume: CostVolume, radius: int, passes: int) -> CostVolume:
-    """Spatial box filtering of each plane slice over its valid mask.
+    """Spatial box filtering of each plane slice over its entries.
 
-    A deterministic stand-in for a learned cost regularizer: each valid entry
-    becomes the mean of the valid entries in its (2r+1)^2 neighborhood
-    (truncated at slice borders); the validity mask is preserved. Radius 0 or
-    zero passes returns the volume unchanged.
+    A deterministic stand-in for a learned cost regularizer: each entry
+    becomes the mean of the plane's entries in its (2r+1)^2 neighborhood
+    (truncated at slice borders); the entries are kept. Radius 0 or zero
+    passes returns the volume unchanged.
 
-    Each plane's mask is cut to the rows and columns its entries occupy; its
-    costs, in C order, are scattered through that boolean box, filtered and
-    gathered back. The filter input is exactly zero outside the valid entries,
-    and the filter's constant-zero boundary gives every line of the box the
-    same zero lead-in that the slice's empty cells around the box would, so
-    its running sums, hence the result, match the slice's bit for bit.
+    Each plane is cut to the box of rows and columns its pixels occupy; its
+    costs are scattered into that box at their pixels, filtered and gathered
+    back. The filter input is exactly zero outside the entries, and the
+    filter's constant-zero boundary gives every line of the box the same zero
+    lead-in that the slice's empty cells around the box would, so its running
+    sums, hence the result, match the slice's bit for bit.
     """
     if radius == 0 or passes == 0:
         return volume
     size = 2 * radius + 1
     area = size * size
+    w = volume.shape[1]
     costs = np.empty_like(volume.costs)
-    end = 0
-    for plane in np.moveaxis(volume.valid, 2, 0):
-        rows, cols = np.flatnonzero(plane.any(axis=1)), np.flatnonzero(plane.any(axis=0))
-        if rows.size == 0:
+    for entries in map(slice, volume.ends[:-1], volume.ends[1:]):
+        if entries.start == entries.stop:
             continue
-        box_valid = plane[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-        entries = slice(end, end + np.count_nonzero(box_valid))
-        end = entries.stop
-        cnts = ndimage.uniform_filter(box_valid.astype(np.float64), size=size,
-                                      mode="constant", cval=0.0) * area
-        filtered = np.zeros(box_valid.shape)
-        filtered[box_valid] = volume.costs[entries]
+        rows, cols = np.divmod(volume.pixels[entries], w)
+        top, left = rows[0], cols.min()  # increasing pixels: the first row is the least
+        box = np.zeros((rows[-1] - top + 1, cols.max() - left + 1))
+        at = (rows - top, cols - left)
+        box[at] = 1.0
+        cnts = ndimage.uniform_filter(box, size=size, mode="constant", cval=0.0) * area
+        filtered = np.zeros(box.shape)
+        filtered[at] = volume.costs[entries]
         for _ in range(passes):
             sums = ndimage.uniform_filter(filtered, size=size, mode="constant", cval=0.0)
-            filtered = np.where(box_valid, sums * area / np.maximum(cnts, 1.0), 0.0)
-        costs[entries] = filtered[box_valid]
-    return CostVolume(costs=costs, valid=volume.valid)
+            filtered = np.where(box > 0, sums * area / np.maximum(cnts, 1.0), 0.0)
+        costs[entries] = filtered[at]
+    return dataclasses.replace(volume, costs=costs)
 
 
 def scale_costs(volume: CostVolume, gain: float) -> CostVolume:
     """Multiply the costs by a positive gain (softmax sharpening); float32 overflow raises."""
     with np.errstate(over="raise"):
-        return CostVolume(costs=volume.costs * np.float32(gain), valid=volume.valid)
+        return dataclasses.replace(volume, costs=volume.costs * np.float32(gain))
 
 
 def soft_argmin(volume: CostVolume, distances):
     """Expected plane distance under the softmax of negated costs.
 
-    Per pixel, a softmax over its own valid entries only gives P(d_i) =
+    Per pixel, a softmax over its own entries only gives P(d_i) =
     softmax(-cost_i) (with max subtraction for stability), and the regressed
-    distance is the expectation sum_i d_i P(d_i). Pixels with no valid
-    hypothesis are masked.
+    distance is the expectation sum_i d_i P(d_i). Pixels with no entry are
+    masked.
 
     Args:
         volume: Cost volume (H, W, N).
@@ -375,7 +364,7 @@ def soft_argmin(volume: CostVolume, distances):
 
     Returns:
         (d_hat, probs, valid): (H, W) regression (zero on masked pixels),
-        float64 probabilities, one per valid entry in the order of
+        float64 probabilities, one per entry in the order of
         ``volume.costs``, and the per-pixel mask.
     """
     distances = np.asarray(distances, dtype=np.float64)
@@ -383,12 +372,11 @@ def soft_argmin(volume: CostVolume, distances):
     if distances.shape != (n,):
         raise ValueError(f"distances shape {distances.shape} does not match N={n}")
 
-    # Plane i's entries are the costs' next run, one per pixel of its mask, so
-    # each plane's probabilities are a view of probs. Per pixel, each sum
-    # starts at 0.0 and adds its entries in plane order.
-    pixels = [np.flatnonzero(mask) for mask in np.moveaxis(volume.valid, 2, 0)]
+    # Each plane's pixels and probabilities are views of the lists, split at
+    # the plane ends. Per pixel, each sum starts at 0.0 and adds its entries
+    # in plane order.
     probs = np.negative(volume.costs, dtype=np.float64)
-    planes = np.split(probs, np.cumsum([px.size for px in pixels])[:-1])
+    pixels, planes = (np.split(entries, volume.ends[1:-1]) for entries in (volume.pixels, probs))
     peak = np.full(h * w, -np.inf)
     for px, own in zip(pixels, planes):
         peak[px] = np.maximum(peak[px], own)
@@ -399,7 +387,8 @@ def soft_argmin(volume: CostVolume, distances):
     d_hat = np.zeros(h * w)
     for px, own, d_i in zip(pixels, planes, distances):
         d_hat[px] += np.divide(own, total[px], out=own) * d_i
-    return d_hat.reshape(h, w), probs, volume.valid.any(axis=2)
+    # The costs are finite, so a pixel's peak is finite where it has an entry.
+    return d_hat.reshape(h, w), probs, np.isfinite(peak).reshape(h, w)
 
 
 def regress_depth_map(d_hat: np.ndarray, valid: np.ndarray, intrinsics: CameraIntrinsics,
@@ -442,17 +431,19 @@ def _geometry_prior(shape: tuple, sonar_image, calibration, origin: tuple):
 
     Why it is exact: against the zero sonar vector every neg-dot cost is the
     negated sum of +-0.0 products, +-0.0 whatever the camera, and defined, so
-    the volume is valid on the full grid (no echo term) and holds only +-0.0;
-    the regularizer's box means and the gain keep every cost +-0.0. In
+    the volume holds every entry of the full grid (no echo term) and only
+    +-0.0; the regularizer's box means and the gain keep every cost +-0.0. In
     :func:`soft_argmin` each term is then exp(+-0.0 - +-0.0) == 1.0, each
     pixel's total is the count c of its admissible planes (exact in float64)
     and each probability is 1.0 / c. So d_hat adds (1.0 / c) * d_i over the
     pixel's planes in plane order from 0.0, masked where c == 0: the chain's
-    d_hat bit for bit, hence its depth through :func:`regress_depth_map`.
+    d_hat bit for bit, hence its depth through :func:`regress_depth_map`. The
+    weighted sum is one ``np.bincount`` over the grid's plane-major pixels,
+    which adds each pixel's weights in that order from 0.0.
 
     No features, cost volume, regularizer or softmax are computed, and only
     the shapes of the camera crop and the sonar frame are read. The volume
-    returned holds the grid's mask and a +0.0 cost per entry: the chain's
+    returned holds the grid's entries and a +0.0 cost per entry: the chain's
     regularized volume byte for byte whenever the box filter runs, whose
     running sums start from its +0.0 border; with radius or passes 0 the
     chain keeps the raw costs, equal to these but signed like the camera's
@@ -466,17 +457,21 @@ def _geometry_prior(shape: tuple, sonar_image, calibration, origin: tuple):
         raise ValueError(f"expected a nonempty 2-D image, got shape {shape}")
     grid = build_warp_grid(calibration.intrinsics, calibration.extrinsics, calibration.planes,
                            spec, shape=shape, origin=origin, echo=None)
-    h, w, n = grid.shape
-    masks = np.moveaxis(grid.valid, 2, 0).reshape(n, h * w)
-    count = masks.sum(axis=0, dtype=np.float64)
-    share = 1.0 / np.maximum(count, 1.0)
-    d_hat = np.zeros(h * w)
-    for mask, d_i in zip(masks, calibration.planes.distances()):
-        np.add(d_hat, share * d_i, out=d_hat, where=mask)
+    volume = CostVolume(pixels=grid.pixels, ends=grid.ends, shape=grid.shape,
+                        costs=np.zeros(grid.pixels.size, np.float32))
+    del grid  # frees its lookups, which the prior does not read
+    h, w, _ = volume.shape
+    pixels = volume.pixels.astype(np.intp)  # once: np.bincount copies int32 on every call
+    count = np.bincount(pixels, minlength=h * w).astype(np.float64)
+    weights = (1.0 / np.maximum(count, 1.0))[pixels]
+    for entries, d_i in zip(map(slice, volume.ends[:-1], volume.ends[1:]),
+                            calibration.planes.distances()):
+        weights[entries] *= d_i
+    d_hat = np.bincount(pixels, weights, minlength=h * w)
     depth = regress_depth_map(d_hat.reshape(h, w), (count > 0).reshape(h, w),
                               calibration.intrinsics, calibration.extrinsics,
                               calibration.planes.alpha, origin=origin)
-    return depth, CostVolume(costs=np.zeros(grid.rb.size, np.float32), valid=grid.valid)
+    return depth, volume
 
 
 def run_pipeline(camera_image: np.ndarray, sonar_image, calibration, config: SweepConfig,

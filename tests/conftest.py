@@ -342,17 +342,29 @@ def dense_encode_cost_volume(volume) -> bytearray:
     return out
 
 
+def entry_lists(valid):
+    """Adapter from a dense (H, W, N) mask to the sweep's entry layout: its
+    (pixels, ends, shape), each plane's flat pixels in np.flatnonzero order."""
+    valid = np.asarray(valid, dtype=bool)
+    h, w, n = valid.shape
+    planes = [np.flatnonzero(valid[:, :, i]) for i in range(n)]
+    pixels = np.concatenate([np.empty(0, np.int32)] + planes).astype(np.int32)
+    return pixels, np.cumsum([0] + [plane.size for plane in planes]), valid.shape
+
+
 def compact_volume(costs, valid) -> CostVolume:
     """A CostVolume from dense (H, W, N) costs; costs at invalid entries are dropped."""
-    return CostVolume(costs=compact(costs, valid), valid=valid)
+    pixels, ends, shape = entry_lists(valid)
+    return CostVolume(pixels=pixels, ends=ends, shape=shape, costs=compact(costs, valid))
 
 
 def compact_grid(rb, bb, valid) -> WarpGrid:
     """Adapter from dense (H, W, N) bin coordinates to a WarpGrid that keeps the
     valid entries' lookups."""
-    return WarpGrid(rb=compact(np.asarray(rb, dtype=float), valid),
-                    bb=compact(np.asarray(bb, dtype=float), valid),
-                    valid=np.asarray(valid, dtype=bool))
+    pixels, ends, shape = entry_lists(valid)
+    return WarpGrid(pixels=pixels, ends=ends, shape=shape,
+                    rb=compact(np.asarray(rb, dtype=float), valid),
+                    bb=compact(np.asarray(bb, dtype=float), valid))
 
 
 def dense_lookups(grid: WarpGrid):

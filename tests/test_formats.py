@@ -32,7 +32,7 @@ from oasweep.geometry import CameraIntrinsics, PlaneHypothesisSet
 from oasweep.simulator import SpherePrimitive
 from oasweep.sweep import CostVolume
 
-from conftest import compact_volume, dense_encode_cost_volume
+from conftest import compact_volume, dense_encode_cost_volume, entry_lists
 
 
 class TestPGM:
@@ -124,10 +124,10 @@ class TestCostVolume:
         np.testing.assert_array_equal(got_valid, valid)
 
     def test_compact_costs_must_match_mask(self):
-        valid = np.array([[[True, False, True]]])
+        lists = entry_lists(np.array([[[True, False, True]]]))
         for costs in (np.zeros(1, np.float32), np.zeros(3, np.float32), np.float32(0.0)):
-            with pytest.raises(ValueError, match="one cost per valid entry"):
-                encode_cost_volume(CostVolume(costs=costs, valid=valid))
+            with pytest.raises(ValueError, match="one value per entry"):
+                encode_cost_volume(CostVolume(*lists, costs=costs))
 
     def test_layout_u_major_then_v_then_i(self):
         # 1x2x2 volume: u index varies slowest in the payload.

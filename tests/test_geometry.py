@@ -24,7 +24,13 @@ from oasweep.geometry import (
     ray_plane_terms,
     spherical_to_cartesian,
 )
-from oasweep.sweep import build_cost_volume, extract_features, live_cells, regress_depth_map
+from oasweep.sweep import (
+    CostVolume,
+    build_cost_volume,
+    extract_features,
+    live_cells,
+    regress_depth_map,
+)
 
 from conftest import (
     backproject_sonar_to_plane,
@@ -33,6 +39,7 @@ from conftest import (
     compact_grid,
     dense_lookups,
     dense_warp_grid,
+    entry_lists,
     grazing_rig,
     identity_transform,
     plane_normal,
@@ -1056,8 +1063,70 @@ class TestWarpGrid:
     def test_lookups_must_match_mask(self):
         valid = np.zeros((2, 3, 4), dtype=bool)
         valid[1, 2, 3] = True
-        WarpGrid(rb=np.ones(1), bb=np.zeros(1), valid=valid)
+        lists = entry_lists(valid)
+        WarpGrid(*lists, rb=np.ones(1), bb=np.zeros(1))
         with pytest.raises(ValueError):
-            WarpGrid(rb=np.ones(2), bb=np.zeros(2), valid=valid)
+            WarpGrid(*lists, rb=np.ones(2), bb=np.zeros(2))
         with pytest.raises(ValueError):
-            WarpGrid(rb=np.ones((2, 3, 4)), bb=np.zeros((2, 3, 4)), valid=valid)
+            WarpGrid(*lists, rb=np.ones((2, 3, 4)), bb=np.zeros((2, 3, 4)))
+
+
+def with_entries(kind, pixels, ends, shape, values=None):
+    """A WarpGrid or CostVolume (``kind``) of the given lists, with ``values`` zero
+    values per field (default: one per pixel)."""
+    pixels = np.asarray(pixels, dtype=np.int32)
+    values = pixels.size if values is None else values
+    if kind == "grid":
+        return WarpGrid(pixels, np.asarray(ends), shape, rb=np.zeros(values), bb=np.zeros(values))
+    return CostVolume(pixels, np.asarray(ends), shape, costs=np.zeros(values, np.float32))
+
+
+class TestPlaneEntries:
+    """The per-plane pixel lists that WarpGrid and CostVolume share: each constructor
+    checks them against the shape and the value count."""
+
+    # A (2, 3, 3) layout: planes [1, 4], [0, 5] and [2] of the 6 pixels.
+    PIXELS, ENDS = [1, 4, 0, 5, 2], [0, 2, 4, 5]
+
+    @pytest.mark.parametrize("kind", ["grid", "volume"])
+    @pytest.mark.parametrize("pixels, ends, values", [
+        (PIXELS, [0, 2, 5], None),  # ends of the wrong length
+        (PIXELS, [1, 2, 4, 5], None),  # not starting at 0
+        ([0, 1, 2, 3, 4], [0, 3, 1, 5], None),  # decreasing: planes [0, 3), [3, 1), [1, 5)
+        (PIXELS, [0, 2, 4, 4], None),  # not ending at the entry count
+        (PIXELS, [0, 2, 4, 6], None),
+        ([-1, 4, 0, 5, 2], ENDS, None),  # a pixel below 0
+        ([1, 4, 0, 6, 2], ENDS, None),  # a pixel at H*W
+        ([4, 1, 0, 5, 2], ENDS, None),  # decreasing within a plane
+        ([1, 4, 5, 5, 2], ENDS, None),  # repeated within a plane
+        (PIXELS, ENDS, 4),  # a value count that does not match
+        (PIXELS, ENDS, 6),
+    ], ids=["ends-short", "ends-start", "ends-decrease", "ends-stop-low", "ends-stop-high",
+            "pixel-negative", "pixel-past-end", "pixels-decrease", "pixels-repeat",
+            "values-few", "values-many"])
+    def test_rejects(self, kind, pixels, ends, values):
+        with pytest.raises(ValueError):
+            with_entries(kind, pixels, ends, (2, 3, 3), values)
+
+    @pytest.mark.parametrize("kind", ["grid", "volume"])
+    def test_rejects_pixels_wider_than_int32(self, kind):
+        entries = with_entries(kind, self.PIXELS, self.ENDS, (2, 3, 3))
+        with pytest.raises(ValueError, match="int32"):
+            dataclasses.replace(entries, pixels=entries.pixels.astype(np.int64))
+
+    @pytest.mark.parametrize("kind", ["grid", "volume"])
+    @pytest.mark.parametrize("pixels, ends, shape", [
+        (PIXELS, ENDS, (2, 3, 3)),
+        ([], [0, 0, 0], (0, 0, 2)),  # a 0x0 crop
+        ([1, 4], [0, 2, 2, 2], (2, 3, 3)),  # trailing empty planes
+        ([], [0, 0, 0, 0], (2, 3, 3)),
+        ([3], [0, 0, 1, 1], (2, 3, 3)),  # empty planes on both sides
+    ], ids=["planes", "0x0", "trailing-empty", "all-empty", "inner"])
+    def test_accepts_and_round_trips_through_the_mask(self, kind, pixels, ends, shape):
+        entries = with_entries(kind, pixels, ends, shape)
+        valid = entries.valid
+        assert valid.shape == shape and np.moveaxis(valid, 2, 0).flags.c_contiguous
+        assert np.count_nonzero(valid) == len(pixels)
+        got = entry_lists(valid)
+        assert got[0].tobytes() == entries.pixels.tobytes()
+        assert list(got[1]) == list(ends) and got[2] == shape

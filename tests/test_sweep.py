@@ -18,7 +18,6 @@ from oasweep.simulator import PolarSonarImage, Scene, default_scene, render_came
 from oasweep.preprocess import CropWindow, prepare_camera
 from oasweep.sweep import (
     METRICS,
-    CostVolume,
     DepthMap,
     SweepConfig,
     build_cost_volume,
@@ -697,15 +696,15 @@ class TestLiveSet:
 
     def test_soft_argmin_starts_without_features_or_grid(self, traced_dense):
         # When soft_argmin starts, the pipeline holds the regularized volume and
-        # its scaled copy (one mask between them), and less than one more
-        # (H, W) float64 buffer: not the sonar or camera features, nor the
-        # grid's lookups.
+        # its scaled copy (one set of pixel lists between them), and less than
+        # one more (H, W) float64 buffer: not the sonar or camera features, nor
+        # the grid's lookups.
         _, seen = traced_dense
         volume = seen["volume"]
         h, w, _ = volume.shape
         released = seen["features"] + [seen["lookups"]]
         assert len(released) == 3 and min(released) > 8 * h * w
-        assert seen["level"] <= 2 * volume.costs.nbytes + volume.valid.nbytes + 8 * h * w
+        assert seen["level"] <= 2 * volume.costs.nbytes + volume.pixels.nbytes + 8 * h * w
 
     def test_soft_argmin_peak_is_probs_plus_one_index(self, traced_dense):
         # Its own peak: the float64 probabilities, one int64 pixel index per entry,
@@ -1038,8 +1037,8 @@ class TestRunPipeline:
         assert hit >= 0.80
 
     def test_masks_are_plane_major(self, default_run):
-        # Every stage reads and writes one plane at a time, so the (H, W, N)
-        # masks keep each plane contiguous.
+        # The (H, W, N) masks that the valid property builds from the pixel
+        # lists keep each plane contiguous, as the lists do.
         rig, _, _, prepared, window, _, volume = default_run
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
                                shape=prepared.shape, origin=(window.u0, window.v0), echo=None)
@@ -1047,20 +1046,28 @@ class TestRunPipeline:
             assert mask.shape == prepared.shape + (rig.planes.n,)
             assert np.moveaxis(mask, 2, 0).flags.c_contiguous
 
-    def test_outputs_independent_of_mask_layout(self, default_run):
-        # The plane-major layout is a matter of speed only: a C-order copy of
-        # the mask gives the same bytes at every stage that reads it.
-        rig, _, _, _, _, _, volume = default_run
-        copy = CostVolume(costs=volume.costs, valid=np.ascontiguousarray(volume.valid))
-        assert volume.valid.any() and not np.moveaxis(copy.valid, 2, 0).flags.c_contiguous
-        plane_major, c_order = (regularize_cost_volume(v, 3, 2) for v in (volume, copy))
-        assert plane_major.costs.tobytes() == c_order.costs.tobytes()
-        plane_major, c_order = (soft_argmin(scale_costs(v, 20.0), rig.planes.distances())
-                                for v in (volume, copy))
-        for got, want in zip(plane_major, c_order):
-            assert got.tobytes() == want.tobytes()
-        encoded = b"".join(encode_cost_volume(volume))
-        assert encoded == b"".join(encode_cost_volume(copy)) == dense_encode_cost_volume(volume)
+    def test_no_stage_builds_the_dense_mask(self, default_run, monkeypatch):
+        # Every stage reads the per-plane pixel lists; the (H, W, N) mask is
+        # built only for oracles and tracing. With its builder made to raise,
+        # the fused, sad and geometry-prior runs and the SSCV1 encoder still
+        # run, and the default run and its file keep their bytes.
+        rig, _, sonar, prepared, window, depth, volume = default_run
+        encoded = dense_encode_cost_volume(volume)
+
+        def refuse(entries):
+            raise AssertionError("a stage built the dense entry mask")
+
+        monkeypatch.setattr(geometry.PlaneEntries, "valid", property(refuse))
+        origin = (window.u0, window.v0)
+        for config in (SweepConfig(), SweepConfig(extractor="intensity", metric="sad"),
+                       SweepConfig(metric="neg-dot", zero_sonar_features=True)):
+            got, got_volume = run_pipeline(prepared, sonar, rig, config, origin=origin)
+            assert got.valid.any() and got_volume.costs.size
+            blocks = encode_cost_volume(got_volume)
+            if config == SweepConfig():
+                assert got.depth.tobytes() == depth.depth.tobytes()
+                assert got_volume.costs.tobytes() == volume.costs.tobytes()
+                assert b"".join(blocks) == encoded
 
     def test_geometry_prior_never_reads_the_camera(self, default_run, rng):
         # The sonar-zeroed neg-dot pass scores every admissible entry 0, so its
