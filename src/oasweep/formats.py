@@ -8,8 +8,9 @@ Formats:
   - PFM: grayscale "Pf", little-endian (scale line "-1.0"), rows bottom to
     top per the PFM convention.
   - SSCV1: magic ``SSCV1``, then u32 H, W, N (little-endian), then H*W*N
-    float32 costs ordered u-major then v then i, invalid entries holding
-    SSCV_INVALID_COST (1e9), then H*W*N u8 validity flags in the same order.
+    float32 costs ordered u-major then v then i (entry (v, u, i) at index
+    (u H + v) N + i), invalid entries holding SSCV_INVALID_COST (1e9), then
+    H*W*N u8 validity flags in the same order.
 """
 
 import dataclasses
@@ -204,31 +205,21 @@ def read_pfm(path) -> np.ndarray:
 
 def encode_cost_volume(volume) -> list:
     """SSCV1 bytes from a sweep CostVolume (its per-plane pixel lists and one cost per
-    entry), as a list of blocks in file order: the header, then one block of H*N
-    float32 costs per u, then one block of H*N u8 flags per u, each v-major.
+    entry), as the list [header, costs, flags] in file order, which
+    :func:`atomic_write` writes.
 
-    No allocation has the volume's dense size: the entries, in the lists' (i, v, u)
-    order, are grouped by u with a stable sort, and each block is filled at its
-    entries' slots v N + i. :func:`atomic_write` writes the list."""
+    Each entry goes to its file slot (u H + v) N + i, with (v, u) = divmod(pixel, W)
+    and i the plane whose list holds it."""
     h, w, n = volume.shape
     header = SSCV_MAGIC + np.array([h, w, n], dtype="<u4").tobytes()
     row, column = np.divmod(volume.pixels, w)
-    # Each entry's u in the narrowest type that holds it, so that the stable
-    # sort runs as a radix sort.
-    column = column.astype(np.min_scalar_type(w))
-    order = np.argsort(column, kind="stable")
-    slots = row.astype(np.intp) * n + np.repeat(np.arange(n), np.diff(volume.ends))
-    slots, costs = slots[order], volume.costs[order]
-    ends = np.cumsum(np.bincount(column, minlength=w))
-    cost_blocks, flag_blocks = [], []
-    for start, end in zip(np.append(0, ends[:-1]), ends):
-        block = np.full(h * n, SSCV_INVALID_COST, dtype="<f4")
-        block[slots[start:end]] = costs[start:end]
-        flags = np.zeros(h * n, dtype=np.uint8)
-        flags[slots[start:end]] = 1
-        cost_blocks.append(block)
-        flag_blocks.append(flags)
-    return [header, *cost_blocks, *flag_blocks]
+    # u H + v < H W fits the pixels' int32; the slot may not.
+    slots = (column * h + row).astype(np.intp) * n + np.repeat(np.arange(n), np.diff(volume.ends))
+    costs = np.full(h * w * n, SSCV_INVALID_COST, dtype="<f4")
+    costs[slots] = volume.costs
+    flags = np.zeros(h * w * n, dtype=np.uint8)
+    flags[slots] = 1
+    return [header, costs, flags]
 
 
 def read_cost_volume(path):

@@ -303,8 +303,7 @@ def _deposit_range_energy(bins, slant, weight, bearing_idx, spec: SonarSpec) -> 
     np.add.at(bins, (r1, bearing_idx), weight * frac)
 
 
-def render_sonar(scene: Scene, spec: SonarSpec,
-                 elevation_rays: int = DEFAULT_ELEVATION_RAYS) -> PolarSonarImage:
+def render_sonar(scene: Scene, spec: SonarSpec) -> PolarSonarImage:
     """Render the polar sonar scan of a scene, normalized to [0, 1].
 
     Deposited energy (see :func:`render_sonar_energy`) is divided by the
@@ -313,9 +312,8 @@ def render_sonar(scene: Scene, spec: SonarSpec,
     Args:
         scene: Scene geometry, in the sonar frame.
         spec: Sonar geometry and bin counts.
-        elevation_rays: Vertical stratification count.
     """
-    bins = render_sonar_energy(scene, spec, elevation_rays)
+    bins = render_sonar_energy(scene, spec, DEFAULT_ELEVATION_RAYS)
     peak = bins.max()
     if peak > 0:
         bins = bins / peak

@@ -82,7 +82,9 @@ class SweepConfig:
     needs the neg-dot metric, under which every cost is 0 whatever the
     camera, so :func:`run_pipeline` computes it in closed form from the warp
     grid's mask alone: each pixel's depth averages its admissible planes
-    (see :func:`_geometry_prior`), and neither image's values are read.
+    (see :func:`_geometry_prior`), and neither image's values are read. The
+    input checks are those of the fused sweep: :func:`run_pipeline` requires a
+    nonempty 2-D camera crop and a sonar frame with the rig's bins on both paths.
     """
 
     extractor: str = "zncc-patch"
@@ -426,7 +428,7 @@ def to_full_frame(depth: DepthMap, window, shape: tuple) -> DepthMap:
     return DepthMap(depth=full_depth, valid=full_valid)
 
 
-def _geometry_prior(shape: tuple, sonar_image, calibration, origin: tuple):
+def _geometry_prior(shape: tuple, calibration, origin: tuple):
     """The sonar-zeroed neg-dot pass of :func:`run_pipeline`, in closed form.
 
     Why it is exact: against the zero sonar vector every neg-dot cost is the
@@ -442,21 +444,15 @@ def _geometry_prior(shape: tuple, sonar_image, calibration, origin: tuple):
     which adds each pixel's weights in that order from 0.0.
 
     No features, cost volume, regularizer or softmax are computed, and only
-    the shapes of the camera crop and the sonar frame are read. The volume
-    returned holds the grid's entries and a +0.0 cost per entry: the chain's
-    regularized volume byte for byte whenever the box filter runs, whose
-    running sums start from its +0.0 border; with radius or passes 0 the
-    chain keeps the raw costs, equal to these but signed like the camera's
-    features.
+    the shape of the camera crop is read. Returns (d_hat, valid, volume): the
+    (H, W) plane distances, the mask c > 0 and a volume that holds the grid's
+    entries and a +0.0 cost per entry: the chain's regularized volume byte for
+    byte whenever the box filter runs, whose running sums start from its +0.0
+    border; with radius or passes 0 the chain keeps the raw costs, equal to
+    these but signed like the camera's features.
     """
-    spec = calibration.sonar
-    if sonar_image.values.shape != (spec.range_bins, spec.bearing_bins):
-        raise ValueError(f"sonar frame {sonar_image.values.shape} does not match the rig's "
-                         f"{spec.range_bins}x{spec.bearing_bins} bins")
-    if len(shape) != 2 or 0 in shape:
-        raise ValueError(f"expected a nonempty 2-D image, got shape {shape}")
     grid = build_warp_grid(calibration.intrinsics, calibration.extrinsics, calibration.planes,
-                           spec, shape=shape, origin=origin, echo=None)
+                           calibration.sonar, shape=shape, origin=origin, echo=None)
     volume = CostVolume(pixels=grid.pixels, ends=grid.ends, shape=grid.shape,
                         costs=np.zeros(grid.pixels.size, np.float32))
     del grid  # frees its lookups, which the prior does not read
@@ -468,10 +464,7 @@ def _geometry_prior(shape: tuple, sonar_image, calibration, origin: tuple):
                             calibration.planes.distances()):
         weights[entries] *= d_i
     d_hat = np.bincount(pixels, weights, minlength=h * w)
-    depth = regress_depth_map(d_hat.reshape(h, w), (count > 0).reshape(h, w),
-                              calibration.intrinsics, calibration.extrinsics,
-                              calibration.planes.alpha, origin=origin)
-    return depth, volume
+    return d_hat.reshape(h, w), (count > 0).reshape(h, w), volume
 
 
 def run_pipeline(camera_image: np.ndarray, sonar_image, calibration, config: SweepConfig,
@@ -494,27 +487,34 @@ def run_pipeline(camera_image: np.ndarray, sonar_image, calibration, config: Swe
         (depth, volume): crop-sized DepthMap and the regularized (unscaled)
         CostVolume, one cost per valid entry, exportable as SSCV1.
     """
+    shape, spec = np.shape(camera_image), calibration.sonar
+    if len(shape) != 2 or 0 in shape:
+        raise ValueError(f"expected a nonempty 2-D image, got shape {shape}")
+    if sonar_image.values.shape != (spec.range_bins, spec.bearing_bins):
+        raise ValueError(f"sonar frame {sonar_image.values.shape} does not match the rig's "
+                         f"{spec.range_bins}x{spec.bearing_bins} bins")
     if config.zero_sonar_features:
-        return _geometry_prior(np.shape(camera_image), sonar_image, calibration, origin)
-    camera_image = np.asarray(camera_image)
-    if camera_image.dtype == np.uint8:
-        camera_image = camera_image.astype(np.float64) / 255.0
+        d_hat, valid, volume = _geometry_prior(shape, calibration, origin)
+    else:
+        camera_image = np.asarray(camera_image)
+        if camera_image.dtype == np.uint8:
+            camera_image = camera_image.astype(np.float64) / 255.0
 
-    son_features = extract_features(sonar_image.values, config.extractor, config.patch_radius)
-    live = live_cells(son_features)
-    # A lookup into a dead cell samples the zero vector. Where that never
-    # scores, the grid keeps only the entries that look up a live cell.
-    grid = build_warp_grid(calibration.intrinsics, calibration.extrinsics, calibration.planes,
-                           calibration.sonar, shape=camera_image.shape, origin=origin,
-                           echo=None if _zero_scores(config.metric) else live)
-    cam_features = extract_features(camera_image, config.extractor, config.patch_radius,
-                                    rows=grid.rows)
-    volume = build_cost_volume(cam_features, son_features, grid, config.metric, live)
-    del camera_image, cam_features, son_features, grid  # the later stages read only the volume
-    volume = regularize_cost_volume(volume, config.box_radius, config.box_passes)
-
-    d_hat, _, reg_valid = soft_argmin(scale_costs(volume, config.cost_scale),
+        son_features = extract_features(sonar_image.values, config.extractor,
+                                        config.patch_radius)
+        live = live_cells(son_features)
+        # A lookup into a dead cell samples the zero vector. Where that never
+        # scores, the grid keeps only the entries that look up a live cell.
+        grid = build_warp_grid(calibration.intrinsics, calibration.extrinsics,
+                               calibration.planes, spec, shape=shape, origin=origin,
+                               echo=None if _zero_scores(config.metric) else live)
+        cam_features = extract_features(camera_image, config.extractor, config.patch_radius,
+                                        rows=grid.rows)
+        volume = build_cost_volume(cam_features, son_features, grid, config.metric, live)
+        del camera_image, cam_features, son_features, grid  # later stages read only the volume
+        volume = regularize_cost_volume(volume, config.box_radius, config.box_passes)
+        d_hat, _, valid = soft_argmin(scale_costs(volume, config.cost_scale),
                                       calibration.planes.distances())
-    depth = regress_depth_map(d_hat, reg_valid, calibration.intrinsics, calibration.extrinsics,
+    depth = regress_depth_map(d_hat, valid, calibration.intrinsics, calibration.extrinsics,
                               calibration.planes.alpha, origin=origin)
     return depth, volume

@@ -379,13 +379,13 @@ class TestExactRoundTrips:
     @settings(max_examples=200, deadline=None)
     def test_cost_volume(self, fuzz_path, volume):
         costs, valid = volume
-        blocks = encode_cost_volume(compact_volume(costs, valid))
-        # The header, then one cost and one flag block per u, each H*N long.
-        h, w, n = costs.shape
-        assert len(blocks) == 1 + 2 * w
-        assert [np.asarray(b).size for b in blocks[1:]] == [h * n] * (2 * w)
-        assert b"".join(blocks) == dense_encode_cost_volume(compact_volume(costs, valid))
-        atomic_write(fuzz_path, blocks)
+        header, file_costs, flags = pieces = encode_cost_volume(compact_volume(costs, valid))
+        # The header, then H*W*N float32 costs, then H*W*N u8 flags.
+        assert len(header) == 17
+        assert file_costs.dtype == np.dtype("<f4") and file_costs.size == costs.size
+        assert flags.dtype == np.uint8 and flags.size == costs.size
+        assert b"".join(pieces) == dense_encode_cost_volume(compact_volume(costs, valid))
+        atomic_write(fuzz_path, pieces)
         got_costs, got_valid = read_cost_volume(fuzz_path)
         assert got_costs.dtype == np.float32 and got_costs.shape == costs.shape
         assert got_costs.tobytes() == np.where(valid, costs, SSCV_INVALID_COST).tobytes()

@@ -1083,6 +1083,20 @@ class TestRunPipeline:
         assert depth.valid.any()
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("config", [SweepConfig(), SweepConfig(metric="neg-dot",
+                                                                   zero_sonar_features=True)],
+                             ids=["fused", "geometry-prior"])
+    def test_sonar_frame_must_match_the_rig(self, default_run, config):
+        # A frame with more bins than the rig would be sampled with the rig's
+        # bin geometry; both paths refuse it.
+        rig, _, _, prepared, window, _, _ = default_run
+        spec = dataclasses.replace(rig.sonar, range_bins=rig.sonar.range_bins + 16,
+                                   bearing_bins=rig.sonar.bearing_bins + 76)
+        frame = PolarSonarImage(values=np.zeros((spec.range_bins, spec.bearing_bins)),
+                                spec=spec)
+        with pytest.raises(ValueError, match="does not match the rig's"):
+            run_pipeline(prepared, frame, rig, config, origin=(window.u0, window.v0))
+
     @pytest.mark.parametrize("extractor", ["zncc-patch", "intensity"])
     def test_ablation_extracts_no_sonar_features(self, default_run, monkeypatch, extractor):
         # The geometry-prior ablation is computed in closed form: no extraction
