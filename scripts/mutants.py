@@ -87,9 +87,14 @@ MUTANTS = [
      "(column * h + row)", "(row * w + column)",
      ["tests/test_formats.py::TestExactRoundTrips::test_cost_volume"]),
     ("sonar-frame check removed", SWEEP,
-     "if sonar_image.values.shape != (spec.range_bins, spec.bearing_bins):",
+     "if sonar_image.spec != spec:",
      "if False:",
-     [PIPELINE + "test_sonar_frame_must_match_the_rig"]),
+     [PIPELINE + "test_sonar_frame_must_match_the_rig",
+      PIPELINE + "test_frame_of_another_sonar_refused"]),
+    ("zncc row skip keeps only rows with a positive value", SWEEP,
+     "held = np.pad(np.any(image != 0, axis=1), r)",
+     "held = np.pad(np.any(image > 0, axis=1), r)",
+     ["tests/test_sweep.py::TestExtractFeatures::test_zncc_matches_whole_image_oracle"]),
 ]
 
 

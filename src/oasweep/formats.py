@@ -215,6 +215,7 @@ def encode_cost_volume(volume) -> list:
     row, column = np.divmod(volume.pixels, w)
     # u H + v < H W fits the pixels' int32; the slot may not.
     slots = (column * h + row).astype(np.intp) * n + np.repeat(np.arange(n), np.diff(volume.ends))
+    del row, column  # not held through the file-sized fills
     costs = np.full(h * w * n, SSCV_INVALID_COST, dtype="<f4")
     costs[slots] = volume.costs
     flags = np.zeros(h * w * n, dtype=np.uint8)

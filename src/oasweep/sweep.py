@@ -81,10 +81,13 @@ class SweepConfig:
     geometry-prior ablation used by the turbidity robustness experiment. It
     needs the neg-dot metric, under which every cost is 0 whatever the
     camera, so :func:`run_pipeline` computes it in closed form from the warp
-    grid's mask alone: each pixel's depth averages its admissible planes
-    (see :func:`_geometry_prior`), and neither image's values are read. The
-    input checks are those of the fused sweep: :func:`run_pipeline` requires a
-    nonempty 2-D camera crop and a sonar frame with the rig's bins on both paths.
+    grid's per-plane pixel lists alone: each pixel's depth averages its
+    admissible planes (see :func:`_geometry_prior`), and neither image's
+    values are read. The input checks are those of the fused sweep:
+    :func:`run_pipeline` requires a nonempty 2-D camera crop and a sonar frame
+    of the rig's sonar on both paths. Matchings that can score nothing are
+    refused: neg-zncc on the one-channel intensity extractor, and zncc-patch
+    with patch radius 0.
     """
 
     extractor: str = "zncc-patch"
@@ -106,6 +109,12 @@ class SweepConfig:
             raise ValueError(f"cost_scale must be positive and finite, got {self.cost_scale}")
         if self.zero_sonar_features and self.metric != "neg-dot":
             raise ValueError(f"zero_sonar_features needs the neg-dot metric, got {self.metric!r}")
+        # Each leaves the sweep nothing to match: one channel has no centred norm,
+        # and a one-pixel patch is always the zero vector.
+        if self.metric == "neg-zncc" and self.extractor == "intensity":
+            raise ValueError("neg-zncc cannot score the intensity extractor's one channel")
+        if self.extractor == "zncc-patch" and self.patch_radius == 0:
+            raise ValueError("the zncc-patch extractor needs a patch radius >= 1")
 
 
 def extract_features(image: np.ndarray, kind: str, patch_radius: int,
@@ -232,7 +241,7 @@ def _zero_scores(metric: str) -> bool:
 
 
 def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
-                      grid: WarpGrid, metric: str, live: np.ndarray) -> CostVolume:
+                      grid: WarpGrid, metric: str) -> CostVolume:
     """Warp sonar features through the grid and score them against the camera.
 
     Only the entries the warp grid admits are touched: plane by plane, each
@@ -243,13 +252,15 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
     :func:`map_in_order`, one task per plane, whose lists are joined in plane
     order, so the volume is the same bit for bit whatever the thread count.
 
-    A lookup whose bilinear cell has four +0.0 corners samples exactly the
-    zero vector, so it takes its pixel's zero-sample cost, scored once per
-    pixel of the rows any plane admits, before the plane loop (and left
-    undefined without scoring when the zero vector never scores); only
-    lookups into a live cell are gathered and scored. The result is the same
-    bit for bit as scoring every lookup. Only the camera features of the
-    admitted rows are read.
+    A lookup into a dead cell, one whose four bilinear corners hold only +0.0
+    (see :func:`live_cells`), samples exactly the zero vector. Under sad and
+    neg-dot, where the zero vector scores, the live cells are found once and
+    a dead lookup takes its pixel's zero-sample cost, scored once per pixel
+    of the rows any plane admits, before the plane loop; only lookups into a
+    live cell are gathered and scored. Under neg-zncc the zero vector never
+    scores, so every lookup is scored and a dead one comes out undefined. The
+    result is the same bit for bit as scoring every lookup. Only the camera
+    features of the admitted rows are read.
 
     Args:
         camera_features: (H, W, F).
@@ -259,7 +270,6 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
         metric: One of sad, neg-dot, neg-zncc. Entries where the metric is
             undefined (degenerate vectors under neg-zncc) go invalid rather
             than fake a score.
-        live: :func:`live_cells` of the sonar features.
 
     Returns:
         CostVolume of the grid's entries where the metric is defined.
@@ -271,29 +281,26 @@ def build_cost_volume(camera_features: np.ndarray, sonar_features: np.ndarray,
                for coords, size in zip((grid.rb, grid.bb), bins)):
         raise ValueError(f"warp grid lookups fall outside the {bins[0]}x{bins[1]} sonar map")
     if camera_features.shape[-1] != sonar_features.shape[-1]:
-        raise ValueError(
-            f"feature channel mismatch: camera F={camera_features.shape[-1]}, "
-            f"sonar F={sonar_features.shape[-1]}"
-        )
+        raise ValueError(f"feature channel mismatch: camera F={camera_features.shape[-1]}, "
+                         f"sonar F={sonar_features.shape[-1]}")
     if camera_features.shape[:2] != grid.shape[:2]:
         raise ValueError(f"grid mismatch: {camera_features.shape[:2]} vs {grid.shape[:2]}")
-    if live.shape != bins:
-        raise ValueError(f"live cells {live.shape} do not match the sonar map {bins}")
     h, w, n = grid.shape
-    zero = np.zeros(sonar_features.shape[-1])
-    cost0, defined0 = np.zeros((h, w)), np.zeros((h, w), dtype=bool)
-    if _zero_scores(metric):  # else the table is undefined everywhere, as scoring would find
-        # Row by row, so that the float64 feature buffers stay one image row long.
+    cost0, live = np.zeros((h, w)), np.ones(bins, dtype=bool)  # neg-zncc scores every lookup
+    if _zero_scores(metric):
+        # Only live cells are sampled: a dead lookup takes its pixel's cost
+        # against the zero vector (0.0, broadcast), scored row by row so that
+        # the float64 feature buffers stay one image row long.
+        live = live_cells(sonar_features)
         for r in np.flatnonzero(grid.rows):
-            cost0[r], defined0[r] = _pair_cost(camera_features[r].astype(np.float64), zero,
-                                               metric)
+            cost0[r] = _pair_cost(camera_features[r].astype(np.float64), 0.0, metric)[0]
     camera_features = camera_features.reshape(h * w, camera_features.shape[-1])
 
     def score(i):
         lookups = slice(grid.ends[i], grid.ends[i + 1])
         pixels, rb, bb = grid.pixels[lookups], grid.rb[lookups], grid.bb[lookups]
         hit = live[rb.astype(int), bb.astype(int)]  # >= 0: the cast is the floor
-        cost, defined = cost0.ravel()[pixels], defined0.ravel()[pixels]
+        cost, defined = cost0.ravel()[pixels], np.ones(pixels.size, dtype=bool)
         cost[hit], defined[hit] = _pair_cost(camera_features[pixels[hit]].astype(np.float64),
                                              _bilinear_sample(sonar_features, rb[hit], bb[hit]),
                                              metric)
@@ -490,9 +497,8 @@ def run_pipeline(camera_image: np.ndarray, sonar_image, calibration, config: Swe
     shape, spec = np.shape(camera_image), calibration.sonar
     if len(shape) != 2 or 0 in shape:
         raise ValueError(f"expected a nonempty 2-D image, got shape {shape}")
-    if sonar_image.values.shape != (spec.range_bins, spec.bearing_bins):
-        raise ValueError(f"sonar frame {sonar_image.values.shape} does not match the rig's "
-                         f"{spec.range_bins}x{spec.bearing_bins} bins")
+    if sonar_image.spec != spec:
+        raise ValueError(f"sonar frame {sonar_image.spec} does not match the rig's {spec}")
     if config.zero_sonar_features:
         d_hat, valid, volume = _geometry_prior(shape, calibration, origin)
     else:
@@ -502,15 +508,15 @@ def run_pipeline(camera_image: np.ndarray, sonar_image, calibration, config: Swe
 
         son_features = extract_features(sonar_image.values, config.extractor,
                                         config.patch_radius)
-        live = live_cells(son_features)
         # A lookup into a dead cell samples the zero vector. Where that never
         # scores, the grid keeps only the entries that look up a live cell.
         grid = build_warp_grid(calibration.intrinsics, calibration.extrinsics,
                                calibration.planes, spec, shape=shape, origin=origin,
-                               echo=None if _zero_scores(config.metric) else live)
+                               echo=None if _zero_scores(config.metric)
+                               else live_cells(son_features))
         cam_features = extract_features(camera_image, config.extractor, config.patch_radius,
                                         rows=grid.rows)
-        volume = build_cost_volume(cam_features, son_features, grid, config.metric, live)
+        volume = build_cost_volume(cam_features, son_features, grid, config.metric)
         del camera_image, cam_features, son_features, grid  # later stages read only the volume
         volume = regularize_cost_volume(volume, config.box_radius, config.box_passes)
         d_hat, _, valid = soft_argmin(scale_costs(volume, config.cost_scale),

@@ -30,7 +30,6 @@ from oasweep.sweep import (
     CostVolume,
     build_cost_volume,
     extract_features,
-    live_cells,
     regress_depth_map,
     regularize_cost_volume,
     scale_costs,
@@ -512,7 +511,7 @@ def geometry_prior_chain(camera, sonar_values, rig, config, origin):
                            shape=camera.shape, origin=origin, echo=None)
     cam = extract_features(camera, config.extractor, config.patch_radius)
     son = np.zeros(np.shape(sonar_values) + cam.shape[-1:], np.float32)
-    volume = build_cost_volume(cam, son, grid, "neg-dot", live_cells(son))
+    volume = build_cost_volume(cam, son, grid, "neg-dot")
     volume = regularize_cost_volume(volume, config.box_radius, config.box_passes)
     d_hat, _, ok = soft_argmin(scale_costs(volume, config.cost_scale), rig.planes.distances())
     depth = regress_depth_map(d_hat, ok, rig.intrinsics, rig.extrinsics, rig.planes.alpha,

@@ -681,6 +681,12 @@ class TestValidationExits:
                      "behind the camera", id="preprocess-camera-facing-away"),
         pytest.param(_sweep_camera_of_wrong_size, 3, "(240, 321) does not match intrinsics",
                      id="sweep-camera-of-wrong-size"),
+        pytest.param(lambda ds, tmp, out: ["sweep", "--dataset", ds, "--out", out,
+                                           "--extractor", "intensity"],
+                     2, "intensity", id="sweep-neg-zncc-on-intensity"),
+        pytest.param(lambda ds, tmp, out: ["sweep", "--dataset", ds, "--out", out,
+                                           "--patch-radius", 0],
+                     2, "patch radius", id="sweep-zncc-patch-radius-0"),
         pytest.param(_eval_mismatch("mask"), 3, "mask shape (3, 2)", id="eval-pred-mask-shape"),
         pytest.param(_eval_mismatch("size"), 3, "differ in size", id="eval-pred-and-gt-sizes"),
         pytest.param(lambda ds, tmp, out: ["eval", "--pred", ds / "depth_gt.pfm",

@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,9 +31,9 @@ from oasweep.formats import (
 )
 from oasweep.geometry import CameraIntrinsics, PlaneHypothesisSet
 from oasweep.simulator import SpherePrimitive
-from oasweep.sweep import CostVolume
+from oasweep.sweep import CostVolume, SweepConfig, run_pipeline
 
-from conftest import compact_volume, dense_encode_cost_volume, entry_lists
+from conftest import compact_volume, dense_encode_cost_volume, entry_lists, stock_inputs
 
 
 class TestPGM:
@@ -391,3 +392,23 @@ class TestExactRoundTrips:
         assert got_costs.tobytes() == np.where(valid, costs, SSCV_INVALID_COST).tobytes()
         np.testing.assert_array_equal(got_valid, valid)
         assert got_valid.dtype == bool
+
+
+class TestEncodeMemory:
+    def test_dense_volume_peak_is_bounded(self):
+        # A stock neg-dot volume keeps every warp-valid entry, a quarter of
+        # H W N. Encoding holds the file's 5 bytes per slot and one int64 slot
+        # per entry, and no entry-sized array beside them through the fills.
+        rig = default_rig()
+        prepared, window, frame = stock_inputs(rig)
+        _, volume = run_pipeline(prepared, frame, rig, SweepConfig(metric="neg-dot"),
+                                 origin=(window.u0, window.v0))
+        h, w, n = volume.shape
+        tracemalloc.start()
+        try:
+            encode_cost_volume(volume)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert volume.costs.size > h * w * n / 5
+        assert peak <= 5 * h * w * n + 8 * volume.costs.size + 2**20

@@ -992,7 +992,7 @@ class TestWarpGrid:
         cut = build_warp_grid(*args, shape=shape, origin=origin, echo=live)
         self.assert_matches_oracle(cut, args, shape=shape, origin=origin, echo=live)
         full = build_warp_grid(*args, shape=shape, origin=origin, echo=None)
-        got, want = (build_cost_volume(cam, son, grid, "neg-zncc", live)
+        got, want = (build_cost_volume(cam, son, grid, "neg-zncc")
                      for grid in (cut, full))
         assert want.valid.any()
         assert got.costs.tobytes() == want.costs.tobytes()

@@ -62,6 +62,20 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(cost_scale=value)
 
+    def test_neg_zncc_refuses_the_intensity_extractor(self):
+        # A one-channel feature has no centred norm, so neg-zncc scores none.
+        with pytest.raises(ValueError, match="intensity"):
+            SweepConfig(extractor="intensity")
+        SweepConfig(extractor="intensity", metric="sad")
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_zncc_patch_refuses_radius_zero(self, metric):
+        # A one-pixel patch is always the zero vector: no metric could tell
+        # the planes apart.
+        with pytest.raises(ValueError, match="patch radius"):
+            SweepConfig(patch_radius=0, metric=metric)
+        SweepConfig(extractor="gradient", patch_radius=0, metric=metric)
+
 
 class TestExtractFeatures:
     def test_intensity_passthrough(self, rng):
@@ -95,6 +109,7 @@ class TestExtractFeatures:
         pytest.param((40, 30), 2, "sparse", id="sparse-echoes"),
         pytest.param((5, 12), 7, "sparse", id="radius-taller-than-image"),
         pytest.param((30, 40), 2, "dense-raw", id="dense-raw"),
+        pytest.param((30, 40), 2, "negative", id="negative-rows"),
     ])
     def test_zncc_matches_whole_image_oracle(self, rng, shape, radius, kind):
         # Row by row, skipping the rows whose input band holds only +-0.0,
@@ -106,13 +121,18 @@ class TestExtractFeatures:
             img = np.where(rng.random(shape) < 0.3, -0.0, 0.0)
             rows = rng.choice(shape[0], size=2, replace=False)
             img[rows, rng.integers(0, shape[1], size=2)] = rng.uniform(0.2, 1.0, size=2)
+        elif kind == "negative":  # rows of -0.0, and two rows of negative values only
+            img = np.zeros(shape)
+            img[rng.choice(shape[0], size=6, replace=False)] = -0.0
+            rows = rng.choice(shape[0], size=2, replace=False)
+            img[rows] = -rng.uniform(0.2, 1.0, size=(2, shape[1]))
         else:  # a raw noisy map: no row is skipped
             img = rng.random(shape)
         got = extract_features(img, "zncc-patch", patch_radius=radius)
         want = dense_zncc_patches(img, radius)
         assert got.tobytes() == want.tobytes()
         computed = want.any(axis=(1, 2))
-        if kind == "sparse":  # a row holds features exactly when an echo is within r rows
+        if kind in ("sparse", "negative"):  # features exactly within r rows of an echo
             echo_rows = np.flatnonzero(np.any(img != 0, axis=1))
             near = np.abs(np.arange(shape[0])[:, None] - echo_rows).min(axis=1) <= radius
             np.testing.assert_array_equal(computed, near)
@@ -157,7 +177,7 @@ def warp_values(grid, sonar_map):
     with unit intensity camera features."""
     camera = np.ones(grid.shape[:2] + (1,), dtype=np.float32)
     sonar = sonar_map[:, :, None]
-    vol = build_cost_volume(camera, sonar, grid, "neg-dot", live_cells(sonar))
+    vol = build_cost_volume(camera, sonar, grid, "neg-dot")
     return -densify(vol.costs, vol.valid), vol.valid
 
 
@@ -230,8 +250,7 @@ class TestWarpSonarFeatures:
         # A lookup of the rig's sonar, on the axis at 1 m, reaches past a 4x4 map.
         grid = bin_grid(*rig.sonar.polar_to_bin([[[1.0]]], [[[0.0]]]))
         with pytest.raises(ValueError):
-            build_cost_volume(np.ones((1, 1, 1)), np.ones((4, 4, 1)), grid, "sad",
-                              np.ones((4, 4), dtype=bool))
+            build_cost_volume(np.ones((1, 1, 1)), np.ones((4, 4, 1)), grid, "sad")
 
     @pytest.mark.parametrize("rb, bb", [(15.0 + 1e-9, 0.0), (0.0, 7.0 + 1e-9), (-1e-9, 0.0),
                                         (0.0, -0.5), (np.nan, 0.0), (0.0, np.nan)],
@@ -246,7 +265,7 @@ class TestWarpSonarFeatures:
         sonar = np.ones(SPARSE_BINS + (1,), dtype=np.float32)
         grid = bin_grid([[[15.0, rb]]], [[[7.0, bb]]])
         with pytest.raises(ValueError, match="outside the 16x8 sonar map"):
-            build_cost_volume(np.ones((1, 1, 1)), sonar, grid, "sad", live_cells(sonar))
+            build_cost_volume(np.ones((1, 1, 1)), sonar, grid, "sad")
 
 
 class TestBuildCostVolume:
@@ -257,7 +276,7 @@ class TestBuildCostVolume:
         rbins = rng.integers(0, spec.range_bins, size=(3, 4, 1)).repeat(2, axis=2)
         bbins = rng.integers(0, spec.bearing_bins, size=(3, 4, 1)).repeat(2, axis=2)
         camera = sonar[rbins[..., 0], bbins[..., 0]]
-        vol = build_cost_volume(camera, sonar, bin_grid(rbins, bbins), "sad", live_cells(sonar))
+        vol = build_cost_volume(camera, sonar, bin_grid(rbins, bbins), "sad")
         assert vol.valid.all()
         np.testing.assert_allclose(vol.costs, 0.0, atol=1e-5)
 
@@ -268,7 +287,7 @@ class TestBuildCostVolume:
         sonar[3, 4] = [0.0, 1.0]   # orthogonal
         sonar[7, 8] = [1.0, 0.0]   # parallel
         grid = bin_grid([[[3, 7]]], [[[4, 8]]])
-        vol = build_cost_volume(camera, sonar, grid, "neg-dot", live_cells(sonar))
+        vol = build_cost_volume(camera, sonar, grid, "neg-dot")
         costs = densify(vol.costs, vol.valid)
         assert costs[0, 0, 0] == pytest.approx(0.0, abs=1e-6)
         assert costs[0, 0, 1] == pytest.approx(-1.0, abs=1e-6)
@@ -277,8 +296,7 @@ class TestBuildCostVolume:
         spec = rig.sonar
         camera = np.ones((1, 1, 1), dtype=np.float32)  # F=1 has zero variance
         sonar = np.ones((spec.range_bins, spec.bearing_bins, 1), dtype=np.float32)
-        vol = build_cost_volume(camera, sonar, bin_grid([[[3]]], [[[4]]]), "neg-zncc",
-                                live_cells(sonar))
+        vol = build_cost_volume(camera, sonar, bin_grid([[[3]]], [[[4]]]), "neg-zncc")
         assert not vol.valid[0, 0, 0]
         assert vol.costs.size == 0
 
@@ -287,16 +305,14 @@ class TestBuildCostVolume:
         with pytest.raises(ValueError):
             build_cost_volume(np.ones((1, 1, 3), np.float32),
                               np.ones((spec.range_bins, spec.bearing_bins, 4), np.float32),
-                              bin_grid([[[1.0]]], [[[0.0]]]), "sad",
-                              np.ones((spec.range_bins, spec.bearing_bins), dtype=bool))
+                              bin_grid([[[1.0]]], [[[0.0]]]), "sad")
 
     def test_grid_mismatch(self, rig):
         spec = rig.sonar
         with pytest.raises(ValueError):
             build_cost_volume(np.ones((2, 2, 1), np.float32),
                               np.ones((spec.range_bins, spec.bearing_bins, 1), np.float32),
-                              bin_grid([[[1.0]]], [[[0.0]]]), "sad",
-                              np.ones((spec.range_bins, spec.bearing_bins), dtype=bool))
+                              bin_grid([[[1.0]]], [[[0.0]]]), "sad")
 
     def test_invalid_entries_hold_no_cost(self, rig):
         # A masked grid entry goes invalid and holds no cost even where the
@@ -305,7 +321,7 @@ class TestBuildCostVolume:
         camera = np.ones((1, 1, 2), dtype=np.float32)
         sonar = np.ones((spec.range_bins, spec.bearing_bins, 2), dtype=np.float32)
         grid = bin_grid([[[1.0, 2.0]]], [[[0.0, 0.0]]], valid=[[[True, False]]])
-        vol = build_cost_volume(camera, sonar, grid, "sad", live_cells(sonar))
+        vol = build_cost_volume(camera, sonar, grid, "sad")
         np.testing.assert_array_equal(vol.valid, [[[True, False]]])
         assert vol.costs.shape == (1,)
         assert vol.costs[0] == pytest.approx(0.0, abs=1e-6)
@@ -324,8 +340,8 @@ class TestBuildCostVolume:
         assert holed.bb.tobytes() == grid.bb.tobytes()
         camera = rng.random((6, 8, 3)).astype(np.float32)
         sonar = rng.random((spec.range_bins, spec.bearing_bins, 3)).astype(np.float32)
-        want = build_cost_volume(camera, sonar, grid, metric, live_cells(sonar))
-        got = build_cost_volume(camera, sonar, holed, metric, live_cells(sonar))
+        want = build_cost_volume(camera, sonar, grid, metric)
+        got = build_cost_volume(camera, sonar, holed, metric)
         np.testing.assert_array_equal(got.valid, want.valid)
         np.testing.assert_array_equal(got.costs, want.costs)
 
@@ -350,7 +366,7 @@ class TestBuildCostVolume:
                         np.stack([np.roll(bb, j) for j in range(5)], axis=-1),
                         valid=rng.random(rb.shape + (5,)) < 0.9)
         sonar = sparse_sonar(case, rng)
-        got = build_cost_volume(camera, sonar, grid, metric, live_cells(sonar))
+        got = build_cost_volume(camera, sonar, grid, metric)
         want = dense_cost_volume(camera, sonar, grid, metric)
         assert got.costs.tobytes() == want.costs.tobytes()
         np.testing.assert_array_equal(got.valid, want.valid)
@@ -369,7 +385,7 @@ class TestBuildCostVolume:
             son = np.zeros_like(son)
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
                                shape=prepared.shape, origin=(window.u0, window.v0), echo=None)
-        got = build_cost_volume(cam, son, grid, config.metric, live_cells(son))
+        got = build_cost_volume(cam, son, grid, config.metric)
         want = dense_cost_volume(cam, son, grid, config.metric)
         assert got.valid.any()
         assert got.costs.tobytes() == want.costs.tobytes()
@@ -401,7 +417,7 @@ class TestBuildCostVolume:
         grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
                                shape=prepared.shape, origin=origin, echo=None)
         want = build_cost_volume(extract_features(prepared / 255.0, "zncc-patch", 2), son, grid,
-                                 "neg-zncc", live_cells(son))
+                                 "neg-zncc")
         assert want.valid.any()
         assert np.count_nonzero(seen["grid"].valid) < 0.05 * np.count_nonzero(grid.valid)
         assert seen["volume"].costs.tobytes() == want.costs.tobytes()
@@ -633,7 +649,7 @@ class TestSoftArgminMatchesDenseOracle:
         if config.zero_sonar_features:
             son = np.zeros_like(son)
         volume = build_cost_volume(extract_features(camera, config.extractor, config.patch_radius),
-                                   son, grid, config.metric, live_cells(son))
+                                   son, grid, config.metric)
         volume = scale_costs(regularize_cost_volume(volume, config.box_radius, config.box_passes),
                              config.cost_scale)
         distances = rig.planes.distances()
@@ -772,7 +788,7 @@ def random_rig_chain(rig, camera, sonar_map, window, extractor, patch_radius, me
     features = [extract_features(image, extractor, patch_radius) for image in (camera, sonar_map)]
     grid = build_warp_grid(rig.intrinsics, rig.extrinsics, rig.planes, rig.sonar,
                            shape=camera.shape, origin=(window.u0, window.v0), echo=None)
-    volume = build_cost_volume(*features, grid, metric, live_cells(features[1]))
+    volume = build_cost_volume(*features, grid, metric)
     regularized = regularize_cost_volume(volume, radius, passes)
     scaled = scale_costs(regularized, SweepConfig().cost_scale)
     return features, grid, volume, regularized, scaled, soft_argmin(scaled, rig.planes.distances())
@@ -826,7 +842,7 @@ class TestRandomRig:
                                       shape=camera.shape, origin=(window.u0, window.v0),
                                       echo=live)
                 assert not np.any(cut.valid & ~grid.valid)
-                got = build_cost_volume(*features, cut, metric, live)
+                got = build_cost_volume(*features, cut, metric)
                 assert got.costs.tobytes() == volume.costs.tobytes()
                 np.testing.assert_array_equal(got.valid, volume.valid)
             want = dense_regularize(volume, radius, passes)
@@ -1097,6 +1113,19 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="does not match the rig's"):
             run_pipeline(prepared, frame, rig, config, origin=(window.u0, window.v0))
 
+    @pytest.mark.parametrize("config", [SweepConfig(), SweepConfig(metric="neg-dot",
+                                                                   zero_sonar_features=True)],
+                             ids=["fused", "geometry-prior"])
+    def test_frame_of_another_sonar_refused(self, default_run, config):
+        # Same bins, wider aperture: swept with the rig's bearing geometry,
+        # every echo would land at the wrong bearing. Both paths refuse it.
+        rig, _, sonar, prepared, window, _, _ = default_run
+        spec = dataclasses.replace(rig.sonar, bearing_fov=np.deg2rad(90.0))
+        assert spec.bearing_fov != rig.sonar.bearing_fov
+        frame = PolarSonarImage(values=sonar.values, spec=spec)
+        with pytest.raises(ValueError, match="sonar frame .* does not match the rig's"):
+            run_pipeline(prepared, frame, rig, config, origin=(window.u0, window.v0))
+
     @pytest.mark.parametrize("extractor", ["zncc-patch", "intensity"])
     def test_ablation_extracts_no_sonar_features(self, default_run, monkeypatch, extractor):
         # The geometry-prior ablation is computed in closed form: no extraction
@@ -1110,7 +1139,7 @@ class TestRunPipeline:
                                shape=prepared.shape, origin=origin, echo=None)
         son = np.zeros_like(extract_features(sonar.values, extractor, config.patch_radius))
         want = build_cost_volume(extract_features(camera, extractor, config.patch_radius), son,
-                                 grid, config.metric, live_cells(son))
+                                 grid, config.metric)
         want = regularize_cost_volume(want, config.box_radius, config.box_passes)
         called = []
         for name in ("extract_features", "build_cost_volume", "regularize_cost_volume",
