@@ -27,7 +27,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-GEOMETRY, SWEEP, FORMATS = "geometry.py", "sweep.py", "formats.py"
+GEOMETRY, SWEEP, FORMATS, PREPROCESS = "geometry.py", "sweep.py", "formats.py", "preprocess.py"
 WARP_GRID = "tests/test_geometry.py::TestWarpGrid::"
 PIPELINE = "tests/test_sweep.py::TestRunPipeline::"
 SPARSE_SONAR = "tests/test_sweep.py::TestBuildCostVolume::test_sparse_sonar_matches_dense_oracle"
@@ -91,6 +91,17 @@ MUTANTS = [
      "if False:",
      [PIPELINE + "test_sonar_frame_must_match_the_rig",
       PIPELINE + "test_frame_of_another_sonar_refused"]),
+    ("live cells taken from float values", SWEEP,
+     'held = np.any(sonar_features.view(f"u{sonar_features.itemsize}") != 0, axis=-1)',
+     "held = np.any(sonar_features != 0, axis=-1)",
+     ["tests/test_sweep.py::TestLiveCells::test_any_set_bit_is_held"]),
+    ("background spec check removed", PREPROCESS,
+     "if frame.spec != background.spec:", "if False:",
+     ["tests/test_preprocess.py::TestSubtractBackground::"
+      "test_background_of_another_sonar_refused"]),
+    ("background-model spec check removed", PREPROCESS,
+     "if f.spec != spec:", "if False:",
+     ["tests/test_preprocess.py::TestAverageBackground::test_frame_of_another_sonar_refused"]),
     ("zncc row skip keeps only rows with a positive value", SWEEP,
      "held = np.pad(np.any(image != 0, axis=1), r)",
      "held = np.pad(np.any(image > 0, axis=1), r)",

@@ -4,12 +4,11 @@
 Synthesizes the three coastal water types on the stock scene's camera image,
 runs the full sweep and the sonar-zeroed neg-dot ablation on each, and prints
 the accuracy trend (plus a CSV for plotting). The ablation would score every
-entry 0, so run_pipeline computes it in closed form from the warp grid's mask,
-each pixel averaging its admissible plane distances, and never reads the
-camera: its depth is the plane-hypothesis geometry prior alone, the same for
-every water type. The fused pipeline should degrade
-only mildly from clear to turbid while the ablation stays far worse
-throughout.
+entry 0, so run_pipeline computes it in closed form from the warp grid's
+per-plane pixel lists, each pixel averaging its admissible plane distances,
+and never reads the camera: its depth is the plane-hypothesis geometry prior
+alone, the same for every water type. The fused pipeline should degrade only
+mildly from clear to turbid while the ablation stays far worse throughout.
 
 Usage:
     python3 scripts/turbidity_robustness.py [--out CSV] [--ambient B] [--distance D]

@@ -84,14 +84,15 @@ def _load_sonar(path, spec) -> PolarSonarImage:
         raise CommandError(f"{path}: {exc}", EXIT_INPUT) from exc
 
 
-def _check_window(flag: str, radius: int, shapes: dict) -> None:
+def _check_window(flag: str, radius: int, shapes: dict, least: int = 0) -> None:
     """Reject a (2r+1)-wide window past a side of the named (rows, columns) maps: it only pads
-    them, at a cost growing with r ((2r+1)^2 per bin, or (h+2r)(w+2r) per box)."""
+    them, at a cost growing with r ((2r+1)^2 per bin, or (h+2r)(w+2r) per box). ``least`` is
+    the smallest radius the caller's matching accepts, which the message names."""
     largest = (min(min(shape) for shape in shapes.values()) - 1) // 2
-    if not 0 <= radius <= largest:
+    if not least <= radius <= largest:
         what = " and ".join(f"the {h}x{w} {name}" for name, (h, w) in shapes.items())
-        raise CommandError(f"{flag} must be in [0, {largest}] for {what}, got {flag} {radius}",
-                           EXIT_VALIDATION)
+        raise CommandError(f"{flag} must be in [{least}, {largest}] for {what}, got {flag} "
+                           f"{radius}", EXIT_VALIDATION)
 
 
 def _write_outputs(outputs) -> None:
@@ -260,7 +261,7 @@ def cmd_sweep(args) -> int:
 
     if config.extractor == "zncc-patch":
         _check_window("--patch-radius", config.patch_radius,
-                      {"camera crop": prepared.shape, "sonar map": sonar_image.values.shape})
+                      {"camera crop": prepared.shape, "sonar map": sonar_image.values.shape}, 1)
     if config.box_passes > 0:
         _check_window("--box-radius", config.box_radius, {"camera crop": prepared.shape})
     side = max(prepared.shape)

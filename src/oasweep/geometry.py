@@ -415,11 +415,11 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
     an entry that passes the gate, so it has no entry, as the gate would
     find. Each plane's kept pixels, in order, are cut into tasks of at most
     BLOCK_PIXELS pixels: a slice where the task's pixels have no gap, an
-    index array otherwise. Each thread gates its tasks in one set of
-    BLOCK_PIXELS-sized scratch buffers, into which it gathers an index
-    array's denominators and rays (a slice is read through views), so that
-    they stay in cache and every allocation has one size, whatever the
-    task; beyond them it allocates only the lookups it keeps. The tasks are
+    index array otherwise. Each task gates in its own BLOCK_PIXELS-sized
+    buffers, into which it gathers an index array's denominators and rays (a
+    slice is read through views), so that every allocation has one size,
+    whatever the task, and the allocator reuses the block the last task
+    freed; beyond them it allocates only the lookups it keeps. The tasks are
     shared between threads by :func:`map_in_order`. Each task returns its
     survivors' pixels and lookups, which are joined in task order, the
     grid's plane-major order: the grid is the same bit for bit whatever the
@@ -451,21 +451,17 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
                                           planes.alpha)
     # Coordinate-major rays: each task's gathers walk rows.
     rays, denom = np.ascontiguousarray(rays.reshape(-1, 3).T), denom.reshape(-1)
-    block_pixels = BLOCK_PIXELS
-    scratch = threading.local()
 
     def gate(task):
         i, pixels = task
         size = pixels.stop - pixels.start if isinstance(pixels, slice) else pixels.size
-        if not hasattr(scratch, "floats"):  # this thread's first task
-            scratch.floats = np.empty((10, block_pixels))
-            scratch.flags = np.empty((2, block_pixels), dtype=bool)
+        floats, flags = np.empty((10, BLOCK_PIXELS)), np.empty((2, BLOCK_PIXELS), dtype=bool)
         # Leading slices; the (3, size) ones contiguous, so that the lift's
         # matrix product runs as it would on a fresh array.
-        z, ranges, bearings, elevation = scratch.floats[:4, :size]
+        z, ranges, bearings, elevation = floats[:4, :size]
         points, sonar = (coords.ravel()[:3 * size].reshape(3, size)
-                         for coords in (scratch.floats[4:7], scratch.floats[7:]))
-        good, term = scratch.flags[:, :size]
+                         for coords in (floats[4:7], floats[7:]))
+        good, term = flags[:, :size]
         if isinstance(pixels, slice):  # pixels with no gap are read through views
             column, ray = denom[pixels], rays[:, pixels]
         else:
@@ -513,7 +509,7 @@ def build_warp_grid(intrinsics: CameraIntrinsics, extrinsics: RigidTransform,
             kept = _wedge_rows(rays, denom, numers[plane], extrinsics, spec,
                                np.stack([first, stop - 1]), held)
             plane, first, stop = plane[kept], first[kept], stop[kept]
-        tasks = _gate_tasks(plane, first, stop, block_pixels)
+        tasks = _gate_tasks(plane, first, stop, BLOCK_PIXELS)
     # Joined one coordinate at a time, so that each one's pieces are freed before
     # the next is joined; the empty leading pieces define an empty join.
     pixels, rb, bb = zip((np.empty(0, np.int32), np.empty(0), np.empty(0)),

@@ -42,14 +42,14 @@ class CropWindow:
 
 
 def average_background(frames) -> PolarSonarImage:
-    """Per-bin arithmetic mean of object-free polar scans."""
+    """Per-bin arithmetic mean of object-free polar scans, all of one sonar spec."""
     frames = list(frames)
     if not frames:
         raise ValueError("need at least one background frame")
     spec = frames[0].spec
     for f in frames[1:]:
-        if f.values.shape != frames[0].values.shape:
-            raise ValueError(f"frame shape mismatch: {f.values.shape} vs {frames[0].values.shape}")
+        if f.spec != spec:
+            raise ValueError(f"background frame {f.spec} does not match the first's {spec}")
     mean = np.mean([f.values for f in frames], axis=0)
     return PolarSonarImage(values=mean, spec=spec)
 
@@ -63,9 +63,10 @@ def denoise(image: PolarSonarImage, radius: int) -> PolarSonarImage:
 
 
 def subtract_background(frame: PolarSonarImage, background: PolarSonarImage) -> PolarSonarImage:
-    """Remove the static background; negative residuals clamp to zero."""
-    if frame.values.shape != background.values.shape:
-        raise ValueError(f"frame/background shape mismatch: {frame.values.shape} vs {background.values.shape}")
+    """Remove the static background, which must share the frame's sonar spec; negative
+    residuals clamp to zero."""
+    if frame.spec != background.spec:
+        raise ValueError(f"frame {frame.spec} does not match the background's {background.spec}")
     return PolarSonarImage(values=np.maximum(frame.values - background.values, 0.0), spec=frame.spec)
 
 

@@ -105,8 +105,8 @@ class SweepConfig:
             raise ValueError(f"unknown metric {self.metric!r}, want one of {METRICS}")
         if self.patch_radius < 0 or self.box_radius < 0 or self.box_passes < 0:
             raise ValueError("radii and passes must be >= 0")
-        if not 0 < self.cost_scale < np.inf:
-            raise ValueError(f"cost_scale must be positive and finite, got {self.cost_scale}")
+        if not 2.0**-150 < self.cost_scale < np.inf:  # float32 rounds 2**-150 down to 0
+            raise ValueError(f"cost_scale must be finite and above 2**-150, got {self.cost_scale}")
         if self.zero_sonar_features and self.metric != "neg-dot":
             raise ValueError(f"zero_sonar_features needs the neg-dot metric, got {self.metric!r}")
         # Each leaves the sweep nothing to match: one channel has no centred norm,
@@ -174,10 +174,12 @@ def live_cells(sonar_features: np.ndarray) -> np.ndarray:
 
     Cell (r, c) blends the corners [r, r + 1] x [c, c + 1], edge-clamped as
     in :func:`_bilinear_sample`; a lookup into any other cell, whose four
-    corners hold only +0.0, samples exactly the zero vector. A -0.0 corner
-    counts as held: only +0.0 corners surely blend to a +0.0 sample.
+    corners hold only +0.0, samples exactly the zero vector. A corner is
+    held when any bit of any of its channels is set: +0.0 is the only value
+    whose bits are all zero, so -0.0 and NaN are held, and only +0.0 corners
+    surely blend to a +0.0 sample.
     """
-    held = np.any((sonar_features != 0) | np.signbit(sonar_features), axis=-1)
+    held = np.any(sonar_features.view(f"u{sonar_features.itemsize}") != 0, axis=-1)
     held = np.pad(held, ((0, 1), (0, 1)), mode="edge")
     return held[:-1, :-1] | held[1:, :-1] | held[:-1, 1:] | held[1:, 1:]
 

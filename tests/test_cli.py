@@ -187,7 +187,8 @@ class TestSweep:
             argv = ["--config", cfg] + argv
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "--patch-radius 500" in err
+        # zncc-patch refuses radius 0, so the range offered starts at 1.
+        assert err.startswith("error:") and "--patch-radius 500" in err and "[1, 111]" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("radius", [117, 100000])
@@ -687,6 +688,9 @@ class TestValidationExits:
         pytest.param(lambda ds, tmp, out: ["sweep", "--dataset", ds, "--out", out,
                                            "--patch-radius", 0],
                      2, "patch radius", id="sweep-zncc-patch-radius-0"),
+        pytest.param(lambda ds, tmp, out: ["sweep", "--dataset", ds, "--out", out,
+                                           "--cost-scale", 1e-50],
+                     2, "cost_scale", id="sweep-cost-scale-underflow"),
         pytest.param(_eval_mismatch("mask"), 3, "mask shape (3, 2)", id="eval-pred-mask-shape"),
         pytest.param(_eval_mismatch("size"), 3, "differ in size", id="eval-pred-and-gt-sizes"),
         pytest.param(lambda ds, tmp, out: ["eval", "--pred", ds / "depth_gt.pfm",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -23,6 +24,13 @@ def make_frame(spec, values):
     return PolarSonarImage(values=values, spec=spec)
 
 
+def wide_sonar(rig):
+    """The rig's sonar with the same bins over a 90 degree bearing aperture."""
+    spec = dataclasses.replace(rig.sonar, bearing_fov=np.deg2rad(90.0))
+    assert spec.bearing_fov != rig.sonar.bearing_fov
+    return spec
+
+
 class TestAverageBackground:
     def test_identical_frames(self, rig, rng):
         v = rng.random((rig.sonar.range_bins, rig.sonar.bearing_bins))
@@ -39,6 +47,16 @@ class TestAverageBackground:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             average_background([])
+
+    def test_frame_of_another_sonar_refused(self, rig):
+        # Same bins, wider aperture: each bin would be averaged with one at another bearing.
+        shape = (rig.sonar.range_bins, rig.sonar.bearing_bins)
+        other = make_frame(wide_sonar(rig), np.zeros(shape))
+        with pytest.raises(ValueError, match="does not match the first's"):
+            average_background([make_frame(rig.sonar, np.zeros(shape)), other])
+        with pytest.raises(ValueError, match="does not match the first's"):
+            preprocess_sonar_frames([make_frame(rig.sonar, np.zeros(shape))],
+                                    [other, make_frame(rig.sonar, np.zeros(shape))])
 
     def test_noise_reduction_scales_with_frame_count(self, rig):
         # Monte Carlo: averaging M i.i.d.-noise frames shrinks the per-bin
@@ -97,6 +115,16 @@ class TestSubtractBackground:
         bg = make_frame(rig.sonar, rng.random(shape))
         out = subtract_background(frame, bg)
         assert out.values.min() >= 0.0
+
+    def test_background_of_another_sonar_refused(self, rig):
+        # Same bins, wider aperture: each background bin would be subtracted
+        # from a frame bin at another bearing.
+        shape = (rig.sonar.range_bins, rig.sonar.bearing_bins)
+        frame = make_frame(rig.sonar, np.full(shape, 0.5))
+        other = make_frame(wide_sonar(rig), np.full(shape, 0.2))
+        for a, b in ((frame, other), (other, frame)):
+            with pytest.raises(ValueError, match="does not match the background's"):
+                subtract_background(a, b)
 
     def test_accepts_background_model(self, rig):
         shape = (rig.sonar.range_bins, rig.sonar.bearing_bins)

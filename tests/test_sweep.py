@@ -57,7 +57,8 @@ from conftest import (
 
 
 class TestSweepConfig:
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    # 2**-150 and 1e-50 round to the float32 gain 0.0, as 0 does.
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, 2.0**-150, 1e-50])
     def test_cost_scale_positive_and_finite(self, value):
         with pytest.raises(ValueError):
             SweepConfig(cost_scale=value)
@@ -705,6 +706,23 @@ def traced_dense():
         finally:
             tracemalloc.stop()
     return rig, seen
+
+
+class TestLiveCells:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_any_set_bit_is_held(self, dtype):
+        # Bin (5, 6) holds only -0.0, bin (2, 2) -0.0 in one channel: both are
+        # held, and so live are the four cells that blend each. Every other bin
+        # holds only +0.0, so every other cell is dead. The map is a strided
+        # view, as a held test must read any strides.
+        features = np.zeros((9, 11, 6), dtype=dtype)[:, :, ::2]
+        features[5, 6] = -0.0
+        features[2, 2, 1] = -0.0
+        live = live_cells(features)
+        assert live.shape == (9, 11)
+        np.testing.assert_array_equal(
+            np.argwhere(live), [[1, 1], [1, 2], [2, 1], [2, 2], [4, 5], [4, 6], [5, 5], [5, 6]])
+        assert not live_cells(np.zeros((9, 11, 3), dtype=dtype)).any()
 
 
 class TestLiveSet:
